@@ -173,31 +173,38 @@ def analyze(word):
 # dicts whose exponents count halves of x.
 
 def _det(mat):
-    """Exact determinant by minor expansion with a column-subset memo."""
-    k = len(mat)
-    memo = {}
+    """Exact determinant by fraction-free elimination (Bareiss 1968).
 
-    def rec(row, cols_mask):
-        if row == k:
-            return QLaurent.one()
-        hit = memo.get(cols_mask)
-        if hit is not None:
-            return hit
-        acc = QLaurent.zero()
-        sign = 1
-        for c in range(k):
-            bit = 1 << c
-            if cols_mask & bit:
-                entry = mat[row][c]
-                if entry:
-                    sub = rec(row + 1, cols_mask & ~bit)
-                    term = entry * sub
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign
-        memo[cols_mask] = acc
-        return acc
-
-    return rec(0, (1 << k) - 1)
+    After step p every entry below and right of the pivot is a (p+2)-minor
+    of the input, so the division by the previous pivot is always exact.
+    A zero pivot is swapped for a lower row with a nonzero entry in its
+    column; if there is none the matrix is singular.  Polynomial in the
+    size, and shared by both Alexander routes and the template zeta.
+    """
+    m = [list(row) for row in mat]
+    k = len(m)
+    if k == 0:
+        return QLaurent.one()
+    sign, prev = 1, QLaurent.one()
+    for p in range(k - 1):
+        if not m[p][p]:
+            swap = next((r for r in range(p + 1, k) if m[r][p]), None)
+            if swap is None:
+                return QLaurent.zero()
+            m[p], m[swap] = m[swap], m[p]
+            sign = -sign
+        pivot_row = m[p]
+        pivot = pivot_row[p]
+        for row in m[p + 1:]:
+            lead = row[p]
+            for c in range(p + 1, k):
+                v = pivot * row[c]
+                if lead and pivot_row[c]:
+                    v = v - lead * pivot_row[c]
+                row[c] = v.exact_div(prev) if v and not prev.is_one else v
+        prev = pivot
+    det = m[k - 1][k - 1]
+    return det if sign > 0 else -det
 
 
 def _cyclotomic_like(n):
@@ -260,25 +267,27 @@ def _burau_reduced(word):
     return prod
 
 
-def _alexander_burau(word):
-    k = word.n - 1
+def _burau_alexander_matrix(word):
+    """P - I for the reduced Burau matrix P of the word."""
     p = _burau_reduced(word)
     one = QLaurent.one()
-    mat = [
-        [p[r][c] - one if r == c else p[r][c] for c in range(k)]
-        for r in range(k)
+    return [
+        [entry - one if r == c else entry for c, entry in enumerate(row)]
+        for r, row in enumerate(p)
     ]
-    d = _det(mat)
+
+
+def _alexander_burau(word):
+    d = _det(_burau_alexander_matrix(word))
     return _normalize_alexander(d.exact_div(_cyclotomic_like(word.n)))
 
 
-def _alexander_weight_rep(word):
-    """Via the m=1 weight-graded matrices at q = 1."""
+def _weight_rep_alexander_matrix(word):
+    """I - M for the m=1 weight-graded matrix M of the word at q = 1."""
     from . import lawrence  # deferred: lawrence imports this module
 
     mat_graded = lawrence.rep_matrix(word, 1)
     states = lawrence.weight_states(word.n, 1)
-    k = len(states)
     mat = []
     for r, dst in enumerate(states):
         row = []
@@ -294,7 +303,12 @@ def _alexander_weight_rep(word):
                 cell = -cell
             row.append(cell)
         mat.append(row)
-    d = _det(mat)  # det(I - M)
+    return mat
+
+
+def _alexander_weight_rep(word):
+    """Via the m=1 weight-graded matrices at q = 1."""
+    d = _det(_weight_rep_alexander_matrix(word))  # det(I - M)
     stats = analyze(word)
     shifted = d.shift(word.n - 1 - stats.writhe)
     return _normalize_alexander(shifted.exact_div(_cyclotomic_like(word.n)))
@@ -347,4 +361,5 @@ def alexander_classical(word, order):
     inv_series = one_minus_x * inv
     if inv_series.coeff(0) != QLaurent.one():
         raise VerificationError("(1-x)/Delta does not start with 1")
-    return delta_series, inv_series
+    # through specialize_q1 so small coefficients share one QLaurent each
+    return delta_series.specialize_q1(), inv_series.specialize_q1()

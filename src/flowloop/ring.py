@@ -501,12 +501,19 @@ class XSeries:
         return QLaurent._raw(out)
 
     def specialize_q1(self):
-        """Evaluate coefficients at q = 1 (same truncation)."""
+        """Evaluate coefficients at q = 1 (same truncation).
+
+        Values with |v| <= _SMALL_Q1 reuse one shared QLaurent each, so
+        q = 1 series kept by callers cost one dict slot per term.  Sharing
+        is safe because no QLaurent's terms are ever mutated in place.
+        """
         out = {}
         for x, q in self.terms.items():
             v = q.at_q1()
             if v:
-                out[x] = QLaurent.monomial(v, 0)
+                out[x] = (_SMALL_Q1_CONSTS[v + _SMALL_Q1]
+                          if -_SMALL_Q1 <= v <= _SMALL_Q1
+                          else QLaurent.monomial(v, 0))
         return XSeries._raw(out, self.trunc)
 
     # -- comparison / rendering -------------------------------------------
@@ -571,6 +578,12 @@ class XSeries:
     def __repr__(self):
         t = "exact" if self.trunc is None else f"trunc={self.trunc}"
         return f"<XSeries {self.render()} [{t}]>"
+
+
+_SMALL_Q1 = 256
+_SMALL_Q1_CONSTS = tuple(
+    QLaurent.monomial(v, 0) for v in range(-_SMALL_Q1, _SMALL_Q1 + 1)
+)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,20 @@ mark.  The classical zeta function
 
 collapses to (1 - x)/Delta(x), which is what the q = 1 specialization of
 the loop count must produce; the test suite checks both equalities.
+
+Sign and degree are multiplicative along an orbit, so by Bowen-Lanford
+(1970) the orbit product is 1/det(I - A(x)), where A(x) is the strip
+digraph's adjacency matrix on branch lines with
+
+    A[src][dst] = sum over strips src -> dst of (-1)^twist x^mark,
+
+and zeta_classical computes
+
+    zeta = (1 - x^n) / det(I - A(x))
+
+without listing a single orbit.  Exactly, det(I - A(x)) (1 - x) =
+Delta(x) (1 - x^n).  enumerate_orbits still lists the orbits themselves,
+for the `orbits` command and as the test oracle of the determinant.
 """
 
 from dataclasses import dataclass
@@ -56,9 +70,9 @@ class Template:
         self.n = word.n
         self.strips = tuple(strips)
         self.by_id = {s.sid: s for s in self.strips}
-        self.by_src = {}
-        for s in self.strips:
-            self.by_src.setdefault(s.src, []).append(s)
+        self.by_src = {}  # branch line -> [(strip index, strip)], in order
+        for idx, s in enumerate(self.strips):
+            self.by_src.setdefault(s.src, []).append((idx, s))
 
     @property
     def branch_count(self):
@@ -89,7 +103,7 @@ class Template:
     def dump(self):
         lines = []
         for s in self.strips:
-            succ = " ".join(t.sid for t in self.by_src.get(s.dst, ()))
+            succ = " ".join(t.sid for _, t in self.by_src.get(s.dst, ()))
             flags = " [twist]" if s.twist else ""
             lines.append(
                 f"strip {s.sid}{flags} [mark {s.mark}] : {succ}"
@@ -177,13 +191,14 @@ def enumerate_orbits(template, max_degree):
     if max_degree < 0:
         raise InputError("max_degree must be >= 0")
     strips = template.strips
+    by_src = template.by_src
     found = {}
 
     def record(seq, deg, twists):
         if seq != _minimal_rotation(seq) or not _is_primitive(seq):
             return
         if deg == 0:
-            raise VerificationError("degree-zero closed orbit in template")
+            raise VerificationError(_free_cycle_message(template))
         found[seq] = Orbit(
             tuple(strips[k].sid for k in seq),
             deg,
@@ -191,8 +206,8 @@ def enumerate_orbits(template, max_degree):
         )
 
     def dfs(first, cur, path, deg, twists, zero_run):
-        for nxt_idx, nxt in enumerate(strips):
-            if nxt_idx < first or nxt.src != cur:
+        for nxt_idx, nxt in by_src.get(cur, ()):
+            if nxt_idx < first:
                 continue
             ndeg = deg + nxt.mark
             if ndeg > max_degree:
@@ -219,23 +234,62 @@ def enumerate_orbits(template, max_degree):
     )
 
 
+def _free_cycle_message(template):
+    return ("degree-zero closed orbit in the template of "
+            + _braid.render_word(template.word))
+
+
+def _check_no_free_cycle(template):
+    """Raise VerificationError if the mark-0 strips contain a cycle.
+
+    Such a cycle is a degree-zero closed orbit, whose geometric series
+    has no x-adic meaning.  Without one the mark-0 part of A(x) is
+    nilpotent, which pins the constant term of det(I - A(x)) to 1.
+    """
+    indegree = [0] * template.branch_count
+    for s in template.strips:
+        if s.mark == 0:
+            indegree[s.dst] += 1
+    ready = [v for v, d in enumerate(indegree) if d == 0]
+    peeled = 0
+    while ready:
+        v = ready.pop()
+        peeled += 1
+        for _, s in template.by_src.get(v, ()):
+            if s.mark == 0:
+                indegree[s.dst] -= 1
+                if indegree[s.dst] == 0:
+                    ready.append(s.dst)
+    if peeled < template.branch_count:
+        raise VerificationError(_free_cycle_message(template))
+
+
+def zeta_matrix(template):
+    """I - A(x) over branch lines; entries are QLaurent polynomials whose
+    exponents count halves of x."""
+    k = template.branch_count
+    mat = [[QLaurent.one() if r == c else QLaurent.zero() for c in range(k)]
+           for r in range(k)]
+    for s in template.strips:
+        weight = QLaurent.monomial(-1 if s.twist else 1, 2 * s.mark)
+        mat[s.src][s.dst] = mat[s.src][s.dst] - weight
+    return mat
+
+
+def zeta_denominator(template):
+    """det(I - A(x)) as an exact polynomial in x, with constant term 1."""
+    _check_no_free_cycle(template)
+    return _braid._det(zeta_matrix(template))
+
+
 def zeta_classical(word, order):
     """(1 - x^n) * prod over primitive orbits of (1 - sign x^deg)^{-1},
-    truncated at x^order; equals the q = 1 loop count of the closure."""
+    computed as (1 - x^n)/det(I - A(x)) and truncated at x^order; equals
+    the q = 1 loop count of the closure."""
+    if order < 0:
+        raise InputError("order must be >= 0")
     template = build_template(word)
-    orbits = enumerate_orbits(template, order)
+    det = zeta_denominator(template)
     trunc = 2 * order + 1
-    zeta = XSeries(
-        {0: QLaurent.one(), 2 * template.n: QLaurent.monomial(-1, 0)},
-        trunc,
-    )
-    for orbit in orbits:
-        geom = {}
-        j = 0
-        while 2 * j * orbit.degree <= trunc:
-            geom[2 * j * orbit.degree] = QLaurent.monomial(
-                orbit.sign ** j, 0
-            )
-            j += 1
-        zeta = zeta * XSeries._raw(geom, trunc)
-    return zeta
+    axis = XSeries({0: 1, 2 * template.n: -1}, trunc)
+    return (axis * XSeries(det.terms).inverse(trunc)).specialize_q1()

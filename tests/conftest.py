@@ -2,6 +2,11 @@ import pytest
 
 from flowloop import QLaurent, XSeries
 
+# the standing corpus: every braid word the suite must handle end to end
+CORPUS = ("1", "1 1 1", "1 -2 1 -2", "1 1 1 2", "n=4; 1 -2 1 -3 -2")
+# two >= 5-crossing knots beyond the corpus (a torus knot, a genus-2 knot)
+EXTRA_KNOTS = ("1 1 1 1 1", "1 1 1 -2 1 -2")
+
 
 def ql(terms):
     """QLaurent from {half_exponent: coeff}."""

@@ -32,10 +32,7 @@ from flowloop.braid import alexander_classical
 from flowloop.cli import main
 from flowloop.lawrence import HALF, UNDER, generator_matrix, weight_states
 
-from conftest import xs
-
-# the standing corpus: every braid word the suite must handle end to end
-CORPUS = ("1", "1 1 1", "1 -2 1 -2", "1 1 1 2", "n=4; 1 -2 1 -3 -2")
+from conftest import CORPUS, xs
 
 TREFOIL_PHI_LINE = (
     "phi: 1 - q*x^2 - q^2*x^3 + q^5*x^5 + q^7*x^6 - q^12*x^8 - q^15*x^9"

@@ -10,9 +10,17 @@ from flowloop import (
     parse_braid,
     render_word,
 )
-from flowloop.braid import alexander_classical, closure_permutation
+from flowloop import build_template
+from flowloop.braid import (
+    _burau_alexander_matrix,
+    _det,
+    _weight_rep_alexander_matrix,
+    alexander_classical,
+    closure_permutation,
+)
+from flowloop.template import zeta_matrix
 
-from conftest import xs
+from conftest import CORPUS, EXTRA_KNOTS, ql, xs
 
 
 def test_parse_infers_strand_count():
@@ -140,3 +148,86 @@ def test_alexander_rejects_links_and_inhomogeneous():
         alexander_classical(parse_braid("1 1"), 3)
     with pytest.raises(InputError):
         alexander_classical(parse_braid("1 -1"), 3)
+
+
+def _det_by_minors(mat):
+    """Oracle for _det: Laplace expansion along rows with a column-subset
+    memo, exponential in the size."""
+    k = len(mat)
+    memo = {}
+
+    def rec(row, cols_mask):
+        if row == k:
+            return QLaurent.one()
+        hit = memo.get(cols_mask)
+        if hit is not None:
+            return hit
+        acc = QLaurent.zero()
+        sign = 1
+        for c in range(k):
+            bit = 1 << c
+            if cols_mask & bit:
+                entry = mat[row][c]
+                if entry:
+                    sub = rec(row + 1, cols_mask & ~bit)
+                    term = entry * sub
+                    acc = acc + (term if sign > 0 else -term)
+                sign = -sign
+        memo[cols_mask] = acc
+        return acc
+
+    return rec(0, (1 << k) - 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _burau_alexander_matrix,
+        _weight_rep_alexander_matrix,
+        lambda w: zeta_matrix(build_template(w)),
+    ],
+    ids=["burau", "weight-rep", "template"],
+)
+@pytest.mark.parametrize("text", CORPUS + EXTRA_KNOTS)
+def test_det_matches_minor_expansion(build, text):
+    mat = build(parse_braid(text))
+    assert _det(mat) == _det_by_minors(mat)
+
+
+def _mat(rows):
+    return [[ql(e) for e in row] for row in rows]
+
+
+def test_det_swaps_rows_on_zero_pivot():
+    # zero leading pivot; after the first step the next pivot is zero too
+    mat = _mat([
+        [{}, {}, {2: 1}],
+        [{0: 1}, {0: 1}, {}],
+        [{0: 2}, {0: 1, 2: 1}, {0: 1}],
+    ])
+    assert _det(mat) == ql({2: -1, 4: 1}) == _det_by_minors(mat)
+    # and with Laurent entries in a larger matrix
+    mat = _mat([
+        [{}, {2: 1}, {0: 1}, {}],
+        [{0: 2}, {0: 1}, {-1: 1}, {4: 3}],
+        [{0: 1}, {2: 1, 0: 1}, {}, {0: -1}],
+        [{2: 1}, {}, {0: 1, 6: -2}, {1: 1}],
+    ])
+    assert _det(mat) == _det_by_minors(mat)
+
+
+def test_det_of_singular_matrix_is_zero():
+    # third row = (1 + x) * first row + x^(-1/2) * second row
+    r1 = [ql({0: 1}), ql({2: 1}), ql({0: 1, 2: -1})]
+    r2 = [ql({2: 1}), ql({}), ql({4: 5})]
+    f1, f2 = ql({0: 1, 2: 1}), ql({-1: 1})
+    r3 = [f1 * a + f2 * b for a, b in zip(r1, r2)]
+    assert _det([r1, r2, r3]) == QLaurent.zero()
+    assert _det_by_minors([r1, r2, r3]) == QLaurent.zero()
+    # a zero column leaves no pivot to swap in
+    assert _det(_mat([[{}, {0: 1}], [{}, {2: 1}]])) == QLaurent.zero()
+
+
+def test_det_small_sizes():
+    assert _det([]) == QLaurent.one()
+    assert _det([[ql({3: -2})]]) == ql({3: -2})

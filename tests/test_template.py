@@ -5,15 +5,24 @@ from collections import Counter
 import pytest
 
 from flowloop import (
+    QLaurent,
+    VerificationError,
     build_template,
     enumerate_orbits,
     parse_braid,
     zeta_classical,
 )
 from flowloop.braid import alexander_classical
-from flowloop.template import _cyclic_open, _is_primitive, _minimal_rotation
+from flowloop.template import (
+    Strip,
+    Template,
+    _cyclic_open,
+    _is_primitive,
+    _minimal_rotation,
+    zeta_denominator,
+)
 
-from conftest import xs
+from conftest import CORPUS, EXTRA_KNOTS, xs
 
 
 def test_cyclic_interval_helpers():
@@ -110,11 +119,17 @@ def test_zeta_equals_alexander_series(text):
     assert zeta_classical(w, 5) == inv
 
 
-def test_zeta_multi_loop_expansion():
-    # reconstruct zeta from the raw orbit list: product over primitive
-    # orbits of 1/(1 - sign x^deg), times the axis factor (1 - x^n)
-    w = parse_braid("1 -2 1 -2")
-    order = 4
+ZETA_CASES = [(text, order) for text in CORPUS + EXTRA_KNOTS
+              for order in (6, 8)]
+
+
+@pytest.mark.parametrize(
+    "text,order", ZETA_CASES, ids=[f"{t}@{o}" for t, o in ZETA_CASES]
+)
+def test_zeta_multi_loop_expansion(text, order):
+    # the determinant zeta equals the orbit product it replaced: product
+    # over primitive orbits of 1/(1 - sign x^deg), times (1 - x^n)
+    w = parse_braid(text)
     trunc = 2 * order + 1
     t = build_template(w)
     acc = xs({0: {0: 1}, 2 * w.n: {0: -1}}, trunc=trunc)
@@ -125,3 +140,37 @@ def test_zeta_multi_loop_expansion():
         )
         acc = acc * geom
     assert acc == zeta_classical(w, order)
+
+
+@pytest.mark.parametrize("text", CORPUS + EXTRA_KNOTS)
+def test_zeta_denominator_is_alexander_times_axis(text):
+    # det(I - A(x)) (1 - x) = Delta(x) (1 - x^n) as exact polynomials
+    w = parse_braid(text)
+    delta_series, _ = alexander_classical(w, 1)
+    delta = QLaurent({e: q.at_q1() for e, q in delta_series.terms.items()})
+    det = zeta_denominator(build_template(w))
+    assert det * QLaurent({0: 1, 2: -1}) == delta * QLaurent(
+        {0: 1, 2 * w.n: -1}
+    )
+
+
+@pytest.mark.parametrize(
+    "strips",
+    [
+        [Strip("A", 0, 1, 0, False), Strip("B", 1, 0, 0, False)],
+        [Strip("A", 0, 1, 1, True), Strip("B", 1, 1, 0, False)],
+    ],
+    ids=["two-cycle", "self-loop"],
+)
+def test_degree_zero_cycle_is_refused(strips):
+    t = Template(parse_braid("1 1"), strips)
+    with pytest.raises(VerificationError, match="n=2; 1 1"):
+        zeta_denominator(t)
+
+
+def test_degree_zero_chain_is_allowed():
+    # mark-0 strips without a cycle leave the constant term at 1
+    t = Template(parse_braid("1 1"), [
+        Strip("A", 0, 1, 0, False), Strip("B", 1, 0, 1, True),
+    ])
+    assert zeta_denominator(t) == QLaurent({0: 1, 2: 1})
