@@ -12,12 +12,12 @@ Quick start::
     res = zhat(parse_braid("1 -2 1 -2"), order=5)
     print(res.zhat.render(tail=True))
 
-The hot kernel has a compiled twin; `active_kernel()` reports which one
-is loaded (env FLOWLOOP_KERNEL=py|c overrides, FLOWLOOP_THREADS adds
-deterministic thread parallelism).
+Everything is pure Python with integer coefficients; no environment
+variable changes what is computed or how.  Malformed or out-of-range
+input raises `ParseError` or `InputError`; a failed internal cross-check
+raises `VerificationError`, which always signals a bug.
 """
 
-from . import _kernel
 from .braid import (
     BraidStats,
     BraidWord,
@@ -67,11 +67,6 @@ from .zhat import (
 __version__ = "0.1.0"
 
 
-def active_kernel():
-    """Name of the arithmetic kernel in use ('py' or 'c')."""
-    return _kernel.active_name
-
-
 __all__ = [
     "BraidStats",
     "BraidWord",
@@ -89,7 +84,6 @@ __all__ = [
     "VerificationError",
     "XSeries",
     "ZhatResult",
-    "active_kernel",
     "alexander_classical",
     "analyze",
     "build_template",

@@ -1,29 +1,10 @@
-"""Deterministic worker-pool helper.
+"""Serial map over independent work items, in input order.
 
-FLOWLOOP_THREADS picks the pool size (default 1 = serial).  Work items are
-independent and results are recombined in input order, so the output is
-byte-identical for every thread count.
+A thread pool was slower here because every item holds the interpreter
+lock.  The module stays as the one place the per-layer benchmark tracer
+hooks to attribute mapped work to its caller.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_count():
-    raw = os.environ.get("FLOWLOOP_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return n if n >= 1 else 1
 
 
 def parallel_map(fn, items):
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    return [fn(it) for it in items]

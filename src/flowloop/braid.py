@@ -321,6 +321,8 @@ def alexander_classical(word, order):
     Computed independently from the q = 1 weight-graded representation and
     from the reduced Burau matrix; the two must agree exactly.
     """
+    if order < 0:
+        raise InputError("order must be >= 0")
     stats = analyze(word)
     if not stats.is_homogeneous:
         raise InputError(f"braid word {render_word(word)} is not homogeneous")

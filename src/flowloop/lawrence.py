@@ -17,8 +17,10 @@ weight conventions are supported:
 Both give the same closed traces on knot words.  Negative generators use
 the mirrored weights (q -> q^{-1}, monomials inverted, and for `under' the
 left/right shed roles swapped); that mirror is checked against sigma
-sigma^{-1} = id for all n, m <= 4 at first use, with an exact triangular
-inverse as fallback if the check ever failed.
+sigma^{-1} = id for all n, m <= 4 at first use, and a failed check raises
+VerificationError rather than falling back to another inverse.  The exact
+triangular inverse `_triangular_inverse` is kept as the independent oracle
+the verify suite compares the mirror against.
 """
 
 from dataclasses import dataclass
@@ -63,6 +65,20 @@ def dim(n, m):
     return comb(m + n - 2, m)
 
 
+def compose(a_cols, b_cols):
+    """a o b (apply b, then a) on sparse cols[src][dst] matrices."""
+    out = {}
+    for src, vec in b_cols.items():
+        acc = {}
+        for mid, coeff in vec.items():
+            for dst, w in a_cols.get(mid, {}).items():
+                term = w * coeff
+                cur = acc.get(dst)
+                acc[dst] = term if cur is None else cur + term
+        out[src] = {d: v for d, v in acc.items() if not v.is_zero}
+    return out
+
+
 @dataclass
 class GradedMatrix:
     """Sparse matrix on weight_states(n, m); cols[src][dst] = entry."""
@@ -83,16 +99,7 @@ class GradedMatrix:
         """self o first (apply `first`, then self)."""
         if (self.n, self.m) != (first.n, first.m):
             raise InputError("composing matrices of different grades")
-        cols = {}
-        for src, vec in first.cols.items():
-            acc = {}
-            for mid, coeff in vec.items():
-                for dst, w in self.cols.get(mid, {}).items():
-                    cur = acc.get(dst)
-                    term = w * coeff
-                    acc[dst] = term if cur is None else cur + term
-            cols[src] = {d: v for d, v in acc.items() if not v.is_zero}
-        return GradedMatrix(self.n, self.m, cols)
+        return GradedMatrix(self.n, self.m, compose(self.cols, first.cols))
 
     def trace(self):
         tr = XSeries.zero()
@@ -277,12 +284,13 @@ def generator_matrix(n, m, i, sign, convention=HALF):
     hit = _gen_cache.get(key)
     if hit is not None:
         return hit
-    if sign > 0 or _mirror_validated(convention):
-        mat = _generator_mirror(n, m, i, sign, convention)
-    else:
-        mat = _triangular_inverse(
-            generator_matrix(n, m, i, +1, convention)
+    if sign < 0 and not _mirror_validated(convention):
+        raise VerificationError(
+            f"mirrored weights of convention {convention!r} do not invert "
+            f"the positive generators; refusing generator -{i} at "
+            f"(n, m) = ({n}, {m})"
         )
+    mat = _generator_mirror(n, m, i, sign, convention)
     _gen_cache[key] = mat
     return mat
 
@@ -303,6 +311,8 @@ def graded_trace(word, m_max, convention=HALF):
     For knot closures the half x-powers must cancel; that integrality is
     asserted rather than assumed."""
     _check_convention(convention)
+    if m_max < 0:
+        raise InputError("m_max must be >= 0")
     is_knot = _braid.analyze(word).closure_components == 1
 
     def one_trace(m):

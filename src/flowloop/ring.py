@@ -12,6 +12,9 @@ XSeries   -- series in x^{1/2} with QLaurent coefficients, either truncated
              polynomials)
 Framing   -- a half-integer framing parameter for the bifurcation identities
 
+ql_mul, ql_add_into, ql_addmul_into and xs_mul are the plain-dict loops
+that both classes do their arithmetic with.
+
 qbinom / qtrinom are the Gaussian binomial/trinomial with the generalized
 negative-top convention; the two bifurcation identity builders at the bottom
 return the series whose collapse to 1 (resp. pairwise equality) encodes the
@@ -20,7 +23,6 @@ saddle-node and period-doubling cancellations.
 
 from dataclasses import dataclass
 
-from . import _kernel
 from .errors import VerificationError
 
 
@@ -32,6 +34,77 @@ def _pow_str(var, half):
         k = half // 2
         return var if k == 1 else f"{var}^{k}"
     return f"{var}^({half}/2)"
+
+
+# ---------------------------------------------------------------------------
+# Dict kernels: the hot loops of every transfer-matrix product.  A
+# one-variable poly is {q_half: int}; a two-variable series is
+# {x_half: {q_half: int}}.  No zero coefficient is ever left in a dict.
+
+
+def ql_mul(a, b):
+    """Product of two {exp: coeff} dicts."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            v = out.get(e, 0) + ca * cb
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    return out
+
+
+def ql_add_into(acc, a, scale=1):
+    """acc += scale * a, in place (zeros dropped)."""
+    if scale == 0:
+        return
+    for e, c in a.items():
+        v = acc.get(e, 0) + scale * c
+        if v:
+            acc[e] = v
+        elif e in acc:
+            del acc[e]
+
+
+def ql_addmul_into(acc, a, b):
+    """acc += a * b, in place, without building the product dict."""
+    if not a or not b:
+        return
+    if len(a) > len(b):
+        a, b = b, a
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            v = acc.get(e, 0) + ca * cb
+            if v:
+                acc[e] = v
+            elif e in acc:
+                del acc[e]
+
+
+def xs_mul(a, b, tmax):
+    """Product of two {x_half: {q_half: coeff}} tables.
+
+    Terms with x_half > tmax are dropped; tmax None means keep everything.
+    """
+    out = {}
+    for xa, qa in a.items():
+        for xb, qb in b.items():
+            x = xa + xb
+            if tmax is not None and x > tmax:
+                continue
+            acc = out.get(x)
+            if acc is None:
+                acc = {}
+                out[x] = acc
+            ql_addmul_into(acc, qa, qb)
+    return {x: q for x, q in out.items() if q}
 
 
 class QLaurent:
@@ -118,7 +191,7 @@ class QLaurent:
     def __add__(self, other):
         other = QLaurent.coerce(other)
         out = dict(self.terms)
-        _kernel.active.ql_add_into(out, other.terms)
+        ql_add_into(out, other.terms)
         return QLaurent._raw(out)
 
     __radd__ = __add__
@@ -126,7 +199,7 @@ class QLaurent:
     def __sub__(self, other):
         other = QLaurent.coerce(other)
         out = dict(self.terms)
-        _kernel.active.ql_add_into(out, other.terms, -1)
+        ql_add_into(out, other.terms, -1)
         return QLaurent._raw(out)
 
     def __rsub__(self, other):
@@ -137,7 +210,7 @@ class QLaurent:
 
     def __mul__(self, other):
         other = QLaurent.coerce(other)
-        return QLaurent._raw(_kernel.active.ql_mul(self.terms, other.terms))
+        return QLaurent._raw(ql_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -354,7 +427,7 @@ class XSeries:
             if trunc is not None and x > trunc:
                 continue
             acc = out.setdefault(x, {})
-            _kernel.active.ql_add_into(acc, q.terms, sign)
+            ql_add_into(acc, q.terms, sign)
         return XSeries._raw(
             {x: QLaurent._raw(t) for x, t in out.items() if t}, trunc
         )
@@ -380,7 +453,7 @@ class XSeries:
             q = QLaurent.coerce(other)
             if q.is_zero:
                 return XSeries.zero(self.trunc)
-            raw = _kernel.active.xs_mul(
+            raw = xs_mul(
                 {x: t.terms for x, t in self.terms.items()},
                 {0: q.terms},
                 self.trunc,
@@ -390,7 +463,7 @@ class XSeries:
             )
         other = self._coerce(other)
         trunc = self._join_trunc(self.trunc, other.trunc)
-        raw = _kernel.active.xs_mul(
+        raw = xs_mul(
             {x: t.terms for x, t in self.terms.items()},
             {x: t.terms for x, t in other.terms.items()},
             trunc,
@@ -420,13 +493,12 @@ class XSeries:
         qcoeff = QLaurent.coerce(qcoeff)
         if qcoeff.is_zero:
             return XSeries.zero(self.trunc)
-        mul = _kernel.active.ql_mul
         out = {}
         for x, q in self.terms.items():
             nx = x + x_half
             if self.trunc is not None and nx > self.trunc:
                 continue
-            t = mul(q.terms, qcoeff.terms)
+            t = ql_mul(q.terms, qcoeff.terms)
             if t:
                 out[nx] = QLaurent._raw(t)
         return XSeries._raw(out, self.trunc)
@@ -461,9 +533,9 @@ class XSeries:
                 if 1 <= s <= t:
                     b = inv.get(t - s)
                     if b is not None:
-                        _kernel.active.ql_addmul_into(acc, a.terms, b.terms)
+                        ql_addmul_into(acc, a.terms, b.terms)
             if acc:
-                prod = _kernel.active.ql_mul(acc, u_inv.terms)
+                prod = ql_mul(acc, u_inv.terms)
                 inv[t] = QLaurent._raw({e: -c for e, c in prod.items()})
         return XSeries._raw({x: q for x, q in inv.items() if q}, trunc)
 
@@ -495,7 +567,7 @@ class XSeries:
         """Substitute x = q^k (k a whole integer); returns a QLaurent."""
         out = {}
         for x, q in self.terms.items():
-            _kernel.active.ql_add_into(
+            ql_add_into(
                 out, {e + x * k: c for e, c in q.terms.items()}
             )
         return QLaurent._raw(out)

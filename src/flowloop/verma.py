@@ -10,15 +10,16 @@ with [i; j']_q the Gaussian binomial and (y; q)_k the finite q-product
 prod_{l<k} (1 - y q^l).  Each total-weight sector of a pair is finite, so
 everything here is exact.  Inverse letters use the mirrored entries
 R^{-1}(x)_{i,j}^{i',j'} = R(q^{-1}, x^{-1})_{j,i}^{j',i'}, validated
-against R R^{-1} = id on sectors of weight <= 3 at first use (exact
-adjugate inverse as fallback).
+against R R^{-1} = id on sectors of weight <= 3 at first use; a failed
+check raises VerificationError rather than falling back to another
+inverse.
 """
 
 from math import comb
 
 from . import braid as _braid
 from . import lawrence as _lawrence
-from .errors import InputError, VerificationError
+from .errors import VerificationError
 from .ring import QLaurent, XSeries, qbinom
 
 
@@ -66,20 +67,6 @@ def _pair_sector_matrix(total, entry_fn):
     return cols
 
 
-def _sector_compose(a_cols, b_cols):
-    """a o b on pair sectors."""
-    out = {}
-    for src, vec in b_cols.items():
-        acc = {}
-        for mid, coeff in vec.items():
-            for dst, w in a_cols.get(mid, {}).items():
-                term = w * coeff
-                cur = acc.get(dst)
-                acc[dst] = term if cur is None else cur + term
-        out[src] = {d: v for d, v in acc.items() if not v.is_zero}
-    return out
-
-
 _mirror_checked = {}
 
 
@@ -95,59 +82,13 @@ def _mirror_ok(inverse_x):
         bwd = _pair_sector_matrix(
             total, lambda i, j, ip, jp: _r_entry_inv(i, j, ip, jp, inverse_x)
         )
-        prod = _sector_compose(bwd, fwd)
+        prod = _lawrence.compose(bwd, fwd)
         for src, vec in prod.items():
             expect = {src: XSeries.one()}
             if vec != expect:
                 ok = False
     _mirror_checked[inverse_x] = ok
     return ok
-
-
-def _adjugate_inverse(cols, total):
-    """Exact sector inverse via adjugate / determinant (unit monomial)."""
-    states = [(i, total - i) for i in range(total + 1)]
-    k = len(states)
-    mat = [[cols.get(s, {}).get(d, XSeries.zero()) for s in states]
-           for d in states]  # mat[dst][src]
-
-    def det(rows, colset):
-        if not rows:
-            return XSeries.one()
-        r = rows[0]
-        acc = XSeries.zero()
-        for pos, c in enumerate(colset):
-            e = mat[r][c]
-            if e.is_zero:
-                continue
-            sub = det(rows[1:], colset[:pos] + colset[pos + 1:])
-            term = e * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        return acc
-
-    full = det(list(range(k)), list(range(k)))
-    if full.is_zero or len(full.terms) != 1:
-        raise VerificationError("sector determinant is not a monomial")
-    inv_cols = {}
-    for ci, src in enumerate(states):
-        vec = {}
-        for ri, dst in enumerate(states):
-            rows = [r for r in range(k) if r != ci]
-            colset = [c for c in range(k) if c != ri]
-            minor = det(rows, colset)
-            if minor.is_zero:
-                continue
-            sign = -1 if (ri + ci) % 2 else 1
-            # (adj)_{dst,src} = sign * minor; entry of inverse = adj / det
-            num = minor if sign > 0 else -minor
-            ((xh, qc),) = full.terms.items()
-            unit = qc.unit_monomial()
-            if unit is None:
-                raise VerificationError("sector determinant not a unit")
-            c0, qh = unit
-            vec[dst] = num.scale_monomial(c0, -qh, -xh)
-        inv_cols[src] = vec
-    return inv_cols
 
 
 _pair_cache = {}
@@ -158,44 +99,22 @@ def _pair_matrix(total, sign, inverse_x):
     hit = _pair_cache.get(key)
     if hit is not None:
         return hit
-    if sign > 0:
-        cols = _pair_sector_matrix(
-            total, lambda i, j, ip, jp: r_entry(i, j, ip, jp, inverse_x)
+    if sign < 0 and not _mirror_ok(inverse_x):
+        raise VerificationError(
+            f"mirrored braiding (inverse_x={inverse_x}) does not invert R; "
+            f"refusing the inverse letter on pair sector {total}"
         )
-    elif _mirror_ok(inverse_x):
-        cols = _pair_sector_matrix(
-            total, lambda i, j, ip, jp: _r_entry_inv(i, j, ip, jp, inverse_x)
-        )
-    else:
-        cols = _adjugate_inverse(
-            _pair_sector_matrix(
-                total, lambda i, j, ip, jp: r_entry(i, j, ip, jp, inverse_x)
-            ),
-            total,
-        )
+    entry = r_entry if sign > 0 else _r_entry_inv
+    cols = _pair_sector_matrix(
+        total, lambda i, j, ip, jp: entry(i, j, ip, jp, inverse_x)
+    )
     _pair_cache[key] = cols
     return cols
 
 
-_tensor_states_cache = {}
-
-
 def tensor_states(n, m):
     """Compositions of m into n parts (one label per strand), lex order."""
-    key = (n, m)
-    hit = _tensor_states_cache.get(key)
-    if hit is None:
-        def build(parts, left):
-            if parts == 1:
-                yield (left,)
-                return
-            for first in range(left + 1):
-                for rest in build(parts - 1, left - first):
-                    yield (first,) + rest
-
-        hit = sorted(build(n, m))
-        _tensor_states_cache[key] = hit
-    return hit
+    return _lawrence.weight_states(n + 1, m)
 
 
 def tensor_dim(n, m):

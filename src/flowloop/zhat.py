@@ -77,6 +77,12 @@ def _require_homogeneous_knot(word):
     return stats
 
 
+def _require_nonnegative(**values):
+    for name, value in values.items():
+        if value < 0:
+            raise InputError(f"{name} must be >= 0")
+
+
 def _finalize_phi(phi, label):
     if phi.coeff(0) != QLaurent.one():
         raise VerificationError(f"{label} does not start with 1: {phi}")
@@ -112,6 +118,7 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
         raise InputError("phi_positive needs an all-positive word")
     if m_cut is None:
         m_cut = order
+    _require_nonnegative(order=order, m_cut=m_cut)
     phi = _phi_positive_once(word, order, m_cut)
     if stabilize:
         again = _phi_positive_once(word, order, m_cut + 2)
@@ -288,6 +295,7 @@ def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
     _require_homogeneous_knot(word)
     if cap is None:
         cap = order
+    _require_nonnegative(order=order, cap=cap)
     phi = _phi_homogeneous_once(word, order, cap, orientation)
     if stabilize:
         again = _phi_homogeneous_once(word, order, cap + 2, orientation)

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from flowloop import parse_braid
+from flowloop import VerificationError, parse_braid
+from flowloop import lawrence
 from flowloop.lawrence import (
     HALF,
     UNDER,
@@ -74,6 +75,13 @@ def test_triangular_inverse_matches_mirror():
     g = generator_matrix(3, 2, 1, +1, HALF)
     direct = generator_matrix(3, 2, 1, -1, HALF)
     assert _triangular_inverse(g).cols == direct.cols
+
+
+def test_failed_mirror_check_raises(monkeypatch):
+    monkeypatch.setattr(lawrence, "_mirror_ok", {HALF: False})
+    monkeypatch.setattr(lawrence, "_gen_cache", {})
+    with pytest.raises(VerificationError, match="'half'"):
+        generator_matrix(3, 2, 1, -1)
 
 
 def test_rep_matrix_word_inverse_collapses():

@@ -16,6 +16,7 @@ from flowloop import (
     qtrinom,
     saddle_node_identity,
 )
+from flowloop.ring import ql_mul, xs_mul
 
 from conftest import ql, xs
 
@@ -24,6 +25,24 @@ laurents = st.dictionaries(
     st.integers(min_value=-9, max_value=9).filter(bool),
     max_size=5,
 ).map(QLaurent)
+
+
+# ---------------------------------------------------------------------------
+# Dict kernels
+
+
+def test_zero_products_are_dropped():
+    # cancellation must not leave literal zeros in the dicts
+    out = ql_mul({0: 1, 2: 1}, {0: 1, 2: -1})
+    assert out == {0: 1, 4: -1}
+    assert 2 not in out
+
+
+def test_series_multiply_respects_truncation():
+    a = {0: {0: 1}, 6: {0: 1}}
+    b = {0: {0: 1}, 4: {0: 1}}
+    out = xs_mul(a, b, 6)
+    assert set(out) == {0, 4, 6}
 
 
 # ---------------------------------------------------------------------------

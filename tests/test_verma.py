@@ -1,14 +1,17 @@
 """Highest-weight braiding matrices and the graded trace identity."""
 
+import itertools
 import math
 
 import pytest
 
-from flowloop import parse_braid
+from flowloop import VerificationError, parse_braid
+from flowloop import verma
 from flowloop.verma import (
     _pair_matrix,
     kohno_check,
     r_entry,
+    tensor_action,
     tensor_dim,
     tensor_states,
     tensor_trace,
@@ -65,8 +68,6 @@ def test_yang_baxter_on_three_factors():
     # R12 R23 R12 == R23 R12 R23 on the weight-2 sector of three strands
     w_lhs = parse_braid("n=3; 1 2 1")
     w_rhs = parse_braid("n=3; 2 1 2")
-    from flowloop.verma import tensor_action
-
     assert tensor_action(w_lhs, 2) == tensor_action(w_rhs, 2)
 
 
@@ -74,6 +75,16 @@ def test_yang_baxter_on_three_factors():
 def test_tensor_dim(n, m):
     assert tensor_dim(n, m) == math.comb(m + n - 1, n - 1)
     assert len(tensor_states(n, m)) == tensor_dim(n, m)
+    assert tensor_states(n, m) == sorted(
+        s for s in itertools.product(range(m + 1), repeat=n) if sum(s) == m
+    )
+
+
+def test_failed_mirror_check_raises(monkeypatch):
+    monkeypatch.setattr(verma, "_mirror_checked", {False: False})
+    monkeypatch.setattr(verma, "_pair_cache", {})
+    with pytest.raises(VerificationError, match="inverse_x=False"):
+        tensor_action(parse_braid("1 -1"), 1)
 
 
 def test_tensor_trace_empty_weight():
