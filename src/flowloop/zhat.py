@@ -26,6 +26,17 @@ computed two ways:
   (asserted; this conservation is exactly the telescoping of the
   q^{(hat_above - hat_below)/2} factors around closed columns).
 
+  The DP visits only moves that lie on some closed path bottom -> bottom
+  of total x-half-degree <= trunc = 2 order + 1.  This is exact: labels
+  are nonnegative, so every crossing cost (u+v)/2 is >= 0 and the degree
+  of a path never falls; a term above trunc is dropped by the truncated
+  product and the closing sector factor x^{n eps} only raises it further.
+  Per bottom, a forward and a backward min-plus pass over integer costs
+  pick those moves before any series arithmetic, so a bottom with no
+  closed path in budget costs no amplitude work.  The q-weight of a
+  crossing depends only on the middle column's sign, the orientation, u
+  and the two sheds, and is shared by every move that has them.
+
 The orientation of the hat flow at negative crossings is the oracle-pinned
 choice; orientation="reversed" exposes the rejected mirror reading for
 debugging.  zhat() multiplies Phi by the closure prefactor
@@ -34,10 +45,10 @@ against the genus form (-1)^{1+lam} q^{g-lam} x^{g-1/2}.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import braid as _braid
 from . import lawrence as _lawrence
-from ._parallel import parallel_map
 from .errors import InputError, VerificationError
 from .ring import QLaurent, XSeries, qbinom, qtrinom
 
@@ -83,11 +94,20 @@ def _require_nonnegative(**values):
             raise InputError(f"{name} must be >= 0")
 
 
-def _finalize_phi(phi, label):
+def _where(word, order, cap=None):
+    """The word, order and (on the DP route) cap an error is about."""
+    at = f"{_braid.render_word(word)} at order {order}"
+    return at if cap is None else f"{at}, cap {cap}"
+
+
+def _finalize_phi(phi, label, word, order, cap=None):
+    where = _where(word, order, cap)
     if phi.coeff(0) != QLaurent.one():
-        raise VerificationError(f"{label} does not start with 1: {phi}")
+        raise VerificationError(
+            f"{label} of {where} does not start with 1: {phi}")
     if not phi.x_integral or not phi.q_integral:
-        raise VerificationError(f"{label} kept half-integer exponents: {phi}")
+        raise VerificationError(
+            f"{label} of {where} kept half-integer exponents: {phi}")
     return phi
 
 
@@ -127,11 +147,41 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
                 f"weight cutoff {m_cut} not stable for "
                 f"{_braid.render_word(word)} at order {order}"
             )
-    return _finalize_phi(phi, "phi_positive")
+    return _finalize_phi(phi, "phi_positive", word, order)
 
 
 # ---------------------------------------------------------------------------
 # homogeneous words: column-label transfer DP
+
+_crossing_weight_cache = {}
+
+
+def _crossing_weight(mid_sign, reversed_mid, u, b, c):
+    """q-weight of a crossing whose middle label is u below and whose
+    neighbors shed b and c.  It does not depend on the neighbors' labels
+    or on the cap, so every move with the same key shares one object."""
+    key = (mid_sign, reversed_mid, u, b, c)
+    hit = _crossing_weight_cache.get(key)
+    if hit is not None:
+        return hit
+    if mid_sign > 0:
+        v = u + b + c
+        coeff = qtrinom(v, u, b, c).shift(u * u + v)
+        odd = u % 2
+    elif not reversed_mid:
+        v = u - b - c
+        coeff = qtrinom(u, b, v, c).bar().shift(-(v * v + u))
+        odd = v % 2
+    else:
+        # rejected mirror reading: the hat rises at its own crossing
+        v = u + b + c
+        coeff = qtrinom(v, b, u, c).bar().shift(-(u * u + v))
+        odd = u % 2
+    if odd:
+        coeff = -coeff
+    _crossing_weight_cache[key] = coeff
+    return coeff
+
 
 def _transitions(key, cache):
     """All moves of one crossing: key = (mid_sign, kindL, kindR, lL, lM, lR,
@@ -154,32 +204,13 @@ def _transitions(key, cache):
 
     out = []
     reversed_mid = mid_sign < 0 and orientation == REVERSED
+    drops = mid_sign < 0 and not reversed_mid
     for b in shed_range(kindL, lL):
         for c in shed_range(kindR, lR):
-            tot = b + c
-            if mid_sign > 0:
-                u, v = lM, lM + tot
-                if v > cap:
-                    continue
-                coeff = qtrinom(v, u, b, c).shift(u * u + v)
-                if u % 2:
-                    coeff = -coeff
-            elif not reversed_mid:
-                u, v = lM, lM - tot
-                if v < 0:
-                    continue
-                coeff = qtrinom(u, b, v, c).bar().shift(-(v * v + u))
-                if v % 2:
-                    coeff = -coeff
-            else:
-                # rejected mirror reading: the hat rises at its own
-                # crossing, neighbors gain from the middle going up
-                u, v = lM, lM + tot
-                if v > cap:
-                    continue
-                coeff = qtrinom(v, b, u, c).bar().shift(-(u * u + v))
-                if u % 2:
-                    coeff = -coeff
+            v = lM - b - c if drops else lM + b + c
+            if v < 0 or v > cap:
+                continue
+            coeff = _crossing_weight(mid_sign, reversed_mid, lM, b, c)
             if coeff.is_zero:
                 continue
             if reversed_mid:
@@ -198,88 +229,144 @@ def _transitions(key, cache):
             # conserved charge m~ = sum_+ labels - sum_- hats; its
             # conservation is the telescoping of the per-column
             # q^{(hat_above - hat_below)/2} factors around a closed braid
-            dm = (v - u) if mid_sign > 0 else -(v - u)
+            dm = (v - lM) if mid_sign > 0 else -(v - lM)
             for kind, old, new in ((kindL, lL, nL), (kindR, lR, nR)):
                 if kind > 0:
                     dm += new - old
                 elif kind < 0:
                     dm -= new - old
             if dm != 0:
-                raise VerificationError("charge leak in transfer move")
-            out.append((nL, v, nR, u + v, coeff))
+                raise VerificationError(
+                    f"charge leak in transfer move {key}")
+            out.append((nL, v, nR, lM + v, coeff))
     cache[key] = out
     return out
 
 
+def _column_signs(word):
+    """+1 or -1 for each of the word's n - 1 columns."""
+    stats = _braid.analyze(word)
+    return tuple(1 if s == "+" else -1 for s in stats.column_sign)
+
+
+def _bottoms(n, cap):
+    """Every starting label vector: n - 1 labels in [0, cap], sum <= 2 cap,
+    in lexicographic order."""
+    return [b for b in product(range(cap + 1), repeat=n - 1)
+            if sum(b) <= 2 * cap]
+
+
+def _closed_amplitude(word, col_sign, bottom, trunc, cap, orientation,
+                      cache):
+    """Sum over the closed label paths bottom -> bottom of the product of
+    their crossing weights, truncated at x-half-degree trunc.  The series
+    DP runs only over the moves that the two min-plus passes place on
+    some closed path of cost <= trunc (see the module docstring)."""
+    n = word.n
+    letters = []
+    for letter in word.letters:
+        i = abs(letter)
+        letters.append((i, col_sign[i - 1],
+                        col_sign[i - 2] if i >= 2 else 0,
+                        col_sign[i] if i <= n - 2 else 0))
+
+    # forward: cheapest cost from bottom to each state, and every move
+    # that reaches its end within the budget
+    layers = []
+    reach = {bottom: 0}
+    for i, sign, kindL, kindR in letters:
+        moves = []
+        nxt = {}
+        for src, cost in reach.items():
+            lL = src[i - 2] if i >= 2 else 0
+            lR = src[i] if i <= n - 2 else 0
+            key = (sign, kindL, kindR, lL, src[i - 1], lR, cap, orientation)
+            for nL, nM, nR, xh, coeff in _transitions(key, cache):
+                to = cost + xh
+                if to > trunc:
+                    continue
+                t = list(src)
+                if i >= 2:
+                    t[i - 2] = nL
+                t[i - 1] = nM
+                if i <= n - 2:
+                    t[i] = nR
+                dst = tuple(t)
+                moves.append((src, dst, xh, coeff))
+                old = nxt.get(dst)
+                if old is None or to < old:
+                    nxt[dst] = to
+        layers.append((reach, moves))
+        reach = nxt
+    if bottom not in reach:
+        return XSeries.zero(trunc)
+
+    # backward: cheapest cost from each state back to bottom; keep the
+    # moves on some closed path within the budget
+    kept = []
+    back = {bottom: 0}
+    for fwd, moves in reversed(layers):
+        live = []
+        prev = {}
+        for move in moves:
+            src, dst, xh, _ = move
+            tail = back.get(dst)
+            if tail is None or fwd[src] + xh + tail > trunc:
+                continue
+            live.append(move)
+            old = prev.get(src)
+            if old is None or xh + tail < old:
+                prev[src] = xh + tail
+        kept.append(live)
+        back = prev
+    kept.reverse()
+
+    vec = {bottom: XSeries.one(trunc)}
+    for moves in kept:
+        nxt = {}
+        for src, dst, xh, coeff in moves:
+            amp = vec.get(src)
+            if amp is None:
+                continue
+            term = amp.mul_term(coeff, xh)
+            if term.is_zero:
+                continue
+            cur = nxt.get(dst)
+            if cur is not None:
+                term = cur + term
+                if term.is_zero:
+                    del nxt[dst]
+                    continue
+            nxt[dst] = term
+        vec = nxt
+    return vec.get(bottom, XSeries.zero(trunc))
+
+
 def _phi_homogeneous_once(word, order, cap, orientation):
     n = word.n
-    stats = _braid.analyze(word)
-    col_sign = tuple(1 if s == "+" else -1 for s in stats.column_sign)
+    col_sign = _column_signs(word)
     col_plus = sum(1 for s in col_sign if s > 0)
     col_minus = n - 1 - col_plus
     trunc = 2 * order + 1
     cache = {}
-
-    def run_dp(bottom):
-        vec = {bottom: XSeries.one(trunc)}
-        for v_letter in word.letters:
-            i = abs(v_letter)
-            sign = col_sign[i - 1]
-            kindL = col_sign[i - 2] if i >= 2 else 0
-            kindR = col_sign[i] if i <= n - 2 else 0
-            nxt = {}
-            for state, amp in vec.items():
-                lL = state[i - 2] if i >= 2 else 0
-                lM = state[i - 1]
-                lR = state[i] if i <= n - 2 else 0
-                key = (sign, kindL, kindR, lL, lM, lR, cap, orientation)
-                for nL, nM, nR, xh, coeff in _transitions(key, cache):
-                    term = amp.mul_term(coeff, xh)
-                    if term.is_zero:
-                        continue
-                    t = list(state)
-                    if i >= 2:
-                        t[i - 2] = nL
-                    t[i - 1] = nM
-                    if i <= n - 2:
-                        t[i] = nR
-                    dst = tuple(t)
-                    cur = nxt.get(dst)
-                    nxt[dst] = term if cur is None else cur + term
-            vec = nxt
-        return vec.get(bottom, XSeries.zero(trunc))
-
-    def bottoms():
-        def build(parts, budget):
-            if parts == 0:
-                yield ()
-                return
-            for first in range(min(cap, budget) + 1):
-                for rest in build(parts - 1, budget - first):
-                    yield (first,) + rest
-
-        return list(build(n - 1, 2 * cap))
-
-    def one_bottom(bottom):
-        amp = run_dp(bottom)
+    phi = XSeries.zero(trunc)
+    for bottom in _bottoms(n, cap):
+        try:
+            amp = _closed_amplitude(word, col_sign, bottom, trunc, cap,
+                                    orientation, cache)
+        except VerificationError as exc:
+            raise VerificationError(
+                f"{exc} in {_where(word, order, cap)}") from exc
         if amp.is_zero:
-            return None
+            continue
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
-        contrib = XSeries.zero(trunc)
         for eps in (0, 1):
             sector = AxisSector(eps, m_tilde)
-            contrib = contrib + amp.mul_term(
+            phi = phi + amp.mul_term(
                 QLaurent.monomial(sector.sign,
                                   sector.q_half(col_plus, col_minus)),
                 sector.x_half(n),
             )
-        return contrib
-
-    parts = parallel_map(one_bottom, bottoms())
-    phi = XSeries.zero(trunc)
-    for part in parts:
-        if part is not None:
-            phi = phi + part
     return phi
 
 
@@ -289,7 +376,13 @@ def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
 
     cap bounds every column label (default = order; each unit of bottom
     label costs at least one unit of x-degree around a closed loop);
-    stabilize reruns at cap+2 and insists the series did not move."""
+    stabilize reruns at cap+2 and insists the series did not move.
+
+    The DP is pruned to the moves on closed label paths whose summed
+    crossing costs x^{(u+v)/2} stay within x^order.  Every cost is >= 0
+    and terms above the truncation are dropped anyway, so the pruned
+    moves only ever carried terms that truncation would discard: the
+    series is the same as that of the unpruned DP."""
     if orientation not in (STANDARD, REVERSED):
         raise InputError(f"unknown orientation {orientation!r}")
     _require_homogeneous_knot(word)
@@ -304,11 +397,10 @@ def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
                 f"label cap {cap} not stable for "
                 f"{_braid.render_word(word)} at order {order}"
             )
-    label = "phi_homogeneous"
     if orientation == REVERSED:
         # the rejected reading has no normalization contract
         return phi
-    return _finalize_phi(phi, label)
+    return _finalize_phi(phi, "phi_homogeneous", word, order, cap)
 
 
 # ---------------------------------------------------------------------------

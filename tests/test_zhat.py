@@ -1,11 +1,16 @@
 """Loop-counting series, reference models, prefactor, and normalization."""
 
+import importlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowloop import (
     InputError,
+    QLaurent,
+    VerificationError,
+    XSeries,
     analyze,
     parse_braid,
     phi_homogeneous,
@@ -14,9 +19,12 @@ from flowloop import (
     zhat,
 )
 from flowloop.braid import alexander_classical
-from flowloop.zhat import REVERSED
+from flowloop.zhat import REVERSED, STANDARD, AxisSector
 
-from conftest import xs
+from conftest import CORPUS, EXTRA_KNOTS, xs
+
+# the module itself: the package re-exports the function `zhat` under its name
+zmod = importlib.import_module("flowloop.zhat")
 
 # Phi of the (right) trefoil closure: lacunary with gaps at x^4, x^7, x^10.
 TREFOIL_PHI = {
@@ -180,3 +188,146 @@ def test_random_positive_knots(letters):
     assert phi == phi_homogeneous(w, 3)
     _, inv = alexander_classical(w, 3)
     assert phi.specialize_q1() == inv
+
+
+# ---------------------------------------------------------------------------
+# the pruned transfer DP against the unpruned one
+
+
+def unpruned_amplitude(word, col_sign, bottom, trunc, cap, orientation,
+                       cache):
+    """The transfer DP with no pruning: every move from every state."""
+    n = word.n
+    vec = {bottom: XSeries.one(trunc)}
+    for v_letter in word.letters:
+        i = abs(v_letter)
+        sign = col_sign[i - 1]
+        kindL = col_sign[i - 2] if i >= 2 else 0
+        kindR = col_sign[i] if i <= n - 2 else 0
+        nxt = {}
+        for state, amp in vec.items():
+            lL = state[i - 2] if i >= 2 else 0
+            lM = state[i - 1]
+            lR = state[i] if i <= n - 2 else 0
+            key = (sign, kindL, kindR, lL, lM, lR, cap, orientation)
+            for nL, nM, nR, xh, coeff in zmod._transitions(key, cache):
+                term = amp.mul_term(coeff, xh)
+                if term.is_zero:
+                    continue
+                t = list(state)
+                if i >= 2:
+                    t[i - 2] = nL
+                t[i - 1] = nM
+                if i <= n - 2:
+                    t[i] = nR
+                dst = tuple(t)
+                cur = nxt.get(dst)
+                nxt[dst] = term if cur is None else cur + term
+        vec = nxt
+    return vec.get(bottom, XSeries.zero(trunc))
+
+
+def unpruned_phi(word, order):
+    """Phi at cap = order from the unpruned DP over every bottom."""
+    n = word.n
+    col_sign = zmod._column_signs(word)
+    col_plus = sum(1 for s in col_sign if s > 0)
+    col_minus = n - 1 - col_plus
+    trunc = 2 * order + 1
+    cache = {}
+    phi = XSeries.zero(trunc)
+    for bottom in zmod._bottoms(n, order):
+        amp = unpruned_amplitude(word, col_sign, bottom, trunc, order,
+                                 STANDARD, cache)
+        m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
+        for eps in (0, 1):
+            sector = AxisSector(eps, m_tilde)
+            phi = phi + amp.mul_term(
+                QLaurent.monomial(sector.sign,
+                                  sector.q_half(col_plus, col_minus)),
+                sector.x_half(n),
+            )
+    return phi
+
+
+MIXED = tuple(w for w in CORPUS + EXTRA_KNOTS if "-" in w)
+PRUNING_CASES = [
+    (text, order)
+    for text in MIXED
+    for order in ((4, 5) if text.startswith("n=4") else (4, 6))
+]
+
+
+@pytest.mark.parametrize("orientation", (STANDARD, REVERSED))
+@pytest.mark.parametrize("text,order", PRUNING_CASES)
+def test_pruned_dp_matches_unpruned_on_every_bottom(text, order,
+                                                    orientation):
+    word = parse_braid(text)
+    col_sign = zmod._column_signs(word)
+    trunc = 2 * order + 1
+    for cap in (order, order + 2):
+        pruned_cache, full_cache = {}, {}
+        live = 0
+        for bottom in zmod._bottoms(word.n, cap):
+            got = zmod._closed_amplitude(word, col_sign, bottom, trunc, cap,
+                                         orientation, pruned_cache)
+            want = unpruned_amplitude(word, col_sign, bottom, trunc, cap,
+                                      orientation, full_cache)
+            assert got == want, (bottom, cap)
+            live += not got.is_zero
+        assert live  # some bottom closes, so the comparison is not vacuous
+
+
+@st.composite
+def mixed_knot_words(draw):
+    """Homogeneous words on <= 4 strands and <= 7 letters with a negative
+    column.  Every column appears once (so the closure is a knot), plus
+    pairs of one column at any two places (most of those keep it a knot)."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n - 1,
+                          max_size=n - 1))
+    signs[draw(st.integers(min_value=0, max_value=n - 2))] = -1
+    cols = list(draw(st.permutations(range(1, n))))
+    for _ in range(draw(st.integers(0, (7 - (n - 1)) // 2))):
+        c = draw(st.integers(min_value=1, max_value=n - 1))
+        for _ in range(2):
+            cols.insert(draw(st.integers(0, len(cols))), c)
+    letters = " ".join(str(signs[c - 1] * c) for c in cols)
+    return parse_braid(f"n={n}; {letters}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_knot_words())
+def test_random_mixed_knots(word):
+    assume(analyze(word).closure_components == 1)
+    phi = phi_homogeneous(word, 3)
+    assert phi == unpruned_phi(word, 3)
+    _, inv = alexander_classical(word, 3)
+    assert phi.specialize_q1() == inv
+
+
+# ---------------------------------------------------------------------------
+# errors name the word, order and cap
+
+
+def test_finalize_phi_names_word_order_and_cap():
+    word = parse_braid("1 -2 1 -2")
+    with pytest.raises(VerificationError,
+                       match=r"n=3; 1 -2 1 -2 at order 2, cap 4 does not"):
+        zmod._finalize_phi(xs({0: {0: 2}}, trunc=5), "phi_homogeneous",
+                           word, 2, 4)
+    with pytest.raises(VerificationError,
+                       match=r"n=3; 1 -2 1 -2 at order 2 kept half"):
+        zmod._finalize_phi(xs({0: {0: 1}, 1: {0: 1}}, trunc=5),
+                           "phi_positive", word, 2)
+
+
+def test_dp_error_names_word_order_and_cap(monkeypatch):
+    def leaking(key, cache):
+        raise VerificationError("charge leak in transfer move")
+
+    monkeypatch.setattr(zmod, "_transitions", leaking)
+    with pytest.raises(VerificationError,
+                       match=r"charge leak .* in n=3; 1 -2 1 -2 at order 2, "
+                             r"cap 3$"):
+        phi_homogeneous(parse_braid("1 -2 1 -2"), 2, cap=3)
