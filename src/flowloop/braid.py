@@ -17,7 +17,7 @@ from .ring import QLaurent, XSeries
 _PREFIX = re.compile(r"^n\s*=\s*([+-]?\d+)\s*;\s*(.*)$", re.S)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BraidWord:
     """n = strand count, letters = signed generator indices (left first).
 
@@ -77,7 +77,7 @@ def render_word(word):
     return f"n={word.n}; " + " ".join(str(v) for v in word.letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BraidStats:
     n: int
     c: int

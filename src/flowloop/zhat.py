@@ -6,6 +6,11 @@ computed two ways:
 
 * phi_positive: for all-positive words, from the graded traces as
       sum_m (1 - q^{2m+n-1} x^n) q^{-m} Tr_{V_{n,m}}
+  where each trace is a sum of closed walks of the weight-m states,
+  truncated at x^order while walking (exact: every positive move costs a
+  nonnegative x-power).  A weight's part does not depend on the cutoff
+  m_cut, so the stabilization check adds the parts of weights m_cut + 1
+  and m_cut + 2 to Phi once instead of recomputing Phi at m_cut + 2.
 * phi_homogeneous: for any homogeneous word, by a column-label transfer
   DP.  Each column carries a nonnegative label (for negative columns the
   label is the "hat" of the true label, lambda = -1 - hat).  Reading the
@@ -94,14 +99,19 @@ def _require_nonnegative(**values):
             raise InputError(f"{name} must be >= 0")
 
 
-def _where(word, order, cap=None):
-    """The word, order and (on the DP route) cap an error is about."""
+def _where(word, order, cap=None, m_cut=None):
+    """The word, order and cutoff (cap on the DP route, m_cut on the trace
+    route) an error is about."""
     at = f"{_braid.render_word(word)} at order {order}"
-    return at if cap is None else f"{at}, cap {cap}"
+    if cap is not None:
+        at += f", cap {cap}"
+    if m_cut is not None:
+        at += f", m_cut {m_cut}"
+    return at
 
 
-def _finalize_phi(phi, label, word, order, cap=None):
-    where = _where(word, order, cap)
+def _finalize_phi(phi, label, word, order, cap=None, m_cut=None):
+    where = _where(word, order, cap, m_cut)
     if phi.coeff(0) != QLaurent.one():
         raise VerificationError(
             f"{label} of {where} does not start with 1: {phi}")
@@ -112,42 +122,49 @@ def _finalize_phi(phi, label, word, order, cap=None):
 
 
 # ---------------------------------------------------------------------------
-# positive words: assemble from graded traces
+# positive words: assemble from truncated closed-walk traces
 
-def _phi_positive_once(word, order, m_cut):
+def _weight_part(word, order, m):
+    """(1 - q^{2m+n-1} x^n) q^{-m} Tr V_{n,m}, truncated at x^order."""
     n = word.n
-    trunc = 2 * order + 1
-    traces = _lawrence.graded_trace(word, m_cut)
-    phi = XSeries.zero(trunc)
-    for m, tr in enumerate(traces):
-        phi = phi + tr.scale_monomial(1, -2 * m, 0).truncate(trunc)
-        phi = phi + tr.scale_monomial(
-            -1, 2 * (m + n - 1), 2 * n
-        ).truncate(trunc)
-    return phi
+    tr = _lawrence.truncated_trace(word, m, 2 * order + 1)
+    return (tr.scale_monomial(1, -2 * m, 0)
+            + tr.scale_monomial(-1, 2 * (m + n - 1), 2 * n))
 
 
 def phi_positive(word, order, m_cut=None, stabilize=True):
     """Phi for an all-positive homogeneous knot word, truncated at x^order.
 
+    Phi(m_cut) is the sum of the weight parts m = 0..m_cut, each a trace
+    of closed walks truncated while walking (lawrence.truncated_trace).
     The weight cutoff defaults to the x-order (a weight-m state's closed
-    loops all cost at least x^m); stabilize reruns at m_cut+2 and insists
-    nothing changed."""
+    loops all cost at least x^m).
+
+    stabilize insists that raising the cutoff to m_cut + 2 changes
+    nothing, in one run: a weight part depends on m and the x-order only,
+    never on m_cut, and truncated series add exactly, so
+    Phi(m_cut + 2) = Phi(m_cut) + part(m_cut + 1) + part(m_cut + 2).
+    Adding those two parts to Phi is therefore the old second run at
+    m_cut + 2 term for term, and the guard raises exactly when that rerun
+    would have differed."""
     stats = _require_homogeneous_knot(word)
     if stats.cr_minus:
         raise InputError("phi_positive needs an all-positive word")
     if m_cut is None:
         m_cut = order
     _require_nonnegative(order=order, m_cut=m_cut)
-    phi = _phi_positive_once(word, order, m_cut)
+    phi = XSeries.zero(2 * order + 1)
+    for m in range(m_cut + 1):
+        phi = phi + _weight_part(word, order, m)
     if stabilize:
-        again = _phi_positive_once(word, order, m_cut + 2)
+        again = (phi + _weight_part(word, order, m_cut + 1)
+                 + _weight_part(word, order, m_cut + 2))
         if phi != again:
             raise VerificationError(
-                f"weight cutoff {m_cut} not stable for "
-                f"{_braid.render_word(word)} at order {order}"
+                f"weight cutoff not stable: raising it to m_cut + 2 changes "
+                f"phi_positive of {_where(word, order, m_cut=m_cut)}"
             )
-    return _finalize_phi(phi, "phi_positive", word, order)
+    return _finalize_phi(phi, "phi_positive", word, order, m_cut=m_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +426,32 @@ def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
 _REFERENCE_WORDS = {(2, (1, 1, 1)), (3, (1, -2, 1, -2))}
 
 
-@dataclass(frozen=True)
+_NOTES_PINNED = ("prefactor sign pinned by the reference-model oracle",)
+_NOTES_UNPINNED = (
+    "prefactor sign follows the closure formula convention; "
+    "no independent sign oracle for this word",
+)
+
+
+@dataclass(frozen=True, slots=True)
 class ZhatResult:
     word: object
     stats: object
     phi: XSeries
-    zhat: XSeries
     prefactor: tuple  # (sign, q_half, x_half)
     sign_pinned: bool
     notes: tuple
+
+    @property
+    def zhat(self):
+        """Phi shifted by the prefactor, truncated as far as Phi is."""
+        sign, q_half, x_half = self.prefactor
+        shifted = {}
+        for xh, qv in self.phi.terms.items():
+            shifted[xh + x_half] = QLaurent._raw(
+                {e + q_half: sign * c for e, c in qv.terms.items()}
+            )
+        return XSeries._raw(shifted, self.phi.trunc + x_half)
 
 
 def zhat(word, order, orientation=STANDARD, cap=None):
@@ -447,27 +481,14 @@ def zhat(word, order, orientation=STANDARD, cap=None):
         phi = phi_positive(word, order, m_cut=cap)
     else:
         phi = phi_homogeneous(word, order, cap=cap, orientation=orientation)
-    shifted = {}
-    for xh, qv in phi.terms.items():
-        shifted[xh + x_half] = QLaurent._raw(
-            {e + q_half: sign * c for e, c in qv.terms.items()}
-        )
-    zh = XSeries._raw(shifted, phi.trunc + x_half)
     pinned = (word.n, tuple(word.letters)) in _REFERENCE_WORDS
-    notes = (
-        "prefactor sign pinned by the reference-model oracle"
-        if pinned else
-        "prefactor sign follows the closure formula convention; "
-        "no independent sign oracle for this word",
-    )
     return ZhatResult(
         word=word,
         stats=stats,
         phi=phi,
-        zhat=zh,
         prefactor=(sign, q_half, x_half),
         sign_pinned=pinned,
-        notes=notes,
+        notes=_NOTES_PINNED if pinned else _NOTES_UNPINNED,
     )
 
 

@@ -6,6 +6,8 @@ from flowloop import QLaurent, XSeries
 CORPUS = ("1", "1 1 1", "1 -2 1 -2", "1 1 1 2", "n=4; 1 -2 1 -3 -2")
 # two >= 5-crossing knots beyond the corpus (a torus knot, a genus-2 knot)
 EXTRA_KNOTS = ("1 1 1 1 1", "1 1 1 -2 1 -2")
+# the all-positive words of both, the ones the graded-trace route takes
+POSITIVE_KNOTS = tuple(w for w in CORPUS + EXTRA_KNOTS if "-" not in w)
 
 
 def ql(terms):

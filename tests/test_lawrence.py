@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from flowloop import VerificationError, parse_braid
+from flowloop import InputError, VerificationError, XSeries, parse_braid
 from flowloop import lawrence
+from flowloop.braid import analyze
 from flowloop.lawrence import (
     HALF,
     UNDER,
@@ -13,12 +16,13 @@ from flowloop.lawrence import (
     generator_matrix,
     graded_trace,
     rep_matrix,
+    truncated_trace,
     unknot_closure_check,
     weight_states,
 )
 from flowloop.lawrence import _triangular_inverse
 
-from conftest import xs
+from conftest import POSITIVE_KNOTS, xs
 
 CONVENTIONS = (HALF, UNDER)
 
@@ -105,3 +109,58 @@ def test_trace_convention_independent():
 def test_unknot_specialization_collapses(text):
     out = unknot_closure_check(parse_braid(text), 6)
     assert out == xs({0: {0: 1}, 2: {0: -1}}, trunc=13)  # 1 - z
+
+
+# ---------------------------------------------------------------------------
+# truncated closed-walk traces against the exact matrix product
+
+
+def assert_truncated_trace_exact(word, order):
+    trunc = 2 * order + 1
+    for m in range(order + 3):
+        want = rep_matrix(word, m).trace().truncate(trunc)
+        assert truncated_trace(word, m, trunc) == want, m
+
+
+
+
+@pytest.mark.parametrize("text", POSITIVE_KNOTS)
+def test_truncated_trace_matches_rep_matrix(text):
+    word = parse_braid(text)
+    for order in ((3, 5) if word.n > 2 else (3, 6, 9)):
+        assert_truncated_trace_exact(word, order)
+
+
+@st.composite
+def positive_knot_words(draw):
+    """All-positive words on <= 4 strands and <= 7 letters.  Every column
+    appears once (so the closure is a knot), plus pairs of one column at
+    any two places (most of those keep it a knot)."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    cols = list(draw(st.permutations(range(1, n))))
+    for _ in range(draw(st.integers(0, (7 - (n - 1)) // 2))):
+        c = draw(st.integers(min_value=1, max_value=n - 1))
+        for _ in range(2):
+            cols.insert(draw(st.integers(0, len(cols))), c)
+    return parse_braid(f"n={n}; " + " ".join(map(str, cols)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_knot_words(), st.integers(min_value=0, max_value=3))
+def test_random_truncated_traces(word, order):
+    assume(analyze(word).closure_components == 1)
+    assert_truncated_trace_exact(word, order)
+
+
+def test_truncated_trace_refuses_negative_letters():
+    with pytest.raises(InputError, match="n=3; 1 -2 1 -2"):
+        truncated_trace(parse_braid("1 -2 1 -2"), 1, 5)
+
+
+def test_truncated_trace_checks_integrality(monkeypatch):
+    half_power = GradedMatrix(2, 1, {(1,): {(1,): XSeries.monomial(1, 1)}})
+    monkeypatch.setattr(lawrence, "generator_matrix",
+                        lambda n, m, i, sign: half_power)
+    with pytest.raises(VerificationError,
+                       match=r"n=2; 1 at weight 1 kept half x-powers"):
+        truncated_trace(parse_braid("1"), 1, 5)

@@ -19,9 +19,10 @@ from flowloop import (
     zhat,
 )
 from flowloop.braid import alexander_classical
+from flowloop.lawrence import graded_trace
 from flowloop.zhat import REVERSED, STANDARD, AxisSector
 
-from conftest import CORPUS, EXTRA_KNOTS, xs
+from conftest import CORPUS, EXTRA_KNOTS, POSITIVE_KNOTS, xs
 
 # the module itself: the package re-exports the function `zhat` under its name
 zmod = importlib.import_module("flowloop.zhat")
@@ -185,9 +186,56 @@ def test_random_positive_knots(letters):
         return
     phi = phi_positive(w, 3)
     assert phi.coeff(0) == xs({0: {0: 1}}).coeff(0)
+    assert phi == graded_trace_phi(w, 3, 3)
     assert phi == phi_homogeneous(w, 3)
     _, inv = alexander_classical(w, 3)
     assert phi.specialize_q1() == inv
+
+
+# ---------------------------------------------------------------------------
+# closed-walk Phi and its one-run guard against the graded-trace assembly
+
+
+def graded_trace_phi(word, order, m_cut):
+    """Phi from exact graded traces, truncated after the fact."""
+    n = word.n
+    trunc = 2 * order + 1
+    phi = XSeries.zero(trunc)
+    for m, tr in enumerate(graded_trace(word, m_cut)):
+        phi = phi + tr.scale_monomial(1, -2 * m, 0).truncate(trunc)
+        phi = phi + tr.scale_monomial(
+            -1, 2 * (m + n - 1), 2 * n
+        ).truncate(trunc)
+    return phi
+
+
+POSITIVE_CASES = [(text, order) for text in POSITIVE_KNOTS
+                  for order in ((4, 6) if "2" in text else (4, 6, 9))]
+
+
+@pytest.mark.parametrize("text,order", POSITIVE_CASES)
+def test_walk_phi_and_guard_match_graded_traces(text, order):
+    word = parse_braid(text)
+    for m_cut in range(order + 1):
+        old = graded_trace_phi(word, order, m_cut)
+        assert phi_positive(word, order, m_cut, stabilize=False) == old
+        old_unstable = old != graded_trace_phi(word, order, m_cut + 2)
+        try:
+            phi_positive(word, order, m_cut)
+            unstable = False
+        except VerificationError as exc:
+            unstable = "not stable" in str(exc)
+        assert unstable == old_unstable, m_cut
+    assert not unstable  # the default cutoff, m_cut = order, is stable
+
+
+def test_trefoil_guard_raises_below_cutoff_two():
+    w = parse_braid("1 1 1")
+    for m_cut in (0, 1):
+        with pytest.raises(VerificationError,
+                           match=rf"n=2; 1 1 1 at order 6, m_cut {m_cut}$"):
+            phi_positive(w, 6, m_cut)
+    assert phi_positive(w, 6, 2) == phi_positive(w, 6)
 
 
 # ---------------------------------------------------------------------------
