@@ -38,9 +38,16 @@ computed two ways:
   product and the closing sector factor x^{n eps} only raises it further.
   Per bottom, a forward and a backward min-plus pass over integer costs
   pick those moves before any series arithmetic, so a bottom with no
-  closed path in budget costs no amplitude work.  The q-weight of a
-  crossing depends only on the middle column's sign, the orientation, u
-  and the two sheds, and is shared by every move that has them.
+  closed path in budget costs no amplitude work.  In the standard reading
+  such a path also keeps every label <= order (proof in _label_bound), so
+  no state or bottom above that is visited.  The q-weight of a crossing
+  depends only on the middle column's sign, the orientation, u and the
+  two sheds, and is shared by every move that has them.
+
+  The label cap is checked in the same run: the DP runs at cap + 2 and
+  splits each bottom's amplitude into the paths that also exist at cap
+  (whose sum is Phi) and the rest (whose sum must vanish).  A move exists
+  at cap iff cap >= its need, and its weight does not depend on cap.
 
 The orientation of the hat flow at negative crossings is the oracle-pinned
 choice; orientation="reversed" exposes the rejected mirror reading for
@@ -50,7 +57,7 @@ against the genus form (-1)^{1+lam} q^{g-lam} x^{g-1/2}.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from operator import itemgetter
 
 from . import braid as _braid
 from . import lawrence as _lawrence
@@ -202,11 +209,16 @@ def _crossing_weight(mid_sign, reversed_mid, u, b, c):
 
 def _transitions(key, cache):
     """All moves of one crossing: key = (mid_sign, kindL, kindR, lL, lM, lR,
-    cap, orientation); returns [(nL, nM, nR, x_half, coeff), ...].
+    cap, orientation); returns [(nL, nM, nR, x_half, coeff, need), ...]
+    sorted by x_half.
 
     kind* is the neighbor column's sign, or 0 for no neighbor (boundary).
     Sheds are counted in true-label units: a positive neighbor's label
-    drops by the shed, a negative neighbor's hat rises by it."""
+    drops by the shed, a negative neighbor's hat rises by it.
+
+    need is the smallest cap, not below the labels of the source, at which
+    the move exists: every check below that reads cap compares it with a
+    label the move lands on or, for a negative neighbor, with hat + shed."""
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -217,7 +229,10 @@ def _transitions(key, cache):
             return (0,)
         if kind > 0:
             return range(label + 1)  # label drops, stays >= 0
-        return range(cap - label + 1)  # hat rises, capped
+        # hat rises, capped.  The reversed reading caps the shed the same
+        # way although there the neighbor's hat DROPS by it, so a move's
+        # need counts hat + shed, not only the labels it lands on.
+        return range(cap - label + 1)
 
     out = []
     reversed_mid = mid_sign < 0 and orientation == REVERSED
@@ -238,24 +253,22 @@ def _transitions(key, cache):
                     continue
                 if (kindR > 0 and nR > cap) or (kindR < 0 and nR < 0):
                     continue
+                need = max(v, lL + b, lR + c)
             else:
                 nL = (lL - b) if kindL > 0 else (lL + b if kindL else lL)
                 nR = (lR - c) if kindR > 0 else (lR + c if kindR else lR)
                 if (kindL < 0 and nL > cap) or (kindR < 0 and nR > cap):
                     continue
-            # conserved charge m~ = sum_+ labels - sum_- hats; its
+                need = max(v, nL, nR)
+            # conserved charge m~ = sum_+ labels - sum_- hats (every kind
+            # is +-1, or 0 for a boundary, whose label never moves); its
             # conservation is the telescoping of the per-column
             # q^{(hat_above - hat_below)/2} factors around a closed braid
-            dm = (v - lM) if mid_sign > 0 else -(v - lM)
-            for kind, old, new in ((kindL, lL, nL), (kindR, lR, nR)):
-                if kind > 0:
-                    dm += new - old
-                elif kind < 0:
-                    dm -= new - old
-            if dm != 0:
+            if mid_sign * (v - lM) + kindL * (nL - lL) + kindR * (nR - lR):
                 raise VerificationError(
                     f"charge leak in transfer move {key}")
-            out.append((nL, v, nR, lM + v, coeff))
+            out.append((nL, v, nR, lM + v, coeff, need))
+    out.sort(key=itemgetter(3))
     cache[key] = out
     return out
 
@@ -266,82 +279,66 @@ def _column_signs(word):
     return tuple(1 if s == "+" else -1 for s in stats.column_sign)
 
 
-def _bottoms(n, cap):
-    """Every starting label vector: n - 1 labels in [0, cap], sum <= 2 cap,
-    in lexicographic order."""
-    return [b for b in product(range(cap + 1), repeat=n - 1)
-            if sum(b) <= 2 * cap]
+def _bottoms(n, cap, bound):
+    """Every starting label vector: n - 1 labels in [0, bound] with sum
+    <= 2 cap, in lexicographic order."""
+    out = []
+
+    def extend(prefix, room):
+        if len(prefix) == n - 1:
+            out.append(prefix)
+            return
+        for label in range(min(bound, room) + 1):
+            extend(prefix + (label,), room - label)
+
+    extend((), 2 * cap)
+    return out
 
 
-def _closed_amplitude(word, col_sign, bottom, trunc, cap, orientation,
-                      cache):
-    """Sum over the closed label paths bottom -> bottom of the product of
-    their crossing weights, truncated at x-half-degree trunc.  The series
-    DP runs only over the moves that the two min-plus passes place on
-    some closed path of cost <= trunc (see the module docstring)."""
-    n = word.n
-    letters = []
-    for letter in word.letters:
-        i = abs(letter)
-        letters.append((i, col_sign[i - 1],
-                        col_sign[i - 2] if i >= 2 else 0,
-                        col_sign[i] if i <= n - 2 else 0))
+def _label_bound(trunc, top, orientation):
+    """The largest label the DP at cap top has to admit.
 
-    # forward: cheapest cost from bottom to each state, and every move
-    # that reaches its end within the budget
-    layers = []
-    reach = {bottom: 0}
-    for i, sign, kindL, kindR in letters:
-        moves = []
+    In the standard reading no label on a closed path of x-half cost
+    <= trunc exceeds trunc // 2 (= order), so the DP runs at
+    min(top, trunc // 2).  Proof.  In x-half units a crossing whose middle
+    label is u below and v above, and whose neighbors shed b and c, costs
+    u + v = 2 min(u, v) + b + c (v = u + b + c for a positive middle,
+    v = u - b - c for a negative one), and each unit of shed is paid at
+    exactly one crossing, as the b or c of the crossing it is shed into.
+    Cut a closed path anywhere and take a positive column with label l
+    there.  Its label rises only at its own crossings, and by the sheds it
+    receives there; it drops only when it sheds into a neighbor's
+    crossing.  Let T be its total rise, which equals its total drop since
+    the path closes.  In a knot closure every column has an own crossing;
+    let u_1 be its label just below the first one after the cut.  Until
+    then the label only drops, so l <= u_1 + T.  Its own crossings pay
+    at least 2 u_1 + T: the first has min(u, v) = u_1, the other 2 min
+    terms are >= 0, and their b + c are the sheds it receives, T in all.
+    The crossings it sheds into pay T more, and those are other crossings
+    than its own.  So the path costs at least 2 u_1 + 2 T >= 2 l.  A
+    negative column's hat is the mirror case: it drops at its own
+    crossings (min(u, v) = v there) and rises by its sheds, so with v_0
+    its hat just above its last own crossing before the cut, l <= v_0 + T
+    and the path costs at least 2 v_0 + 2 T >= 2 l.  Hence 2 l <= trunc on every closed path
+    that reaches the truncated series.  States and bottoms with a larger
+    label carry nothing, and the standard moves at any cap are exactly
+    those whose labels landed on stay within it, so the smaller cap drops
+    just them.
+
+    The reversed reading makes no such promise (its sheds and hats move
+    the other way), so there the DP runs at top itself."""
+    if orientation == STANDARD:
+        return min(top, trunc // 2)
+    return top
+
+
+def _sum_paths(start, layers, trunc):
+    """Sum over the paths start -> start through the per-letter move
+    lists of the product of their weights, truncated at trunc."""
+    vec = {start: XSeries.one(trunc)}
+    for moves in layers:
         nxt = {}
-        for src, cost in reach.items():
-            lL = src[i - 2] if i >= 2 else 0
-            lR = src[i] if i <= n - 2 else 0
-            key = (sign, kindL, kindR, lL, src[i - 1], lR, cap, orientation)
-            for nL, nM, nR, xh, coeff in _transitions(key, cache):
-                to = cost + xh
-                if to > trunc:
-                    continue
-                t = list(src)
-                if i >= 2:
-                    t[i - 2] = nL
-                t[i - 1] = nM
-                if i <= n - 2:
-                    t[i] = nR
-                dst = tuple(t)
-                moves.append((src, dst, xh, coeff))
-                old = nxt.get(dst)
-                if old is None or to < old:
-                    nxt[dst] = to
-        layers.append((reach, moves))
-        reach = nxt
-    if bottom not in reach:
-        return XSeries.zero(trunc)
-
-    # backward: cheapest cost from each state back to bottom; keep the
-    # moves on some closed path within the budget
-    kept = []
-    back = {bottom: 0}
-    for fwd, moves in reversed(layers):
-        live = []
-        prev = {}
-        for move in moves:
-            src, dst, xh, _ = move
-            tail = back.get(dst)
-            if tail is None or fwd[src] + xh + tail > trunc:
-                continue
-            live.append(move)
-            old = prev.get(src)
-            if old is None or xh + tail < old:
-                prev[src] = xh + tail
-        kept.append(live)
-        back = prev
-    kept.reverse()
-
-    vec = {bottom: XSeries.one(trunc)}
-    for moves in kept:
-        nxt = {}
-        for src, dst, xh, coeff in moves:
+        for src, dst, xh, coeff, _ in moves:
             amp = vec.get(src)
             if amp is None:
                 continue
@@ -356,10 +353,90 @@ def _closed_amplitude(word, col_sign, bottom, trunc, cap, orientation,
                     continue
             nxt[dst] = term
         vec = nxt
-    return vec.get(bottom, XSeries.zero(trunc))
+    return vec.get(start, XSeries.zero(trunc))
 
 
-def _phi_homogeneous_once(word, order, cap, orientation):
+def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
+                      cache):
+    """The closed label paths bottom -> bottom at label cap top (>= cap),
+    weighted by the product of their crossing weights and truncated at
+    x-half-degree trunc, split in two: (inside, outside).
+
+    inside sums the paths that also exist at cap: the bottom is one that
+    Phi at cap starts from (labels <= cap, sum <= 2 cap) and every move has
+    need <= cap.  It is the amplitude of the DP at cap.  outside sums the rest, so inside + outside is the
+    amplitude at top.  The series DP runs only over the moves that the two
+    min-plus passes place on some closed path of cost <= trunc (see the
+    module docstring), at the label bound of _label_bound."""
+    zero = XSeries.zero(trunc)
+    limit = _label_bound(trunc, top, orientation)
+    # states carry a boundary label 0 at both ends, so column i sits at
+    # index i between its two neighbors; a boundary has kind 0 and its
+    # label never moves
+    start = (0,) + bottom + (0,)
+    kinds = (0,) + col_sign + (0,)
+
+    # forward: cheapest cost from bottom to each state, and every move
+    # that reaches its end within the budget
+    layers = []
+    reach = {start: 0}
+    for letter in word.letters:
+        i = abs(letter)
+        sign, kindL, kindR = kinds[i], kinds[i - 1], kinds[i + 1]
+        moves = []
+        nxt = {}
+        for src, cost in reach.items():
+            head, tail = src[:i - 1], src[i + 2:]
+            key = (sign, kindL, kindR, src[i - 1], src[i], src[i + 1], limit,
+                   orientation)
+            for nL, nM, nR, xh, coeff, need in _transitions(key, cache):
+                to = cost + xh
+                if to > trunc:
+                    break  # the moves come sorted by cost
+                dst = head + (nL, nM, nR) + tail
+                moves.append((src, dst, xh, coeff, need))
+                if to < nxt.get(dst, trunc + 1):
+                    nxt[dst] = to
+        if not nxt:
+            return zero, zero
+        layers.append((reach, moves))
+        reach = nxt
+    if start not in reach:
+        return zero, zero
+
+    # backward: cheapest cost from each state back to bottom; keep the
+    # moves on some closed path within the budget
+    kept = []
+    back = {start: 0}
+    split = False
+    for fwd, moves in reversed(layers):
+        live = []
+        prev = {}
+        for move in moves:
+            src, dst, xh, _, need = move
+            tail = back.get(dst)
+            if tail is None or fwd[src] + xh + tail > trunc:
+                continue
+            live.append(move)
+            split = split or need > cap
+            if xh + tail < prev.get(src, trunc + 1):
+                prev[src] = xh + tail
+        kept.append(live)
+        back = prev
+    kept.reverse()
+
+    total = _sum_paths(start, kept, trunc)
+    if max(bottom) > cap or sum(bottom) > 2 * cap:
+        return zero, total
+    if not split:
+        return total, zero
+    inside = _sum_paths(
+        start, [[m for m in moves if m[4] <= cap] for moves in kept], trunc)
+    return inside, total - inside
+
+
+def _phi_homogeneous_run(word, order, cap, top, orientation):
+    """(Phi at cap, Phi at top - Phi at cap) from one DP run at top."""
     n = word.n
     col_sign = _column_signs(word)
     col_plus = sum(1 for s in col_sign if s > 0)
@@ -367,33 +444,41 @@ def _phi_homogeneous_once(word, order, cap, orientation):
     trunc = 2 * order + 1
     cache = {}
     phi = XSeries.zero(trunc)
-    for bottom in _bottoms(n, cap):
+    delta = XSeries.zero(trunc)
+    for bottom in _bottoms(n, top, _label_bound(trunc, top, orientation)):
         try:
-            amp = _closed_amplitude(word, col_sign, bottom, trunc, cap,
-                                    orientation, cache)
+            inside, outside = _closed_amplitude(
+                word, col_sign, bottom, trunc, cap, top, orientation, cache)
         except VerificationError as exc:
             raise VerificationError(
                 f"{exc} in {_where(word, order, cap)}") from exc
-        if amp.is_zero:
+        if inside.is_zero and outside.is_zero:
             continue
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
         for eps in (0, 1):
             sector = AxisSector(eps, m_tilde)
-            phi = phi + amp.mul_term(
-                QLaurent.monomial(sector.sign,
-                                  sector.q_half(col_plus, col_minus)),
-                sector.x_half(n),
-            )
-    return phi
+            factor = QLaurent.monomial(sector.sign,
+                                       sector.q_half(col_plus, col_minus))
+            if not inside.is_zero:
+                phi = phi + inside.mul_term(factor, sector.x_half(n))
+            if not outside.is_zero:
+                delta = delta + outside.mul_term(factor, sector.x_half(n))
+    return phi, delta
 
 
 def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
                     stabilize=True):
     """Phi for any homogeneous knot word, truncated at x^order.
 
-    cap bounds every column label (default = order; each unit of bottom
-    label costs at least one unit of x-degree around a closed loop);
-    stabilize reruns at cap+2 and insists the series did not move.
+    cap bounds every column label (default = order; by the label bound of
+    _label_bound, no label above order reaches the truncated series in the
+    standard reading).  stabilize insists that raising the cap to cap + 2
+    changes nothing, in one DP run at cap + 2: a move exists at cap iff
+    cap >= its need, and _crossing_weight does not depend on cap, so the
+    run splits each bottom's amplitude into the paths that also exist at
+    cap (their sum is Phi at cap) and the rest, whose sum Delta is exactly
+    Phi(cap + 2) - Phi(cap).  The guard raises iff Delta != 0, that is
+    exactly when a second run at cap + 2 would differ from Phi.
 
     The DP is pruned to the moves on closed label paths whose summed
     crossing costs x^{(u+v)/2} stay within x^order.  Every cost is >= 0
@@ -406,14 +491,13 @@ def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
     if cap is None:
         cap = order
     _require_nonnegative(order=order, cap=cap)
-    phi = _phi_homogeneous_once(word, order, cap, orientation)
-    if stabilize:
-        again = _phi_homogeneous_once(word, order, cap + 2, orientation)
-        if phi != again:
-            raise VerificationError(
-                f"label cap {cap} not stable for "
-                f"{_braid.render_word(word)} at order {order}"
-            )
+    top = cap + 2 if stabilize else cap
+    phi, delta = _phi_homogeneous_run(word, order, cap, top, orientation)
+    if not delta.is_zero:
+        raise VerificationError(
+            f"label cap not stable: raising it to cap + 2 changes "
+            f"phi_homogeneous of {_where(word, order, cap)}"
+        )
     if orientation == REVERSED:
         # the rejected reading has no normalization contract
         return phi

@@ -1,6 +1,7 @@
 """Loop-counting series, reference models, prefactor, and normalization."""
 
 import importlib
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -239,28 +240,67 @@ def test_trefoil_guard_raises_below_cutoff_two():
 
 
 # ---------------------------------------------------------------------------
-# the pruned transfer DP against the unpruned one
+# the one-run transfer DP against a test-local copy of the two-run one
 
 
-def unpruned_amplitude(word, col_sign, bottom, trunc, cap, orientation,
-                       cache):
-    """The transfer DP with no pruning: every move from every state."""
+def product_bottoms(n, cap, bound=None):
+    """The starting label vectors as the product filter gives them."""
+    if bound is None:
+        bound = cap
+    return [b for b in product(range(bound + 1), repeat=n - 1)
+            if sum(b) <= 2 * cap]
+
+
+def test_bottoms_match_product_filter():
+    for n in range(1, 6):
+        for cap in range(7):
+            for bound in range(cap + 1):
+                assert zmod._bottoms(n, cap, bound) == product_bottoms(
+                    n, cap, bound), (n, cap, bound)
+
+
+def test_need_is_the_smallest_cap_of_a_move():
+    # from a source whose labels fit under cap, the moves at cap are
+    # exactly the moves at any larger cap whose need is <= cap
+    top = 5
+    for orientation in (STANDARD, REVERSED):
+        for mid_sign, kindL, kindR in product((1, -1), (1, 0, -1), (1, 0, -1)):
+            for lL, lM, lR in product(range(top + 1), repeat=3):
+                if (kindL == 0 and lL) or (kindR == 0 and lR):
+                    continue
+                at_top = zmod._transitions(
+                    (mid_sign, kindL, kindR, lL, lM, lR, top, orientation), {})
+                for cap in range(max(lL, lM, lR), top + 1):
+                    key = (mid_sign, kindL, kindR, lL, lM, lR, cap,
+                           orientation)
+                    assert zmod._transitions(key, {}) == [
+                        m for m in at_top if m[5] <= cap], key
+
+
+def oracle_min_plus(word, col_sign, bottom, budget, cap, orientation,
+                    cache):
+    """Per letter, every move at cap out of the states reachable from
+    bottom, with the exact cheapest x-half cost from bottom to each state
+    (forward) and from each state back to bottom (backward).  With a
+    budget, states whose forward cost exceeds it are dropped (they lie on
+    no closed path within it); without one, nothing is."""
     n = word.n
-    vec = {bottom: XSeries.one(trunc)}
+    fwd = [{bottom: 0}]
+    steps = []
     for v_letter in word.letters:
         i = abs(v_letter)
         sign = col_sign[i - 1]
         kindL = col_sign[i - 2] if i >= 2 else 0
         kindR = col_sign[i] if i <= n - 2 else 0
+        moves = []
         nxt = {}
-        for state, amp in vec.items():
+        for state, cost in fwd[-1].items():
             lL = state[i - 2] if i >= 2 else 0
             lM = state[i - 1]
             lR = state[i] if i <= n - 2 else 0
             key = (sign, kindL, kindR, lL, lM, lR, cap, orientation)
-            for nL, nM, nR, xh, coeff in zmod._transitions(key, cache):
-                term = amp.mul_term(coeff, xh)
-                if term.is_zero:
+            for nL, nM, nR, xh, coeff, _ in zmod._transitions(key, cache):
+                if budget is not None and cost + xh > budget:
                     continue
                 t = list(state)
                 if i >= 2:
@@ -269,14 +309,49 @@ def unpruned_amplitude(word, col_sign, bottom, trunc, cap, orientation,
                 if i <= n - 2:
                     t[i] = nR
                 dst = tuple(t)
-                cur = nxt.get(dst)
-                nxt[dst] = term if cur is None else cur + term
+                moves.append((state, dst, xh, coeff))
+                nxt[dst] = min(nxt.get(dst, cost + xh), cost + xh)
+        fwd.append(nxt)
+        steps.append(moves)
+    back = [{bottom: 0}]
+    for moves in reversed(steps):
+        prev = {}
+        for src, dst, xh, _ in moves:
+            if dst in back[0]:
+                prev[src] = min(prev.get(src, xh + back[0][dst]),
+                                xh + back[0][dst])
+        back.insert(0, prev)
+    return steps, fwd, back
+
+
+def oracle_amplitude(word, col_sign, bottom, trunc, cap, orientation, cache,
+                     prune):
+    """The transfer DP at cap.  Unpruned, it takes every move from every
+    state; pruned, only the moves on some closed path within trunc."""
+    steps, fwd, back = oracle_min_plus(
+        word, col_sign, bottom, trunc if prune else None, cap, orientation,
+        cache)
+    vec = {bottom: XSeries.one(trunc)}
+    for k, moves in enumerate(steps):
+        nxt = {}
+        for src, dst, xh, coeff in moves:
+            if src not in vec:
+                continue
+            if prune and (dst not in back[k + 1]
+                          or fwd[k][src] + xh + back[k + 1][dst] > trunc):
+                continue
+            term = vec[src].mul_term(coeff, xh)
+            if term.is_zero:
+                continue
+            cur = nxt.get(dst)
+            nxt[dst] = term if cur is None else cur + term
         vec = nxt
     return vec.get(bottom, XSeries.zero(trunc))
 
 
-def unpruned_phi(word, order):
-    """Phi at cap = order from the unpruned DP over every bottom."""
+def oracle_phi(word, order, cap, orientation=STANDARD, prune=False):
+    """Phi at cap from the oracle DP over every bottom of the product
+    filter."""
     n = word.n
     col_sign = zmod._column_signs(word)
     col_plus = sum(1 for s in col_sign if s > 0)
@@ -284,9 +359,9 @@ def unpruned_phi(word, order):
     trunc = 2 * order + 1
     cache = {}
     phi = XSeries.zero(trunc)
-    for bottom in zmod._bottoms(n, order):
-        amp = unpruned_amplitude(word, col_sign, bottom, trunc, order,
-                                 STANDARD, cache)
+    for bottom in product_bottoms(n, cap):
+        amp = oracle_amplitude(word, col_sign, bottom, trunc, cap,
+                               orientation, cache, prune)
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
         for eps in (0, 1):
             sector = AxisSector(eps, m_tilde)
@@ -298,32 +373,104 @@ def unpruned_phi(word, order):
     return phi
 
 
+def two_run_phi_homogeneous(word, order, cap, orientation):
+    """The guard as two DP runs: Phi at cap must equal Phi at cap + 2."""
+    phi = oracle_phi(word, order, cap, orientation, prune=True)
+    if phi != oracle_phi(word, order, cap + 2, orientation, prune=True):
+        raise VerificationError(f"label cap {cap} not stable")
+    if orientation == REVERSED:
+        return phi
+    return zmod._finalize_phi(phi, "phi_homogeneous", word, order, cap)
+
+
+def outcome(fn, *args):
+    """Phi, "unstable", or the message of any other VerificationError."""
+    try:
+        return fn(*args)
+    except VerificationError as exc:
+        return "unstable" if "not stable" in str(exc) else str(exc)
+
+
 MIXED = tuple(w for w in CORPUS + EXTRA_KNOTS if "-" in w)
 PRUNING_CASES = [
     (text, order)
     for text in MIXED
     for order in ((4, 5) if text.startswith("n=4") else (4, 6))
 ]
+# at cap 2 the bottoms (1, 2, 2), (2, 2, 1) and (2, 2, 2) of this word
+# close although their label sum exceeds 2 cap: only the sum filter of
+# _bottoms keeps them out of Phi at cap
+DP_CASES = PRUNING_CASES + [("n=4; -1 -1 -1 3 2", 4)]
 
 
 @pytest.mark.parametrize("orientation", (STANDARD, REVERSED))
-@pytest.mark.parametrize("text,order", PRUNING_CASES)
+@pytest.mark.parametrize("text,order", DP_CASES)
 def test_pruned_dp_matches_unpruned_on_every_bottom(text, order,
                                                     orientation):
     word = parse_braid(text)
     col_sign = zmod._column_signs(word)
     trunc = 2 * order + 1
-    for cap in (order, order + 2):
-        pruned_cache, full_cache = {}, {}
-        live = 0
-        for bottom in zmod._bottoms(word.n, cap):
-            got = zmod._closed_amplitude(word, col_sign, bottom, trunc, cap,
-                                         orientation, pruned_cache)
-            want = unpruned_amplitude(word, col_sign, bottom, trunc, cap,
-                                      orientation, full_cache)
-            assert got == want, (bottom, cap)
-            live += not got.is_zero
+    zero = XSeries.zero(trunc)
+    for cap in (order - 2, order):
+        top = cap + 2
+        at_cap = set(product_bottoms(word.n, cap))
+        cache, oracle_cache = {}, {}
+        live = outside_live = removed = 0
+        for bottom in product_bottoms(word.n, top):
+            inside, outside = zmod._closed_amplitude(
+                word, col_sign, bottom, trunc, cap, top, orientation, cache)
+            want = (oracle_amplitude(word, col_sign, bottom, trunc, cap,
+                                     orientation, oracle_cache, False)
+                    if bottom in at_cap else zero)
+            assert inside == want, (bottom, cap)
+            assert inside + outside == oracle_amplitude(
+                word, col_sign, bottom, trunc, top, orientation,
+                oracle_cache, False), (bottom, cap)
+            live += not inside.is_zero
+            outside_live += not outside.is_zero
+            if orientation == STANDARD:
+                # the label bound: a state with a label above order lies
+                # on no closed path of cost <= trunc
+                _, fwd, back = oracle_min_plus(word, col_sign, bottom, trunc,
+                                               top, orientation, oracle_cache)
+                for ahead, behind in zip(fwd, back):
+                    for state, cost in ahead.items():
+                        if max(state) > order:
+                            removed += 1
+                            assert cost + behind.get(state, trunc + 1) \
+                                > trunc, (bottom, state)
         assert live  # some bottom closes, so the comparison is not vacuous
+        if orientation == STANDARD and cap == order:
+            assert removed  # the bound removed states, and they were dead
+        if orientation == STANDARD and cap < order:
+            assert outside_live  # some path leaves [0, cap]
+
+
+# the word on which a need that only looks at the labels landed on misses
+# the instability of the reversed reading
+REVERSED_REGRESSION = ("n=4; -1 -2 -3 -3 -1 -3 -2", 4, 3)
+
+
+@pytest.mark.parametrize("orientation", (STANDARD, REVERSED))
+@pytest.mark.parametrize("text,order", DP_CASES)
+def test_one_run_guard_matches_two_runs(text, order, orientation):
+    word = parse_braid(text)
+    for cap in range(order + 1):
+        assert outcome(phi_homogeneous, word, order, cap, orientation) \
+            == outcome(two_run_phi_homogeneous, word, order, cap,
+                       orientation), cap
+
+
+def test_one_run_guard_reversed_regression():
+    text, order, cap = REVERSED_REGRESSION
+    word = parse_braid(text)
+    with pytest.raises(VerificationError, match="not stable"):
+        two_run_phi_homogeneous(word, order, cap, REVERSED)
+    with pytest.raises(VerificationError,
+                       match=r"^label cap not stable: raising it to cap \+ 2 "
+                             r"changes phi_homogeneous of n=4; -1 -2 -3 -3 "
+                             r"-1 -3 -2 at order 4, cap 3$"):
+        phi_homogeneous(word, order, cap, REVERSED)
 
 
 @st.composite
@@ -349,9 +496,13 @@ def mixed_knot_words(draw):
 def test_random_mixed_knots(word):
     assume(analyze(word).closure_components == 1)
     phi = phi_homogeneous(word, 3)
-    assert phi == unpruned_phi(word, 3)
+    assert phi == oracle_phi(word, 3, 3)
     _, inv = alexander_classical(word, 3)
     assert phi.specialize_q1() == inv
+    # the one-run guard against the two-run one, below the default cap too
+    for cap in range(4):
+        assert outcome(phi_homogeneous, word, 3, cap) \
+            == outcome(two_run_phi_homogeneous, word, 3, cap, STANDARD), cap
 
 
 # ---------------------------------------------------------------------------
