@@ -12,8 +12,8 @@ XSeries   -- series in x^{1/2} with QLaurent coefficients, either truncated
              polynomials)
 Framing   -- a half-integer framing parameter for the bifurcation identities
 
-ql_mul, ql_add_into, ql_addmul_into and xs_mul are the plain-dict loops
-that both classes do their arithmetic with.
+ql_mul, ql_add_into, ql_addmul_into, xs_addmul_term_into and xs_mul are
+the plain-dict loops that both classes do their arithmetic with.
 
 qbinom / qtrinom are the Gaussian binomial/trinomial with the generalized
 negative-top convention; the two bifurcation identity builders at the bottom
@@ -88,23 +88,37 @@ def ql_addmul_into(acc, a, b):
                 del acc[e]
 
 
+def xs_addmul_term_into(acc, a, qc, xh, tmax):
+    """acc += a * qc * x^(xh/2), in place, for an {x_half: {q_half: coeff}}
+    table a and a {q_half: coeff} dict qc.
+
+    Terms with x_half > tmax are dropped; tmax None means keep everything.
+    An x-term that cancels is deleted, so acc keeps no empty entry and no
+    zero coefficient.  a and qc are only read, and acc never shares a dict
+    with them; acc must not be a itself.
+    """
+    for x, qa in a.items():
+        nx = x + xh
+        if tmax is not None and nx > tmax:
+            continue
+        t = acc.get(nx)
+        if t is None:
+            t = acc[nx] = {}
+        ql_addmul_into(t, qa, qc)
+        if not t:
+            del acc[nx]
+
+
 def xs_mul(a, b, tmax):
-    """Product of two {x_half: {q_half: coeff}} tables.
+    """Product of two {x_half: {q_half: coeff}} tables, one
+    xs_addmul_term_into per term of b.
 
     Terms with x_half > tmax are dropped; tmax None means keep everything.
     """
     out = {}
-    for xa, qa in a.items():
-        for xb, qb in b.items():
-            x = xa + xb
-            if tmax is not None and x > tmax:
-                continue
-            acc = out.get(x)
-            if acc is None:
-                acc = {}
-                out[x] = acc
-            ql_addmul_into(acc, qa, qb)
-    return {x: q for x, q in out.items() if q}
+    for xb, qb in b.items():
+        xs_addmul_term_into(out, a, qb, xb, tmax)
+    return out
 
 
 class QLaurent:
@@ -355,6 +369,14 @@ class XSeries:
         return self
 
     @classmethod
+    def _adopt(cls, table, trunc):
+        # internal: wrap an {x_half: {q_half: coeff}} table that has no
+        # empty entry, no zero coefficient and nothing above trunc,
+        # adopting its dicts without copying (unit monomials are shared,
+        # see _adopt_coeff)
+        return cls._raw({x: _adopt_coeff(t) for x, t in table.items()}, trunc)
+
+    @classmethod
     def zero(cls, trunc=None):
         return cls._raw({}, trunc)
 
@@ -458,9 +480,7 @@ class XSeries:
                 {0: q.terms},
                 self.trunc,
             )
-            return XSeries._raw(
-                {x: QLaurent._raw(t) for x, t in raw.items()}, self.trunc
-            )
+            return XSeries._adopt(raw, self.trunc)
         other = self._coerce(other)
         trunc = self._join_trunc(self.trunc, other.trunc)
         raw = xs_mul(
@@ -468,9 +488,7 @@ class XSeries:
             {x: t.terms for x, t in other.terms.items()},
             trunc,
         )
-        return XSeries._raw(
-            {x: QLaurent._raw(t) for x, t in raw.items()}, trunc
-        )
+        return XSeries._adopt(raw, trunc)
 
     __rmul__ = __mul__
 
@@ -650,6 +668,27 @@ class XSeries:
     def __repr__(self):
         t = "exact" if self.trunc is None else f"trunc={self.trunc}"
         return f"<XSeries {self.render()} [{t}]>"
+
+
+_UNIT_SPAN = 256
+_UNITS = {}
+
+
+def _adopt_coeff(terms):
+    """QLaurent adopting the {q_half: coeff} dict terms.  A unit monomial
+    +-q^(e/2) with |e| <= _UNIT_SPAN instead gets the one QLaurent shared
+    by every adopted copy of it (filled on first use, at most 2 * 513
+    entries), so a kept series costs no dict for such a coefficient; Phi
+    has many.  Sharing is safe for the same reason as in specialize_q1: no
+    QLaurent's terms are ever mutated in place."""
+    if len(terms) == 1:
+        ((e, c),) = terms.items()
+        if c in (1, -1) and -_UNIT_SPAN <= e <= _UNIT_SPAN:
+            hit = _UNITS.get((e, c))
+            if hit is None:
+                hit = _UNITS[e, c] = QLaurent._raw(terms)
+            return hit
+    return QLaurent._raw(terms)
 
 
 _SMALL_Q1 = 256

@@ -42,7 +42,11 @@ computed two ways:
   such a path also keeps every label <= order (proof in _label_bound), so
   no state or bottom above that is visited.  The q-weight of a crossing
   depends only on the middle column's sign, the orientation, u and the
-  two sheds, and is shared by every move that has them.
+  two sheds, and is shared by every move that has them.  The series work
+  runs on raw {x_half: {q_half: coeff}} tables: each kept move adds its
+  source amplitude times its weight into its destination in place, and
+  each bottom's two axis sectors go into Phi the same way, through the one
+  kernel ring.xs_addmul_term_into; only the final sums become XSeries.
 
   The label cap is checked in the same run: the DP runs at cap + 2 and
   splits each bottom's amplitude into the paths that also exist at cap
@@ -62,7 +66,7 @@ from operator import itemgetter
 from . import braid as _braid
 from . import lawrence as _lawrence
 from .errors import InputError, VerificationError
-from .ring import QLaurent, XSeries, qbinom, qtrinom
+from .ring import QLaurent, XSeries, qbinom, qtrinom, xs_addmul_term_into
 
 STANDARD = "standard"
 REVERSED = "reversed"
@@ -160,17 +164,22 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
     if m_cut is None:
         m_cut = order
     _require_nonnegative(order=order, m_cut=m_cut)
-    phi = XSeries.zero(2 * order + 1)
-    for m in range(m_cut + 1):
-        phi = phi + _weight_part(word, order, m)
-    if stabilize:
-        again = (phi + _weight_part(word, order, m_cut + 1)
-                 + _weight_part(word, order, m_cut + 2))
-        if phi != again:
-            raise VerificationError(
-                f"weight cutoff not stable: raising it to m_cut + 2 changes "
-                f"phi_positive of {_where(word, order, m_cut=m_cut)}"
-            )
+    where = _where(word, order, m_cut=m_cut)
+    try:
+        phi = XSeries.zero(2 * order + 1)
+        for m in range(m_cut + 1):
+            phi = phi + _weight_part(word, order, m)
+        unstable = stabilize and phi != (
+            phi + _weight_part(word, order, m_cut + 1)
+            + _weight_part(word, order, m_cut + 2))
+    except VerificationError as exc:
+        # truncated_trace names the word and the weight, not the order
+        raise VerificationError(f"{exc} in {where}") from exc
+    if unstable:
+        raise VerificationError(
+            f"weight cutoff not stable: raising it to m_cut + 2 changes "
+            f"phi_positive of {where}"
+        )
     return _finalize_phi(phi, "phi_positive", word, order, m_cut=m_cut)
 
 
@@ -334,41 +343,42 @@ def _label_bound(trunc, top, orientation):
 
 def _sum_paths(start, layers, trunc):
     """Sum over the paths start -> start through the per-letter move
-    lists of the product of their weights, truncated at trunc."""
-    vec = {start: XSeries.one(trunc)}
+    lists of the product of their weights, truncated at trunc, as an
+    {x_half: {q_half: coeff}} table.
+
+    Each layer's amplitudes are raw tables, and every kept move adds its
+    source's amplitude times its weight into its destination's table in
+    place (xs_addmul_term_into); a table that cancels to empty is skipped
+    as a source."""
+    vec = {start: {0: {0: 1}}}
     for moves in layers:
         nxt = {}
         for src, dst, xh, coeff, _ in moves:
             amp = vec.get(src)
-            if amp is None:
+            if not amp:
                 continue
-            term = amp.mul_term(coeff, xh)
-            if term.is_zero:
-                continue
-            cur = nxt.get(dst)
-            if cur is not None:
-                term = cur + term
-                if term.is_zero:
-                    del nxt[dst]
-                    continue
-            nxt[dst] = term
+            acc = nxt.get(dst)
+            if acc is None:
+                acc = nxt[dst] = {}
+            xs_addmul_term_into(acc, amp, coeff.terms, xh, trunc)
         vec = nxt
-    return vec.get(start, XSeries.zero(trunc))
+    return vec.get(start, {})
 
 
 def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
                       cache):
     """The closed label paths bottom -> bottom at label cap top (>= cap),
     weighted by the product of their crossing weights and truncated at
-    x-half-degree trunc, split in two: (inside, outside).
+    x-half-degree trunc, split in two {x_half: {q_half: coeff}} tables:
+    (inside, outside).
 
     inside sums the paths that also exist at cap: the bottom is one that
     Phi at cap starts from (labels <= cap, sum <= 2 cap) and every move has
-    need <= cap.  It is the amplitude of the DP at cap.  outside sums the rest, so inside + outside is the
-    amplitude at top.  The series DP runs only over the moves that the two
-    min-plus passes place on some closed path of cost <= trunc (see the
-    module docstring), at the label bound of _label_bound."""
-    zero = XSeries.zero(trunc)
+    need <= cap.  It is the amplitude of the DP at cap.  outside sums the
+    rest, so inside + outside is the amplitude at top.  The series DP runs
+    only over the moves that the two min-plus passes place on some closed
+    path of cost <= trunc (see the module docstring), at the label bound
+    of _label_bound."""
     limit = _label_bound(trunc, top, orientation)
     # states carry a boundary label 0 at both ends, so column i sits at
     # index i between its two neighbors; a boundary has kind 0 and its
@@ -398,11 +408,11 @@ def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
                 if to < nxt.get(dst, trunc + 1):
                     nxt[dst] = to
         if not nxt:
-            return zero, zero
+            return {}, {}
         layers.append((reach, moves))
         reach = nxt
     if start not in reach:
-        return zero, zero
+        return {}, {}
 
     # backward: cheapest cost from each state back to bottom; keep the
     # moves on some closed path within the budget
@@ -427,24 +437,28 @@ def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
 
     total = _sum_paths(start, kept, trunc)
     if max(bottom) > cap or sum(bottom) > 2 * cap:
-        return zero, total
+        return {}, total
     if not split:
-        return total, zero
+        return total, {}
     inside = _sum_paths(
         start, [[m for m in moves if m[4] <= cap] for moves in kept], trunc)
-    return inside, total - inside
+    xs_addmul_term_into(total, inside, {0: -1}, 0, trunc)  # total -= inside
+    return inside, total
 
 
 def _phi_homogeneous_run(word, order, cap, top, orientation):
-    """(Phi at cap, Phi at top - Phi at cap) from one DP run at top."""
+    """(Phi at cap, Phi at top - Phi at cap) from one DP run at top.
+
+    Both are accumulated in place as raw tables over the bottoms and the
+    two axis sectors, and wrapped in an XSeries once at the end."""
     n = word.n
     col_sign = _column_signs(word)
     col_plus = sum(1 for s in col_sign if s > 0)
     col_minus = n - 1 - col_plus
     trunc = 2 * order + 1
     cache = {}
-    phi = XSeries.zero(trunc)
-    delta = XSeries.zero(trunc)
+    phi = {}
+    delta = {}
     for bottom in _bottoms(n, top, _label_bound(trunc, top, orientation)):
         try:
             inside, outside = _closed_amplitude(
@@ -452,18 +466,16 @@ def _phi_homogeneous_run(word, order, cap, top, orientation):
         except VerificationError as exc:
             raise VerificationError(
                 f"{exc} in {_where(word, order, cap)}") from exc
-        if inside.is_zero and outside.is_zero:
+        if not inside and not outside:
             continue
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
         for eps in (0, 1):
             sector = AxisSector(eps, m_tilde)
-            factor = QLaurent.monomial(sector.sign,
-                                       sector.q_half(col_plus, col_minus))
-            if not inside.is_zero:
-                phi = phi + inside.mul_term(factor, sector.x_half(n))
-            if not outside.is_zero:
-                delta = delta + outside.mul_term(factor, sector.x_half(n))
-    return phi, delta
+            factor = {sector.q_half(col_plus, col_minus): sector.sign}
+            xh = sector.x_half(n)
+            xs_addmul_term_into(phi, inside, factor, xh, trunc)
+            xs_addmul_term_into(delta, outside, factor, xh, trunc)
+    return XSeries._adopt(phi, trunc), XSeries._adopt(delta, trunc)
 
 
 def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
@@ -545,22 +557,27 @@ def zhat(word, order, orientation=STANDARD, cap=None):
     n, w = stats.n, stats.writhe
     crm, colm = stats.cr_minus, stats.col_minus
     g = stats.genus
+    where = _where(word, order)
     if (w - (n - 1)) % 2:
-        raise VerificationError("writhe parity violated for a knot closure")
+        raise VerificationError(
+            f"writhe parity violated for the knot closure of {where}")
     lam = g - (w - (n - 1)) // 2 - colm
     if lam != crm - colm:
         raise VerificationError(
-            f"prefactor mismatch: lam={lam} but cr-ated={crm - colm}"
+            f"prefactor mismatch for {where}: lam={lam} but "
+            f"cr-ated={crm - colm}"
         )
     sign = -1 if (1 + crm + colm) % 2 else 1
     if sign != (-1 if (1 + lam) % 2 else 1):
-        raise VerificationError("prefactor sign forms disagree")
+        raise VerificationError(f"prefactor sign forms disagree for {where}")
     q_half = (w - (n - 1)) + 2 * colm
     if q_half != 2 * (g - lam):
-        raise VerificationError("prefactor q-power forms disagree")
+        raise VerificationError(
+            f"prefactor q-power forms disagree for {where}")
     x_half = (w - n) + 2 * crm
     if x_half != 2 * g - 1:
-        raise VerificationError("prefactor x-power forms disagree")
+        raise VerificationError(
+            f"prefactor x-power forms disagree for {where}")
     if crm == 0:
         phi = phi_positive(word, order, m_cut=cap)
     else:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from flowloop import (
@@ -16,7 +16,9 @@ from flowloop import (
     qtrinom,
     saddle_node_identity,
 )
-from flowloop.ring import ql_mul, xs_mul
+import copy
+
+from flowloop.ring import ql_addmul_into, ql_mul, xs_addmul_term_into, xs_mul
 
 from conftest import ql, xs
 
@@ -43,6 +45,92 @@ def test_series_multiply_respects_truncation():
     b = {0: {0: 1}, 4: {0: 1}}
     out = xs_mul(a, b, 6)
     assert set(out) == {0, 4, 6}
+
+
+q_dicts = st.dictionaries(
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=-3, max_value=3).filter(bool),
+    max_size=3,
+)
+x_tables = st.dictionaries(
+    st.integers(min_value=-2, max_value=8),
+    q_dicts.filter(bool),
+    max_size=4,
+)
+tmaxes = st.one_of(st.none(), st.integers(min_value=-2, max_value=12))
+
+
+def old_xs_mul(a, b, tmax):
+    """xs_mul as one double loop over the term pairs of a and b."""
+    out = {}
+    for xa, qa in a.items():
+        for xb, qb in b.items():
+            x = xa + xb
+            if tmax is not None and x > tmax:
+                continue
+            ql_addmul_into(out.setdefault(x, {}), qa, qb)
+    return {x: q for x, q in out.items() if q}
+
+
+def as_series(table, trunc=None):
+    return XSeries({x: QLaurent(q) for x, q in table.items()}, trunc)
+
+
+@given(x_tables, x_tables, q_dicts, st.integers(-2, 6), tmaxes)
+def test_addmul_term_into_matches_mul_term(acc, a, qc, xh, tmax):
+    if tmax is not None:
+        acc = {x: q for x, q in acc.items() if x <= tmax}
+    a_before, qc_before = copy.deepcopy(a), copy.deepcopy(qc)
+    want = as_series(acc, tmax) + as_series(a).mul_term(
+        QLaurent(qc), xh).truncate(tmax)
+    xs_addmul_term_into(acc, a, qc, xh, tmax)
+    # raw dict equality: no empty x-term and no zero coefficient is left
+    assert acc == {x: q.terms for x, q in want.terms.items()}
+    assert a == a_before and qc == qc_before
+    for t in acc.values():
+        assert all(t is not q for q in a.values()) and t is not qc
+
+
+@given(x_tables, q_dicts.filter(bool), st.integers(-2, 6), tmaxes)
+def test_addmul_term_into_cancels_to_empty(a, qc, xh, tmax):
+    # acc holds -a * qc * x^(xh/2), so adding a * qc * x^(xh/2) clears it
+    acc = {}
+    xs_addmul_term_into(acc, a, {e: -c for e, c in qc.items()}, xh, tmax)
+    xs_addmul_term_into(acc, a, qc, xh, tmax)
+    assert acc == {}
+
+
+def test_addmul_term_into_keeps_shared_q1_constants():
+    # specialize_q1 hands out one shared QLaurent per small value; using
+    # its terms as operands must leave them as they were
+    s = xs({0: {0: 1}, 2: {1: 1, -1: 1}}, trunc=5).specialize_q1()
+    two = s.terms[2].terms
+    acc = {2: {0: -4}}
+    xs_addmul_term_into(acc, {0: {0: 2}}, two, 2, 5)
+    assert acc == {}
+    assert two == {0: 2}
+    assert XSeries.monomial(2, 0, 5).specialize_q1().terms[0].terms == {0: 2}
+
+
+@given(x_tables, x_tables, tmaxes)
+def test_xs_mul_matches_double_loop(a, b, tmax):
+    assert xs_mul(a, b, tmax) == old_xs_mul(a, b, tmax)
+
+
+def test_products_share_unit_monomials():
+    a = xs({0: {0: 1}, 2: {4: -1}}, trunc=9)
+    b = xs({2: {0: 1}}, trunc=9)
+    p, r = a * b, b * a
+    assert p == r == xs({2: {0: 1}, 4: {4: -1}}, trunc=9)
+    assert p.terms[4] is r.terms[4]
+    # arithmetic on one product leaves the shared coefficient as it was
+    assert (p + p).terms[4] == ql({4: -2})
+    assert (p * xs({0: {0: 3}}, trunc=9)).terms[4] == ql({4: -3})
+    assert p.mul_term(ql({2: 5}), 2).terms[6] == ql({6: -5})
+    assert r.terms[4] == ql({4: -1})
+    # a coefficient that is not a unit monomial is not shared
+    two = xs({0: {0: 2}})
+    assert (two * two).terms[0] is not (two * two).terms[0]
 
 
 # ---------------------------------------------------------------------------

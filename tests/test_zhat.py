@@ -1,7 +1,9 @@
 """Loop-counting series, reference models, prefactor, and normalization."""
 
+import dataclasses
 import importlib
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -373,6 +375,13 @@ def oracle_phi(word, order, cap, orientation=STANDARD, prune=False):
     return phi
 
 
+def closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
+                     cache):
+    """_closed_amplitude's (inside, outside) tables as XSeries."""
+    return tuple(XSeries._adopt(t, trunc) for t in zmod._closed_amplitude(
+        word, col_sign, bottom, trunc, cap, top, orientation, cache))
+
+
 def two_run_phi_homogeneous(word, order, cap, orientation):
     """The guard as two DP runs: Phi at cap must equal Phi at cap + 2."""
     phi = oracle_phi(word, order, cap, orientation, prune=True)
@@ -417,7 +426,7 @@ def test_pruned_dp_matches_unpruned_on_every_bottom(text, order,
         cache, oracle_cache = {}, {}
         live = outside_live = removed = 0
         for bottom in product_bottoms(word.n, top):
-            inside, outside = zmod._closed_amplitude(
+            inside, outside = closed_amplitude(
                 word, col_sign, bottom, trunc, cap, top, orientation, cache)
             want = (oracle_amplitude(word, col_sign, bottom, trunc, cap,
                                      orientation, oracle_cache, False)
@@ -471,6 +480,104 @@ def test_one_run_guard_reversed_regression():
                              r"changes phi_homogeneous of n=4; -1 -2 -3 -3 "
                              r"-1 -3 -2 at order 4, cap 3$"):
         phi_homogeneous(word, order, cap, REVERSED)
+
+
+# ---------------------------------------------------------------------------
+# the in-place series accumulation against the XSeries walk it replaced
+
+
+def series_walk(start, layers, trunc):
+    """_sum_paths as one mul_term per kept move and one XSeries addition
+    per merge, returned as a raw table."""
+    vec = {start: XSeries.one(trunc)}
+    for moves in layers:
+        nxt = {}
+        for src, dst, xh, coeff, _ in moves:
+            amp = vec.get(src)
+            if amp is None:
+                continue
+            term = amp.mul_term(coeff, xh)
+            if term.is_zero:
+                continue
+            cur = nxt.get(dst)
+            if cur is not None:
+                term = cur + term
+                if term.is_zero:
+                    del nxt[dst]
+                    continue
+            nxt[dst] = term
+        vec = nxt
+    return {x: q.terms for x, q in vec.get(start, XSeries.zero(trunc))
+            .terms.items()}
+
+
+def series_phi_run(word, order, cap, top, orientation):
+    """_phi_homogeneous_run with one XSeries mul_term and addition per
+    bottom and axis sector."""
+    n = word.n
+    col_sign = zmod._column_signs(word)
+    col_plus = sum(1 for s in col_sign if s > 0)
+    col_minus = n - 1 - col_plus
+    trunc = 2 * order + 1
+    cache = {}
+    phi = XSeries.zero(trunc)
+    delta = XSeries.zero(trunc)
+    for bottom in zmod._bottoms(n, top,
+                                zmod._label_bound(trunc, top, orientation)):
+        inside, outside = closed_amplitude(
+            word, col_sign, bottom, trunc, cap, top, orientation, cache)
+        m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
+        for eps in (0, 1):
+            sector = AxisSector(eps, m_tilde)
+            factor = QLaurent.monomial(sector.sign,
+                                       sector.q_half(col_plus, col_minus))
+            phi = phi + inside.mul_term(factor, sector.x_half(n))
+            delta = delta + outside.mul_term(factor, sector.x_half(n))
+    return phi, delta
+
+
+def series_phi_homogeneous(word, order, cap, orientation):
+    """phi_homogeneous's guard and finalization on series_phi_run."""
+    phi, delta = series_phi_run(word, order, cap, cap + 2, orientation)
+    if not delta.is_zero:
+        raise VerificationError(f"label cap {cap} not stable")
+    if orientation == REVERSED:
+        return phi
+    return zmod._finalize_phi(phi, "phi_homogeneous", word, order, cap)
+
+
+EXACT_CASES = [(text, 5 if text.startswith("n=4") else 6)
+               for text in CORPUS + EXTRA_KNOTS]
+
+
+@pytest.mark.parametrize("orientation", (STANDARD, REVERSED))
+@pytest.mark.parametrize("text,order", EXACT_CASES)
+def test_in_place_dp_matches_series_walk(text, order, orientation,
+                                         monkeypatch):
+    word = parse_braid(text)
+    col_sign = zmod._column_signs(word)
+    trunc = 2 * order + 1
+    for cap in range(order - 2, order + 1):
+        top = cap + 2
+        bottoms = product_bottoms(word.n, top)
+        cache = {}
+        tables = [zmod._closed_amplitude(word, col_sign, bottom, trunc, cap,
+                                         top, orientation, cache)
+                  for bottom in bottoms]
+        run = zmod._phi_homogeneous_run(word, order, cap, top, orientation)
+        phi = outcome(phi_homogeneous, word, order, cap, orientation)
+        with monkeypatch.context() as patch:
+            patch.setattr(zmod, "_sum_paths", series_walk)
+            cache = {}
+            for bottom, got in zip(bottoms, tables):
+                # raw dict equality: no empty x-term, no zero coefficient
+                assert got == zmod._closed_amplitude(
+                    word, col_sign, bottom, trunc, cap, top, orientation,
+                    cache), (bottom, cap)
+            assert run == series_phi_run(word, order, cap, top,
+                                         orientation), cap
+            assert phi == outcome(series_phi_homogeneous, word, order, cap,
+                                  orientation), cap
 
 
 @st.composite
@@ -530,3 +637,43 @@ def test_dp_error_names_word_order_and_cap(monkeypatch):
                        match=r"charge leak .* in n=3; 1 -2 1 -2 at order 2, "
                              r"cap 3$"):
         phi_homogeneous(parse_braid("1 -2 1 -2"), 2, cap=3)
+
+
+def test_trace_error_names_word_order_and_m_cut(monkeypatch):
+    # every generator entry times x^(1/2): the trefoil's closed walks then
+    # keep half x-powers, which truncated_trace refuses
+    real = zmod._lawrence.generator_matrix
+
+    def half_shifted(n, m, i, sign):
+        cols = real(n, m, i, sign).cols
+        return SimpleNamespace(cols={
+            src: {dst: entry.shift_x(1) for dst, entry in row.items()}
+            for src, row in cols.items()})
+
+    monkeypatch.setattr(zmod._lawrence, "generator_matrix", half_shifted)
+    with pytest.raises(VerificationError,
+                       match=r"^trace of n=2; 1 1 1 at weight 0 kept half "
+                             r"x-powers: .* in n=2; 1 1 1 at order 4, "
+                             r"m_cut 3$"):
+        phi_positive(parse_braid("1 1 1"), 4, m_cut=3)
+
+
+@pytest.mark.parametrize("field,shift,message", (
+    ("writhe", 1, "writhe parity violated for the knot closure of"),
+    ("genus", 1, "prefactor mismatch for"),
+))
+def test_prefactor_errors_name_word_and_order(monkeypatch, field, shift,
+                                              message):
+    # the sign, q-power and x-power checks follow from these two for any
+    # integer stats, so no stats object reaches them
+    real = zmod._require_homogeneous_knot
+
+    def skewed(word):
+        stats = real(word)
+        return dataclasses.replace(stats, **{field: getattr(stats, field)
+                                             + shift})
+
+    monkeypatch.setattr(zmod, "_require_homogeneous_knot", skewed)
+    with pytest.raises(VerificationError,
+                       match=rf"^{message} n=3; 1 -2 1 -2 at order 2\b"):
+        zhat(parse_braid("1 -2 1 -2"), 2)
