@@ -372,9 +372,10 @@ class XSeries:
     def _adopt(cls, table, trunc):
         # internal: wrap an {x_half: {q_half: coeff}} table that has no
         # empty entry, no zero coefficient and nothing above trunc,
-        # adopting its dicts without copying (unit monomials are shared,
-        # see _adopt_coeff)
-        return cls._raw({x: _adopt_coeff(t) for x, t in table.items()}, trunc)
+        # adopting its dicts without copying; a small monomial becomes the
+        # shared _monomial, so a kept result holds no dict for it
+        return cls._raw({x: _adopt_coeff(t) for x, t in table.items()},
+                        trunc)
 
     @classmethod
     def zero(cls, trunc=None):
@@ -480,7 +481,9 @@ class XSeries:
                 {0: q.terms},
                 self.trunc,
             )
-            return XSeries._adopt(raw, self.trunc)
+            return XSeries._raw(
+                {x: QLaurent._raw(t) for x, t in raw.items()}, self.trunc
+            )
         other = self._coerce(other)
         trunc = self._join_trunc(self.trunc, other.trunc)
         raw = xs_mul(
@@ -488,7 +491,9 @@ class XSeries:
             {x: t.terms for x, t in other.terms.items()},
             trunc,
         )
-        return XSeries._adopt(raw, trunc)
+        return XSeries._raw(
+            {x: QLaurent._raw(t) for x, t in raw.items()}, trunc
+        )
 
     __rmul__ = __mul__
 
@@ -593,17 +598,14 @@ class XSeries:
     def specialize_q1(self):
         """Evaluate coefficients at q = 1 (same truncation).
 
-        Values with |v| <= _SMALL_Q1 reuse one shared QLaurent each, so
-        q = 1 series kept by callers cost one dict slot per term.  Sharing
-        is safe because no QLaurent's terms are ever mutated in place.
+        Small values share one QLaurent each (see _monomial), so q = 1
+        series kept by callers cost one dict slot per term.
         """
         out = {}
         for x, q in self.terms.items():
             v = q.at_q1()
             if v:
-                out[x] = (_SMALL_Q1_CONSTS[v + _SMALL_Q1]
-                          if -_SMALL_Q1 <= v <= _SMALL_Q1
-                          else QLaurent.monomial(v, 0))
+                out[x] = _monomial(v, 0)
         return XSeries._raw(out, self.trunc)
 
     # -- comparison / rendering -------------------------------------------
@@ -670,31 +672,32 @@ class XSeries:
         return f"<XSeries {self.render()} [{t}]>"
 
 
-_UNIT_SPAN = 256
-_UNITS = {}
+_SHARED_SPAN = 256
+_SHARED = {}
+
+
+def _monomial(c, e):
+    """The QLaurent c * q^(e/2) for c != 0.  While |c| and |e| are at most
+    _SHARED_SPAN, every call returns the same object, made on first use,
+    so kept series cost no dict for such a coefficient (most values of a
+    q = 1 series and most coefficients of Phi are one).  Sharing is safe
+    because no QLaurent's terms are ever mutated in place."""
+    if -_SHARED_SPAN <= c <= _SHARED_SPAN and \
+            -_SHARED_SPAN <= e <= _SHARED_SPAN:
+        hit = _SHARED.get((c, e))
+        if hit is None:
+            hit = _SHARED[c, e] = QLaurent._raw({e: c})
+        return hit
+    return QLaurent._raw({e: c})
 
 
 def _adopt_coeff(terms):
-    """QLaurent adopting the {q_half: coeff} dict terms.  A unit monomial
-    +-q^(e/2) with |e| <= _UNIT_SPAN instead gets the one QLaurent shared
-    by every adopted copy of it (filled on first use, at most 2 * 513
-    entries), so a kept series costs no dict for such a coefficient; Phi
-    has many.  Sharing is safe for the same reason as in specialize_q1: no
-    QLaurent's terms are ever mutated in place."""
+    """QLaurent adopting the {q_half: coeff} dict terms, or the shared
+    _monomial when terms has one entry."""
     if len(terms) == 1:
         ((e, c),) = terms.items()
-        if c in (1, -1) and -_UNIT_SPAN <= e <= _UNIT_SPAN:
-            hit = _UNITS.get((e, c))
-            if hit is None:
-                hit = _UNITS[e, c] = QLaurent._raw(terms)
-            return hit
+        return _monomial(c, e)
     return QLaurent._raw(terms)
-
-
-_SMALL_Q1 = 256
-_SMALL_Q1_CONSTS = tuple(
-    QLaurent.monomial(v, 0) for v in range(-_SMALL_Q1, _SMALL_Q1 + 1)
-)
 
 
 @dataclass(frozen=True)

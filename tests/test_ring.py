@@ -117,20 +117,22 @@ def test_xs_mul_matches_double_loop(a, b, tmax):
     assert xs_mul(a, b, tmax) == old_xs_mul(a, b, tmax)
 
 
-def test_products_share_unit_monomials():
-    a = xs({0: {0: 1}, 2: {4: -1}}, trunc=9)
-    b = xs({2: {0: 1}}, trunc=9)
-    p, r = a * b, b * a
-    assert p == r == xs({2: {0: 1}, 4: {4: -1}}, trunc=9)
-    assert p.terms[4] is r.terms[4]
-    # arithmetic on one product leaves the shared coefficient as it was
-    assert (p + p).terms[4] == ql({4: -2})
-    assert (p * xs({0: {0: 3}}, trunc=9)).terms[4] == ql({4: -3})
-    assert p.mul_term(ql({2: 5}), 2).terms[6] == ql({6: -5})
-    assert r.terms[4] == ql({4: -1})
-    # a coefficient that is not a unit monomial is not shared
-    two = xs({0: {0: 2}})
-    assert (two * two).terms[0] is not (two * two).terms[0]
+def test_adopted_small_monomials_are_shared():
+    a = XSeries._adopt({2: {0: 1}, 4: {4: -1}, 6: {0: 1, 2: 1}}, 9)
+    b = XSeries._adopt({4: {4: -1}, 6: {0: 300}}, 9)
+    assert a.terms[4] is b.terms[4]
+    # one table: an adopted 1 is specialize_q1's 1
+    assert a.terms[2] is xs({0: {3: 1}}).specialize_q1().terms[0]
+    # arithmetic on a leaves the shared coefficient as it was
+    assert (a + a).terms[4] == ql({4: -2})
+    assert (a * xs({0: {0: 3}}, trunc=9)).terms[4] == ql({4: -3})
+    assert a.mul_term(ql({2: 5}), 2).terms[6] == ql({6: -5})
+    assert b.terms[4] == ql({4: -1})
+    # neither a polynomial nor a monomial past the span is shared
+    assert a.terms[6] is not XSeries._adopt({6: {0: 1, 2: 1}}, 9).terms[6]
+    assert b.terms[6] is not XSeries._adopt({6: {0: 300}}, 9).terms[6]
+    big = xs({0: {0: 300}})
+    assert big.specialize_q1().terms[0] is not big.specialize_q1().terms[0]
 
 
 # ---------------------------------------------------------------------------

@@ -511,41 +511,6 @@ def series_walk(start, layers, trunc):
             .terms.items()}
 
 
-def series_phi_run(word, order, cap, top, orientation):
-    """_phi_homogeneous_run with one XSeries mul_term and addition per
-    bottom and axis sector."""
-    n = word.n
-    col_sign = zmod._column_signs(word)
-    col_plus = sum(1 for s in col_sign if s > 0)
-    col_minus = n - 1 - col_plus
-    trunc = 2 * order + 1
-    cache = {}
-    phi = XSeries.zero(trunc)
-    delta = XSeries.zero(trunc)
-    for bottom in zmod._bottoms(n, top,
-                                zmod._label_bound(trunc, top, orientation)):
-        inside, outside = closed_amplitude(
-            word, col_sign, bottom, trunc, cap, top, orientation, cache)
-        m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
-        for eps in (0, 1):
-            sector = AxisSector(eps, m_tilde)
-            factor = QLaurent.monomial(sector.sign,
-                                       sector.q_half(col_plus, col_minus))
-            phi = phi + inside.mul_term(factor, sector.x_half(n))
-            delta = delta + outside.mul_term(factor, sector.x_half(n))
-    return phi, delta
-
-
-def series_phi_homogeneous(word, order, cap, orientation):
-    """phi_homogeneous's guard and finalization on series_phi_run."""
-    phi, delta = series_phi_run(word, order, cap, cap + 2, orientation)
-    if not delta.is_zero:
-        raise VerificationError(f"label cap {cap} not stable")
-    if orientation == REVERSED:
-        return phi
-    return zmod._finalize_phi(phi, "phi_homogeneous", word, order, cap)
-
-
 EXACT_CASES = [(text, 5 if text.startswith("n=4") else 6)
                for text in CORPUS + EXTRA_KNOTS]
 
@@ -564,8 +529,8 @@ def test_in_place_dp_matches_series_walk(text, order, orientation,
         tables = [zmod._closed_amplitude(word, col_sign, bottom, trunc, cap,
                                          top, orientation, cache)
                   for bottom in bottoms]
-        run = zmod._phi_homogeneous_run(word, order, cap, top, orientation)
-        phi = outcome(phi_homogeneous, word, order, cap, orientation)
+        phi, delta = zmod._phi_homogeneous_run(word, order, cap, top,
+                                               orientation)
         with monkeypatch.context() as patch:
             patch.setattr(zmod, "_sum_paths", series_walk)
             cache = {}
@@ -574,10 +539,13 @@ def test_in_place_dp_matches_series_walk(text, order, orientation,
                 assert got == zmod._closed_amplitude(
                     word, col_sign, bottom, trunc, cap, top, orientation,
                     cache), (bottom, cap)
-            assert run == series_phi_run(word, order, cap, top,
-                                         orientation), cap
-            assert phi == outcome(series_phi_homogeneous, word, order, cap,
-                                  orientation), cap
+        assert phi == oracle_phi(word, order, cap, orientation,
+                                 prune=True), cap
+        assert phi + delta == oracle_phi(word, order, top, orientation,
+                                         prune=True), cap
+        assert outcome(phi_homogeneous, word, order, cap, orientation) \
+            == outcome(two_run_phi_homogeneous, word, order, cap,
+                       orientation), cap
 
 
 @st.composite
