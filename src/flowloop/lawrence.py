@@ -25,16 +25,23 @@ the verify suite compares the mirror against.
 rep_matrix and graded_trace are exact.  truncated_trace gives the trace of
 an all-positive word up to a fixed x-degree without building the matrix
 product: it sums the closed walks of each start state, truncating as it
-walks.
+walks.  Every positive `half` entry is one x-monomial of cost
+2A + b + c >= 0, so per start state a forward and a backward min-plus pass
+over those integer costs keep just the moves on some closed walk within
+the truncation, and only those moves do series work.  That is exact: a
+walk through any other move costs more than the truncation, so every term
+it would add is dropped anyway.
 """
 
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 
 from . import braid as _braid
+from . import walks as _walks
 from ._parallel import parallel_map
 from .errors import InputError, VerificationError
-from .ring import QLaurent, XSeries, qtrinom
+from .ring import QLaurent, XSeries, qtrinom, xs_addmul_term_into
 
 HALF = "half"
 UNDER = "under"
@@ -333,59 +340,109 @@ def graded_trace(word, m_max, convention=HALF):
     return traces
 
 
-def truncated_trace(word, m, trunc):
+_moves_cache = {}
+
+
+def _letter_moves(n, m, i):
+    """Positive generator i on weight_states(n, m) as moves: {src: [(dst,
+    x_half, weight), ...]}, one per x-term of each entry, cheapest first.
+
+    The moves are read off generator_matrix on every call and reused only
+    while it returns the very same columns object, so a replaced
+    generator matrix never gets the moves of an earlier one."""
+    cols = generator_matrix(n, m, i, 1).cols
+    hit = _moves_cache.get((n, m, i))
+    if hit is not None and hit[0] is cols:
+        return hit[1]
+    out = {}
+    for src, row in cols.items():
+        moves = [(dst, xh, weight) for dst, entry in row.items()
+                 for xh, weight in entry.terms.items()]
+        moves.sort(key=itemgetter(1))
+        if moves and moves[0][1] < 0:
+            raise VerificationError(
+                f"generator {i} at weight {m} on {n} strands has a move of "
+                f"negative x-half cost {moves[0][1]}")
+        out[src] = moves
+    _moves_cache[n, m, i] = (cols, out)
+    return out
+
+
+def _closed_walks(walk, start, trunc):
+    """The moves on the closed walks start -> start of cost <= trunc, one
+    list per letter (see walks.closed_moves), or None if there is no such
+    walk.
+
+    The forward pass carries the cheapest cost from start to each state
+    letter by letter, and takes from each state only the moves that end
+    within trunc; a state it cannot leave within trunc is dropped."""
+    layers = []
+    reach = {start: 0}
+    for gen in walk:
+        moves = []
+        nxt = {}
+        for src, cost in reach.items():
+            for dst, xh, weight in gen[src]:
+                to = cost + xh
+                if to > trunc:
+                    break  # the moves come sorted by cost
+                moves.append((src, dst, xh, weight, None))
+                if to < nxt.get(dst, trunc + 1):
+                    nxt[dst] = to
+        if not nxt:
+            return None
+        layers.append((reach, moves))
+        reach = nxt
+    if start not in reach:
+        return None
+    return _walks.closed_moves(start, layers, trunc)
+
+
+def truncated_trace_table(word, m, trunc):
     """Tr rep_matrix(word, m), `half` convention, truncated at x-half trunc,
-    for an all-positive word, as a sum of closed walks.
+    for an all-positive word, as a sum of closed walks, returned as an
+    {x_half: {q_half: coeff}} table.
 
-    For each start state s, e_s is carried through the word's generator
-    columns one letter at a time with XSeries truncated at trunc; a state
-    whose amplitude cancels to zero is deleted, a walk whose vector empties
-    stops, and the amplitude that returns to s is added to the trace.
+    Every positive `half` entry is one x-monomial x^{(2A+b+c)/2} with
+    2A + b + c >= 0, so each generator move has an integer x-half cost
+    >= 0 (checked when the moves are read off the generator matrices) and
+    a walk's cost never falls.  Per start state s, a forward and a
+    backward min-plus pass over those costs keep only the moves that lie
+    on some closed walk s -> s of cost <= trunc (walks.closed_moves).
+    This is exact: a walk through any other move costs more than trunc,
+    so every term it adds to the trace lies above trunc and is dropped by
+    the truncation anyway.  The kept moves are summed in place into raw
+    tables (walks.sum_paths), and a start state with no closed walk in
+    budget does no series work at all.
 
-    This is exact: every positive `half` entry is a monomial
-    x^{(2A+b+c)/2} with 2A + b + c >= 0, so the amplitudes only ever hold
-    x-half exponents >= 0.  On such series, dropping the terms above trunc
-    is a ring map (those terms form an ideal), so truncating after every
-    product gives the truncation of the exact trace: a term dropped above
-    trunc could only ever have fed terms above trunc."""
+    For a knot closure the half x-powers must cancel; that integrality is
+    asserted rather than assumed."""
     if any(v < 0 for v in word.letters):
         raise InputError(
             f"truncated_trace needs an all-positive word, got "
             f"{_braid.render_word(word)}"
         )
     n = word.n
-    cols = {v: generator_matrix(n, m, v, 1).cols for v in set(word.letters)}
-    walk = [cols[v] for v in word.letters]
-    tr = XSeries.zero(trunc)
+    moves = {v: _letter_moves(n, m, v) for v in set(word.letters)}
+    walk = [moves[v] for v in word.letters]
+    tr = {}
     for s in weight_states(n, m):
-        vec = {s: XSeries.one(trunc)}
-        for gen in walk:
-            nxt = {}
-            for src, amp in vec.items():
-                for dst, entry in gen[src].items():
-                    for xh, qc in entry.terms.items():
-                        term = amp.mul_term(qc, xh)
-                        if term.is_zero:
-                            continue
-                        cur = nxt.get(dst)
-                        if cur is not None:
-                            term = cur + term
-                            if term.is_zero:
-                                del nxt[dst]
-                                continue
-                        nxt[dst] = term
-            vec = nxt
-            if not vec:
-                break
-        back = vec.get(s)
-        if back is not None:
-            tr = tr + back
-    if not tr.x_integral and _braid.analyze(word).closure_components == 1:
+        kept = _closed_walks(walk, s, trunc)
+        if kept is not None:
+            xs_addmul_term_into(tr, _walks.sum_paths(s, kept, trunc),
+                                {0: 1}, 0, trunc)
+    if any(x % 2 for x in tr) and \
+            _braid.analyze(word).closure_components == 1:
         raise VerificationError(
             f"trace of {_braid.render_word(word)} at weight {m} kept half "
-            f"x-powers: {tr.render()}"
+            f"x-powers: {XSeries._adopt(tr, trunc).render()}"
         )
     return tr
+
+
+def truncated_trace(word, m, trunc):
+    """truncated_trace_table as an XSeries truncated at trunc."""
+    return XSeries._adopt(truncated_trace_table(word, m, trunc), trunc)
 
 
 def unknot_closure_check(word, z_order):

@@ -497,34 +497,22 @@ class XSeries:
 
     __rmul__ = __mul__
 
+    def _times_term(self, qc, x_half, trunc):
+        """self * qc * x^(x_half/2) for a {q_half: coeff} dict qc,
+        truncated at trunc: one xs_addmul_term_into into an empty table."""
+        out = {}
+        xs_addmul_term_into(out, {x: q.terms for x, q in self.terms.items()},
+                            qc, x_half, trunc)
+        return XSeries._adopt(out, trunc)
+
     def scale_monomial(self, coeff, q_half, x_half):
         """Multiply by coeff * q^(q_half/2) * x^(x_half/2)."""
-        out = {}
-        for x, q in self.terms.items():
-            nx = x + x_half
-            if self.trunc is not None and nx > self.trunc:
-                continue
-            nq = QLaurent._raw(
-                {e + q_half: c * coeff for e, c in q.terms.items()}
-            ) if coeff else QLaurent.zero()
-            if nq:
-                out[nx] = nq
-        return XSeries._raw(out, self.trunc)
+        return self._times_term({q_half: coeff}, x_half, self.trunc)
 
     def mul_term(self, qcoeff, x_half):
         """Multiply by the single term qcoeff * x^(x_half/2)."""
-        qcoeff = QLaurent.coerce(qcoeff)
-        if qcoeff.is_zero:
-            return XSeries.zero(self.trunc)
-        out = {}
-        for x, q in self.terms.items():
-            nx = x + x_half
-            if self.trunc is not None and nx > self.trunc:
-                continue
-            t = ql_mul(q.terms, qcoeff.terms)
-            if t:
-                out[nx] = QLaurent._raw(t)
-        return XSeries._raw(out, self.trunc)
+        return self._times_term(QLaurent.coerce(qcoeff).terms, x_half,
+                                self.trunc)
 
     def truncate(self, trunc):
         return XSeries._raw(

@@ -7,10 +7,16 @@ computed two ways:
 * phi_positive: for all-positive words, from the graded traces as
       sum_m (1 - q^{2m+n-1} x^n) q^{-m} Tr_{V_{n,m}}
   where each trace is a sum of closed walks of the weight-m states,
-  truncated at x^order while walking (exact: every positive move costs a
-  nonnegative x-power).  A weight's part does not depend on the cutoff
-  m_cut, so the stabilization check adds the parts of weights m_cut + 1
-  and m_cut + 2 to Phi once instead of recomputing Phi at m_cut + 2.
+  truncated at x^order (lawrence.truncated_trace_table).  Every positive
+  move costs a nonnegative x-power, so the same forward and backward
+  min-plus passes as in the DP below keep just the moves on closed walks
+  within x^order, and a start state with none does no series work.  Each
+  weight's part goes into a raw Phi table in place, two
+  ring.xs_addmul_term_into calls per weight.  A part does not depend on
+  the cutoff m_cut, so the stabilization check adds the parts of weights
+  m_cut + 1 and m_cut + 2 into a raw Delta table and raises iff Delta is
+  nonzero, instead of recomputing Phi at m_cut + 2.  Phi becomes an
+  XSeries once, with its small monomial coefficients shared.
 * phi_homogeneous: for any homogeneous word, by a column-label transfer
   DP.  Each column carries a nonnegative label (for negative columns the
   label is the "hat" of the true label, lambda = -1 - hat).  Reading the
@@ -37,16 +43,17 @@ computed two ways:
   of a path never falls; a term above trunc is dropped by the truncated
   product and the closing sector factor x^{n eps} only raises it further.
   Per bottom, a forward and a backward min-plus pass over integer costs
-  pick those moves before any series arithmetic, so a bottom with no
-  closed path in budget costs no amplitude work.  In the standard reading
-  such a path also keeps every label <= order (proof in _label_bound), so
-  no state or bottom above that is visited.  The q-weight of a crossing
-  depends only on the middle column's sign, the orientation, u and the
-  two sheds, and is shared by every move that has them.  The series work
-  runs on raw {x_half: {q_half: coeff}} tables: each kept move adds its
-  source amplitude times its weight into its destination in place, and
-  each bottom's two axis sectors go into Phi the same way, through the one
-  kernel ring.xs_addmul_term_into; only the final sums become XSeries.
+  pick those moves before any series arithmetic (walks.closed_moves), so
+  a bottom with no closed path in budget costs no amplitude work.  In the
+  standard reading such a path also keeps every label <= order (proof in
+  _label_bound), so no state or bottom above that is visited.  The
+  q-weight of a crossing depends only on the middle column's sign, the
+  orientation, u and the two sheds, and is shared by every move that has
+  them.  The series work runs on raw {x_half: {q_half: coeff}} tables:
+  each kept move adds its source amplitude times its weight into its
+  destination in place (walks.sum_paths), and each bottom's two axis
+  sectors go into Phi the same way, through the one kernel
+  ring.xs_addmul_term_into; only the final sums become XSeries.
 
   The label cap is checked in the same run: the DP runs at cap + 2 and
   splits each bottom's amplitude into the paths that also exist at cap
@@ -65,6 +72,7 @@ from operator import itemgetter
 
 from . import braid as _braid
 from . import lawrence as _lawrence
+from . import walks as _walks
 from .errors import InputError, VerificationError
 from .ring import QLaurent, XSeries, qbinom, qtrinom, xs_addmul_term_into
 
@@ -135,29 +143,25 @@ def _finalize_phi(phi, label, word, order, cap=None, m_cut=None):
 # ---------------------------------------------------------------------------
 # positive words: assemble from truncated closed-walk traces
 
-def _weight_part(word, order, m):
-    """(1 - q^{2m+n-1} x^n) q^{-m} Tr V_{n,m}, truncated at x^order."""
-    n = word.n
-    tr = _lawrence.truncated_trace(word, m, 2 * order + 1)
-    return (tr.scale_monomial(1, -2 * m, 0)
-            + tr.scale_monomial(-1, 2 * (m + n - 1), 2 * n))
-
-
 def phi_positive(word, order, m_cut=None, stabilize=True):
     """Phi for an all-positive homogeneous knot word, truncated at x^order.
 
-    Phi(m_cut) is the sum of the weight parts m = 0..m_cut, each a trace
-    of closed walks truncated while walking (lawrence.truncated_trace).
-    The weight cutoff defaults to the x-order (a weight-m state's closed
-    loops all cost at least x^m).
+    Phi(m_cut) is the sum of the weight parts
+    (1 - q^{2m+n-1} x^n) q^{-m} Tr V_{n,m} for m = 0..m_cut, each trace a
+    sum of closed walks truncated while walking
+    (lawrence.truncated_trace_table).  The weight cutoff defaults to the
+    x-order (a weight-m state's closed loops all cost at least x^m).  Each
+    part goes into a raw Phi table in place, two ring.xs_addmul_term_into
+    calls per weight, and Phi becomes an XSeries once at the end.
 
     stabilize insists that raising the cutoff to m_cut + 2 changes
     nothing, in one run: a weight part depends on m and the x-order only,
     never on m_cut, and truncated series add exactly, so
-    Phi(m_cut + 2) = Phi(m_cut) + part(m_cut + 1) + part(m_cut + 2).
-    Adding those two parts to Phi is therefore the old second run at
-    m_cut + 2 term for term, and the guard raises exactly when that rerun
-    would have differed."""
+    Phi(m_cut + 2) = Phi(m_cut) + Delta with Delta = part(m_cut + 1) +
+    part(m_cut + 2).  Those two parts go into a raw Delta table, and since
+    Phi + Delta != Phi iff Delta != 0, the guard raises iff Delta is
+    nonempty: exactly when the old second run at m_cut + 2 would have
+    differed."""
     stats = _require_homogeneous_knot(word)
     if stats.cr_minus:
         raise InputError("phi_positive needs an all-positive word")
@@ -165,22 +169,26 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
         m_cut = order
     _require_nonnegative(order=order, m_cut=m_cut)
     where = _where(word, order, m_cut=m_cut)
+    n = word.n
+    trunc = 2 * order + 1
+    phi = {}
+    delta = {}
     try:
-        phi = XSeries.zero(2 * order + 1)
-        for m in range(m_cut + 1):
-            phi = phi + _weight_part(word, order, m)
-        unstable = stabilize and phi != (
-            phi + _weight_part(word, order, m_cut + 1)
-            + _weight_part(word, order, m_cut + 2))
+        for m in range(m_cut + 3 if stabilize else m_cut + 1):
+            tr = _lawrence.truncated_trace_table(word, m, trunc)
+            acc = phi if m <= m_cut else delta
+            xs_addmul_term_into(acc, tr, {-2 * m: 1}, 0, trunc)
+            xs_addmul_term_into(acc, tr, {2 * (m + n - 1): -1}, 2 * n, trunc)
     except VerificationError as exc:
-        # truncated_trace names the word and the weight, not the order
+        # truncated_trace_table names the word and the weight, not the order
         raise VerificationError(f"{exc} in {where}") from exc
-    if unstable:
+    if delta:
         raise VerificationError(
             f"weight cutoff not stable: raising it to m_cut + 2 changes "
             f"phi_positive of {where}"
         )
-    return _finalize_phi(phi, "phi_positive", word, order, m_cut=m_cut)
+    return _finalize_phi(XSeries._adopt(phi, trunc), "phi_positive", word,
+                         order, m_cut=m_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -341,30 +349,6 @@ def _label_bound(trunc, top, orientation):
     return top
 
 
-def _sum_paths(start, layers, trunc):
-    """Sum over the paths start -> start through the per-letter move
-    lists of the product of their weights, truncated at trunc, as an
-    {x_half: {q_half: coeff}} table.
-
-    Each layer's amplitudes are raw tables, and every kept move adds its
-    source's amplitude times its weight into its destination's table in
-    place (xs_addmul_term_into); a table that cancels to empty is skipped
-    as a source."""
-    vec = {start: {0: {0: 1}}}
-    for moves in layers:
-        nxt = {}
-        for src, dst, xh, coeff, _ in moves:
-            amp = vec.get(src)
-            if not amp:
-                continue
-            acc = nxt.get(dst)
-            if acc is None:
-                acc = nxt[dst] = {}
-            xs_addmul_term_into(acc, amp, coeff.terms, xh, trunc)
-        vec = nxt
-    return vec.get(start, {})
-
-
 def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
                       cache):
     """The closed label paths bottom -> bottom at label cap top (>= cap),
@@ -414,33 +398,14 @@ def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
     if start not in reach:
         return {}, {}
 
-    # backward: cheapest cost from each state back to bottom; keep the
-    # moves on some closed path within the budget
-    kept = []
-    back = {start: 0}
-    split = False
-    for fwd, moves in reversed(layers):
-        live = []
-        prev = {}
-        for move in moves:
-            src, dst, xh, _, need = move
-            tail = back.get(dst)
-            if tail is None or fwd[src] + xh + tail > trunc:
-                continue
-            live.append(move)
-            split = split or need > cap
-            if xh + tail < prev.get(src, trunc + 1):
-                prev[src] = xh + tail
-        kept.append(live)
-        back = prev
-    kept.reverse()
-
-    total = _sum_paths(start, kept, trunc)
+    # backward: keep the moves on some closed path within the budget
+    kept = _walks.closed_moves(start, layers, trunc)
+    total = _walks.sum_paths(start, kept, trunc)
     if max(bottom) > cap or sum(bottom) > 2 * cap:
         return {}, total
-    if not split:
+    if all(move[4] <= cap for moves in kept for move in moves):
         return total, {}
-    inside = _sum_paths(
+    inside = _walks.sum_paths(
         start, [[m for m in moves if m[4] <= cap] for moves in kept], trunc)
     xs_addmul_term_into(total, inside, {0: -1}, 0, trunc)  # total -= inside
     return inside, total
@@ -542,12 +507,8 @@ class ZhatResult:
     def zhat(self):
         """Phi shifted by the prefactor, truncated as far as Phi is."""
         sign, q_half, x_half = self.prefactor
-        shifted = {}
-        for xh, qv in self.phi.terms.items():
-            shifted[xh + x_half] = QLaurent._raw(
-                {e + q_half: sign * c for e, c in qv.terms.items()}
-            )
-        return XSeries._raw(shifted, self.phi.trunc + x_half)
+        return self.phi._times_term({q_half: sign}, x_half,
+                                    self.phi.trunc + x_half)
 
 
 def zhat(word, order, orientation=STANDARD, cap=None):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowloop import InputError, VerificationError, XSeries, parse_braid
-from flowloop import lawrence
+from flowloop import lawrence, walks
 from flowloop.braid import analyze
 from flowloop.lawrence import (
     HALF,
@@ -122,8 +122,6 @@ def assert_truncated_trace_exact(word, order):
         assert truncated_trace(word, m, trunc) == want, m
 
 
-
-
 @pytest.mark.parametrize("text", POSITIVE_KNOTS)
 def test_truncated_trace_matches_rep_matrix(text):
     word = parse_braid(text)
@@ -158,9 +156,89 @@ def test_truncated_trace_refuses_negative_letters():
 
 
 def test_truncated_trace_checks_integrality(monkeypatch):
+    word = parse_braid("1")
+    truncated_trace(word, 1, 5)  # reads the real generator's moves first
     half_power = GradedMatrix(2, 1, {(1,): {(1,): XSeries.monomial(1, 1)}})
     monkeypatch.setattr(lawrence, "generator_matrix",
                         lambda n, m, i, sign: half_power)
     with pytest.raises(VerificationError,
                        match=r"n=2; 1 at weight 1 kept half x-powers"):
+        truncated_trace(word, 1, 5)
+
+
+def test_truncated_trace_refuses_negative_costs(monkeypatch):
+    # the min-plus pruning is exact only for moves of cost >= 0
+    below = GradedMatrix(2, 1, {(1,): {(1,): XSeries.monomial(1, -2)}})
+    monkeypatch.setattr(lawrence, "generator_matrix",
+                        lambda n, m, i, sign: below)
+    with pytest.raises(VerificationError,
+                       match=r"generator 1 at weight 1 on 2 strands has a "
+                             r"move of negative x-half cost -2"):
         truncated_trace(parse_braid("1"), 1, 5)
+
+
+# ---------------------------------------------------------------------------
+# the pruned closed walks against the unpruned mul_term walk they replaced
+
+
+def mul_term_walk(word, m, trunc):
+    """{start state: closed amplitude} of the unpruned walk: e_s carried
+    through the word's generator columns one letter at a time, one
+    XSeries.mul_term per entry term, truncated at trunc; a state whose
+    amplitude cancels is deleted and a walk whose vector empties stops."""
+    n = word.n
+    cols = {v: generator_matrix(n, m, v, 1).cols for v in set(word.letters)}
+    closed = {}
+    for s in weight_states(n, m):
+        vec = {s: XSeries.one(trunc)}
+        for v in word.letters:
+            nxt = {}
+            for src, amp in vec.items():
+                for dst, entry in cols[v][src].items():
+                    for xh, qc in entry.terms.items():
+                        term = amp.mul_term(qc, xh)
+                        if term.is_zero:
+                            continue
+                        cur = nxt.get(dst)
+                        if cur is not None:
+                            term = cur + term
+                            if term.is_zero:
+                                del nxt[dst]
+                                continue
+                        nxt[dst] = term
+            vec = nxt
+            if not vec:
+                break
+        closed[s] = vec.get(s, XSeries.zero(trunc))
+    return closed
+
+
+# every order the corpus runs the positive words at (3 to 9 in the suite,
+# 8 in the acceptance criteria, 18 for the trefoil in the benchmark corpus)
+WALK_CASES = [(text, order) for text in POSITIVE_KNOTS
+              for order in ((3, 5, 8) if parse_braid(text).n > 2
+                            else (3, 6, 8, 9, 18))]
+
+
+@pytest.mark.parametrize("text,order", WALK_CASES)
+def test_pruned_walks_match_mul_term_walk(text, order):
+    word = parse_braid(text)
+    n = word.n
+    trunc = 2 * order + 1
+    for m in range(order + 3):
+        closed = mul_term_walk(word, m, trunc)
+        moves = {v: lawrence._letter_moves(n, m, v) for v in set(word.letters)}
+        walk = [moves[v] for v in word.letters]
+        for s, want in closed.items():
+            kept = lawrence._closed_walks(walk, s, trunc)
+            if kept is None:
+                # a start state the passes drop had nothing to add
+                assert want.is_zero, (m, s)
+            else:
+                # a weight-m closed walk costs at least x^m, so the two
+                # stabilization weights above the order keep no start state
+                assert m <= order, (m, s)
+                got = walks.sum_paths(s, kept, trunc)
+                assert XSeries._adopt(got, trunc) == want, (m, s)
+        oracle = sum(closed.values(), XSeries.zero(trunc))
+        assert truncated_trace(word, m, trunc) == oracle, m

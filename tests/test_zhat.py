@@ -21,6 +21,7 @@ from flowloop import (
     reference_series,
     zhat,
 )
+from flowloop import ring
 from flowloop.braid import alexander_classical
 from flowloop.lawrence import graded_trace
 from flowloop.zhat import REVERSED, STANDARD, AxisSector
@@ -239,6 +240,21 @@ def test_trefoil_guard_raises_below_cutoff_two():
                            match=rf"n=2; 1 1 1 at order 6, m_cut {m_cut}$"):
             phi_positive(w, 6, m_cut)
     assert phi_positive(w, 6, 2) == phi_positive(w, 6)
+
+
+@pytest.mark.parametrize("text", POSITIVE_KNOTS + ("1 -2 1 -2",))
+def test_phi_monomials_are_shared(text):
+    # a kept Phi holds no dict of its own for a small monomial coefficient:
+    # both engines wrap their tables with XSeries._adopt
+    word = parse_braid(text)
+    phi = (phi_homogeneous if "-" in text else phi_positive)(word, 8)
+    shared = 0
+    for coeff in phi.terms.values():
+        if len(coeff.terms) == 1:
+            ((e, c),) = coeff.terms.items()
+            assert coeff is ring._monomial(c, e), (e, c)
+            shared += 1
+    assert shared
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +503,9 @@ def test_one_run_guard_reversed_regression():
 
 
 def series_walk(start, layers, trunc):
-    """_sum_paths as one mul_term per kept move and one XSeries addition
-    per merge, returned as a raw table."""
+    """walks.sum_paths as one mul_term per kept move and one XSeries addition
+    per merge, returned as a raw table of fresh dicts (the caller adds into
+    it in place, and a coefficient may be a shared ring._monomial)."""
     vec = {start: XSeries.one(trunc)}
     for moves in layers:
         nxt = {}
@@ -507,7 +524,7 @@ def series_walk(start, layers, trunc):
                     continue
             nxt[dst] = term
         vec = nxt
-    return {x: q.terms for x, q in vec.get(start, XSeries.zero(trunc))
+    return {x: dict(q.terms) for x, q in vec.get(start, XSeries.zero(trunc))
             .terms.items()}
 
 
@@ -532,7 +549,7 @@ def test_in_place_dp_matches_series_walk(text, order, orientation,
         phi, delta = zmod._phi_homogeneous_run(word, order, cap, top,
                                                orientation)
         with monkeypatch.context() as patch:
-            patch.setattr(zmod, "_sum_paths", series_walk)
+            patch.setattr(zmod._walks, "sum_paths", series_walk)
             cache = {}
             for bottom, got in zip(bottoms, tables):
                 # raw dict equality: no empty x-term, no zero coefficient
@@ -618,6 +635,7 @@ def test_trace_error_names_word_order_and_m_cut(monkeypatch):
             src: {dst: entry.shift_x(1) for dst, entry in row.items()}
             for src, row in cols.items()})
 
+    phi_positive(parse_braid("1 1 1"), 4, m_cut=3)  # reads the real moves
     monkeypatch.setattr(zmod._lawrence, "generator_matrix", half_shifted)
     with pytest.raises(VerificationError,
                        match=r"^trace of n=2; 1 1 1 at weight 0 kept half "
