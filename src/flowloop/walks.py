@@ -15,10 +15,13 @@ of its moves' weights times x to the sum of their costs.
 Every cost is an integer >= 0, so a walk's cost never falls, and a walk
 of cost above trunc adds only terms that the truncated sum drops.  An
 engine's forward pass records, letter by letter, the cheapest cost from
-the start to each state and every move that ends within trunc;
-closed_moves then runs the backward pass and keeps just the moves that
-lie on some closed walk of cost <= trunc.  Summing over those moves gives
-the truncated sum over all walks, term for term.
+the start to each state and every move that ends within its letter's
+budget: trunc, or less where the engine has a lower bound on what the
+rest of a closed walk costs (the transfer DP's _letter_budgets), so that
+a move above it lies on no closed walk of cost <= trunc; closed_moves
+then runs the backward pass and keeps just the moves that lie on some
+closed walk of cost <= trunc.  Summing over those moves gives the
+truncated sum over all walks, term for term.
 """
 
 from .ring import xs_addmul_term_into

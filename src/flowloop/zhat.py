@@ -46,7 +46,15 @@ computed two ways:
   pick those moves before any series arithmetic (walks.closed_moves), so
   a bottom with no closed path in budget costs no amplitude work.  In the
   standard reading such a path also keeps every label <= order (proof in
-  _label_bound), so no state or bottom above that is visited.  The
+  _label_bound), so no state or bottom above that is visited, and two
+  more lower bounds on the cost of a closed path prune before and inside
+  the forward pass: a bottom b whose closed paths all cost at least
+  2 W(b) > trunc, W(b) the largest label sum over columns no two of which
+  can both shed into each other before the cut (proof in _window_bound),
+  gets no forward pass, and letter j keeps only the moves that end within
+  its budget trunc - h_j(b), where h_j(b) bounds the cost of the letters
+  after j on any path that ends at b (_letter_budgets).  Neither drops a move of a closed path within
+  trunc, so the passes keep exactly the moves they kept without them.  The
   q-weight of a crossing depends only on the middle column's sign, the
   orientation, u and the two sheds, and is shared by every move that has
   them.  The series work runs on raw {x_half: {q_half: coeff}} tables:
@@ -349,6 +357,92 @@ def _label_bound(trunc, top, orientation):
     return top
 
 
+def _live_edges(letters, col_sign):
+    """For each edge (i, i + 1) of the column path, whether it is live in
+    the standard reading: each of the two columns has a crossing of the
+    other inside its own window.  letters are the word's columns (|letter|).
+
+    A column's window is the part of the word in which it can shed label
+    before the cut at the bottom is reached: for a positive column the
+    letters before its first own crossing, for a negative column the
+    letters after its last own crossing (see _window_bound)."""
+    windows = []
+    for i, sign in enumerate(col_sign, start=1):
+        own = [j for j, c in enumerate(letters) if c == i]
+        windows.append(set(letters[:own[0]] if sign > 0
+                           else letters[own[-1] + 1:]))
+    return tuple(i + 1 in windows[i - 1] and i in windows[i]
+                 for i in range(1, len(col_sign)))
+
+
+def _window_bound(bottom, live):
+    """W(b): the largest sum of the labels of a set of columns that never
+    holds both ends of a live edge (a path DP over the columns).
+
+    In the standard reading every closed path bottom -> bottom costs at
+    least 2 W(b) in x-half units, so a bottom with 2 W(b) > trunc carries
+    nothing.  Proof.  A crossing costs u + v = 2 min(u, v) + b + c (see
+    _label_bound), so a closed path costs twice its min terms plus all its
+    sheds.  On a closed path every column sheds what it receives (a
+    positive label rises by what it receives and drops by what it sheds, a
+    negative hat the other way round, and both return to the bottom).  Let
+    f(i -> j) be what column i sheds into the crossings of its neighbor j:
+    receipts equal sheds at every column, and the columns form a path, so
+    (by induction from an end of it) f(i -> i+1) = f(i+1 -> i) = f_e on
+    each edge e, and all the sheds add up to 2 sum_e f_e.  In a knot closure every column has an own
+    crossing.  Before a positive column's first own crossing its label
+    only drops, so there min(u, v) = u = b_i - D_i, with D_i what it
+    shed inside its window; after a negative column's last own crossing
+    its hat only rises, so there min(u, v) = v = b_i - D_i likewise.  The
+    column sheds inside its window only into neighbors that cross there,
+    so D_i <= the sum of f_e over those edges.  Take a set I of columns
+    with no live edge: each edge is then charged to at most one D_i of I,
+    and the path costs at least
+        2 sum_{i in I} (b_i - D_i) + 2 sum_e f_e >= 2 sum_{i in I} b_i,
+    the min terms of I being those of distinct crossings."""
+    take = skip = 0  # the best set with / without the previous column
+    for i, label in enumerate(bottom):
+        if i and live[i - 1]:
+            take, skip = skip + label, max(take, skip)
+        else:
+            skip = max(take, skip)
+            take = skip + label
+    return max(take, skip)
+
+
+def _letter_budgets(letters, col_sign, bottom, trunc):
+    """trunc - h_j(b) for each letter j in the standard reading: the most a
+    path may have cost after letter j and still close within trunc.
+
+    h_j(b) is a lower bound on the cost of the letters after j of any path
+    that ends at bottom b.  It adds
+    * b_i for each positive column with an own crossing after letter j:
+      after its last own crossing its label only drops, to b_i, so that
+      crossing has v = b_i + its later sheds and costs u + v >= b_i;
+    * 2 b_i for each negative column with an own crossing after letter j
+      and no neighbor crossing after its last one: its hat cannot move
+      after that crossing, so there v = b_i and u >= v.
+    Distinct columns count distinct crossings, and every crossing costs
+    >= 0, so the sum is a lower bound.  A move of letter j that ends above
+    trunc - h_j(b) lies on no closed path within trunc."""
+    out = []
+    h = 0
+    seen = set()  # columns whose last own crossing is already behind us
+    crowded = set()  # columns with a neighbor crossing after the letter
+    for i in reversed(letters):
+        out.append(trunc - h)
+        if i not in seen:
+            seen.add(i)
+            if col_sign[i - 1] > 0:
+                h += bottom[i - 1]
+            elif i not in crowded:
+                h += 2 * bottom[i - 1]
+        crowded.add(i - 1)
+        crowded.add(i + 1)
+    out.reverse()
+    return out
+
+
 def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
                       cache):
     """The closed label paths bottom -> bottom at label cap top (>= cap),
@@ -362,7 +456,11 @@ def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
     rest, so inside + outside is the amplitude at top.  The series DP runs
     only over the moves that the two min-plus passes place on some closed
     path of cost <= trunc (see the module docstring), at the label bound
-    of _label_bound."""
+    of _label_bound.  In the standard reading the forward pass keeps a move
+    of letter j only if it ends within the letter's budget trunc - h_j(b)
+    (_letter_budgets); every move it drops lies on no closed path within
+    trunc, so walks.closed_moves keeps the same moves as with trunc as
+    every budget, which is what the reversed reading uses."""
     limit = _label_bound(trunc, top, orientation)
     # states carry a boundary label 0 at both ends, so column i sits at
     # index i between its two neighbors; a boundary has kind 0 and its
@@ -370,12 +468,17 @@ def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
     start = (0,) + bottom + (0,)
     kinds = (0,) + col_sign + (0,)
 
+    letters = [abs(letter) for letter in word.letters]
+    if orientation == STANDARD:
+        budgets = _letter_budgets(letters, col_sign, bottom, trunc)
+    else:
+        budgets = [trunc] * len(letters)
+
     # forward: cheapest cost from bottom to each state, and every move
-    # that reaches its end within the budget
+    # that reaches its end within its letter's budget
     layers = []
     reach = {start: 0}
-    for letter in word.letters:
-        i = abs(letter)
+    for i, budget in zip(letters, budgets):
         sign, kindL, kindR = kinds[i], kinds[i - 1], kinds[i + 1]
         moves = []
         nxt = {}
@@ -385,11 +488,11 @@ def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
                    orientation)
             for nL, nM, nR, xh, coeff, need in _transitions(key, cache):
                 to = cost + xh
-                if to > trunc:
+                if to > budget:
                     break  # the moves come sorted by cost
                 dst = head + (nL, nM, nR) + tail
                 moves.append((src, dst, xh, coeff, need))
-                if to < nxt.get(dst, trunc + 1):
+                if to < nxt.get(dst, budget + 1):
                     nxt[dst] = to
         if not nxt:
             return {}, {}
@@ -421,10 +524,14 @@ def _phi_homogeneous_run(word, order, cap, top, orientation):
     col_plus = sum(1 for s in col_sign if s > 0)
     col_minus = n - 1 - col_plus
     trunc = 2 * order + 1
+    live = (_live_edges([abs(letter) for letter in word.letters], col_sign)
+            if orientation == STANDARD else None)
     cache = {}
     phi = {}
     delta = {}
     for bottom in _bottoms(n, top, _label_bound(trunc, top, orientation)):
+        if live is not None and 2 * _window_bound(bottom, live) > trunc:
+            continue  # every closed path from it costs more than trunc
         try:
             inside, outside = _closed_amplitude(
                 word, col_sign, bottom, trunc, cap, top, orientation, cache)

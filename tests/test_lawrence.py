@@ -242,3 +242,40 @@ def test_pruned_walks_match_mul_term_walk(text, order):
                 assert XSeries._adopt(got, trunc) == want, (m, s)
         oracle = sum(closed.values(), XSeries.zero(trunc))
         assert truncated_trace(word, m, trunc) == oracle, m
+
+
+def cheapest_closed_walks(word, m):
+    """{start state: the exact cheapest x-half cost of a closed walk from
+    it through the word's generator columns, or None if it has none}, by a
+    min-plus pass with no budget."""
+    n = word.n
+    cols = {v: generator_matrix(n, m, v, 1).cols for v in set(word.letters)}
+    cheapest = {}
+    for s in weight_states(n, m):
+        reach = {s: 0}
+        for v in word.letters:
+            nxt = {}
+            for src, cost in reach.items():
+                for dst, entry in cols[v][src].items():
+                    to = cost + min(entry.terms)
+                    if to < nxt.get(dst, to + 1):
+                        nxt[dst] = to
+            reach = nxt
+        cheapest[s] = reach.get(s)
+    return cheapest
+
+
+@pytest.mark.parametrize("text", POSITIVE_KNOTS)
+def test_weight_m_closed_walks_cost_at_least_x_to_the_m(text):
+    # the claim of phi_positive's weight cutoff: every closed walk of a
+    # weight-m start state costs at least x^m (2m in x-half units), at
+    # every weight up to the largest order the corpus runs the word at + 2
+    word = parse_braid(text)
+    order = max(o for t, o in WALK_CASES if t == text)
+    closing = 0
+    for m in range(order + 3):
+        for s, cost in cheapest_closed_walks(word, m).items():
+            if cost is not None:
+                closing += 1
+                assert cost >= 2 * m, (m, s, cost)
+    assert closing

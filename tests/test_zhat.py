@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 from itertools import product
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +20,8 @@ from flowloop import (
     phi_homogeneous,
     phi_positive,
     reference_series,
+    run_suite,
+    zeta_classical,
     zhat,
 )
 from flowloop import ring
@@ -257,6 +260,29 @@ def test_phi_monomials_are_shared(text):
     assert shared
 
 
+def test_shared_monomials_stay_intact():
+    # ring._monomial hands one QLaurent to every series with that small
+    # coefficient, so an in-place add into a table built from some .terms
+    # would silently change all of them: after everything that hands them
+    # out has run, and some arithmetic on its results, each must still be
+    # exactly c q^(e/2)
+    for text in CORPUS + EXTRA_KNOTS:
+        word = parse_braid(text)
+        order = 5 if word.n > 3 else 6
+        res = zhat(word, order)
+        res.phi.specialize_q1()
+        res.zhat.specialize_q1()
+        assert (res.phi + res.phi) * res.phi == res.phi * res.phi * 2
+        if "-" not in text:  # the DP route too, not only the trace route
+            phi_homogeneous(word, order).specialize_q1()
+        alexander_classical(word, order)
+        zeta_classical(word, order)
+    assert all(check.ok for check in run_suite("all"))
+    assert ring._SHARED
+    for (c, e), coeff in ring._SHARED.items():
+        assert coeff.terms == {e: c}, (c, e)
+
+
 # ---------------------------------------------------------------------------
 # the one-run transfer DP against a test-local copy of the two-run one
 
@@ -471,6 +497,85 @@ def test_pruned_dp_matches_unpruned_on_every_bottom(text, order,
             assert outside_live  # some path leaves [0, cap]
 
 
+def check_bottom_bounds(word, order, cap):
+    """Check the two standard-reading bounds of the DP on every bottom of
+    the product filter at top = cap + 2 against the exact min-plus costs of
+    the oracle run without a budget:
+
+    * the cheapest closed path from a bottom b costs >= 2 W(b), and a bottom
+      that the window bound drops (2 W(b) > trunc) has a zero unpruned
+      amplitude;
+    * from every reached state after letter j the cheapest way back to b
+      costs >= h_j(b) = trunc - (letter j's budget);
+    * _closed_amplitude keeps the same moves and amplitudes with and
+      without the letter budgets.
+
+    Returns how many bottoms the window bound dropped, how many reached
+    states the budgets exclude although they are within trunc, and how
+    many forward moves the budgets spared."""
+    col_sign = zmod._column_signs(word)
+    letters = [abs(v) for v in word.letters]
+    live = zmod._live_edges(letters, col_sign)
+    trunc = 2 * order + 1
+    top = cap + 2
+    real = zmod._walks.closed_moves
+    runs = []
+
+    def spy(start, layers, trunc):
+        kept = real(start, layers, trunc)
+        runs.append((sum(len(moves) for _, moves in layers), kept))
+        return kept
+
+    def unbudgeted(letters, col_sign, bottom, trunc):
+        return [trunc] * len(letters)
+
+    cache, oracle_cache = {}, {}
+    dropped = excluded = spared = 0
+    for bottom in product_bottoms(word.n, top):
+        _, fwd, back = oracle_min_plus(word, col_sign, bottom, None, top,
+                                       STANDARD, oracle_cache)
+        bound = 2 * zmod._window_bound(bottom, live)
+        closing = back[0].get(bottom)
+        assert closing is None or closing >= bound, (bottom, closing, bound)
+        if bound > trunc:
+            dropped += 1
+            assert oracle_amplitude(word, col_sign, bottom, trunc, top,
+                                    STANDARD, oracle_cache, False).is_zero
+        budgets = zmod._letter_budgets(letters, col_sign, bottom, trunc)
+        for budget, ahead, behind in zip(budgets, fwd[1:], back[1:]):
+            for state, cost in ahead.items():
+                if state in behind:
+                    assert behind[state] >= trunc - budget, (bottom, state)
+                excluded += budget < cost <= trunc
+        outcomes = []
+        for budgeted in (True, False):
+            runs.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(zmod._walks, "closed_moves", spy)
+                if not budgeted:
+                    patch.setattr(zmod, "_letter_budgets", unbudgeted)
+                amplitude = zmod._closed_amplitude(
+                    word, col_sign, bottom, trunc, cap, top, STANDARD, cache)
+            # a forward pass that dies early keeps no move
+            moves, kept = runs[0] if runs else (0, [[] for _ in letters])
+            outcomes.append((amplitude, moves, [
+                sorted(layer, key=itemgetter(0, 1)) for layer in kept]))
+        (amp, moves, kept), (amp_all, moves_all, kept_all) = outcomes
+        assert amp == amp_all and kept == kept_all, bottom
+        spared += moves_all - moves
+    return dropped, excluded, spared
+
+
+@pytest.mark.parametrize("text,order", DP_CASES)
+def test_window_bound_and_letter_budgets(text, order):
+    word = parse_braid(text)
+    for cap in (order - 2, order):
+        dropped, excluded, spared = check_bottom_bounds(word, order, cap)
+        # each bound removed something, so no check above is vacuous
+        assert dropped and excluded and spared, (cap, dropped, excluded,
+                                                 spared)
+
+
 # the word on which a need that only looks at the labels landed on misses
 # the instability of the reversed reading
 REVERSED_REGRESSION = ("n=4; -1 -2 -3 -3 -1 -3 -2", 4, 3)
@@ -595,6 +700,9 @@ def test_random_mixed_knots(word):
     for cap in range(4):
         assert outcome(phi_homogeneous, word, 3, cap) \
             == outcome(two_run_phi_homogeneous, word, 3, cap, STANDARD), cap
+    # the window bound and the letter budgets against exact min-plus costs
+    for cap in (1, 3):
+        check_bottom_bounds(word, 3, cap)
 
 
 # ---------------------------------------------------------------------------
