@@ -6,13 +6,20 @@ e.g. "1 -2 1 -2" for sigma_1 sigma_2^{-1} sigma_1 sigma_2^{-1} in B_3.
 Column i collects the letters using generator i.  A word is homogeneous
 when every column 1..n-1 is nonempty and single-signed; those are the
 words the flow-loop machinery accepts (their closures are fibered links).
+
+The q = 1 layer works on integer x-polynomials.  The reduced Burau route
+rewrites one row of its product per letter; the weight-rep route takes
+each distinct m = 1 generator matrix to q = 1 once and composes those.
+Both end in _det, one determinant also shared by the template zeta, which
+packs every entry into a single integer (Kronecker substitution under a
+proven coefficient bound) and eliminates in Z.
 """
 
 import re
 from dataclasses import dataclass
 
 from .errors import InputError, ParseError, VerificationError
-from .ring import QLaurent, XSeries
+from .ring import QLaurent, XSeries, ql_add_into
 
 _PREFIX = re.compile(r"^n\s*=\s*([+-]?\d+)\s*;\s*(.*)$", re.S)
 
@@ -172,20 +179,66 @@ def analyze(word):
 # Alexander polynomial, two ways.  All x-polynomials below live in QLaurent
 # dicts whose exponents count halves of x.
 
-def _det(mat):
-    """Exact determinant by fraction-free elimination (Bareiss 1968).
+def _det_bound(mat):
+    """B = prod over rows of (sum over the row's entries of ||entry||_1),
+    the bound _det proves on every coefficient of det(mat)."""
+    bound = 1
+    for row in mat:
+        bound *= sum(abs(c) for entry in row for c in entry.terms.values())
+    return bound
 
-    After step p every entry below and right of the pivot is a (p+2)-minor
-    of the input, so the division by the previous pivot is always exact.
-    A zero pivot is swapped for a lower row with a nonzero entry in its
-    column; if there is none the matrix is singular.  Polynomial in the
-    size, and shared by both Alexander routes and the template zeta.
+
+def _det(mat):
+    """Exact determinant of a square matrix of x-half Laurent polynomials,
+    by Kronecker substitution into one integer Bareiss elimination.
+
+    Shift each row by its lowest half-exponent lo_r, which leaves a matrix
+    M' of polynomials in y = x^(1/2) with det(mat) = y^(sum lo_r) det(M').
+    A row with no entry is a zero row, and then the determinant is 0.
+
+    Bound.  By Leibniz, det(M') = sum over permutations s of
+    sgn(s) prod_r M'[r][s(r)], and ||ab||_1 <= ||a||_1 ||b||_1, so
+
+        ||det(M')||_1 <= sum_s prod_r ||M'[r][s(r)]||_1
+                      <= prod_r sum_c ||M'[r][c]||_1 = B
+
+    (expanding the last product yields every term of the middle sum, and
+    more, all nonnegative).  Every coefficient of det(M') thus has
+    |coeff| <= B < 2^(K - 1) for K = B.bit_length() + 2.
+
+    Packing.  Evaluate every entry at y = 2^K, an integer.  Evaluation is
+    a ring homomorphism Z[y] -> Z, so det(M'(2^K)) = det(M')(2^K).  The
+    integer determinant is computed by fraction-free elimination (Bareiss
+    1968): after step p every entry below and right of the pivot is a
+    (p+2)-minor of the input, so by Sylvester's identity the division by
+    the previous pivot is exact in Z.  A zero pivot is swapped for the
+    first lower row with a nonzero entry in its column; if there is none
+    the matrix is singular.  Intermediate minors need no bound: they are
+    exact integers, and only the final value is decoded.  Since
+    |coeff| < 2^(K - 1), the balanced base-2^K digits of that value are
+    exactly the coefficients of det(M').  (The swaps are also the ones the
+    polynomial elimination would make: each minor is a minor of M' over
+    nonzero rows, so its norm is at most B as well, and a nonzero
+    polynomial with coefficients below 2^(K - 1) does not vanish at 2^K.)
+
+    K comes from B, never from a guess.  One determinant, shared by both
+    Alexander routes and the template zeta.
     """
-    m = [list(row) for row in mat]
-    k = len(m)
+    k = len(mat)
     if k == 0:
         return QLaurent.one()
-    sign, prev = 1, QLaurent.one()
+    bound = _det_bound(mat)
+    if not bound:
+        return QLaurent.zero()
+    K = bound.bit_length() + 2
+    low = 0
+    m = []
+    for row in mat:
+        lo = min(e for entry in row for e in entry.terms)
+        low += lo
+        m.append([sum(c << K * (e - lo) for e, c in entry.terms.items())
+                  for entry in row])
+    sign, prev = 1, 1
     for p in range(k - 1):
         if not m[p][p]:
             swap = next((r for r in range(p + 1, k) if m[r][p]), None)
@@ -198,13 +251,21 @@ def _det(mat):
         for row in m[p + 1:]:
             lead = row[p]
             for c in range(p + 1, k):
-                v = pivot * row[c]
-                if lead and pivot_row[c]:
-                    v = v - lead * pivot_row[c]
-                row[c] = v.exact_div(prev) if v and not prev.is_one else v
+                row[c] = (pivot * row[c] - lead * pivot_row[c]) // prev
         prev = pivot
-    det = m[k - 1][k - 1]
-    return det if sign > 0 else -det
+    value = sign * m[k - 1][k - 1]
+    mask, half = (1 << K) - 1, 1 << (K - 1)
+    terms = {}
+    e = low
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << K
+        if digit:
+            terms[e] = digit
+        value = (value - digit) >> K
+        e += 1
+    return QLaurent._raw(terms)
 
 
 def _cyclotomic_like(n):
@@ -212,58 +273,62 @@ def _cyclotomic_like(n):
     return QLaurent({2 * j: 1 for j in range(n)})
 
 
-def _normalize_alexander(p):
-    """Scale by +-x^{k/2} so the lowest term is +1 at x^0."""
-    if p.is_zero:
-        raise VerificationError("Alexander determinant vanished")
-    low = p.min_half()
-    p = p.shift(-low)
+def _where(word, order):
+    """The word and order an error is about."""
+    return f"{render_word(word)} at order {order}"
+
+
+def _normalize_alexander(d, word, order):
+    """The route determinant d divided by 1 + x + ... + x^{n-1}, scaled by
+    +-x^{k/2} so the lowest term is +1 at x^0."""
+    if d.is_zero:
+        raise VerificationError(
+            f"Alexander determinant vanished for {_where(word, order)}")
+    try:
+        p = d.exact_div(_cyclotomic_like(word.n))
+    except VerificationError as exc:
+        raise VerificationError(f"{exc} for {_where(word, order)}") from exc
+    p = p.shift(-p.min_half())
     if p.coeff(0) < 0:
         p = -p
     if p.coeff(0) != 1:
         raise VerificationError(
-            f"Alexander polynomial not monic after normalization: {p.render('x')}"
+            "Alexander polynomial not monic after normalization for "
+            f"{_where(word, order)}: {p.render('x')}"
         )
     return p
 
 
 def _burau_reduced(word):
-    """Reduced Burau matrix of the word at t = x (x-half exponents)."""
+    """Reduced Burau matrix of the word at t = x (x-half exponents).
+
+    Generator i differs from the identity only in row r = i - 1, so
+    g P replaces row r of the running product P with
+
+        sigma_i:       -t P[r] + t P[r-1] + P[r+1]
+        sigma_i^(-1):  -t^(-1) P[r] + P[r-1] + t^(-1) P[r+1]
+
+    (rows outside 0..n-2 dropped): at most three shifted rows per letter,
+    each entry scaled by a unit.
+    """
     k = word.n - 1
-    t = QLaurent.monomial(1, 2)
-    t_inv = QLaurent.monomial(1, -2)
-    one = QLaurent.one()
-
-    def gen_matrix(v):
-        i = abs(v)
-        m = [[one if r == c else QLaurent.zero() for c in range(k)]
-             for r in range(k)]
-        r = i - 1  # 0-based row of the generator
-        if v > 0:
-            m[r][r] = -t
-            if r > 0:
-                m[r][r - 1] = t
-            if r < k - 1:
-                m[r][r + 1] = one
-        else:
-            m[r][r] = -t_inv
-            if r > 0:
-                m[r][r - 1] = one
-            if r < k - 1:
-                m[r][r + 1] = t_inv
-        return m
-
-    prod = [[one if r == c else QLaurent.zero() for c in range(k)]
+    prod = [[QLaurent.one() if r == c else QLaurent.zero() for c in range(k)]
             for r in range(k)]
     for v in word.letters:
-        g = gen_matrix(v)
-        prod = [
-            [
-                sum((g[r][s] * prod[s][c] for s in range(k)), QLaurent.zero())
-                for c in range(k)
-            ]
-            for r in range(k)
-        ]
+        r = abs(v) - 1
+        t = 2 if v > 0 else -2  # half-exponent of t^(+-1)
+        parts = [(prod[r], t, -1)]
+        if r > 0:
+            parts.append((prod[r - 1], t if v > 0 else 0, 1))
+        if r < k - 1:
+            parts.append((prod[r + 1], 0 if v > 0 else t, 1))
+        row = []
+        for c in range(k):
+            acc = {}
+            for src, shift, scale in parts:
+                ql_add_into(acc, src[c].shift(shift).terms, scale)
+            row.append(QLaurent._raw(acc))
+        prod[r] = row
     return prod
 
 
@@ -277,41 +342,54 @@ def _burau_alexander_matrix(word):
     ]
 
 
-def _alexander_burau(word):
+def _alexander_burau(word, order):
+    """Via the reduced Burau matrix: det(P - I)/(1 + ... + x^{n-1})."""
     d = _det(_burau_alexander_matrix(word))
-    return _normalize_alexander(d.exact_div(_cyclotomic_like(word.n)))
+    return _normalize_alexander(d, word, order)
+
+
+def _at_q1(entry):
+    """An exact XSeries evaluated at q = 1, as an x-half QLaurent."""
+    return QLaurent({x: qv.at_q1() for x, qv in entry.terms.items()})
 
 
 def _weight_rep_alexander_matrix(word):
-    """I - M for the m=1 weight-graded matrix M of the word at q = 1."""
+    """I - M for the m=1 weight-graded matrix M of the word at q = 1.
+
+    Each distinct generator matrix of the word is evaluated at q = 1 once,
+    and lawrence.compose folds those x-polynomial matrices into M.
+    Evaluation at q = 1 is a ring homomorphism, so it commutes with the
+    product: M is rep_matrix(word, 1) evaluated at q = 1, exactly.
+    """
     from . import lawrence  # deferred: lawrence imports this module
 
-    mat_graded = lawrence.rep_matrix(word, 1)
+    gens = {}
+    for v in set(word.letters):
+        cols = lawrence.generator_matrix(
+            word.n, 1, abs(v), 1 if v > 0 else -1).cols
+        gens[v] = {
+            src: {dst: cell for dst, entry in row.items()
+                  if (cell := _at_q1(entry))}
+            for src, row in cols.items()
+        }
     states = lawrence.weight_states(word.n, 1)
-    mat = []
-    for r, dst in enumerate(states):
-        row = []
-        for c, src in enumerate(states):
-            entry = mat_graded.entry(src, dst)  # XSeries, exact
-            q1 = entry.specialize_q1()
-            cell = QLaurent(
-                {x: qv.at_q1() for x, qv in q1.terms.items()}
-            )
-            if r == c:
-                cell = QLaurent.one() - cell
-            else:
-                cell = -cell
-            row.append(cell)
-        mat.append(row)
-    return mat
+    prod = {s: {s: QLaurent.one()} for s in states}
+    for v in word.letters:
+        prod = lawrence.compose(gens[v], prod)
+    one, zero = QLaurent.one(), QLaurent.zero()
+    return [
+        [one - prod[src].get(dst, zero) if src == dst
+         else -prod[src].get(dst, zero) for src in states]
+        for dst in states
+    ]
 
 
-def _alexander_weight_rep(word):
+def _alexander_weight_rep(word, order):
     """Via the m=1 weight-graded matrices at q = 1."""
     d = _det(_weight_rep_alexander_matrix(word))  # det(I - M)
     stats = analyze(word)
-    shifted = d.shift(word.n - 1 - stats.writhe)
-    return _normalize_alexander(shifted.exact_div(_cyclotomic_like(word.n)))
+    return _normalize_alexander(d.shift(word.n - 1 - stats.writhe), word,
+                                order)
 
 
 def alexander_classical(word, order):
@@ -319,7 +397,8 @@ def alexander_classical(word, order):
     (1-x)/Delta, truncated at x^order.
 
     Computed independently from the q = 1 weight-graded representation and
-    from the reduced Burau matrix; the two must agree exactly.
+    from the reduced Burau matrix; the two must agree exactly.  Every
+    VerificationError names the word and the order.
     """
     if order < 0:
         raise InputError("order must be >= 0")
@@ -330,26 +409,30 @@ def alexander_classical(word, order):
         raise InputError(
             f"closure has {stats.closure_components} components, need a knot"
         )
-    d_rep = _alexander_weight_rep(word)
-    d_bur = _alexander_burau(word)
+    where = _where(word, order)
+    d_rep = _alexander_weight_rep(word, order)
+    d_bur = _alexander_burau(word, order)
     if d_rep != d_bur:
         raise VerificationError(
-            "Alexander routes disagree: weight-rep gives "
+            f"Alexander routes disagree for {where}: weight-rep gives "
             f"{d_rep.render('x')}, Burau gives {d_bur.render('x')}"
         )
     delta = d_rep
     if not delta.is_integral:
         raise VerificationError(
-            f"Alexander polynomial has half-exponents: {delta.render('x')}"
+            f"Alexander polynomial of {where} has half-exponents: "
+            f"{delta.render('x')}"
         )
     top = delta.max_half()
     if any(delta.coeff(e) != delta.coeff(top - e) for e in delta.terms):
         raise VerificationError(
-            f"Alexander polynomial not palindromic: {delta.render('x')}"
+            f"Alexander polynomial of {where} not palindromic: "
+            f"{delta.render('x')}"
         )
     if abs(delta.at_q1()) != 1:
         raise VerificationError(
-            f"Alexander polynomial has |Delta(1)| != 1: {delta.render('x')}"
+            f"Alexander polynomial of {where} has |Delta(1)| != 1: "
+            f"{delta.render('x')}"
         )
     delta_series = XSeries(
         {e: QLaurent.monomial(c, 0) for e, c in delta.terms.items()},
@@ -362,6 +445,7 @@ def alexander_classical(word, order):
     )
     inv_series = one_minus_x * inv
     if inv_series.coeff(0) != QLaurent.one():
-        raise VerificationError("(1-x)/Delta does not start with 1")
+        raise VerificationError(
+            f"(1-x)/Delta of {where} does not start with 1")
     # through specialize_q1 so small coefficients share one QLaurent each
     return delta_series.specialize_q1(), inv_series.specialize_q1()

@@ -33,8 +33,13 @@ and zeta_classical computes
     zeta = (1 - x^n) / det(I - A(x))
 
 without listing a single orbit.  Exactly, det(I - A(x)) (1 - x) =
-Delta(x) (1 - x^n).  enumerate_orbits still lists the orbits themselves,
-for the `orbits` command and as the test oracle of the determinant.
+Delta(x) (1 - x^n).  The determinant is braid._det, which packs each
+entry into one integer by Kronecker substitution, eliminates in Z and
+decodes the result under a coefficient bound proven from the entries.
+enumerate_orbits still lists the orbits themselves, for the `orbits`
+command and as the test oracle of the determinant; its depth-first search
+refuses a max_degree whose strip words would be longer than
+ORBIT_DEPTH_LIMIT.
 """
 
 from dataclasses import dataclass
@@ -180,6 +185,12 @@ def _is_primitive(seq):
     return True
 
 
+# The orbit search recurses once per strip of the word it extends, so the
+# longest strip word it may build stays at half of CPython's default
+# recursion limit (1000), leaving room for the caller's frames.
+ORBIT_DEPTH_LIMIT = 500
+
+
 def enumerate_orbits(template, max_degree):
     """All primitive closed orbits of degree <= max_degree, canonically
     rotated, sorted by (degree, length, strip word).
@@ -187,9 +198,19 @@ def enumerate_orbits(template, max_degree):
     The search allows revisiting branch lines and strips; it terminates
     because only leftward sheds are free and those strictly decrease the
     column, so every cycle pays at least one unit of degree per n-1 steps.
+    A strip word of degree <= max_degree thus has at most
+    (max_degree + 1)(n - 1) strips; above ORBIT_DEPTH_LIMIT the search is
+    refused with an InputError before it starts.
     """
     if max_degree < 0:
         raise InputError("max_degree must be >= 0")
+    longest = (max_degree + 1) * (template.n - 1)
+    if longest > ORBIT_DEPTH_LIMIT:
+        raise InputError(
+            f"max_degree {max_degree} allows strip words of "
+            f"{longest} strips on {template.n} strands, past the orbit "
+            f"search depth limit of {ORBIT_DEPTH_LIMIT} strips"
+        )
     strips = template.strips
     by_src = template.by_src
     found = {}

@@ -1,19 +1,26 @@
 """Braid parsing, closure statistics, and the two Alexander routes."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flowloop import (
     InputError,
     ParseError,
     QLaurent,
+    VerificationError,
     analyze,
     parse_braid,
     render_word,
 )
-from flowloop import build_template
+from flowloop import braid as bmod
+from flowloop import build_template, lawrence
 from flowloop.braid import (
     _burau_alexander_matrix,
+    _burau_reduced,
     _det,
+    _det_bound,
+    _normalize_alexander,
     _weight_rep_alexander_matrix,
     alexander_classical,
     closure_permutation,
@@ -179,19 +186,236 @@ def _det_by_minors(mat):
     return rec(0, (1 << k) - 1)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        _burau_alexander_matrix,
-        _weight_rep_alexander_matrix,
-        lambda w: zeta_matrix(build_template(w)),
-    ],
-    ids=["burau", "weight-rep", "template"],
-)
+def _det_bareiss_dict(mat):
+    """Oracle for _det: fraction-free elimination (Bareiss 1968) on the
+    QLaurent entries themselves, dividing each new entry by the previous
+    pivot with exact_div.  Swaps a zero pivot for the first lower row with
+    a nonzero entry in its column."""
+    m = [list(row) for row in mat]
+    k = len(m)
+    if k == 0:
+        return QLaurent.one()
+    sign, prev = 1, QLaurent.one()
+    for p in range(k - 1):
+        if not m[p][p]:
+            swap = next((r for r in range(p + 1, k) if m[r][p]), None)
+            if swap is None:
+                return QLaurent.zero()
+            m[p], m[swap] = m[swap], m[p]
+            sign = -sign
+        pivot_row = m[p]
+        pivot = pivot_row[p]
+        for row in m[p + 1:]:
+            lead = row[p]
+            for c in range(p + 1, k):
+                v = pivot * row[c]
+                if lead and pivot_row[c]:
+                    v = v - lead * pivot_row[c]
+                row[c] = v.exact_div(prev) if v and not prev.is_one else v
+        prev = pivot
+    det = m[k - 1][k - 1]
+    return det if sign > 0 else -det
+
+
+def check_det(mat):
+    """_det against both oracles, and the bound B on every coefficient."""
+    det = _det(mat)
+    assert det == _det_bareiss_dict(mat) == _det_by_minors(mat)
+    bound = _det_bound(mat)
+    assert all(abs(c) <= bound for c in det.terms.values())
+
+
+ROUTE_MATRICES = [
+    _burau_alexander_matrix,
+    _weight_rep_alexander_matrix,
+    lambda w: zeta_matrix(build_template(w)),
+]
+
+
+@pytest.mark.parametrize("build", ROUTE_MATRICES,
+                         ids=["burau", "weight-rep", "template"])
 @pytest.mark.parametrize("text", CORPUS + EXTRA_KNOTS)
 def test_det_matches_minor_expansion(build, text):
-    mat = build(parse_braid(text))
-    assert _det(mat) == _det_by_minors(mat)
+    check_det(build(parse_braid(text)))
+
+
+_COEFFS = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+_ENTRIES = st.dictionaries(st.integers(-6, 6), _COEFFS, max_size=3)
+
+
+@st.composite
+def det_matrices(draw):
+    """Square matrices up to 6x6 of x-half Laurent polynomials with half
+    and negative exponents and coefficients up to 10^30 in size; some with
+    a zero row or column, some with a zero first pivot, some whose first
+    two rows agree on their first two columns (a zero second pivot)."""
+    k = draw(st.integers(1, 6))
+    rows = [[QLaurent(draw(_ENTRIES)) for _ in range(k)] for _ in range(k)]
+    shape = draw(st.sampled_from(
+        ("plain", "zero-row", "zero-col", "pivot-0", "pivot-1")))
+    if shape == "zero-row":
+        rows[draw(st.integers(0, k - 1))] = [QLaurent.zero()] * k
+    elif shape == "zero-col":
+        c = draw(st.integers(0, k - 1))
+        for row in rows:
+            row[c] = QLaurent.zero()
+    elif shape == "pivot-0":
+        rows[0][0] = QLaurent.zero()
+    elif shape == "pivot-1" and k >= 3:
+        rows[1][:2] = rows[0][:2]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(det_matrices())
+def test_det_matches_oracles_on_random_matrices(mat):
+    check_det(mat)
+
+
+def _burau_dense(word):
+    """Oracle for _burau_reduced: the dense product of the full reduced
+    Burau generator matrices, k^3 QLaurent products per letter."""
+    k = word.n - 1
+    t = QLaurent.monomial(1, 2)
+    t_inv = QLaurent.monomial(1, -2)
+    one = QLaurent.one()
+
+    def gen_matrix(v):
+        m = [[one if r == c else QLaurent.zero() for c in range(k)]
+             for r in range(k)]
+        r = abs(v) - 1  # 0-based row of the generator
+        if v > 0:
+            m[r][r] = -t
+            if r > 0:
+                m[r][r - 1] = t
+            if r < k - 1:
+                m[r][r + 1] = one
+        else:
+            m[r][r] = -t_inv
+            if r > 0:
+                m[r][r - 1] = one
+            if r < k - 1:
+                m[r][r + 1] = t_inv
+        return m
+
+    prod = [[one if r == c else QLaurent.zero() for c in range(k)]
+            for r in range(k)]
+    for v in word.letters:
+        g = gen_matrix(v)
+        prod = [
+            [sum((g[r][s] * prod[s][c] for s in range(k)), QLaurent.zero())
+             for c in range(k)]
+            for r in range(k)
+        ]
+    return prod
+
+
+def _weight_rep_graded_then_q1(word):
+    """Oracle for _weight_rep_alexander_matrix: I - M with M the q-graded
+    rep_matrix(word, 1), composed in full and only then taken to q = 1."""
+    mat_graded = lawrence.rep_matrix(word, 1)
+    states = lawrence.weight_states(word.n, 1)
+    mat = []
+    for r, dst in enumerate(states):
+        row = []
+        for c, src in enumerate(states):
+            q1 = mat_graded.entry(src, dst).specialize_q1()
+            cell = QLaurent({x: qv.at_q1() for x, qv in q1.terms.items()})
+            row.append(QLaurent.one() - cell if r == c else -cell)
+        mat.append(row)
+    return mat
+
+
+def check_routes(word):
+    # raw dict equality: no zero coefficient on either side
+    def raw(mat):
+        return [[entry.terms for entry in row] for row in mat]
+
+    assert raw(_burau_reduced(word)) == raw(_burau_dense(word))
+    assert raw(_weight_rep_alexander_matrix(word)) \
+        == raw(_weight_rep_graded_then_q1(word))
+
+
+@pytest.mark.parametrize("text", CORPUS + EXTRA_KNOTS)
+def test_route_matrices_match_their_oracles(text):
+    check_routes(parse_braid(text))
+
+
+@st.composite
+def homogeneous_knot_words(draw):
+    """Homogeneous words on <= 5 strands and <= 9 letters, any column
+    signs.  Every column appears once, plus extra letters of any column at
+    any place; words whose closure is not a knot are discarded."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n - 1,
+                          max_size=n - 1))
+    cols = list(draw(st.permutations(range(1, n))))
+    for _ in range(draw(st.integers(0, 9 - (n - 1)))):
+        cols.insert(draw(st.integers(0, len(cols))),
+                    draw(st.integers(min_value=1, max_value=n - 1)))
+    letters = " ".join(str(signs[c - 1] * c) for c in cols)
+    return parse_braid(f"n={n}; {letters}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_knot_words())
+def test_random_knots_route_matrices_and_dets(word):
+    assume(analyze(word).closure_components == 1)
+    check_routes(word)
+    for build in ROUTE_MATRICES:
+        check_det(build(word))
+    alexander_classical(word, 2)  # the two routes agree
+
+
+# ---------------------------------------------------------------------------
+# errors name the word and the order
+
+
+def test_route_disagreement_names_word_and_order(monkeypatch):
+    monkeypatch.setattr(bmod, "_alexander_burau",
+                        lambda word, order: QLaurent({0: 1, 2: -1, 4: 1}))
+    with pytest.raises(VerificationError,
+                       match=r"routes disagree for n=3; 1 -2 1 -2 at order "
+                             r"4: weight-rep gives 1 - 3\*x \+ x\^2, Burau "
+                             r"gives 1 - x \+ x\^2$"):
+        alexander_classical(parse_braid("1 -2 1 -2"), 4)
+
+
+@pytest.mark.parametrize(
+    "delta,head,tail",
+    [
+        ({1: 1}, "Alexander polynomial of", "has half-exponents"),
+        ({0: 1, 2: -2}, "Alexander polynomial of", "not palindromic"),
+        ({0: 1, 2: 1, 4: 1}, "Alexander polynomial of",
+         r"has \|Delta\(1\)\| != 1"),
+        ({0: -1}, r"\(1-x\)/Delta of", "does not start with 1"),
+    ],
+)
+def test_alexander_checks_name_word_and_order(monkeypatch, delta, head,
+                                              tail):
+    # both routes agree on a bad polynomial, so the later checks fire
+    for route in ("_alexander_burau", "_alexander_weight_rep"):
+        monkeypatch.setattr(bmod, route,
+                            lambda word, order: QLaurent(delta))
+    with pytest.raises(VerificationError,
+                       match=rf"^{head} n=3; 1 -2 1 -2 at order 3 {tail}"):
+        alexander_classical(parse_braid("1 -2 1 -2"), 3)
+
+
+def test_normalization_errors_name_word_and_order():
+    word = parse_braid("1 -2 1 -2")
+    with pytest.raises(VerificationError,
+                       match=r"determinant vanished for n=3; 1 -2 1 -2 at "
+                             r"order 5$"):
+        _normalize_alexander(QLaurent.zero(), word, 5)
+    with pytest.raises(VerificationError,
+                       match=r"nonzero remainder .* for n=3; 1 -2 1 -2 at "
+                             r"order 5$"):
+        _normalize_alexander(QLaurent({0: 1, 2: 1}), word, 5)
+    with pytest.raises(VerificationError,
+                       match=r"not monic after normalization for n=3; "
+                             r"1 -2 1 -2 at order 5: 2$"):
+        _normalize_alexander(QLaurent({0: 2, 2: 2, 4: 2}), word, 5)
 
 
 def _mat(rows):

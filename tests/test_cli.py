@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from flowloop.cli import main
+from flowloop.template import ORBIT_DEPTH_LIMIT
 
 GOLDEN_ZHAT = """\
 braid: n=2; 1 1 1
@@ -175,6 +177,19 @@ def test_convention_flag_does_not_change_traces(capsys):
 )
 def test_input_errors_exit_1(capsys, argv):
     assert main(argv) == 1
+
+
+def test_orbits_refuses_a_degree_past_the_depth_limit(capsys):
+    start = time.perf_counter()
+    code = main(["orbits", "--braid", "1 -2 1 -2", "--max-degree", "1200"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: max_degree 1200 allows strip words of 2402 strips on 3 "
+        f"strands, past the orbit search depth limit of {ORBIT_DEPTH_LIMIT} "
+        "strips\n"
+    )
+    assert elapsed < 1.0
 
 
 def test_cap_flag_matches_default(capsys):

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from flowloop import (
+    InputError,
     QLaurent,
     VerificationError,
     build_template,
@@ -14,6 +15,7 @@ from flowloop import (
 )
 from flowloop.braid import alexander_classical
 from flowloop.template import (
+    ORBIT_DEPTH_LIMIT,
     Strip,
     Template,
     _cyclic_open,
@@ -50,6 +52,19 @@ def test_single_crossing_template():
     assert zeta_classical(parse_braid("1"), 4) == xs(
         {0: {0: 1}, 2: {0: -1}}, trunc=9
     )
+
+
+def test_orbit_search_runs_to_its_depth_limit_and_refuses_past_it():
+    # on one strand pair the longest strip word has max_degree + 1 strips;
+    # the search reaches that depth without a RecursionError
+    t = build_template(parse_braid("1"))
+    deepest = ORBIT_DEPTH_LIMIT - 1
+    assert [o.render() for o in enumerate_orbits(t, deepest)] == ["1 - T1"]
+    with pytest.raises(InputError, match=rf"max_degree {deepest + 1} allows "
+                       rf"strip words of {ORBIT_DEPTH_LIMIT + 1} strips on "
+                       rf"2 strands, past the orbit search depth limit of "
+                       rf"{ORBIT_DEPTH_LIMIT} strips"):
+        enumerate_orbits(t, deepest + 1)
 
 
 def test_stabilized_trefoil_chart():
