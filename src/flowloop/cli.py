@@ -193,7 +193,7 @@ def _cmd_verify(args):
         "results": [
             {
                 "suite": r.suite, "name": r.name,
-                "ok": r.ok, "detail": r.detail,
+                "ok": r.ok, "detail": r.detail, "seconds": r.seconds,
             }
             for r in results
         ],

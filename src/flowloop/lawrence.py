@@ -30,7 +30,13 @@ walks.  Every positive `half` entry is one x-monomial of cost
 over those integer costs keep just the moves on some closed walk within
 the truncation, and only those moves do series work.  That is exact: a
 walk through any other move costs more than the truncation, so every term
-it would add is dropped anyway.
+it would add is dropped anyway.  A closed walk of a weight-m state costs
+at least x^m when every column has a letter (proof in
+truncated_trace_table), so a weight with 2m above the truncation returns
+an empty trace before any generator matrix is built.
+
+Weights are m >= 0: generator_matrix (so also rep_matrix), graded_trace
+and truncated_trace refuse a negative one with InputError.
 """
 
 from dataclasses import dataclass
@@ -52,11 +58,19 @@ def _check_convention(convention):
         raise InputError(f"unknown convention {convention!r}")
 
 
+def _check_weight(m):
+    if m < 0:
+        raise InputError(f"weight m must be >= 0, got m={m}")
+
+
 _states_cache = {}
 
 
 def weight_states(n, m):
-    """All (n-1)-tuples of nonnegative ints summing to m, lexicographic."""
+    """All (n-1)-tuples of nonnegative ints summing to m, lexicographic
+    (none for m < 0)."""
+    if m < 0:
+        return []
     key = (n, m)
     hit = _states_cache.get(key)
     if hit is None:
@@ -74,7 +88,7 @@ def weight_states(n, m):
 
 
 def dim(n, m):
-    return comb(m + n - 2, m)
+    return comb(m + n - 2, m) if m >= 0 else 0
 
 
 def compose(a_cols, b_cols):
@@ -288,6 +302,7 @@ def _mirror_validated(convention):
 def generator_matrix(n, m, i, sign, convention=HALF):
     """Matrix of generator i (sign +1/-1) on weight_states(n, m)."""
     _check_convention(convention)
+    _check_weight(m)
     if not 1 <= i <= n - 1:
         raise InputError(f"generator index {i} out of range for n={n}")
     if sign not in (1, -1):
@@ -415,6 +430,27 @@ def truncated_trace_table(word, m, trunc):
     tables (walks.sum_paths), and a start state with no closed walk in
     budget does no series work at all.
 
+    When every column 1..n-1 has a letter of its own, a closed walk of a
+    weight-m start state s costs at least 2m, so for 2m > trunc the table
+    is empty and is returned before any generator matrix is read.  Proof:
+    a move (A, b, c) costs 2A + b + c.  Let p_i be the first letter of
+    column i and D_i what column i shed before p_i.  Before p_i only its
+    neighbors' letters touch column i, and they only take from it, so at
+    p_i its label is A = s_i - D_i, and that letter costs at least
+    2(s_i - D_i).  Every shed also costs 1 at the letter that makes it, so
+    a closed walk costs at least sum_i 2(s_i - D_i) + S, S the total
+    shed.  Across the edge between columns i and i+1 the sheds balance:
+    the label sum of columns 1..i changes only by them and is the same at
+    both ends of a closed walk, so the sheds each way are E_i = half the
+    sheds across that edge.  Column i sheds across the edge only at a
+    letter of column i+1, and column i+1 only at a letter of column i, so
+    before its own first letter only the endpoint whose first letter
+    comes later can shed across the edge, at most E_i.  Hence
+    sum_i D_i <= sum_i E_i = S / 2 and the cost is at least
+    2 sum_i s_i = 2m.  (A column with no letter of its own never pays 2A:
+    on "1 1" with n = 3 the walks of (0, m) cost 0, so the bound is not
+    used there.)
+
     For a knot closure the half x-powers must cancel; that integrality is
     asserted rather than assumed."""
     if any(v < 0 for v in word.letters):
@@ -422,8 +458,12 @@ def truncated_trace_table(word, m, trunc):
             f"truncated_trace needs an all-positive word, got "
             f"{_braid.render_word(word)}"
         )
+    _check_weight(m)
     n = word.n
-    moves = {v: _letter_moves(n, m, v) for v in set(word.letters)}
+    letters = set(word.letters)
+    if 2 * m > trunc and len(letters) == n - 1:
+        return {}
+    moves = {v: _letter_moves(n, m, v) for v in letters}
     walk = [moves[v] for v in word.letters]
     tr = {}
     for s in weight_states(n, m):

@@ -16,9 +16,11 @@ ql_mul, ql_add_into, ql_addmul_into, xs_addmul_term_into and xs_mul are
 the plain-dict loops that both classes do their arithmetic with.
 
 qbinom / qtrinom are the Gaussian binomial/trinomial with the generalized
-negative-top convention; the two bifurcation identity builders at the bottom
-return the series whose collapse to 1 (resp. pairwise equality) encodes the
-saddle-node and period-doubling cancellations.
+negative-top convention.  qbinom builds nonnegative tops from q-Pascal rows
+in one cache and reflects a negative top onto a nonnegative one; qtrinom is
+a product of two cached binomials.  The two bifurcation identity builders
+at the bottom return the series whose collapse to 1 (resp. pairwise
+equality) encodes the saddle-node and period-doubling cancellations.
 """
 
 from dataclasses import dataclass
@@ -709,24 +711,57 @@ def qbinom(n, k):
 
     n may be negative (generalized top, Laurent result); k < 0 gives 0,
     k = 0 gives 1, and 0 <= n < k gives 0 through the vanishing factor.
+    A negative top reflects to a nonnegative one,
+
+        [-N; k] = (-1)^k q^{-kN - k(k-1)/2} [N+k-1; k],
+
+    because each numerator factor 1 - q^{-j} is -q^{-j} (1 - q^j) for
+    j = N..N+k-1, and the factors 1 - q^j left over make [N+k-1; k].
+    Nonnegative tops come from q-Pascal rows (_pascal).
     """
     key = (n, k)
     hit = _qbinom_cache.get(key)
     if hit is not None:
         return hit
-    if k < 0:
+    if k < 0 or 0 <= n < k:
         out = QLaurent.zero()
-    elif k == 0:
-        out = QLaurent.one()
+    elif n < 0:
+        out = _pascal(k - n - 1, k).shift(2 * k * n - k * (k - 1))
+        if k % 2:
+            out = -out
     else:
-        num = QLaurent.one()
-        den = QLaurent.one()
-        for j in range(1, k + 1):
-            num = num * (QLaurent.one() - QLaurent.monomial(1, 2 * (n - k + j)))
-            den = den * (QLaurent.one() - QLaurent.monomial(1, 2 * j))
-        out = num.exact_div(den) if num else QLaurent.zero()
+        out = _pascal(n, k)
     _qbinom_cache[key] = out
     return out
+
+
+def _pascal(n, k):
+    """[n; k]_q for 0 <= k <= n, by the q-Pascal recurrence
+
+        [r; j] = [r-1; j-1] + q^j [r-1; j]
+
+    (G. E. Andrews, The Theory of Partitions, ch. 3), built row by row in
+    _qbinom_cache, with no recursion.  Entries are kept under the smaller
+    column of the symmetry [r; j] = [r; r-j], and only the ones [n; k]
+    depends on are built: columns j <= min(k, n-k) with r - j <= the
+    larger of the two.  All coefficients are positive, so no sum cancels.
+    """
+    k = min(k, n - k)
+    if k == 0:
+        return QLaurent.one()
+    cache = _qbinom_cache
+    one = {0: 1}
+    for r in range(2, n + 1):
+        for j in range(max(1, r - n + k), min(k, r // 2) + 1):
+            if (r, j) in cache:
+                continue
+            terms = dict(cache[r - 1, j - 1].terms if j > 1 else one)
+            up = min(j, r - 1 - j)
+            for e, c in (cache[r - 1, up].terms if up else one).items():
+                e += 2 * j
+                terms[e] = terms.get(e, 0) + c
+            cache[r, j] = QLaurent._raw(terms)
+    return cache[n, k]
 
 
 _qtrinom_cache = {}

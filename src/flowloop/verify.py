@@ -4,10 +4,13 @@ Each check is a small self-contained computation with a frozen expected
 outcome (classical polynomial, closed-form model, algebraic identity).
 They are grouped by module so `flowloop verify --suite lawrence` can be
 run after touching one layer without paying for the rest; "all" runs
-every suite in dependency order.
+every suite in dependency order.  run_suite times each check into
+CheckResult.seconds, which `flowloop verify --format json` prints and
+render() leaves out.
 """
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 from . import braid, lawrence, template, verma
 from .errors import InputError, VerificationError
@@ -34,6 +37,9 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+    # wall time of the check; render() leaves it out, so the rendered
+    # line of a check is the same on every run
+    seconds: float = field(default=0.0, compare=False)
 
     def render(self):
         mark = "ok  " if self.ok else "FAIL"
@@ -485,14 +491,11 @@ def run_suite(name):
         )
     results = []
     for suite, (check_name, fn) in picked:
+        start = time.perf_counter()
         try:
-            detail = fn()
-            results.append(CheckResult(suite, check_name, True, detail))
+            ok, detail = True, fn()
         except Exception as exc:  # noqa: BLE001 - report, don't crash
-            results.append(
-                CheckResult(
-                    suite, check_name, False,
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(suite, check_name, ok, detail,
+                                   time.perf_counter() - start))
     return results

@@ -10,12 +10,16 @@ computed two ways:
   truncated at x^order (lawrence.truncated_trace_table).  Every positive
   move costs a nonnegative x-power, so the same forward and backward
   min-plus passes as in the DP below keep just the moves on closed walks
-  within x^order, and a start state with none does no series work.  Each
+  within x^order, and a start state with none does no series work.  A
+  closed walk of a weight-m state costs at least x^m (proved in
+  lawrence.truncated_trace_table), so a weight above the order returns an
+  empty trace before any generator matrix is built.  Each
   weight's part goes into a raw Phi table in place, two
   ring.xs_addmul_term_into calls per weight.  A part does not depend on
   the cutoff m_cut, so the stabilization check adds the parts of weights
   m_cut + 1 and m_cut + 2 into a raw Delta table and raises iff Delta is
-  nonzero, instead of recomputing Phi at m_cut + 2.  Phi becomes an
+  nonzero, instead of recomputing Phi at m_cut + 2.  At the default
+  m_cut = order those two traces are empty by that bound.  Phi becomes an
   XSeries once, with its small monomial coefficients shared.
 * phi_homogeneous: for any homogeneous word, by a column-label transfer
   DP.  Each column carries a nonnegative label (for negative columns the
@@ -158,9 +162,12 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
     (1 - q^{2m+n-1} x^n) q^{-m} Tr V_{n,m} for m = 0..m_cut, each trace a
     sum of closed walks truncated while walking
     (lawrence.truncated_trace_table).  The weight cutoff defaults to the
-    x-order (a weight-m state's closed loops all cost at least x^m).  Each
-    part goes into a raw Phi table in place, two ring.xs_addmul_term_into
-    calls per weight, and Phi becomes an XSeries once at the end.
+    x-order: a knot word has a letter on every column, so every closed
+    walk of a weight-m state costs at least x^m (proof in
+    lawrence.truncated_trace_table), and a weight above the order has an
+    empty trace.  Each part goes into a raw Phi table in place, two
+    ring.xs_addmul_term_into calls per weight, and Phi becomes an XSeries
+    once at the end.
 
     stabilize insists that raising the cutoff to m_cut + 2 changes
     nothing, in one run: a weight part depends on m and the x-order only,
@@ -169,7 +176,10 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
     part(m_cut + 2).  Those two parts go into a raw Delta table, and since
     Phi + Delta != Phi iff Delta != 0, the guard raises iff Delta is
     nonempty: exactly when the old second run at m_cut + 2 would have
-    differed."""
+    differed.  For m_cut >= order both weights lie above the order, so
+    truncated_trace_table returns their empty traces at once, by the
+    proven bound, and the guard passes as it always did there; for
+    m_cut < order both are computed as before."""
     stats = _require_homogeneous_knot(word)
     if stats.cr_minus:
         raise InputError("phi_positive needs an all-positive word")

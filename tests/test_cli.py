@@ -9,6 +9,7 @@ import pytest
 
 from flowloop.cli import main
 from flowloop.template import ORBIT_DEPTH_LIMIT
+from flowloop.verify import run_suite
 
 GOLDEN_ZHAT = """\
 braid: n=2; 1 1 1
@@ -133,6 +134,20 @@ def test_verify_single_suite(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "passed 5/5 checks"
     assert all(line.startswith("ok   ring.") for line in lines[:-1])
+
+
+def test_verify_json_times_every_check(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--format",
+                        "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert len(results) == len(run_suite("all"))
+    for row in results:
+        assert set(row) == {"suite", "name", "ok", "detail", "seconds"}
+        assert isinstance(row["seconds"], float) and row["seconds"] >= 0.0
+    # the text output carries no times: each line is the check's render()
+    code, text = run_cli(capsys, "verify", "--suite", "ring")
+    assert text.splitlines()[:-1] == [r.render() for r in run_suite("ring")]
 
 
 def test_phi_debug_mirror_differs(capsys):

@@ -265,13 +265,10 @@ def cheapest_closed_walks(word, m):
     return cheapest
 
 
-@pytest.mark.parametrize("text", POSITIVE_KNOTS)
-def test_weight_m_closed_walks_cost_at_least_x_to_the_m(text):
-    # the claim of phi_positive's weight cutoff: every closed walk of a
-    # weight-m start state costs at least x^m (2m in x-half units), at
-    # every weight up to the largest order the corpus runs the word at + 2
-    word = parse_braid(text)
-    order = max(o for t, o in WALK_CASES if t == text)
+def assert_closed_walks_cost_at_least_x_to_the_m(word, order):
+    """Every closed walk of a weight-m start state costs at least x^m
+    (2m in x-half units), at every weight up to order + 2: the bound that
+    lets truncated_trace_table skip a weight with 2m > trunc."""
     closing = 0
     for m in range(order + 3):
         for s, cost in cheapest_closed_walks(word, m).items():
@@ -279,3 +276,60 @@ def test_weight_m_closed_walks_cost_at_least_x_to_the_m(text):
                 closing += 1
                 assert cost >= 2 * m, (m, s, cost)
     assert closing
+
+
+@pytest.mark.parametrize("text", POSITIVE_KNOTS)
+def test_weight_m_closed_walks_cost_at_least_x_to_the_m(text):
+    # at the largest order the corpus runs the word at
+    word = parse_braid(text)
+    order = max(o for t, o in WALK_CASES if t == text)
+    assert_closed_walks_cost_at_least_x_to_the_m(word, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_knot_words(), st.integers(min_value=0, max_value=3))
+def test_random_closed_walks_cost_at_least_x_to_the_m(word, order):
+    assume(analyze(word).closure_components == 1)
+    assert_closed_walks_cost_at_least_x_to_the_m(word, order)
+
+
+def test_weights_past_the_truncation_read_no_generator(monkeypatch):
+    word = parse_braid("n=4; 1 2 1 3 2 3")
+    trunc = 2 * 3 + 1
+    for m in (4, 5):  # the exact product has nothing within trunc either
+        assert rep_matrix(word, m).trace().truncate(trunc).is_zero
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"generator_matrix{args} read")
+
+    monkeypatch.setattr(lawrence, "generator_matrix", refuse)
+    for m in (4, 5, 40):  # 2m > trunc
+        assert lawrence.truncated_trace_table(word, m, trunc) == {}
+    with pytest.raises(AssertionError, match="generator_matrix"):
+        lawrence.truncated_trace_table(word, 3, trunc)
+    # the negative-letter refusal still comes first at such a weight
+    with pytest.raises(InputError, match="all-positive"):
+        lawrence.truncated_trace_table(parse_braid("1 -2 1 -2"), 40, trunc)
+
+
+def test_weights_past_the_truncation_need_every_column():
+    # column 2 has no letter of its own, so (0, 2) closes at cost 0 and
+    # the 2m > trunc shortcut must not apply
+    word = parse_braid("n=3; 1 1")
+    tr = truncated_trace(word, 2, 1)
+    assert tr == rep_matrix(word, 2).trace().truncate(1)
+    assert not tr.is_zero
+
+
+def test_negative_weights_are_refused():
+    word = parse_braid("1 1 1")
+    assert weight_states(2, -1) == weight_states(3, -1) == []
+    assert lawrence.dim(2, -1) == 0
+    with pytest.raises(InputError, match="m=-1"):
+        generator_matrix(2, -1, 1, 1)
+    with pytest.raises(InputError, match="m=-3"):
+        rep_matrix(word, -3)
+    with pytest.raises(InputError, match="m=-1"):
+        truncated_trace(word, -1, 5)
+    with pytest.raises(InputError, match="m=-1"):
+        lawrence.truncated_trace_table(word, -1, -5)

@@ -1,6 +1,10 @@
 """Exact Laurent arithmetic: ring axioms, Gaussian coefficients, series ops."""
 
+import copy
+import importlib
+import inspect
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -11,16 +15,22 @@ from flowloop import (
     QLaurent,
     VerificationError,
     XSeries,
+    lawrence,
+    parse_braid,
     period_doubling_identity,
     qbinom,
     qtrinom,
+    ring,
     saddle_node_identity,
+    verma,
+    zhat,
 )
-import copy
-
 from flowloop.ring import ql_addmul_into, ql_mul, xs_addmul_term_into, xs_mul
+from flowloop.verify import run_suite
 
-from conftest import ql, xs
+from conftest import CORPUS, EXTRA_KNOTS, ql, xs
+
+zmod = importlib.import_module("flowloop.zhat")
 
 laurents = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
@@ -287,6 +297,68 @@ def test_qbinom_pascal(n, k):
 def test_qbinom_symmetry(n, k):
     if k <= n:
         assert qbinom(n, k) == qbinom(n, n - k)
+
+
+def product_qbinom(n, k):
+    """[n; k]_q as prod_{j=1}^{k} (1 - q^{n-k+j}) / (1 - q^j), one
+    exact_div: the form qbinom had before q-Pascal rows, kept as its
+    oracle."""
+    if k < 0:
+        return QLaurent.zero()
+    num = QLaurent.one()
+    den = QLaurent.one()
+    for j in range(1, k + 1):
+        num = num * (QLaurent.one() - QLaurent.monomial(1, 2 * (n - k + j)))
+        den = den * (QLaurent.one() - QLaurent.monomial(1, 2 * j))
+    return num.exact_div(den) if num else QLaurent.zero()
+
+
+@given(st.integers(min_value=-30, max_value=40),
+       st.integers(min_value=-2, max_value=20))
+def test_qbinom_matches_product_form(n, k):
+    assert qbinom(n, k) == product_qbinom(n, k)
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Empty binomial, generator and crossing-weight caches for one test,
+    so that what it runs fills them afresh."""
+    for mod, name in ((ring, "_qbinom_cache"), (ring, "_qtrinom_cache"),
+                      (lawrence, "_gen_cache"), (lawrence, "_moves_cache"),
+                      (zmod, "_crossing_weight_cache"),
+                      (verma, "_pair_cache")):
+        monkeypatch.setattr(mod, name, {})
+
+
+# the benchmark corpus, then the standing corpus and the extra knots
+ZHAT_RUNS = ([("1 1 1", 18), ("1 -2 1 -2", 8), ("1 -2 1 -2", 10),
+              ("n=4; 1 -2 1 -3 -2", 8), ("1 1 1 -2 1 -2", 8)]
+             + [(text, 6) for text in CORPUS + EXTRA_KNOTS])
+
+
+def test_qbinom_cache_matches_product_form(cold_caches):
+    for text, order in ZHAT_RUNS:
+        zhat(parse_braid(text), order)
+    assert all(r.ok for r in run_suite("all"))
+    cache = ring._qbinom_cache
+    # rows up to the order, q-Pascal entries and a reflected negative top
+    assert (10, 5) in cache and (-1, 2) in cache
+    for (n, k), value in cache.items():
+        assert value == product_qbinom(n, k), (n, k)
+
+
+def test_qbinom_builds_a_deep_top_without_recursion(monkeypatch):
+    monkeypatch.setattr(ring, "_qbinom_cache", {})
+    limit = sys.getrecursionlimit()
+    # far fewer frames left than the 400 rows below the top
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        deep = qbinom(400, 2)
+        reflected = qbinom(-400, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert deep == product_qbinom(400, 2)
+    assert reflected == product_qbinom(-400, 2)
 
 
 def test_qtrinom_gates_and_symmetry():
