@@ -96,19 +96,6 @@ class BraidStats:
     closure_components: int
     genus: object  # int for homogeneous knots, else None
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "c": self.c,
-            "writhe": self.writhe,
-            "cr_minus": self.cr_minus,
-            "col_minus": self.col_minus,
-            "columns": list(self.column_sign),
-            "homogeneous": self.is_homogeneous,
-            "components": self.closure_components,
-            "genus": self.genus,
-        }
-
 
 def closure_permutation(word):
     """Permutation of strand endpoints (0-based), bottom to top."""
@@ -173,6 +160,31 @@ def analyze(word):
         closure_components=components,
         genus=genus,
     )
+
+
+def require_homogeneous_knot(word):
+    """analyze(word), or InputError unless the word is homogeneous and its
+    closure a knot: the words every Phi route and the Alexander route
+    accept."""
+    stats = analyze(word)
+    if not stats.is_homogeneous:
+        raise InputError(f"braid word {render_word(word)} is not homogeneous")
+    if stats.closure_components != 1:
+        raise InputError(
+            f"closure has {stats.closure_components} components, need a knot"
+        )
+    return stats
+
+
+def _where(word, order, cap=None, m_cut=None):
+    """The word, order and cutoff (cap on the DP route, m_cut on the trace
+    route) an error is about."""
+    at = f"{render_word(word)} at order {order}"
+    if cap is not None:
+        at += f", cap {cap}"
+    if m_cut is not None:
+        at += f", m_cut {m_cut}"
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +283,6 @@ def _det(mat):
 def _cyclotomic_like(n):
     """1 + x + ... + x^{n-1} as an x-half QLaurent."""
     return QLaurent({2 * j: 1 for j in range(n)})
-
-
-def _where(word, order):
-    """The word and order an error is about."""
-    return f"{render_word(word)} at order {order}"
 
 
 def _normalize_alexander(d, word, order):
@@ -402,13 +409,7 @@ def alexander_classical(word, order):
     """
     if order < 0:
         raise InputError("order must be >= 0")
-    stats = analyze(word)
-    if not stats.is_homogeneous:
-        raise InputError(f"braid word {render_word(word)} is not homogeneous")
-    if stats.closure_components != 1:
-        raise InputError(
-            f"closure has {stats.closure_components} components, need a knot"
-        )
+    require_homogeneous_knot(word)
     where = _where(word, order)
     d_rep = _alexander_weight_rep(word, order)
     d_bur = _alexander_burau(word, order)

@@ -47,8 +47,11 @@ def _print(payload, as_json, text_lines):
             print(line)
 
 
-def _word_header(word, stats):
-    return [f"braid: {braid.render_word(word)}", f"writhe: {stats.writhe}"]
+def _word_head(word, stats):
+    """The text lines and the JSON fields every word command starts with."""
+    text = braid.render_word(word)
+    return ([f"braid: {text}", f"writhe: {stats.writhe}"],
+            {"braid": text, "n": word.n, "writhe": stats.writhe})
 
 
 def _cmd_zhat(args):
@@ -57,20 +60,17 @@ def _cmd_zhat(args):
     res = _zhat(word, args.order, orientation=orientation, cap=args.cap)
     sign, qh, xh = res.prefactor
     pref = f"{sign} * q^({qh}/2) * x^({xh}/2)"
-    lines = _word_header(word, res.stats)
+    lines, payload = _word_head(word, res.stats)
     lines.append(f"prefactor: {pref}")
     lines.append(f"phi: {res.phi.render(tail=True)}")
     lines.append(f"zhat: {res.zhat.render(tail=True)}")
     for note in res.notes:
         lines.append(f"note: {note}")
-    payload = {
-        "braid": braid.render_word(word),
-        "n": word.n,
-        "writhe": res.stats.writhe,
+    payload.update({
         "prefactor": {"sign": sign, "q_exp_half": qh, "x_exp_half": xh},
         "phi": _series_json(res.phi),
         "zhat": _series_json(res.zhat),
-    }
+    })
     _print(payload, args.format == "json", lines)
     return 0
 
@@ -86,14 +86,9 @@ def _cmd_phi(args):
         phi = phi_homogeneous(word, args.order, cap=args.cap)
     else:
         phi = phi_positive(word, args.order, m_cut=args.cap)
-    lines = _word_header(word, stats)
+    lines, payload = _word_head(word, stats)
     lines.append(f"phi: {phi.render(tail=True)}")
-    payload = {
-        "braid": braid.render_word(word),
-        "n": word.n,
-        "writhe": stats.writhe,
-        "phi": _series_json(phi),
-    }
+    payload["phi"] = _series_json(phi)
     _print(payload, args.format == "json", lines)
     return 0
 
@@ -105,23 +100,20 @@ def _cmd_trace(args):
         lawrence.UNDER if args.convention == "under" else lawrence.HALF
     )
     traces = lawrence.graded_trace(word, args.mmax, convention)
-    lines = _word_header(word, stats)
+    lines, payload = _word_head(word, stats)
     for m, tr in enumerate(traces):
         lines.append(f"m={m}: {tr.render()}")
     if args.dump:
         for m in range(args.mmax + 1):
             lines.append(f"weight m={m}:")
             lines.append(lawrence.rep_matrix(word, m, convention).dump())
-    payload = {
-        "braid": braid.render_word(word),
-        "n": word.n,
-        "writhe": stats.writhe,
+    payload.update({
         "convention": args.convention,
         "traces": [
             {"m": m, "series": _series_json(tr)}
             for m, tr in enumerate(traces)
         ],
-    }
+    })
     _print(payload, args.format == "json", lines)
     return 0
 
@@ -130,16 +122,13 @@ def _cmd_alexander(args):
     word = braid.parse_braid(args.braid)
     stats = braid.analyze(word)
     delta, inv = braid.alexander_classical(word, args.order)
-    lines = _word_header(word, stats)
+    lines, payload = _word_head(word, stats)
     lines.append(f"Delta: {delta.render()}")
     lines.append(f"inverse: {inv.render(tail=True)}")
-    payload = {
-        "braid": braid.render_word(word),
-        "n": word.n,
-        "writhe": stats.writhe,
+    payload.update({
         "delta": _series_json(delta),
         "inverse": _series_json(inv),
-    }
+    })
     _print(payload, args.format == "json", lines)
     return 0
 
@@ -150,7 +139,7 @@ def _cmd_orbits(args):
     tpl = template.build_template(word)
     orbits = template.enumerate_orbits(tpl, args.max_degree)
     zeta = template.zeta_classical(word, args.max_degree)
-    lines = _word_header(word, stats)
+    lines, payload = _word_head(word, stats)
     lines.append(f"strips: {len(tpl.strips)}")
     lines.append(f"branch-lines: {tpl.branch_count}")
     lines.append(f"nullity: {tpl.nullity}")
@@ -160,10 +149,7 @@ def _cmd_orbits(args):
     for orbit in orbits:
         lines.append(orbit.render())
     lines.append(f"zeta: {zeta.render(tail=True)}")
-    payload = {
-        "braid": braid.render_word(word),
-        "n": word.n,
-        "writhe": stats.writhe,
+    payload.update({
         "strips": [
             {
                 "id": s.sid, "src": s.src, "dst": s.dst,
@@ -177,7 +163,7 @@ def _cmd_orbits(args):
             for o in orbits
         ],
         "zeta": _series_json(zeta),
-    }
+    })
     _print(payload, args.format == "json", lines)
     return 0
 

@@ -39,6 +39,7 @@ Weights are m >= 0: generator_matrix (so also rep_matrix), graded_trace
 and truncated_trace refuse a negative one with InputError.
 """
 
+import functools
 from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
@@ -63,28 +64,22 @@ def _check_weight(m):
         raise InputError(f"weight m must be >= 0, got m={m}")
 
 
-_states_cache = {}
-
-
+@functools.cache
 def weight_states(n, m):
     """All (n-1)-tuples of nonnegative ints summing to m, lexicographic
     (none for m < 0)."""
     if m < 0:
         return []
-    key = (n, m)
-    hit = _states_cache.get(key)
-    if hit is None:
-        def build(parts, left):
-            if parts == 1:
-                yield (left,)
-                return
-            for first in range(left + 1):
-                for rest in build(parts - 1, left - first):
-                    yield (first,) + rest
 
-        hit = sorted(build(n - 1, m))
-        _states_cache[key] = hit
-    return hit
+    def build(parts, left):
+        if parts == 1:
+            yield (left,)
+            return
+        for first in range(left + 1):
+            for rest in build(parts - 1, left - first):
+                yield (first,) + rest
+
+    return sorted(build(n - 1, m))
 
 
 def dim(n, m):
@@ -192,10 +187,10 @@ def _negative_weight(A, b, c, convention):
     return coeff, xh
 
 
-_gen_cache = {}
-
-
+@functools.cache
 def _generator_mirror(n, m, i, sign, convention):
+    # distinct sheds (b, c) land on distinct states, and every weight is a
+    # nonzero Gaussian trinomial, so each move is one entry of its own
     cols = {}
     for s in weight_states(n, m):
         L = s[i - 2] if i > 1 else 0
@@ -214,13 +209,8 @@ def _generator_mirror(n, m, i, sign, convention):
                     coeff, xh = _positive_weight(A, b, c, convention)
                 else:
                     coeff, xh = _negative_weight(A, b, c, convention)
-                if coeff.is_zero:
-                    continue
-                dst = tuple(t)
-                term = XSeries.monomial(coeff, xh)
-                cur = vec.get(dst)
-                vec[dst] = term if cur is None else cur + term
-        cols[s] = {d: v for d, v in vec.items() if not v.is_zero}
+                vec[tuple(t)] = XSeries.monomial(coeff, xh)
+        cols[s] = vec
     return GradedMatrix(n, m, cols)
 
 
@@ -272,16 +262,10 @@ def _triangular_inverse(mat):
     return acc.after(d_inv)  # (I + D^{-1}N)^{-1} D^{-1} via Neumann sum
 
 
-_mirror_ok = {}
-
-
+@functools.cache
 def _mirror_validated(convention):
     """True if the mirrored negative weights invert the positive ones for
-    all (n, m) <= (4, 4); cached per convention."""
-    hit = _mirror_ok.get(convention)
-    if hit is not None:
-        return hit
-    ok = True
+    all (n, m) <= (4, 4)."""
     for n in range(2, 5):
         for m in range(0, 5):
             ident = GradedMatrix.identity(n, m)
@@ -289,14 +273,8 @@ def _mirror_validated(convention):
                 pos = _generator_mirror(n, m, i, +1, convention)
                 neg = _generator_mirror(n, m, i, -1, convention)
                 if neg.after(pos) != ident:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    _mirror_ok[convention] = ok
-    return ok
+                    return False
+    return True
 
 
 def generator_matrix(n, m, i, sign, convention=HALF):
@@ -307,19 +285,13 @@ def generator_matrix(n, m, i, sign, convention=HALF):
         raise InputError(f"generator index {i} out of range for n={n}")
     if sign not in (1, -1):
         raise InputError("sign must be +1 or -1")
-    key = (n, m, i, sign, convention)
-    hit = _gen_cache.get(key)
-    if hit is not None:
-        return hit
     if sign < 0 and not _mirror_validated(convention):
         raise VerificationError(
             f"mirrored weights of convention {convention!r} do not invert "
             f"the positive generators; refusing generator -{i} at "
             f"(n, m) = ({n}, {m})"
         )
-    mat = _generator_mirror(n, m, i, sign, convention)
-    _gen_cache[key] = mat
-    return mat
+    return _generator_mirror(n, m, i, sign, convention)
 
 
 def rep_matrix(word, m, convention=HALF):

@@ -12,18 +12,21 @@ XSeries   -- series in x^{1/2} with QLaurent coefficients, either truncated
              polynomials)
 Framing   -- a half-integer framing parameter for the bifurcation identities
 
-ql_mul, ql_add_into, ql_addmul_into, xs_addmul_term_into and xs_mul are
-the plain-dict loops that both classes do their arithmetic with.
+ql_add_into, ql_addmul_into, xs_addmul_term_into and xs_mul are the
+plain-dict loops that both classes do their arithmetic with;
+ql_addmul_into is the one q-product loop, and ql_mul and
+xs_addmul_term_into run it.
 
 qbinom / qtrinom are the Gaussian binomial/trinomial with the generalized
 negative-top convention.  qbinom builds nonnegative tops from q-Pascal rows
 in one cache and reflects a negative top onto a nonnegative one; qtrinom is
-a product of two cached binomials.  The two bifurcation identity builders
+a product of two cached binomials, memoized by functools.cache.  The two bifurcation identity builders
 at the bottom return the series whose collapse to 1 (resp. pairwise
 equality) encodes the saddle-node and period-doubling cancellations.
 """
 
 from dataclasses import dataclass
+import functools
 
 from .errors import VerificationError
 
@@ -46,19 +49,8 @@ def _pow_str(var, half):
 
 def ql_mul(a, b):
     """Product of two {exp: coeff} dicts."""
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
     out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+    ql_addmul_into(out, a, b)
     return out
 
 
@@ -474,18 +466,6 @@ class XSeries:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, QLaurent)):
-            q = QLaurent.coerce(other)
-            if q.is_zero:
-                return XSeries.zero(self.trunc)
-            raw = xs_mul(
-                {x: t.terms for x, t in self.terms.items()},
-                {0: q.terms},
-                self.trunc,
-            )
-            return XSeries._raw(
-                {x: QLaurent._raw(t) for x, t in raw.items()}, self.trunc
-            )
         other = self._coerce(other)
         trunc = self._join_trunc(self.trunc, other.trunc)
         raw = xs_mul(
@@ -764,22 +744,13 @@ def _pascal(n, k):
     return cache[n, k]
 
 
-_qtrinom_cache = {}
-
-
+@functools.cache
 def qtrinom(n, k1, k2, k3):
     """Gaussian trinomial [n; k1, k2, k3]_q, zero unless k1+k2+k3 = n with
     all parts nonnegative; equals [k1+k2; k2]_q * [n; k3]_q otherwise."""
-    key = (n, k1, k2, k3)
-    hit = _qtrinom_cache.get(key)
-    if hit is not None:
-        return hit
     if k1 < 0 or k2 < 0 or k3 < 0 or k1 + k2 + k3 != n:
-        out = QLaurent.zero()
-    else:
-        out = qbinom(k1 + k2, k2) * qbinom(n, k3)
-    _qtrinom_cache[key] = out
-    return out
+        return QLaurent.zero()
+    return qbinom(k1 + k2, k2) * qbinom(n, k3)
 
 
 # ---------------------------------------------------------------------------

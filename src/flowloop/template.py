@@ -74,7 +74,6 @@ class Template:
         self.word = word
         self.n = word.n
         self.strips = tuple(strips)
-        self.by_id = {s.sid: s for s in self.strips}
         self.by_src = {}  # branch line -> [(strip index, strip)], in order
         for idx, s in enumerate(self.strips):
             self.by_src.setdefault(s.src, []).append((idx, s))

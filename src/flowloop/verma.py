@@ -15,6 +15,7 @@ check raises VerificationError rather than falling back to another
 inverse.
 """
 
+import functools
 from math import comb
 
 from . import braid as _braid
@@ -51,65 +52,34 @@ def _r_entry_inv(i, j, ip, jp, inverse_x=False):
     return out
 
 
-def _pair_sector_matrix(total, entry_fn):
-    """Matrix of a pair braiding on the weight-`total` sector, as
-    cols[(i, j)][(ip, jp)]."""
+@functools.cache
+def _pair_matrix(total, sign, inverse_x):
+    """Matrix of a pair braiding (sign -1: its mirror) on the
+    weight-`total` sector, as cols[(i, j)][(ip, jp)]."""
+    entry = r_entry if sign > 0 else _r_entry_inv
     cols = {}
     for i in range(total + 1):
         j = total - i
         vec = {}
         for ip in range(total + 1):
             jpp = total - ip
-            val = entry_fn(i, j, ip, jpp)
+            val = entry(i, j, ip, jpp, inverse_x)
             if not val.is_zero:
                 vec[(ip, jpp)] = val
         cols[(i, j)] = vec
     return cols
 
 
-_mirror_checked = {}
-
-
+@functools.cache
 def _mirror_ok(inverse_x):
-    hit = _mirror_checked.get(inverse_x)
-    if hit is not None:
-        return hit
-    ok = True
+    """True if the mirrored braiding inverts R on the sectors of weight
+    <= 3."""
     for total in range(4):
-        fwd = _pair_sector_matrix(
-            total, lambda i, j, ip, jp: r_entry(i, j, ip, jp, inverse_x)
-        )
-        bwd = _pair_sector_matrix(
-            total, lambda i, j, ip, jp: _r_entry_inv(i, j, ip, jp, inverse_x)
-        )
-        prod = _lawrence.compose(bwd, fwd)
-        for src, vec in prod.items():
-            expect = {src: XSeries.one()}
-            if vec != expect:
-                ok = False
-    _mirror_checked[inverse_x] = ok
-    return ok
-
-
-_pair_cache = {}
-
-
-def _pair_matrix(total, sign, inverse_x):
-    key = (total, sign, inverse_x)
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
-    if sign < 0 and not _mirror_ok(inverse_x):
-        raise VerificationError(
-            f"mirrored braiding (inverse_x={inverse_x}) does not invert R; "
-            f"refusing the inverse letter on pair sector {total}"
-        )
-    entry = r_entry if sign > 0 else _r_entry_inv
-    cols = _pair_sector_matrix(
-        total, lambda i, j, ip, jp: entry(i, j, ip, jp, inverse_x)
-    )
-    _pair_cache[key] = cols
-    return cols
+        prod = _lawrence.compose(_pair_matrix(total, -1, inverse_x),
+                                 _pair_matrix(total, 1, inverse_x))
+        if any(vec != {src: XSeries.one()} for src, vec in prod.items()):
+            return False
+    return True
 
 
 def tensor_states(n, m):
@@ -125,36 +95,33 @@ def tensor_action(word, m, inverse_x=False):
     """Sparse matrix of the word on the weight-m sector of the n-fold
     tensor power; cols[src][dst] = entry.  inverse_x selects the variable
     x^{-1} in every braiding factor (the highest-weight parameter of the
-    left-hand side of the trace identity)."""
-    n = word.n
-    cols = {s: {s: XSeries.one()} for s in tensor_states(n, m)}
-    for v in word.letters:
+    left-hand side of the trace identity).  Each distinct letter's
+    matrix on the sector is read off the cached pair braidings, and
+    lawrence.compose applies the letters in turn."""
+    if any(v < 0 for v in word.letters) and not _mirror_ok(inverse_x):
+        raise VerificationError(
+            f"mirrored braiding (inverse_x={inverse_x}) does not invert R; "
+            f"refusing the inverse letters of {_braid.render_word(word)}"
+        )
+    states = tensor_states(word.n, m)
+    letters = {}
+    for v in set(word.letters):
         k = abs(v) - 1  # 0-based factor position
         sign = 1 if v > 0 else -1
-        out = {}
-        for src, vec in cols.items():
-            acc = {}
-            for mid, coeff in vec.items():
-                i, j = mid[k], mid[k + 1]
-                pair = _pair_matrix(i + j, sign, inverse_x)
-                for (ip, jp), w in pair.get((i, j), {}).items():
-                    dst = mid[:k] + (ip, jp) + mid[k + 2:]
-                    term = w * coeff
-                    cur = acc.get(dst)
-                    acc[dst] = term if cur is None else cur + term
-            out[src] = {d: t for d, t in acc.items() if not t.is_zero}
-        cols = out
+        letter = letters[v] = {}
+        for s in states:
+            pair = _pair_matrix(s[k] + s[k + 1], sign, inverse_x)
+            letter[s] = {s[:k] + dst + s[k + 2:]: w
+                         for dst, w in pair[s[k], s[k + 1]].items()}
+    cols = {s: {s: XSeries.one()} for s in states}
+    for v in word.letters:
+        cols = _lawrence.compose(letters[v], cols)
     return cols
 
 
 def tensor_trace(word, m, inverse_x=False):
-    cols = tensor_action(word, m, inverse_x)
-    tr = XSeries.zero()
-    for s, vec in cols.items():
-        d = vec.get(s)
-        if d is not None:
-            tr = tr + d
-    return tr
+    return _lawrence.GradedMatrix(
+        word.n + 1, m, tensor_action(word, m, inverse_x)).trace()
 
 
 def kohno_check(word, m_max):

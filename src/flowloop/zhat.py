@@ -79,6 +79,7 @@ debugging.  zhat() multiplies Phi by the closure prefactor
 against the genus form (-1)^{1+lam} q^{g-lam} x^{g-1/2}.
 """
 
+import functools
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -111,38 +112,14 @@ class AxisSector:
         return -1 if self.epsilon else 1
 
 
-def _require_homogeneous_knot(word):
-    stats = _braid.analyze(word)
-    if not stats.is_homogeneous:
-        raise InputError(
-            f"braid word {_braid.render_word(word)} is not homogeneous"
-        )
-    if stats.closure_components != 1:
-        raise InputError(
-            f"closure has {stats.closure_components} components, need a knot"
-        )
-    return stats
-
-
 def _require_nonnegative(**values):
     for name, value in values.items():
         if value < 0:
             raise InputError(f"{name} must be >= 0")
 
 
-def _where(word, order, cap=None, m_cut=None):
-    """The word, order and cutoff (cap on the DP route, m_cut on the trace
-    route) an error is about."""
-    at = f"{_braid.render_word(word)} at order {order}"
-    if cap is not None:
-        at += f", cap {cap}"
-    if m_cut is not None:
-        at += f", m_cut {m_cut}"
-    return at
-
-
 def _finalize_phi(phi, label, word, order, cap=None, m_cut=None):
-    where = _where(word, order, cap, m_cut)
+    where = _braid._where(word, order, cap, m_cut)
     if phi.coeff(0) != QLaurent.one():
         raise VerificationError(
             f"{label} of {where} does not start with 1: {phi}")
@@ -180,13 +157,14 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
     truncated_trace_table returns their empty traces at once, by the
     proven bound, and the guard passes as it always did there; for
     m_cut < order both are computed as before."""
-    stats = _require_homogeneous_knot(word)
+    stats = _braid.require_homogeneous_knot(word)
     if stats.cr_minus:
         raise InputError("phi_positive needs an all-positive word")
     if m_cut is None:
         m_cut = order
-    _require_nonnegative(order=order, m_cut=m_cut)
-    where = _where(word, order, m_cut=m_cut)
+    # m_cut is this route's cap: zhat and the CLI pass their cap as m_cut
+    _require_nonnegative(order=order, cap=m_cut)
+    where = _braid._where(word, order, m_cut=m_cut)
     n = word.n
     trunc = 2 * order + 1
     phi = {}
@@ -212,17 +190,11 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
 # ---------------------------------------------------------------------------
 # homogeneous words: column-label transfer DP
 
-_crossing_weight_cache = {}
-
-
+@functools.cache
 def _crossing_weight(mid_sign, reversed_mid, u, b, c):
     """q-weight of a crossing whose middle label is u below and whose
     neighbors shed b and c.  It does not depend on the neighbors' labels
     or on the cap, so every move with the same key shares one object."""
-    key = (mid_sign, reversed_mid, u, b, c)
-    hit = _crossing_weight_cache.get(key)
-    if hit is not None:
-        return hit
     if mid_sign > 0:
         v = u + b + c
         coeff = qtrinom(v, u, b, c).shift(u * u + v)
@@ -236,10 +208,7 @@ def _crossing_weight(mid_sign, reversed_mid, u, b, c):
         v = u + b + c
         coeff = qtrinom(v, b, u, c).bar().shift(-(u * u + v))
         odd = u % 2
-    if odd:
-        coeff = -coeff
-    _crossing_weight_cache[key] = coeff
-    return coeff
+    return -coeff if odd else coeff
 
 
 def _transitions(key, cache):
@@ -547,7 +516,7 @@ def _phi_homogeneous_run(word, order, cap, top, orientation):
                 word, col_sign, bottom, trunc, cap, top, orientation, cache)
         except VerificationError as exc:
             raise VerificationError(
-                f"{exc} in {_where(word, order, cap)}") from exc
+                f"{exc} in {_braid._where(word, order, cap)}") from exc
         if not inside and not outside:
             continue
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
@@ -581,7 +550,7 @@ def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
     series is the same as that of the unpruned DP."""
     if orientation not in (STANDARD, REVERSED):
         raise InputError(f"unknown orientation {orientation!r}")
-    _require_homogeneous_knot(word)
+    _braid.require_homogeneous_knot(word)
     if cap is None:
         cap = order
     _require_nonnegative(order=order, cap=cap)
@@ -590,7 +559,7 @@ def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
     if not delta.is_zero:
         raise VerificationError(
             f"label cap not stable: raising it to cap + 2 changes "
-            f"phi_homogeneous of {_where(word, order, cap)}"
+            f"phi_homogeneous of {_braid._where(word, order, cap)}"
         )
     if orientation == REVERSED:
         # the rejected reading has no normalization contract
@@ -631,11 +600,11 @@ class ZhatResult:
 def zhat(word, order, orientation=STANDARD, cap=None):
     """Phi and the BPS series of the closure knot, truncated prefactor-
     shifted; both prefactor presentations are computed and must agree."""
-    stats = _require_homogeneous_knot(word)
+    stats = _braid.require_homogeneous_knot(word)
     n, w = stats.n, stats.writhe
     crm, colm = stats.cr_minus, stats.col_minus
     g = stats.genus
-    where = _where(word, order)
+    where = _braid._where(word, order)
     if (w - (n - 1)) % 2:
         raise VerificationError(
             f"writhe parity violated for the knot closure of {where}")

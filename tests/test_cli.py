@@ -188,10 +188,14 @@ def test_convention_flag_does_not_change_traces(capsys):
         ["phi", "--braid", "1 -2 1 -2", "--order", "2", "--cap", "-1"],
         ["phi", "--braid", "1 1 1", "--order", "-1"],
         ["trace", "--braid", "1 1 1", "--mmax", "-1"],
+        ["phi", "--braid", "1 1 1", "--cap", "-1"],
     ],
 )
 def test_input_errors_exit_1(capsys, argv):
     assert main(argv) == 1
+    if "--cap" in argv:
+        # both routes name the flag the caller set
+        assert capsys.readouterr().err == "error: cap must be >= 0\n"
 
 
 def test_orbits_refuses_a_degree_past_the_depth_limit(capsys):

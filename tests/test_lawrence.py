@@ -82,8 +82,8 @@ def test_triangular_inverse_matches_mirror():
 
 
 def test_failed_mirror_check_raises(monkeypatch):
-    monkeypatch.setattr(lawrence, "_mirror_ok", {HALF: False})
-    monkeypatch.setattr(lawrence, "_gen_cache", {})
+    monkeypatch.setattr(lawrence, "_mirror_validated",
+                        lambda convention: False)
     with pytest.raises(VerificationError, match="'half'"):
         generator_matrix(3, 2, 1, -1)
 

@@ -323,11 +323,11 @@ def test_qbinom_matches_product_form(n, k):
 def cold_caches(monkeypatch):
     """Empty binomial, generator and crossing-weight caches for one test,
     so that what it runs fills them afresh."""
-    for mod, name in ((ring, "_qbinom_cache"), (ring, "_qtrinom_cache"),
-                      (lawrence, "_gen_cache"), (lawrence, "_moves_cache"),
-                      (zmod, "_crossing_weight_cache"),
-                      (verma, "_pair_cache")):
+    for mod, name in ((ring, "_qbinom_cache"), (lawrence, "_moves_cache")):
         monkeypatch.setattr(mod, name, {})
+    for cached in (ring.qtrinom, lawrence._generator_mirror,
+                   zmod._crossing_weight, verma._pair_matrix):
+        cached.cache_clear()
 
 
 # the benchmark corpus, then the standing corpus and the extra knots

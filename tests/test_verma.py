@@ -81,8 +81,7 @@ def test_tensor_dim(n, m):
 
 
 def test_failed_mirror_check_raises(monkeypatch):
-    monkeypatch.setattr(verma, "_mirror_checked", {False: False})
-    monkeypatch.setattr(verma, "_pair_cache", {})
+    monkeypatch.setattr(verma, "_mirror_ok", lambda inverse_x: False)
     with pytest.raises(VerificationError, match="inverse_x=False"):
         tensor_action(parse_braid("1 -1"), 1)
 

@@ -24,7 +24,7 @@ from flowloop import (
     zeta_classical,
     zhat,
 )
-from flowloop import ring
+from flowloop import braid, ring
 from flowloop.braid import alexander_classical
 from flowloop.lawrence import graded_trace
 from flowloop.zhat import REVERSED, STANDARD, AxisSector
@@ -113,10 +113,15 @@ def test_phi_positive_rejects_mixed_words():
 
 
 def test_phi_rejects_links_and_inhomogeneous():
-    with pytest.raises(InputError):
-        phi_homogeneous(parse_braid("1 1"), 3)  # two-component closure
-    with pytest.raises(InputError):
-        phi_homogeneous(parse_braid("1 -1"), 3)
+    # one gate, braid.require_homogeneous_knot, serves every route
+    for text, message in (
+            ("1 1", "closure has 2 components, need a knot"),
+            ("1 -1", "braid word n=2; 1 -1 is not homogeneous")):
+        for route in (zhat, phi_positive, phi_homogeneous,
+                      alexander_classical):
+            with pytest.raises(InputError) as exc:
+                route(parse_braid(text), 3)
+            assert str(exc.value) == message, (route.__name__, text)
 
 
 def test_reversed_orientation_is_the_rejected_reading():
@@ -760,14 +765,14 @@ def test_prefactor_errors_name_word_and_order(monkeypatch, field, shift,
                                               message):
     # the sign, q-power and x-power checks follow from these two for any
     # integer stats, so no stats object reaches them
-    real = zmod._require_homogeneous_knot
+    real = braid.require_homogeneous_knot
 
     def skewed(word):
         stats = real(word)
         return dataclasses.replace(stats, **{field: getattr(stats, field)
                                              + shift})
 
-    monkeypatch.setattr(zmod, "_require_homogeneous_knot", skewed)
+    monkeypatch.setattr(braid, "require_homogeneous_knot", skewed)
     with pytest.raises(VerificationError,
                        match=rf"^{message} n=3; 1 -2 1 -2 at order 2\b"):
         zhat(parse_braid("1 -2 1 -2"), 2)
