@@ -435,18 +435,18 @@ def alexander_classical(word, order):
             f"Alexander polynomial of {where} has |Delta(1)| != 1: "
             f"{delta.render('x')}"
         )
-    delta_series = XSeries(
-        {e: QLaurent.monomial(c, 0) for e, c in delta.terms.items()},
-        trunc=None,
-    )
-    trunc = 2 * order + 1
-    inv = delta_series.inverse(trunc)
-    one_minus_x = XSeries(
-        {0: QLaurent.one(), 2: QLaurent.monomial(-1, 0)}, trunc
-    )
-    inv_series = one_minus_x * inv
-    if inv_series.coeff(0) != QLaurent.one():
+    inv = _axis_quotient(1, delta, order)
+    if inv.coeff(0) != QLaurent.one():
         raise VerificationError(
             f"(1-x)/Delta of {where} does not start with 1")
     # through specialize_q1 so small coefficients share one QLaurent each
-    return delta_series.specialize_q1(), inv_series.specialize_q1()
+    return XSeries(delta.terms).specialize_q1(), inv
+
+
+def _axis_quotient(k, poly, order):
+    """(1 - x^k)/poly at q = 1, truncated at x^order, for an x-half
+    QLaurent poly whose constant term is +-1: (1 - x)/Delta of the
+    Alexander route (k = 1) and the template zeta (k = n)."""
+    trunc = 2 * order + 1
+    axis = XSeries({0: 1, 2 * k: -1}, trunc)
+    return (axis * XSeries(poly.terms).inverse(trunc)).specialize_q1()

@@ -10,13 +10,7 @@ import sys
 
 from . import braid, lawrence, template, verify
 from .errors import InputError, ParseError, VerificationError
-from .zhat import (
-    REVERSED,
-    STANDARD,
-    phi_homogeneous,
-    phi_positive,
-    zhat as _zhat,
-)
+from .zhat import REVERSED, STANDARD, zhat as _zhat
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,10 +48,17 @@ def _word_head(word, stats):
             {"braid": text, "n": word.n, "writhe": stats.writhe})
 
 
-def _cmd_zhat(args):
+def _zhat_of(args):
+    """The word of args and its zhat result: the one Phi route of both
+    the zhat and the phi command."""
     word = braid.parse_braid(args.braid)
     orientation = REVERSED if args.debug_mirror else STANDARD
-    res = _zhat(word, args.order, orientation=orientation, cap=args.cap)
+    return word, _zhat(word, args.order, orientation=orientation,
+                       cap=args.cap)
+
+
+def _cmd_zhat(args):
+    word, res = _zhat_of(args)
     sign, qh, xh = res.prefactor
     pref = f"{sign} * q^({qh}/2) * x^({xh}/2)"
     lines, payload = _word_head(word, res.stats)
@@ -76,19 +77,10 @@ def _cmd_zhat(args):
 
 
 def _cmd_phi(args):
-    word = braid.parse_braid(args.braid)
-    stats = braid.analyze(word)
-    if args.debug_mirror:
-        phi = phi_homogeneous(
-            word, args.order, cap=args.cap, orientation=REVERSED
-        )
-    elif stats.cr_minus:
-        phi = phi_homogeneous(word, args.order, cap=args.cap)
-    else:
-        phi = phi_positive(word, args.order, m_cut=args.cap)
-    lines, payload = _word_head(word, stats)
-    lines.append(f"phi: {phi.render(tail=True)}")
-    payload["phi"] = _series_json(phi)
+    word, res = _zhat_of(args)
+    lines, payload = _word_head(word, res.stats)
+    lines.append(f"phi: {res.phi.render(tail=True)}")
+    payload["phi"] = _series_json(res.phi)
     _print(payload, args.format == "json", lines)
     return 0
 

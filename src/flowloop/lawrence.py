@@ -158,7 +158,7 @@ class GradedMatrix:
 
 
 def _positive_weight(A, b, c, convention):
-    """(q_half, x_half, QLaurent factor, sign) of the (A, b, c) move."""
+    """(QLaurent factor, x_half) of the positive (A, b, c) move."""
     tri = qtrinom(A + b + c, A, b, c)
     if convention == HALF:
         qh = A * A + A + b + c
@@ -173,18 +173,11 @@ def _positive_weight(A, b, c, convention):
 
 
 def _negative_weight(A, b, c, convention):
-    tri = qtrinom(A + b + c, A, b, c).bar()
-    if convention == HALF:
-        qh = -(A * A + A + b + c)
-        xh = -(2 * A + b + c)
-    else:
-        # mirrored under-convention: left shed b takes the role of c
-        qh = -(A * (A - 1)) - 2 * (A + b)
-        xh = -(2 * (A + b))
-    coeff = tri.shift(qh)
-    if A % 2:
-        coeff = -coeff
-    return coeff, xh
+    """The mirror of the positive (A, c, b) move: q -> 1/q, x -> 1/x.  The
+    trinomial is symmetric in its parts, so swapping the sheds only moves
+    the x-power of `under', whose left shed b takes the role of c."""
+    coeff, xh = _positive_weight(A, c, b, convention)
+    return coeff.bar(), -xh
 
 
 @functools.cache

@@ -31,6 +31,18 @@ import functools
 from .errors import VerificationError
 
 
+def _signed_sum(pieces):
+    """Join (text, positive) pairs as "a + b - c", with a leading "-" for a
+    negative first piece; "0" when there is none."""
+    out = []
+    for text, positive in pieces:
+        if out:
+            out.append((" + " if positive else " - ") + text)
+        else:
+            out.append(text if positive else "-" + text)
+    return "".join(out) or "0"
+
+
 def _pow_str(var, half):
     """Render var^(half/2) canonically ('' for exponent 0)."""
     if half == 0:
@@ -55,9 +67,7 @@ def ql_mul(a, b):
 
 
 def ql_add_into(acc, a, scale=1):
-    """acc += scale * a, in place (zeros dropped)."""
-    if scale == 0:
-        return
+    """acc += scale * a, in place (zeros dropped); scale is nonzero."""
     for e, c in a.items():
         v = acc.get(e, 0) + scale * c
         if v:
@@ -302,24 +312,17 @@ class QLaurent:
     __hash__ = None
 
     def render(self, var="q"):
-        if not self.terms:
-            return "0"
-        parts = []
+        pieces = []
         for e in sorted(self.terms):
             c = self.terms[e]
-            mag = abs(c)
             body = []
-            if mag != 1 or e == 0:
-                body.append(str(mag))
+            if abs(c) != 1 or e == 0:
+                body.append(str(abs(c)))
             p = _pow_str(var, e)
             if p:
                 body.append(p)
-            piece = "*".join(body)
-            if not parts:
-                parts.append(piece if c > 0 else "-" + piece)
-            else:
-                parts.append((" + " if c > 0 else " - ") + piece)
-        return "".join(parts)
+            pieces.append(("*".join(body), c > 0))
+        return _signed_sum(pieces)
 
     def __str__(self):
         return self.render()
@@ -595,37 +598,21 @@ class XSeries:
         return all(self.terms[x] == other.terms[x] for x in self.terms)
 
     def render(self, var="x", tail=False):
-        if not self.terms:
-            s = "0"
-        else:
-            parts = []
-            for x in sorted(self.terms):
-                q = self.terms[x]
-                unit = None
-                if len(q.terms) == 1:
-                    ((qe, qc),) = q.terms.items()
-                    body = []
-                    if abs(qc) != 1 or (qe == 0 and x == 0):
-                        body.append(str(abs(qc)))
-                    p = _pow_str("q", qe)
-                    if p:
-                        body.append(p)
-                    p = _pow_str(var, x)
-                    if p:
-                        body.append(p)
-                    unit = ("*".join(body), qc > 0)
-                if unit is None:
-                    piece = "(" + q.render() + ")"
-                    p = _pow_str(var, x)
-                    if p:
-                        piece += "*" + p
-                    unit = (piece, True)
-                piece, positive = unit
-                if not parts:
-                    parts.append(piece if positive else "-" + piece)
-                else:
-                    parts.append((" + " if positive else " - ") + piece)
-            s = "".join(parts)
+        pieces = []
+        for x in sorted(self.terms):
+            q = self.terms[x]
+            px = _pow_str(var, x)
+            if len(q.terms) == 1:
+                ((qe, qc),) = q.terms.items()
+                body = []
+                if abs(qc) != 1 or (qe == 0 and x == 0):
+                    body.append(str(abs(qc)))
+                body += [p for p in (_pow_str("q", qe), px) if p]
+                pieces.append(("*".join(body), qc > 0))
+            else:
+                piece = "(" + q.render() + ")"
+                pieces.append((piece + "*" + px if px else piece, True))
+        s = _signed_sum(pieces)
         if tail and self.trunc is not None:
             h = self.trunc + 1
             if h % 2 == 0:

@@ -32,7 +32,8 @@ and zeta_classical computes
 
     zeta = (1 - x^n) / det(I - A(x))
 
-without listing a single orbit.  Exactly, det(I - A(x)) (1 - x) =
+(by braid._axis_quotient, the q = 1 quotient the Alexander route also
+uses) without listing a single orbit.  Exactly, det(I - A(x)) (1 - x) =
 Delta(x) (1 - x^n).  The determinant is braid._det, which packs each
 entry into one integer by Kronecker substitution, eliminates in Z and
 decodes the result under a coefficient bound proven from the entries.
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 from . import braid as _braid
 from .errors import InputError, VerificationError
-from .ring import QLaurent, XSeries
+from .ring import QLaurent
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,6 @@ def _cyclic_open(a, b, c):
     out = []
     k = (a + 1) % c
     while k != b:
-        if k == a:
-            break
         out.append(k)
         k = (k + 1) % c
     return out
@@ -233,7 +232,9 @@ def enumerate_orbits(template, max_degree):
             if ndeg > max_degree:
                 continue
             if nxt.mark == 0 and zero_run >= template.n - 2:
-                continue  # structurally impossible; cheap guard
+                # impossible in a built template; the only stop for a
+                # hand-built Template (public) with a mark-0 cycle
+                continue
             path.append(nxt_idx)
             if nxt.dst == strips[first].src:
                 record(tuple(path), ndeg, twists + nxt.twist)
@@ -309,7 +310,5 @@ def zeta_classical(word, order):
     if order < 0:
         raise InputError("order must be >= 0")
     template = build_template(word)
-    det = zeta_denominator(template)
-    trunc = 2 * order + 1
-    axis = XSeries({0: 1, 2 * template.n: -1}, trunc)
-    return (axis * XSeries(det.terms).inverse(trunc)).specialize_q1()
+    return _braid._axis_quotient(template.n, zeta_denominator(template),
+                                 order)

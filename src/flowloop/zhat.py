@@ -30,10 +30,14 @@ computed two ways:
       middle label below u, above v = u + (left shed) + (right shed)
 
   in true-label terms at every crossing, which for a negative middle
-  column means its hat DROPS by the total shed.  The crossing weights are
+  column means its hat DROPS by the total shed.  With low = min(u, v)
+  and high = max(u, v) = low + b + c, the crossing weight is
 
-      positive column:  (-1)^u q^{(u^2+v)/2} [v; u, b, c]_q      x^{(u+v)/2}
-      negative column:  (-1)^v q^{-(v^2+u)/2} [u; b, v, c]_{1/q} x^{(u+v)/2}
+      positive column:  (-1)^low q^{(low^2+high)/2} [high; low, b, c]_q
+      negative column:  the same with q -> 1/q
+
+  times x^{(u+v)/2}: a negative crossing carries the mirror image of the
+  positive weight.
 
   and each closed loop picks up the axis-sector factor
   q^{(2 eps - 1) m~ + eps (col+ - col-)} (-x^n)^eps over eps in {0, 1},
@@ -59,11 +63,11 @@ computed two ways:
   its budget trunc - h_j(b), where h_j(b) bounds the cost of the letters
   after j on any path that ends at b (_letter_budgets).  Neither drops a move of a closed path within
   trunc, so the passes keep exactly the moves they kept without them.  The
-  q-weight of a crossing depends only on the middle column's sign, the
-  orientation, u and the two sheds, and is shared by every move that has
-  them.  The series work runs on raw {x_half: {q_half: coeff}} tables:
-  each kept move adds its source amplitude times its weight into its
-  destination in place (walks.sum_paths), and each bottom's two axis
+  q-weight of a crossing depends only on the middle column's sign, low
+  and the two sheds, and is shared by every move that has them.  The
+  series work runs on raw {x_half: {q_half: coeff}} tables: each kept
+  move adds its source amplitude times its weight into its destination
+  in place (walks.sum_paths), and each bottom's two axis
   sectors go into Phi the same way, through the one kernel
   ring.xs_addmul_term_into; only the final sums become XSeries.
 
@@ -74,7 +78,12 @@ computed two ways:
 
 The orientation of the hat flow at negative crossings is the oracle-pinned
 choice; orientation="reversed" exposes the rejected mirror reading for
-debugging.  zhat() multiplies Phi by the closure prefactor
+debugging.  That reading differs from the standard one only in how labels
+move: at a negative column's own crossing its hat rises by b + c and each
+neighbor's true label rises by what it sheds, instead of falling.  Its
+crossing weight is the same function of the sign, low and the sheds.
+
+zhat() multiplies Phi by the closure prefactor
 (-1)^{1+cr-+col-} q^{(w-(n-1))/2 + col-} x^{(w-n)/2 + cr-} and checks it
 against the genus form (-1)^{1+lam} q^{g-lam} x^{g-1/2}.
 """
@@ -110,6 +119,11 @@ class AxisSector:
     @property
     def sign(self):
         return -1 if self.epsilon else 1
+
+
+def _require_orientation(orientation):
+    if orientation not in (STANDARD, REVERSED):
+        raise InputError(f"unknown orientation {orientation!r}")
 
 
 def _require_nonnegative(**values):
@@ -191,24 +205,21 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
 # homogeneous words: column-label transfer DP
 
 @functools.cache
-def _crossing_weight(mid_sign, reversed_mid, u, b, c):
-    """q-weight of a crossing whose middle label is u below and whose
-    neighbors shed b and c.  It does not depend on the neighbors' labels
-    or on the cap, so every move with the same key shares one object."""
-    if mid_sign > 0:
-        v = u + b + c
-        coeff = qtrinom(v, u, b, c).shift(u * u + v)
-        odd = u % 2
-    elif not reversed_mid:
-        v = u - b - c
-        coeff = qtrinom(u, b, v, c).bar().shift(-(v * v + u))
-        odd = v % 2
-    else:
-        # rejected mirror reading: the hat rises at its own crossing
-        v = u + b + c
-        coeff = qtrinom(v, b, u, c).bar().shift(-(u * u + v))
-        odd = u % 2
-    return -coeff if odd else coeff
+def _crossing_weight(mid_sign, low, b, c):
+    """q-weight of a crossing whose middle label is u below and v above,
+    low = min(u, v), and whose neighbors shed b and c:
+
+        (-1)^low q^{(low^2 + high)/2} [high; low, b, c]_q,  high = low + b + c,
+
+    with q -> 1/q when the middle column is negative, the mirror image of
+    the positive weight.  It does not depend on the neighbors' labels or
+    on the cap, so every move with the same key shares one object; a
+    Gaussian multinomial with nonnegative parts is never zero."""
+    high = low + b + c
+    coeff = qtrinom(high, low, b, c).shift(low * low + high)
+    if mid_sign < 0:
+        coeff = coeff.bar()
+    return -coeff if low % 2 else coeff
 
 
 def _transitions(key, cache):
@@ -246,9 +257,7 @@ def _transitions(key, cache):
             v = lM - b - c if drops else lM + b + c
             if v < 0 or v > cap:
                 continue
-            coeff = _crossing_weight(mid_sign, reversed_mid, lM, b, c)
-            if coeff.is_zero:
-                continue
+            coeff = _crossing_weight(mid_sign, min(lM, v), b, c)
             if reversed_mid:
                 # mirror reading: neighbors gain from the middle going up
                 nL = (lL + b) if kindL > 0 else (lL - b if kindL else lL)
@@ -548,8 +557,7 @@ def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
     and terms above the truncation are dropped anyway, so the pruned
     moves only ever carried terms that truncation would discard: the
     series is the same as that of the unpruned DP."""
-    if orientation not in (STANDARD, REVERSED):
-        raise InputError(f"unknown orientation {orientation!r}")
+    _require_orientation(orientation)
     _braid.require_homogeneous_knot(word)
     if cap is None:
         cap = order
@@ -599,7 +607,13 @@ class ZhatResult:
 
 def zhat(word, order, orientation=STANDARD, cap=None):
     """Phi and the BPS series of the closure knot, truncated prefactor-
-    shifted; both prefactor presentations are computed and must agree."""
+    shifted; both prefactor presentations are computed and must agree.
+
+    This is the one place that picks a Phi route: phi_positive for an
+    all-positive word, phi_homogeneous otherwise.  orientation changes
+    only negative columns, so it is checked here and used on the DP
+    route alone."""
+    _require_orientation(orientation)
     stats = _braid.require_homogeneous_knot(word)
     n, w = stats.n, stats.writhe
     crm, colm = stats.cr_minus, stats.col_minus

@@ -162,6 +162,17 @@ def test_phi_debug_mirror_differs(capsys):
     assert good != bad
 
 
+def test_phi_debug_mirror_leaves_positive_words_alone(capsys):
+    # --debug-mirror changes only negative columns, and phi takes zhat's
+    # route, so an all-positive word prints what it prints without it
+    argv = ("phi", "--braid", "1 1 1 2", "--order", "5", "--cap", "2")
+    code, plain = run_cli(capsys, *argv)
+    assert code == 0
+    code, mirror = run_cli(capsys, *argv, "--debug-mirror")
+    assert code == 0
+    assert mirror == plain
+
+
 def test_convention_flag_does_not_change_traces(capsys):
     _, half = run_cli(capsys, "trace", "--braid", "1 1 1", "--mmax", "3")
     code, under = run_cli(

@@ -21,6 +21,7 @@ from flowloop.lawrence import (
     weight_states,
 )
 from flowloop.lawrence import _triangular_inverse
+from flowloop.ring import qtrinom
 
 from conftest import POSITIVE_KNOTS, xs
 
@@ -333,3 +334,25 @@ def test_negative_weights_are_refused():
         truncated_trace(word, -1, 5)
     with pytest.raises(InputError, match="m=-1"):
         lawrence.truncated_trace_table(word, -1, -5)
+
+
+def table_negative_weight(A, b, c, convention):
+    """The negative weight as its own hand-written table (test oracle)."""
+    tri = qtrinom(A + b + c, A, b, c).bar()
+    if convention == HALF:
+        qh = -(A * A + A + b + c)
+        xh = -(2 * A + b + c)
+    else:
+        qh = -(A * (A - 1)) - 2 * (A + b)
+        xh = -(2 * (A + b))
+    coeff = tri.shift(qh)
+    return (-coeff if A % 2 else coeff), xh
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_negative_weight_is_the_mirror_table(conv):
+    for A in range(7):
+        for b in range(6):
+            for c in range(6):
+                assert lawrence._negative_weight(A, b, c, conv) == \
+                    table_negative_weight(A, b, c, conv), (A, b, c)

@@ -326,6 +326,44 @@ def test_need_is_the_smallest_cap_of_a_move():
                         m for m in at_top if m[5] <= cap], key
 
 
+def three_branch_weight(mid_sign, reversed_mid, u, b, c):
+    """The crossing weight as three hand-written readings (test oracle)."""
+    if mid_sign > 0:
+        v = u + b + c
+        coeff = ring.qtrinom(v, u, b, c).shift(u * u + v)
+        odd = u % 2
+    elif not reversed_mid:
+        v = u - b - c
+        coeff = ring.qtrinom(u, b, v, c).bar().shift(-(v * v + u))
+        odd = v % 2
+    else:
+        v = u + b + c
+        coeff = ring.qtrinom(v, b, u, c).bar().shift(-(u * u + v))
+        odd = u % 2
+    return -coeff if odd else coeff
+
+
+def test_crossing_weight_matches_three_branch_oracle():
+    # one formula of the low label min(u, v), barred for a negative
+    # middle, against the positive, negative and reversed readings
+    for u in range(9):
+        for b, c in product(range(6), repeat=2):
+            assert zmod._crossing_weight(1, u, b, c) == \
+                three_branch_weight(1, False, u, b, c), (u, b, c)
+            assert zmod._crossing_weight(-1, u, b, c) == \
+                three_branch_weight(-1, True, u, b, c), (u, b, c)
+            if u - b - c >= 0:
+                assert zmod._crossing_weight(-1, u - b - c, b, c) == \
+                    three_branch_weight(-1, False, u, b, c), (u, b, c)
+
+
+def test_zhat_refuses_unknown_orientation_on_every_route():
+    for text in ("1 1 1", "1 -2 1 -2"):
+        with pytest.raises(InputError,
+                           match="^unknown orientation 'bogus'$"):
+            zhat(parse_braid(text), 3, orientation="bogus")
+
+
 def oracle_min_plus(word, col_sign, bottom, budget, cap, orientation,
                     cache):
     """Per letter, every move at cap out of the states reachable from
