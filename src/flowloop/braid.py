@@ -7,19 +7,24 @@ Column i collects the letters using generator i.  A word is homogeneous
 when every column 1..n-1 is nonempty and single-signed; those are the
 words the flow-loop machinery accepts (their closures are fibered links).
 
-The q = 1 layer works on integer x-polynomials.  The reduced Burau route
-rewrites one row of its product per letter; the weight-rep route takes
-each distinct m = 1 generator matrix to q = 1 once and composes those.
-Both end in _det, one determinant also shared by the template zeta, which
-packs every entry into a single integer (Kronecker substitution under a
-proven coefficient bound) and eliminates in Z.
+The q = 1 layer works on raw {x_half: int} tables, the layout of
+QLaurent.terms.  The reduced Burau route rewrites one row of its product
+per letter through ring.ql_add_into; the weight-rep route takes each
+distinct m = 1 generator matrix to q = 1 once, packs its entries into
+integers (Kronecker substitution under a proven coefficient bound) and
+composes those with lawrence.compose.  Both end in _det, one determinant
+also shared by the template zeta, which packs every entry the same way
+and eliminates in Z.  _axis_quotient, the q = 1 series (1 - x^k)/P(x) of
+both (1 - x)/Delta and the zeta, is an integer recurrence over a list; it
+refuses an order whose work passes Q1_WORK_LIMIT before allocating.
+Objects are made only for the determinant and the outputs.
 """
 
 import re
 from dataclasses import dataclass
 
 from .errors import InputError, ParseError, VerificationError
-from .ring import QLaurent, XSeries, ql_add_into
+from .ring import QLaurent, XSeries, _monomial, ql_add_into
 
 _PREFIX = re.compile(r"^n\s*=\s*([+-]?\d+)\s*;\s*(.*)$", re.S)
 
@@ -188,21 +193,53 @@ def _where(word, order, cap=None, m_cut=None):
 
 
 # ---------------------------------------------------------------------------
-# Alexander polynomial, two ways.  All x-polynomials below live in QLaurent
-# dicts whose exponents count halves of x.
+# Alexander polynomial, two ways.  Every x-polynomial below is a raw
+# {x_half: int} table (the layout of QLaurent.terms, exponents counting
+# halves of x); only _det and the outputs make QLaurent/XSeries objects.
+
+# (1 - x^k)/P(x) to x^order takes (2 order + 2) x (terms of P) steps of
+# _axis_quotient; past this many it refuses the order before it allocates
+# anything.  The corpus at order 400 needs under 10^4.
+Q1_WORK_LIMIT = 10 ** 6
+
+
+def _pack(entry, K, lo):
+    """The table entry times x^(-lo/2) (lo at most its lowest exponent),
+    evaluated at x^(1/2) = 2^K: one integer."""
+    return sum(c << K * (e - lo) for e, c in entry.items())
+
+
+def _unpack(value, K, low):
+    """The table whose coefficients are the balanced base-2^K digits of
+    value, the lowest at half-exponent low; inverts _pack when every
+    coefficient is below 2^(K - 1) in absolute value."""
+    mask, half = (1 << K) - 1, 1 << (K - 1)
+    terms = {}
+    e = low
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << K
+        if digit:
+            terms[e] = digit
+        value = (value - digit) >> K
+        e += 1
+    return terms
+
 
 def _det_bound(mat):
     """B = prod over rows of (sum over the row's entries of ||entry||_1),
     the bound _det proves on every coefficient of det(mat)."""
     bound = 1
     for row in mat:
-        bound *= sum(abs(c) for entry in row for c in entry.terms.values())
+        bound *= sum(abs(c) for entry in row for c in entry.values())
     return bound
 
 
 def _det(mat):
-    """Exact determinant of a square matrix of x-half Laurent polynomials,
-    by Kronecker substitution into one integer Bareiss elimination.
+    """Exact determinant, as a QLaurent, of a square matrix of x-half
+    tables, by Kronecker substitution into one integer Bareiss
+    elimination.
 
     Shift each row by its lowest half-exponent lo_r, which leaves a matrix
     M' of polynomials in y = x^(1/2) with det(mat) = y^(sum lo_r) det(M').
@@ -246,10 +283,9 @@ def _det(mat):
     low = 0
     m = []
     for row in mat:
-        lo = min(e for entry in row for e in entry.terms)
+        lo = min(e for entry in row for e in entry)
         low += lo
-        m.append([sum(c << K * (e - lo) for e, c in entry.terms.items())
-                  for entry in row])
+        m.append([_pack(entry, K, lo) for entry in row])
     sign, prev = 1, 1
     for p in range(k - 1):
         if not m[p][p]:
@@ -265,19 +301,7 @@ def _det(mat):
             for c in range(p + 1, k):
                 row[c] = (pivot * row[c] - lead * pivot_row[c]) // prev
         prev = pivot
-    value = sign * m[k - 1][k - 1]
-    mask, half = (1 << K) - 1, 1 << (K - 1)
-    terms = {}
-    e = low
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= 1 << K
-        if digit:
-            terms[e] = digit
-        value = (value - digit) >> K
-        e += 1
-    return QLaurent._raw(terms)
+    return QLaurent._raw(_unpack(sign * m[k - 1][k - 1], K, low))
 
 
 def _cyclotomic_like(n):
@@ -307,7 +331,7 @@ def _normalize_alexander(d, word, order):
 
 
 def _burau_reduced(word):
-    """Reduced Burau matrix of the word at t = x (x-half exponents).
+    """Reduced Burau matrix of the word at t = x, as x-half tables.
 
     Generator i differs from the identity only in row r = i - 1, so
     g P replaces row r of the running product P with
@@ -316,11 +340,10 @@ def _burau_reduced(word):
         sigma_i^(-1):  -t^(-1) P[r] + P[r-1] + t^(-1) P[r+1]
 
     (rows outside 0..n-2 dropped): at most three shifted rows per letter,
-    each entry scaled by a unit.
+    each entry scaled by a unit and added by ring.ql_add_into.
     """
     k = word.n - 1
-    prod = [[QLaurent.one() if r == c else QLaurent.zero() for c in range(k)]
-            for r in range(k)]
+    prod = [[{0: 1} if r == c else {} for c in range(k)] for r in range(k)]
     for v in word.letters:
         r = abs(v) - 1
         t = 2 if v > 0 else -2  # half-exponent of t^(+-1)
@@ -329,12 +352,10 @@ def _burau_reduced(word):
             parts.append((prod[r - 1], t if v > 0 else 0, 1))
         if r < k - 1:
             parts.append((prod[r + 1], 0 if v > 0 else t, 1))
-        row = []
-        for c in range(k):
-            acc = {}
-            for src, shift, scale in parts:
-                ql_add_into(acc, src[c].shift(shift).terms, scale)
-            row.append(QLaurent._raw(acc))
+        row = [{} for _ in range(k)]
+        for src, shift, scale in parts:
+            for acc, entry in zip(row, src):
+                ql_add_into(acc, entry, scale, shift)
         prod[r] = row
     return prod
 
@@ -342,11 +363,9 @@ def _burau_reduced(word):
 def _burau_alexander_matrix(word):
     """P - I for the reduced Burau matrix P of the word."""
     p = _burau_reduced(word)
-    one = QLaurent.one()
-    return [
-        [entry - one if r == c else entry for c, entry in enumerate(row)]
-        for r, row in enumerate(p)
-    ]
+    for r, row in enumerate(p):
+        ql_add_into(row[r], {0: 1}, -1)
+    return p
 
 
 def _alexander_burau(word, order):
@@ -355,46 +374,65 @@ def _alexander_burau(word, order):
     return _normalize_alexander(d, word, order)
 
 
-def _at_q1(entry):
-    """An exact XSeries evaluated at q = 1, as an x-half QLaurent."""
-    return QLaurent({x: qv.at_q1() for x, qv in entry.terms.items()})
-
-
 def _weight_rep_alexander_matrix(word):
     """I - M for the m=1 weight-graded matrix M of the word at q = 1.
 
-    Each distinct generator matrix of the word is evaluated at q = 1 once,
-    and lawrence.compose folds those x-polynomial matrices into M.
-    Evaluation at q = 1 is a ring homomorphism, so it commutes with the
-    product: M is rep_matrix(word, 1) evaluated at q = 1, exactly.
+    Each distinct generator matrix g of the word is taken to q = 1 once,
+    and each of its entries, shifted by its lowest half-exponent lo_g, is
+    packed into one integer at x^(1/2) = 2^K.  lawrence.compose folds the
+    packed matrices into M shifted by the sum of lo_g over the letters.
+    Evaluation at q = 1 and at 2^K are ring homomorphisms, so both commute
+    with the product: M is rep_matrix(word, 1) at q = 1, exactly.
+
+    Bound.  Let N_g be the largest total norm (sum of ||entry||_1) of a
+    column g[src].  Column src of g P is sum over mid of P[src][mid] g[mid],
+    so its total norm is at most N_g times that of column src of P.  From
+    the identity, every coefficient of every prefix product, M included,
+    is thus at most B = prod over letters of N_g < 2^(K - 1) for
+    K = B.bit_length() + 2: compose's zero test on the packed sums is
+    exact, and _unpack decodes M.
     """
     from . import lawrence  # deferred: lawrence imports this module
 
-    gens = {}
+    packed, norm, lows = {}, {}, {}
     for v in set(word.letters):
         cols = lawrence.generator_matrix(
             word.n, 1, abs(v), 1 if v > 0 else -1).cols
-        gens[v] = {
-            src: {dst: cell for dst, entry in row.items()
-                  if (cell := _at_q1(entry))}
-            for src, row in cols.items()
+        packed[v] = {
+            src: {dst: {x: qv.at_q1() for x, qv in entry.terms.items()}
+                  for dst, entry in col.items()}
+            for src, col in cols.items()
         }
-    states = lawrence.weight_states(word.n, 1)
-    prod = {s: {s: QLaurent.one()} for s in states}
+        norm[v] = max(sum(abs(c) for t in col.values() for c in t.values())
+                      for col in packed[v].values())
+        lows[v] = min(x for col in packed[v].values() for t in col.values()
+                      for x in t)
+    bound, low = 1, 0
     for v in word.letters:
-        prod = lawrence.compose(gens[v], prod)
-    one, zero = QLaurent.one(), QLaurent.zero()
-    return [
-        [one - prod[src].get(dst, zero) if src == dst
-         else -prod[src].get(dst, zero) for src in states]
-        for dst in states
-    ]
+        bound *= norm[v]
+        low += lows[v]
+    K = bound.bit_length() + 2
+    for v, cols in packed.items():
+        for col in cols.values():
+            for dst, t in col.items():
+                col[dst] = _pack(t, K, lows[v])
+    states = lawrence.weight_states(word.n, 1)
+    prod = {s: {s: 1} for s in states}
+    for v in word.letters:
+        prod = lawrence.compose(packed[v], prod)
+    mat = [[_unpack(-prod[src].get(dst, 0), K, low) for src in states]
+           for dst in states]
+    for r, row in enumerate(mat):
+        ql_add_into(row[r], {0: 1})
+    return mat
 
 
-def _alexander_weight_rep(word, order):
-    """Via the m=1 weight-graded matrices at q = 1."""
+def _alexander_weight_rep(word, order, stats=None):
+    """Via the m=1 weight-graded matrices at q = 1; stats is analyze(word),
+    computed here when the caller does not hand it over."""
     d = _det(_weight_rep_alexander_matrix(word))  # det(I - M)
-    stats = analyze(word)
+    if stats is None:
+        stats = analyze(word)
     return _normalize_alexander(d.shift(word.n - 1 - stats.writhe), word,
                                 order)
 
@@ -405,13 +443,14 @@ def alexander_classical(word, order):
 
     Computed independently from the q = 1 weight-graded representation and
     from the reduced Burau matrix; the two must agree exactly.  Every
-    VerificationError names the word and the order.
+    VerificationError names the word and the order.  An order past
+    Q1_WORK_LIMIT raises InputError.
     """
     if order < 0:
         raise InputError("order must be >= 0")
-    require_homogeneous_knot(word)
+    stats = require_homogeneous_knot(word)
     where = _where(word, order)
-    d_rep = _alexander_weight_rep(word, order)
+    d_rep = _alexander_weight_rep(word, order, stats)
     d_bur = _alexander_burau(word, order)
     if d_rep != d_bur:
         raise VerificationError(
@@ -435,7 +474,7 @@ def alexander_classical(word, order):
             f"Alexander polynomial of {where} has |Delta(1)| != 1: "
             f"{delta.render('x')}"
         )
-    inv = _axis_quotient(1, delta, order)
+    inv = _axis_quotient(1, delta.terms, order)
     if inv.coeff(0) != QLaurent.one():
         raise VerificationError(
             f"(1-x)/Delta of {where} does not start with 1")
@@ -444,9 +483,38 @@ def alexander_classical(word, order):
 
 
 def _axis_quotient(k, poly, order):
-    """(1 - x^k)/poly at q = 1, truncated at x^order, for an x-half
-    QLaurent poly whose constant term is +-1: (1 - x)/Delta of the
-    Alexander route (k = 1) and the template zeta (k = n)."""
+    """(1 - x^k)/poly at q = 1, truncated at x^order, for an x-half table
+    poly whose constant term is +-1: (1 - x)/Delta of the Alexander route
+    (k = 1) and the template zeta (k = n).
+
+    With c0 = poly[0], so 1/c0 = c0, the inverse is the integer recurrence
+    inv[0] = c0, inv[t] = -c0 sum_{s >= 1} poly[s] inv[t - s] (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 9) over a list of
+    2 order + 2 half-steps.  Values are handed out as shared
+    ring._monomial objects.
+    """
     trunc = 2 * order + 1
-    axis = XSeries({0: 1, 2 * k: -1}, trunc)
-    return (axis * XSeries(poly.terms).inverse(trunc)).specialize_q1()
+    work = (trunc + 1) * len(poly)
+    if work > Q1_WORK_LIMIT:
+        raise InputError(
+            f"order {order} needs {work} steps of the q = 1 series "
+            f"((2*order + 2) x {len(poly)} terms of the denominator), past "
+            f"Q1_WORK_LIMIT = {Q1_WORK_LIMIT}"
+        )
+    if not poly or min(poly) < 0:
+        raise VerificationError("inverse: series must start at x^0")
+    c0 = poly.get(0)
+    if c0 not in (1, -1):
+        raise VerificationError(
+            f"inverse: constant term {c0} is not a unit monomial")
+    tail = [(s, -c0 * p) for s, p in poly.items() if s]
+    inv = [c0]
+    for t in range(1, trunc + 1):
+        inv.append(sum(p * inv[t - s] for s, p in tail if s <= t))
+    terms = {}
+    for t, v in enumerate(inv):
+        if t >= 2 * k:
+            v -= inv[t - 2 * k]
+        if v:
+            terms[t] = _monomial(v, 0)
+    return XSeries._raw(terms, trunc)

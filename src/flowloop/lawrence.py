@@ -87,7 +87,9 @@ def dim(n, m):
 
 
 def compose(a_cols, b_cols):
-    """a o b (apply b, then a) on sparse cols[src][dst] matrices."""
+    """a o b (apply b, then a) on sparse cols[src][dst] matrices whose
+    entries are XSeries, QLaurent or Kronecker-packed ints; an entry that
+    sums to zero (is falsy) is dropped."""
     out = {}
     for src, vec in b_cols.items():
         acc = {}
@@ -96,7 +98,7 @@ def compose(a_cols, b_cols):
                 term = w * coeff
                 cur = acc.get(dst)
                 acc[dst] = term if cur is None else cur + term
-        out[src] = {d: v for d, v in acc.items() if not v.is_zero}
+        out[src] = {d: v for d, v in acc.items() if v}
     return out
 
 

@@ -66,9 +66,11 @@ def ql_mul(a, b):
     return out
 
 
-def ql_add_into(acc, a, scale=1):
-    """acc += scale * a, in place (zeros dropped); scale is nonzero."""
+def ql_add_into(acc, a, scale=1, shift=0):
+    """acc += scale * a with every exponent raised by shift, in place
+    (zeros dropped); scale is nonzero."""
     for e, c in a.items():
+        e += shift
         v = acc.get(e, 0) + scale * c
         if v:
             acc[e] = v

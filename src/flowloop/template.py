@@ -32,11 +32,14 @@ and zeta_classical computes
 
     zeta = (1 - x^n) / det(I - A(x))
 
-(by braid._axis_quotient, the q = 1 quotient the Alexander route also
-uses) without listing a single orbit.  Exactly, det(I - A(x)) (1 - x) =
-Delta(x) (1 - x^n).  The determinant is braid._det, which packs each
-entry into one integer by Kronecker substitution, eliminates in Z and
-decodes the result under a coefficient bound proven from the entries.
+without listing a single orbit.  Exactly, det(I - A(x)) (1 - x) =
+Delta(x) (1 - x^n).  I - A(x) is a matrix of raw {x_half: int} tables,
+one ring.ql_add_into per strip.  The determinant is braid._det, which
+packs each entry into one integer by Kronecker substitution, eliminates
+in Z and decodes the result under a coefficient bound proven from the
+entries; the quotient is braid._axis_quotient, the integer power-series
+recurrence the Alexander route also uses, which refuses an order past
+braid.Q1_WORK_LIMIT.
 enumerate_orbits still lists the orbits themselves, for the `orbits`
 command and as the test oracle of the determinant; its depth-first search
 refuses a max_degree whose strip words would be longer than
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 from . import braid as _braid
 from .errors import InputError, VerificationError
-from .ring import QLaurent
+from .ring import ql_add_into
 
 
 @dataclass(frozen=True)
@@ -286,14 +289,12 @@ def _check_no_free_cycle(template):
 
 
 def zeta_matrix(template):
-    """I - A(x) over branch lines; entries are QLaurent polynomials whose
-    exponents count halves of x."""
+    """I - A(x) over branch lines, as {x_half: int} tables (exponents
+    count halves of x)."""
     k = template.branch_count
-    mat = [[QLaurent.one() if r == c else QLaurent.zero() for c in range(k)]
-           for r in range(k)]
+    mat = [[{0: 1} if r == c else {} for c in range(k)] for r in range(k)]
     for s in template.strips:
-        weight = QLaurent.monomial(-1 if s.twist else 1, 2 * s.mark)
-        mat[s.src][s.dst] = mat[s.src][s.dst] - weight
+        ql_add_into(mat[s.src][s.dst], {2 * s.mark: 1}, 1 if s.twist else -1)
     return mat
 
 
@@ -306,9 +307,10 @@ def zeta_denominator(template):
 def zeta_classical(word, order):
     """(1 - x^n) * prod over primitive orbits of (1 - sign x^deg)^{-1},
     computed as (1 - x^n)/det(I - A(x)) and truncated at x^order; equals
-    the q = 1 loop count of the closure."""
+    the q = 1 loop count of the closure.  An order past
+    braid.Q1_WORK_LIMIT raises InputError."""
     if order < 0:
         raise InputError("order must be >= 0")
     template = build_template(word)
-    return _braid._axis_quotient(template.n, zeta_denominator(template),
-                                 order)
+    return _braid._axis_quotient(template.n,
+                                 zeta_denominator(template).terms, order)

@@ -1,5 +1,10 @@
 """Braid parsing, closure statistics, and the two Alexander routes."""
 
+import os
+import re
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,13 +14,17 @@ from flowloop import (
     ParseError,
     QLaurent,
     VerificationError,
+    XSeries,
     analyze,
     parse_braid,
     render_word,
+    zeta_classical,
 )
 from flowloop import braid as bmod
 from flowloop import build_template, lawrence
 from flowloop.braid import (
+    Q1_WORK_LIMIT,
+    _axis_quotient,
     _burau_alexander_matrix,
     _burau_reduced,
     _det,
@@ -25,7 +34,7 @@ from flowloop.braid import (
     alexander_classical,
     closure_permutation,
 )
-from flowloop.template import zeta_matrix
+from flowloop.template import zeta_denominator, zeta_matrix
 
 from conftest import CORPUS, EXTRA_KNOTS, ql, xs
 
@@ -217,10 +226,22 @@ def _det_bareiss_dict(mat):
     return det if sign > 0 else -det
 
 
+def _tables(mat):
+    """A QLaurent matrix as the {x_half: int} tables _det takes."""
+    return [[entry.terms for entry in row] for row in mat]
+
+
+def _qlaurents(mat):
+    """A matrix of tables as the QLaurent matrix the oracles take."""
+    return [[QLaurent(entry) for entry in row] for row in mat]
+
+
 def check_det(mat):
-    """_det against both oracles, and the bound B on every coefficient."""
+    """_det of a matrix of tables against both oracles, and the bound B on
+    every coefficient."""
     det = _det(mat)
-    assert det == _det_bareiss_dict(mat) == _det_by_minors(mat)
+    oracle_mat = _qlaurents(mat)
+    assert det == _det_bareiss_dict(oracle_mat) == _det_by_minors(oracle_mat)
     bound = _det_bound(mat)
     assert all(abs(c) <= bound for c in det.terms.values())
 
@@ -269,7 +290,7 @@ def det_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(det_matrices())
 def test_det_matches_oracles_on_random_matrices(mat):
-    check_det(mat)
+    check_det(_tables(mat))
 
 
 def _burau_dense(word):
@@ -326,14 +347,25 @@ def _weight_rep_graded_then_q1(word):
     return mat
 
 
+def _zeta_matrix_ql(template):
+    """Oracle for template.zeta_matrix: I - A(x) built from QLaurent
+    monomials, one subtraction per strip."""
+    k = template.branch_count
+    mat = [[QLaurent.one() if r == c else QLaurent.zero() for c in range(k)]
+           for r in range(k)]
+    for s in template.strips:
+        weight = QLaurent.monomial(-1 if s.twist else 1, 2 * s.mark)
+        mat[s.src][s.dst] = mat[s.src][s.dst] - weight
+    return mat
+
+
 def check_routes(word):
     # raw dict equality: no zero coefficient on either side
-    def raw(mat):
-        return [[entry.terms for entry in row] for row in mat]
-
-    assert raw(_burau_reduced(word)) == raw(_burau_dense(word))
-    assert raw(_weight_rep_alexander_matrix(word)) \
-        == raw(_weight_rep_graded_then_q1(word))
+    assert _burau_reduced(word) == _tables(_burau_dense(word))
+    assert _weight_rep_alexander_matrix(word) \
+        == _tables(_weight_rep_graded_then_q1(word))
+    template = build_template(word)
+    assert zeta_matrix(template) == _tables(_zeta_matrix_ql(template))
 
 
 @pytest.mark.parametrize("text", CORPUS + EXTRA_KNOTS)
@@ -396,7 +428,7 @@ def test_alexander_checks_name_word_and_order(monkeypatch, delta, head,
     # both routes agree on a bad polynomial, so the later checks fire
     for route in ("_alexander_burau", "_alexander_weight_rep"):
         monkeypatch.setattr(bmod, route,
-                            lambda word, order: QLaurent(delta))
+                            lambda word, order, stats=None: QLaurent(delta))
     with pytest.raises(VerificationError,
                        match=rf"^{head} n=3; 1 -2 1 -2 at order 3 {tail}"):
         alexander_classical(parse_braid("1 -2 1 -2"), 3)
@@ -429,7 +461,7 @@ def test_det_swaps_rows_on_zero_pivot():
         [{0: 1}, {0: 1}, {}],
         [{0: 2}, {0: 1, 2: 1}, {0: 1}],
     ])
-    assert _det(mat) == ql({2: -1, 4: 1}) == _det_by_minors(mat)
+    assert _det(_tables(mat)) == ql({2: -1, 4: 1}) == _det_by_minors(mat)
     # and with Laurent entries in a larger matrix
     mat = _mat([
         [{}, {2: 1}, {0: 1}, {}],
@@ -437,7 +469,7 @@ def test_det_swaps_rows_on_zero_pivot():
         [{0: 1}, {2: 1, 0: 1}, {}, {0: -1}],
         [{2: 1}, {}, {0: 1, 6: -2}, {1: 1}],
     ])
-    assert _det(mat) == _det_by_minors(mat)
+    assert _det(_tables(mat)) == _det_by_minors(mat)
 
 
 def test_det_of_singular_matrix_is_zero():
@@ -446,12 +478,146 @@ def test_det_of_singular_matrix_is_zero():
     r2 = [ql({2: 1}), ql({}), ql({4: 5})]
     f1, f2 = ql({0: 1, 2: 1}), ql({-1: 1})
     r3 = [f1 * a + f2 * b for a, b in zip(r1, r2)]
-    assert _det([r1, r2, r3]) == QLaurent.zero()
+    assert _det(_tables([r1, r2, r3])) == QLaurent.zero()
     assert _det_by_minors([r1, r2, r3]) == QLaurent.zero()
     # a zero column leaves no pivot to swap in
-    assert _det(_mat([[{}, {0: 1}], [{}, {2: 1}]])) == QLaurent.zero()
+    assert _det([[{}, {0: 1}], [{}, {2: 1}]]) == QLaurent.zero()
 
 
 def test_det_small_sizes():
     assert _det([]) == QLaurent.one()
-    assert _det([[ql({3: -2})]]) == ql({3: -2})
+    assert _det([[{3: -2}]]) == ql({3: -2})
+
+
+# ---------------------------------------------------------------------------
+# the integer q = 1 quotient against a test-local copy of the XSeries one
+
+
+def _axis_quotient_xseries(k, poly, order):
+    """Oracle for _axis_quotient: (1 - x^k) times the XSeries inverse of
+    the table poly, then taken to q = 1."""
+    trunc = 2 * order + 1
+    axis = XSeries({0: 1, 2 * k: -1}, trunc)
+    return (axis * XSeries(poly).inverse(trunc)).specialize_q1()
+
+
+def check_quotient(k, poly, order):
+    got = _axis_quotient(k, poly, order)
+    want = _axis_quotient_xseries(k, poly, order)
+    # the same truncation, keys and values, no zero stored
+    assert got == want and got.terms.keys() == want.terms.keys()
+    return got
+
+
+@st.composite
+def unit_polynomials(draw):
+    """x-half tables with constant term +-1 and up to 8 more terms at
+    positive whole or half exponents, with small, large and negative
+    coefficients."""
+    tail = draw(st.dictionaries(
+        st.integers(1, 24),
+        st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
+        .filter(bool),
+        max_size=8))
+    return {0: draw(st.sampled_from((1, -1))), **tail}
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_polynomials(), st.integers(1, 5), st.integers(0, 40))
+def test_axis_quotient_matches_xseries_oracle(poly, k, order):
+    check_quotient(k, poly, order)
+
+
+def q1_zeta_words():
+    """The words of the seed-1 q1-zeta benchmark batch, with their
+    orders."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
+                                    "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return sorted({(item.braid, item.order)
+                   for item in workloads.batch("q1-zeta", 1)
+                   if item.kind == "q1"})
+
+
+@pytest.mark.parametrize("words", [
+    [(text, 8) for text in CORPUS + EXTRA_KNOTS],
+    q1_zeta_words(),
+], ids=["corpus", "q1-zeta-seed-1"])
+def test_axis_quotient_matches_xseries_oracle_on_knots(words):
+    for text, order in words:
+        word = parse_braid(text)
+        delta, inv = alexander_classical(word, order)
+        table = {x: q.at_q1() for x, q in delta.terms.items()}
+        assert inv == check_quotient(1, table, order)
+        det = zeta_denominator(build_template(word))
+        assert zeta_classical(word, order) \
+            == check_quotient(word.n, det.terms, order)
+
+
+@pytest.mark.parametrize("poly", [{}, {-1: 1, 0: 1}, {2: 1}, {0: 2, 2: 1},
+                                  {0: -3}, {1: 1, 2: 5}],
+                         ids=["empty", "negative", "no-constant",
+                              "constant-2", "constant-minus-3", "half"])
+def test_axis_quotient_errors_match_xseries_oracle(poly):
+    with pytest.raises(VerificationError) as old:
+        _axis_quotient_xseries(1, poly, 4)
+    message = re.escape(str(old.value))
+    with pytest.raises(VerificationError, match=f"^{message}$"):
+        _axis_quotient(1, poly, 4)
+
+
+# the trefoil's Delta = 1 - x + x^2 and det(I - A(x)) = 1 + x^3
+TREFOIL_Q1_ROUTES = [(alexander_classical, 3), (zeta_classical, 2)]
+
+
+@pytest.mark.parametrize("route,terms", TREFOIL_Q1_ROUTES,
+                         ids=["alexander", "zeta"])
+def test_q1_routes_refuse_oversized_orders_before_allocating(route, terms):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=(
+                rf"^order 100000000 needs {200000002 * terms} steps of the "
+                rf"q = 1 series \(\(2\*order \+ 2\) x {terms} terms of the "
+                rf"denominator\), past Q1_WORK_LIMIT = {Q1_WORK_LIMIT}$")):
+            route(parse_braid("1 1 1"), 10**8)
+        assert tracemalloc.get_traced_memory()[1] < 10**6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("route,terms", TREFOIL_Q1_ROUTES,
+                         ids=["alexander", "zeta"])
+def test_q1_work_limit_is_the_work_estimate(monkeypatch, route, terms):
+    # the largest order whose (2 order + 2) x terms fits runs, one more not
+    monkeypatch.setattr(bmod, "Q1_WORK_LIMIT", 60)
+    order = 60 // terms // 2 - 1
+    assert route(parse_braid("1 1 1"), order)
+    with pytest.raises(InputError, match=f"needs {(2 * order + 4) * terms} "):
+        route(parse_braid("1 1 1"), order + 1)
+
+
+def test_q1_work_limit_leaves_a_tenfold_margin_at_order_400():
+    for text in CORPUS + EXTRA_KNOTS:
+        word = parse_braid(text)
+        delta, _ = alexander_classical(word, 0)
+        det = zeta_denominator(build_template(word))
+        for terms in (len(delta.terms), len(det.terms)):
+            assert 10 * (2 * 400 + 2) * terms <= Q1_WORK_LIMIT
+
+
+def test_alexander_analyzes_the_word_once(monkeypatch):
+    # the weight-rep route takes the writhe from the knot gate's stats
+    calls = []
+
+    def counting(word):
+        calls.append(word)
+        return analyze(word)
+
+    monkeypatch.setattr(bmod, "analyze", counting)
+    for text in CORPUS + EXTRA_KNOTS:
+        calls.clear()
+        alexander_classical(parse_braid(text), 3)
+        assert len(calls) == 1, text

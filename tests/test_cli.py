@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
+from flowloop.braid import Q1_WORK_LIMIT
 from flowloop.cli import main
 from flowloop.template import ORBIT_DEPTH_LIMIT
 from flowloop.verify import run_suite
@@ -218,6 +220,25 @@ def test_orbits_refuses_a_degree_past_the_depth_limit(capsys):
         "error: max_degree 1200 allows strip words of 2402 strips on 3 "
         f"strands, past the orbit search depth limit of {ORBIT_DEPTH_LIMIT} "
         "strips\n"
+    )
+    assert elapsed < 1.0
+
+
+def test_alexander_refuses_an_order_past_the_work_limit(capsys):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["alexander", "--braid", "1 1 1", "--order", "100000000"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # the series list would take over 1 GB
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: order 100000000 needs 600000006 steps of the q = 1 series "
+        "((2*order + 2) x 3 terms of the denominator), past "
+        f"Q1_WORK_LIMIT = {Q1_WORK_LIMIT}\n"
     )
     assert elapsed < 1.0
 

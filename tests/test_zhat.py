@@ -280,8 +280,12 @@ def test_shared_monomials_stay_intact():
         assert (res.phi + res.phi) * res.phi == res.phi * res.phi * 2
         if "-" not in text:  # the DP route too, not only the trace route
             phi_homogeneous(word, order).specialize_q1()
-        alexander_classical(word, order)
-        zeta_classical(word, order)
+        # the q = 1 outputs are built from shared monomials as well
+        delta, inv = alexander_classical(word, order)
+        zeta = zeta_classical(word, order)
+        assert (inv + zeta) * inv - inv * inv == zeta * inv
+        assert (delta - inv) * 2 + inv == delta * 2 - inv
+        assert -zeta.mul_term(3, 2) == zeta.scale_monomial(-3, 0, 2)
     assert all(check.ok for check in run_suite("all"))
     assert ring._SHARED
     for (c, e), coeff in ring._SHARED.items():
