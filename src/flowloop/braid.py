@@ -427,12 +427,9 @@ def _weight_rep_alexander_matrix(word):
     return mat
 
 
-def _alexander_weight_rep(word, order, stats=None):
-    """Via the m=1 weight-graded matrices at q = 1; stats is analyze(word),
-    computed here when the caller does not hand it over."""
+def _alexander_weight_rep(word, order, stats):
+    """Via the m=1 weight-graded matrices at q = 1; stats is analyze(word)."""
     d = _det(_weight_rep_alexander_matrix(word))  # det(I - M)
-    if stats is None:
-        stats = analyze(word)
     return _normalize_alexander(d.shift(word.n - 1 - stats.writhe), word,
                                 order)
 

@@ -178,10 +178,6 @@ class QLaurent:
         return not self.terms
 
     @property
-    def is_one(self):
-        return self.terms == {0: 1}
-
-    @property
     def is_integral(self):
         """True when every exponent is a whole power of q."""
         return all(e % 2 == 0 for e in self.terms)
@@ -233,17 +229,6 @@ class QLaurent:
         return QLaurent._raw(ql_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        acc, base = QLaurent.one(), self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
 
     def exact_div(self, den):
         """Exact quotient self/den; VerificationError if it does not divide.
@@ -426,16 +411,6 @@ class XSeries:
     def q_integral(self):
         return all(q.is_integral for q in self.terms.values())
 
-    def min_x_half(self):
-        if not self.terms:
-            raise ValueError("zero series has no degree")
-        return min(self.terms)
-
-    def max_x_half(self):
-        if not self.terms:
-            raise ValueError("zero series has no degree")
-        return max(self.terms)
-
     # -- arithmetic ------------------------------------------------------
 
     def _addsub(self, other, sign):
@@ -492,50 +467,10 @@ class XSeries:
                             qc, x_half, trunc)
         return XSeries._adopt(out, trunc)
 
-    def scale_monomial(self, coeff, q_half, x_half):
-        """Multiply by coeff * q^(q_half/2) * x^(x_half/2)."""
-        return self._times_term({q_half: coeff}, x_half, self.trunc)
-
     def mul_term(self, qcoeff, x_half):
         """Multiply by the single term qcoeff * x^(x_half/2)."""
         return self._times_term(QLaurent.coerce(qcoeff).terms, x_half,
                                 self.trunc)
-
-    def truncate(self, trunc):
-        return XSeries._raw(
-            {x: q for x, q in self.terms.items()
-             if trunc is None or x <= trunc},
-            trunc,
-        )
-
-    def inverse(self, trunc):
-        """Multiplicative inverse as a series truncated at trunc.
-
-        Requires support in x_half >= 0 and a unit-monomial constant term
-        (the only places this is used invert series that start at 1).
-        """
-        if self.is_zero or self.min_x_half() < 0:
-            raise VerificationError("inverse: series must start at x^0")
-        head = self.terms.get(0)
-        unit = head.unit_monomial() if head else None
-        if unit is None:
-            raise VerificationError(
-                f"inverse: constant term {head} is not a unit monomial"
-            )
-        c0, e0 = unit
-        u_inv = QLaurent.monomial(c0, -e0)  # (+-q^k)^-1
-        inv = {0: u_inv}
-        for t in range(1, trunc + 1):
-            acc = {}
-            for s, a in self.terms.items():
-                if 1 <= s <= t:
-                    b = inv.get(t - s)
-                    if b is not None:
-                        ql_addmul_into(acc, a.terms, b.terms)
-            if acc:
-                prod = ql_mul(acc, u_inv.terms)
-                inv[t] = QLaurent._raw({e: -c for e, c in prod.items()})
-        return XSeries._raw({x: q for x, q in inv.items() if q}, trunc)
 
     # -- substitutions ---------------------------------------------------
 
@@ -552,14 +487,6 @@ class XSeries:
                 "x -> x^{-1} is only defined for exact series"
             )
         return XSeries._raw({-x: q for x, q in self.terms.items()}, None)
-
-    def shift_x(self, x_half):
-        out = {}
-        for x, q in self.terms.items():
-            nx = x + x_half
-            if self.trunc is None or nx <= self.trunc:
-                out[nx] = q
-        return XSeries._raw(out, self.trunc)
 
     def subst_x_qpow(self, k):
         """Substitute x = q^k (k a whole integer); returns a QLaurent."""

@@ -41,9 +41,10 @@ entries; the quotient is braid._axis_quotient, the integer power-series
 recurrence the Alexander route also uses, which refuses an order past
 braid.Q1_WORK_LIMIT.
 enumerate_orbits still lists the orbits themselves, for the `orbits`
-command and as the test oracle of the determinant; its depth-first search
-refuses a max_degree whose strip words would be longer than
-ORBIT_DEPTH_LIMIT.
+command and as the test oracle of the determinant.  It refuses what the
+zeta refuses, a cycle of mark-0 strips (_check_no_free_cycle, which also
+measures the longest mark-0 path), and its depth-first search refuses a
+max_degree whose strip words would be longer than ORBIT_DEPTH_LIMIT.
 """
 
 from dataclasses import dataclass
@@ -196,16 +197,20 @@ def enumerate_orbits(template, max_degree):
     """All primitive closed orbits of degree <= max_degree, canonically
     rotated, sorted by (degree, length, strip word).
 
-    The search allows revisiting branch lines and strips; it terminates
-    because only leftward sheds are free and those strictly decrease the
-    column, so every cycle pays at least one unit of degree per n-1 steps.
-    A strip word of degree <= max_degree thus has at most
-    (max_degree + 1)(n - 1) strips; above ORBIT_DEPTH_LIMIT the search is
-    refused with an InputError before it starts.
+    The search allows revisiting branch lines and strips.  It first refuses
+    a template whose mark-0 strips close a cycle (_check_no_free_cycle), as
+    the zeta does; without one, a run of free strips has at most L strips,
+    L the longest mark-0 path, so a strip word of degree <= max_degree has
+    at most (max_degree + 1)(L + 1) strips and the search terminates.  In a
+    built template only leftward sheds are free and those strictly
+    decrease the column, so L <= n - 2.  Above ORBIT_DEPTH_LIMIT strips,
+    counting (max_degree + 1) max(n - 1, L + 1), the search is refused
+    with an InputError before it starts.
     """
     if max_degree < 0:
         raise InputError("max_degree must be >= 0")
-    longest = (max_degree + 1) * (template.n - 1)
+    free_run = _check_no_free_cycle(template)
+    longest = (max_degree + 1) * max(template.n - 1, free_run + 1)
     if longest > ORBIT_DEPTH_LIMIT:
         raise InputError(
             f"max_degree {max_degree} allows strip words of "
@@ -219,30 +224,23 @@ def enumerate_orbits(template, max_degree):
     def record(seq, deg, twists):
         if seq != _minimal_rotation(seq) or not _is_primitive(seq):
             return
-        if deg == 0:
-            raise VerificationError(_free_cycle_message(template))
         found[seq] = Orbit(
             tuple(strips[k].sid for k in seq),
             deg,
             -1 if twists % 2 else 1,
         )
 
-    def dfs(first, cur, path, deg, twists, zero_run):
+    def dfs(first, cur, path, deg, twists):
         for nxt_idx, nxt in by_src.get(cur, ()):
             if nxt_idx < first:
                 continue
             ndeg = deg + nxt.mark
             if ndeg > max_degree:
                 continue
-            if nxt.mark == 0 and zero_run >= template.n - 2:
-                # impossible in a built template; the only stop for a
-                # hand-built Template (public) with a mark-0 cycle
-                continue
             path.append(nxt_idx)
             if nxt.dst == strips[first].src:
                 record(tuple(path), ndeg, twists + nxt.twist)
-            dfs(first, nxt.dst, path, ndeg, twists + nxt.twist,
-                0 if nxt.mark else zero_run + 1)
+            dfs(first, nxt.dst, path, ndeg, twists + nxt.twist)
             path.pop()
 
     for idx, s in enumerate(strips):
@@ -250,42 +248,45 @@ def enumerate_orbits(template, max_degree):
             continue
         if s.dst == s.src:
             record((idx,), s.mark, 1 if s.twist else 0)
-        dfs(idx, s.dst, [idx], s.mark, 1 if s.twist else 0,
-            0 if s.mark else 1)
+        dfs(idx, s.dst, [idx], s.mark, 1 if s.twist else 0)
 
     return sorted(
         found.values(), key=lambda o: (o.degree, len(o.strips), o.strips)
     )
 
 
-def _free_cycle_message(template):
-    return ("degree-zero closed orbit in the template of "
-            + _braid.render_word(template.word))
-
-
 def _check_no_free_cycle(template):
-    """Raise VerificationError if the mark-0 strips contain a cycle.
+    """The most strips on a path of mark-0 strips; VerificationError if
+    the mark-0 strips contain a cycle.
 
     Such a cycle is a degree-zero closed orbit, whose geometric series
     has no x-adic meaning.  Without one the mark-0 part of A(x) is
-    nilpotent, which pins the constant term of det(I - A(x)) to 1.
+    nilpotent, which pins the constant term of det(I - A(x)) to 1.  The
+    peel visits branch lines in topological order of the mark-0 strips,
+    so each line's longest incoming mark-0 path is final when it is
+    visited.
     """
     indegree = [0] * template.branch_count
     for s in template.strips:
         if s.mark == 0:
             indegree[s.dst] += 1
     ready = [v for v, d in enumerate(indegree) if d == 0]
+    run = [0] * template.branch_count  # longest mark-0 path ending here
     peeled = 0
     while ready:
         v = ready.pop()
         peeled += 1
         for _, s in template.by_src.get(v, ()):
             if s.mark == 0:
+                run[s.dst] = max(run[s.dst], run[v] + 1)
                 indegree[s.dst] -= 1
                 if indegree[s.dst] == 0:
                     ready.append(s.dst)
     if peeled < template.branch_count:
-        raise VerificationError(_free_cycle_message(template))
+        raise VerificationError(
+            "degree-zero closed orbit in the template of "
+            + _braid.render_word(template.word))
+    return max(run, default=0)
 
 
 def zeta_matrix(template):

@@ -16,7 +16,6 @@ inverse.
 """
 
 import functools
-from math import comb
 
 from . import braid as _braid
 from . import lawrence as _lawrence
@@ -87,10 +86,6 @@ def tensor_states(n, m):
     return _lawrence.weight_states(n + 1, m)
 
 
-def tensor_dim(n, m):
-    return comb(m + n - 1, n - 1)
-
-
 def tensor_action(word, m, inverse_x=False):
     """Sparse matrix of the word on the weight-m sector of the n-fold
     tensor power; cols[src][dst] = entry.  inverse_x selects the variable
@@ -135,10 +130,11 @@ def kohno_check(word, m_max):
     w = stats.writhe
     lhs = [tensor_trace(word, m, inverse_x=True) for m in range(m_max + 1)]
     graded = _lawrence.graded_trace(word, m_max)
+    qx_w = XSeries.monomial(QLaurent.monomial(1, w), w)  # (qx)^{w/2}
     rhs = []
     run = XSeries.zero()
     for m in range(m_max + 1):
         run = run + graded[m]
-        rhs.append(run.scale_monomial(1, w, w))
+        rhs.append(run * qx_w)
     ok = all(lhs[m] == rhs[m] for m in range(m_max + 1))
     return ok, lhs, rhs

@@ -43,7 +43,11 @@ computed two ways:
   q^{(2 eps - 1) m~ + eps (col+ - col-)} (-x^n)^eps over eps in {0, 1},
   where m~ = sum_+ labels - sum_- hats is conserved by every transition
   (asserted; this conservation is exactly the telescoping of the
-  q^{(hat_above - hat_below)/2} factors around closed columns).
+  q^{(hat_above - hat_below)/2} factors around closed columns).  In half
+  units the two factors are the literal pairs ({-2 m~: 1}, x^0) and
+  ({2 (m~ + col+ - col-): -1}, x^{2n}) of _phi_homogeneous_run.  A loop
+  starts from a bottom, n - 1 labels with sum <= 2 cap; _bottoms reads
+  them off the compositions lawrence.weight_states already enumerates.
 
   The DP visits only moves that lie on some closed path bottom -> bottom
   of total x-half-degree <= trunc = 2 order + 1.  This is exact: labels
@@ -100,25 +104,6 @@ from .ring import QLaurent, XSeries, qbinom, qtrinom, xs_addmul_term_into
 
 STANDARD = "standard"
 REVERSED = "reversed"
-
-
-@dataclass(frozen=True)
-class AxisSector:
-    """One elliptic sector of the closed-loop count."""
-
-    epsilon: int
-    m_tilde: int
-
-    def q_half(self, col_plus, col_minus):
-        return 2 * ((2 * self.epsilon - 1) * self.m_tilde
-                    + self.epsilon * (col_plus - col_minus))
-
-    def x_half(self, n):
-        return 2 * n * self.epsilon
-
-    @property
-    def sign(self):
-        return -1 if self.epsilon else 1
 
 
 def _require_orientation(orientation):
@@ -292,20 +277,16 @@ def _column_signs(word):
     return tuple(1 if s == "+" else -1 for s in stats.column_sign)
 
 
+@functools.cache
 def _bottoms(n, cap, bound):
     """Every starting label vector: n - 1 labels in [0, bound] with sum
-    <= 2 cap, in lexicographic order."""
-    out = []
-
-    def extend(prefix, room):
-        if len(prefix) == n - 1:
-            out.append(prefix)
-            return
-        for label in range(min(bound, room) + 1):
-            extend(prefix + (label,), room - label)
-
-    extend((), 2 * cap)
-    return out
+    <= 2 cap, in lexicographic order.  Each is the head of one composition
+    of 2 cap into n parts, the last part taking up the slack, so the heads
+    of lawrence.weight_states(n + 1, 2 cap) list each vector once, in the
+    same order.  The filter reads every composition, several times as many
+    as it keeps, so the list is built once per (n, cap, bound)."""
+    return [s[:-1] for s in _lawrence.weight_states(n + 1, 2 * cap)
+            if max(s[:-1], default=0) <= bound]
 
 
 def _label_bound(trunc, top, orientation):
@@ -529,10 +510,10 @@ def _phi_homogeneous_run(word, order, cap, top, orientation):
         if not inside and not outside:
             continue
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
-        for eps in (0, 1):
-            sector = AxisSector(eps, m_tilde)
-            factor = {sector.q_half(col_plus, col_minus): sector.sign}
-            xh = sector.x_half(n)
+        # the axis sectors eps = 0, 1 of the module docstring
+        for factor, xh in (({-2 * m_tilde: 1}, 0),
+                           ({2 * (m_tilde + col_plus - col_minus): -1},
+                            2 * n)):
             xs_addmul_term_into(phi, inside, factor, xh, trunc)
             xs_addmul_term_into(delta, outside, factor, xh, trunc)
     return XSeries._adopt(phi, trunc), XSeries._adopt(delta, trunc)

@@ -91,8 +91,8 @@ def test_addmul_term_into_matches_mul_term(acc, a, qc, xh, tmax):
     if tmax is not None:
         acc = {x: q for x, q in acc.items() if x <= tmax}
     a_before, qc_before = copy.deepcopy(a), copy.deepcopy(qc)
-    want = as_series(acc, tmax) + as_series(a).mul_term(
-        QLaurent(qc), xh).truncate(tmax)
+    want = as_series(acc, tmax) + XSeries(
+        as_series(a).mul_term(QLaurent(qc), xh).terms, tmax)
     xs_addmul_term_into(acc, a, qc, xh, tmax)
     # raw dict equality: no empty x-term and no zero coefficient is left
     assert acc == {x: q.terms for x, q in want.terms.items()}
@@ -153,7 +153,7 @@ def test_zero_terms_are_dropped():
     assert ql({0: 1, 2: 0}).terms == {0: 1}
     assert ql({}).is_zero
     assert not QLaurent.zero()
-    assert QLaurent.one().is_one
+    assert QLaurent.one() == 1
 
 
 def test_coerce_accepts_ints():
@@ -174,14 +174,6 @@ def test_mul_collects_and_cancels():
     a = ql({0: 1, 2: 1})   # 1 + q
     b = ql({0: 1, 2: -1})  # 1 - q
     assert a * b == ql({0: 1, 4: -1})  # 1 - q^2
-
-
-def test_pow():
-    a = ql({0: 1, 2: 1})
-    assert a ** 0 == QLaurent.one()
-    assert a ** 3 == ql({0: 1, 2: 3, 4: 3, 6: 1})
-    with pytest.raises(ValueError):
-        a ** -1
 
 
 def test_half_powers_render():
@@ -400,19 +392,6 @@ def test_mul_term_matches_full_multiply():
     mono = XSeries.monomial(QLaurent(dict([(3, 5)])), 2, trunc=7)
     assert s.mul_term(ql({3: 5}), 2) == s * mono
     assert s.mul_term(QLaurent.zero(), 2).is_zero
-
-
-def test_scale_monomial():
-    s = xs({0: {0: 1}, 2: {0: 1}}, trunc=5)
-    assert s.scale_monomial(-1, 2, 2) == xs({2: {2: -1}, 4: {2: -1}}, trunc=5)
-
-
-def test_inverse_is_two_sided_to_trunc():
-    s = xs({0: {0: 1}, 2: {2: -1}, 4: {0: 3}}, trunc=None)
-    inv = s.inverse(11)
-    assert (s.truncate(11) * inv) == XSeries.one(11)
-    with pytest.raises(VerificationError):
-        xs({2: {0: 1}}).inverse(5)  # no constant term
 
 
 def test_substitute_x_inverse_exact_only():

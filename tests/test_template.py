@@ -18,6 +18,7 @@ from flowloop.template import (
     ORBIT_DEPTH_LIMIT,
     Strip,
     Template,
+    _check_no_free_cycle,
     _cyclic_open,
     _is_primitive,
     _minimal_rotation,
@@ -178,9 +179,42 @@ def test_zeta_denominator_is_alexander_times_axis(text):
     ids=["two-cycle", "self-loop"],
 )
 def test_degree_zero_cycle_is_refused(strips):
+    # the orbit search refuses what the zeta refuses
     t = Template(parse_braid("1 1"), strips)
     with pytest.raises(VerificationError, match="n=2; 1 1"):
         zeta_denominator(t)
+    with pytest.raises(VerificationError, match="n=2; 1 1$"):
+        enumerate_orbits(t, 3)
+
+
+def test_orbit_search_follows_long_free_chains():
+    # A 0 -> 1 and B 1 -> 2 are free, C 2 -> 0 pays one: a mark-0 path of
+    # L = 2 strips on two strands, longer than any built template has.
+    # det(I - A(x)) = 1 - x, the one primitive orbit is 1 + A B C, and
+    # strip words of degree d have at most (d + 1)(L + 1) strips
+    t = Template(parse_braid("1 1 1"), [
+        Strip("A", 0, 1, 0, False), Strip("B", 1, 2, 0, False),
+        Strip("C", 2, 0, 1, False),
+    ])
+    assert zeta_denominator(t) == QLaurent({0: 1, 2: -1})
+    assert [o.render() for o in enumerate_orbits(t, 165)] == ["1 + A B C"]
+    with pytest.raises(InputError, match=r"^max_degree 166 allows strip "
+                       r"words of 501 strips on 2 strands"):
+        enumerate_orbits(t, 166)
+
+
+def test_free_run_is_the_longest_mark_0_path():
+    # the peel reaches line 2 by the long path 3 -> 1 -> 2 before the
+    # short one 0 -> 2
+    t = Template(parse_braid("1 1 1 1"), [
+        Strip("A", 3, 1, 0, False), Strip("B", 1, 2, 0, False),
+        Strip("C", 0, 2, 0, False), Strip("D", 2, 0, 1, False),
+    ])
+    assert _check_no_free_cycle(t) == 2
+    # free strips step one column left, so a built chart keeps L <= n - 2
+    for text in CORPUS + EXTRA_KNOTS:
+        w = parse_braid(text)
+        assert _check_no_free_cycle(build_template(w)) <= w.n - 2
 
 
 def test_degree_zero_chain_is_allowed():

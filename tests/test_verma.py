@@ -12,7 +12,6 @@ from flowloop.verma import (
     kohno_check,
     r_entry,
     tensor_action,
-    tensor_dim,
     tensor_states,
     tensor_trace,
 )
@@ -73,8 +72,8 @@ def test_yang_baxter_on_three_factors():
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (4, 2)])
 def test_tensor_dim(n, m):
-    assert tensor_dim(n, m) == math.comb(m + n - 1, n - 1)
-    assert len(tensor_states(n, m)) == tensor_dim(n, m)
+    # the weight-m sector of n factors has C(m + n - 1, n - 1) states
+    assert len(tensor_states(n, m)) == math.comb(m + n - 1, n - 1)
     assert tensor_states(n, m) == sorted(
         s for s in itertools.product(range(m + 1), repeat=n) if sum(s) == m
     )

@@ -27,7 +27,7 @@ from flowloop import (
 from flowloop import braid, ring
 from flowloop.braid import alexander_classical
 from flowloop.lawrence import graded_trace
-from flowloop.zhat import REVERSED, STANDARD, AxisSector
+from flowloop.zhat import REVERSED, STANDARD
 
 from conftest import CORPUS, EXTRA_KNOTS, POSITIVE_KNOTS, xs
 
@@ -214,10 +214,10 @@ def graded_trace_phi(word, order, m_cut):
     trunc = 2 * order + 1
     phi = XSeries.zero(trunc)
     for m, tr in enumerate(graded_trace(word, m_cut)):
-        phi = phi + tr.scale_monomial(1, -2 * m, 0).truncate(trunc)
-        phi = phi + tr.scale_monomial(
-            -1, 2 * (m + n - 1), 2 * n
-        ).truncate(trunc)
+        phi = phi + tr * XSeries.monomial(
+            QLaurent.monomial(1, -2 * m), 0, trunc)
+        phi = phi + tr * XSeries.monomial(
+            QLaurent.monomial(-1, 2 * (m + n - 1)), 2 * n, trunc)
     return phi
 
 
@@ -285,7 +285,7 @@ def test_shared_monomials_stay_intact():
         zeta = zeta_classical(word, order)
         assert (inv + zeta) * inv - inv * inv == zeta * inv
         assert (delta - inv) * 2 + inv == delta * 2 - inv
-        assert -zeta.mul_term(3, 2) == zeta.scale_monomial(-3, 0, 2)
+        assert -zeta.mul_term(3, 2) == zeta * XSeries.monomial(-3, 2)
     assert all(check.ok for check in run_suite("all"))
     assert ring._SHARED
     for (c, e), coeff in ring._SHARED.items():
@@ -454,13 +454,12 @@ def oracle_phi(word, order, cap, orientation=STANDARD, prune=False):
         amp = oracle_amplitude(word, col_sign, bottom, trunc, cap,
                                orientation, cache, prune)
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
+        # the axis-sector factor of the module docstring,
+        # q^{(2 eps - 1) m~ + eps (col+ - col-)} (-x^n)^eps
         for eps in (0, 1):
-            sector = AxisSector(eps, m_tilde)
+            q_power = (2 * eps - 1) * m_tilde + eps * (col_plus - col_minus)
             phi = phi + amp.mul_term(
-                QLaurent.monomial(sector.sign,
-                                  sector.q_half(col_plus, col_minus)),
-                sector.x_half(n),
-            )
+                QLaurent.monomial((-1) ** eps, 2 * q_power), 2 * n * eps)
     return phi
 
 
@@ -787,7 +786,8 @@ def test_trace_error_names_word_order_and_m_cut(monkeypatch):
     def half_shifted(n, m, i, sign):
         cols = real(n, m, i, sign).cols
         return SimpleNamespace(cols={
-            src: {dst: entry.shift_x(1) for dst, entry in row.items()}
+            src: {dst: entry * XSeries.monomial(1, 1)
+                  for dst, entry in row.items()}
             for src, row in cols.items()})
 
     phi_positive(parse_braid("1 1 1"), 4, m_cut=3)  # reads the real moves
@@ -818,3 +818,51 @@ def test_prefactor_errors_name_word_and_order(monkeypatch, field, shift,
     with pytest.raises(VerificationError,
                        match=rf"^{message} n=3; 1 -2 1 -2 at order 2\b"):
         zhat(parse_braid("1 -2 1 -2"), 2)
+
+
+# ---------------------------------------------------------------------------
+# torus knots against the closed form of Gukov and Manolescu
+# (arXiv:1904.06057): for T(s, t),
+#     F = sum_{m > 0} eps_m x^{m/2} q^{(m^2 - (st - s - t)^2) / (4st)},
+# eps_m = -1 for m = st +- (s + t), +1 for m = st +- (s - t) mod 2st, and
+# 0 otherwise.  Zhat of (sigma_1 ... sigma_{s-1})^t is q^g F, g the genus
+# (s - 1)(t - 1)/2; its all-negative mirror, which the transfer DP takes,
+# is q^{-g} F(x, 1/q).
+
+
+def torus_zhat_table(s, t, trunc, mirror):
+    """q^{+-g} F(x, q^{+-1}) through x^{trunc/2}, as {x_half: {q_half:
+    coeff}}, summed term by term with plain ints."""
+    st_ = s * t
+    signs = {(st_ + s + t) % (2 * st_): -1, (st_ - s - t) % (2 * st_): -1,
+             (st_ + s - t) % (2 * st_): 1, (st_ - s + t) % (2 * st_): 1}
+    g = (s - 1) * (t - 1) // 2
+    out = {}
+    for m in range(1, trunc + 1):
+        eps = signs.get(m % (2 * st_))
+        if eps is None:
+            continue
+        q4st = m * m - (st_ - s - t) ** 2
+        assert q4st % (2 * st_) == 0  # q^{1/2} powers are whole
+        q_half = 2 * g + q4st // (2 * st_)
+        out[m] = {-q_half if mirror else q_half: eps}
+    return out
+
+
+TORUS_CASES = [(2, 3, 10, False), (2, 5, 14, False), (2, 7, 16, False),
+               (3, 4, 14, False), (3, 5, 12, False), (4, 5, 10, False),
+               (2, 3, 10, True), (2, 5, 14, True), (3, 4, 14, True),
+               (3, 5, 12, True)]
+
+
+@pytest.mark.parametrize(
+    "s,t,order,mirror", TORUS_CASES,
+    ids=[f"T({s},{t})@{o}{'-mirror' if m else ''}"
+         for s, t, o, m in TORUS_CASES])
+def test_torus_knots_match_closed_form(s, t, order, mirror):
+    sign = -1 if mirror else 1
+    letters = [sign * i for i in range(1, s)] * t
+    word = parse_braid(f"n={s}; " + " ".join(map(str, letters)))
+    got = zhat(word, order).zhat
+    assert {x: q.terms for x, q in got.terms.items()} \
+        == torus_zhat_table(s, t, got.trunc, mirror)
