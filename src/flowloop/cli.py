@@ -10,7 +10,7 @@ import sys
 
 from . import braid, lawrence, template, verify
 from .errors import InputError, ParseError, VerificationError
-from .zhat import REVERSED, STANDARD, zhat as _zhat
+from .zhat import zhat as _zhat
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,9 +52,7 @@ def _zhat_of(args):
     """The word of args and its zhat result: the one Phi route of both
     the zhat and the phi command."""
     word = braid.parse_braid(args.braid)
-    orientation = REVERSED if args.debug_mirror else STANDARD
-    return word, _zhat(word, args.order, orientation=orientation,
-                       cap=args.cap)
+    return word, _zhat(word, args.order, cap=args.cap)
 
 
 def _cmd_zhat(args):
@@ -206,15 +204,12 @@ def build_parser():
                    help="truncation order in x (default 5)")
     p.add_argument("--cap", type=int, default=None,
                    help="override the label/weight cutoff (default: order)")
-    p.add_argument("--debug-mirror", action="store_true",
-                   help="use the rejected orientation of negative charts")
     p.set_defaults(fn=_cmd_zhat)
 
     p = subs.add_parser("phi", help="loop count only")
     _add_common(p)
     p.add_argument("--order", type=int, default=5)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--debug-mirror", action="store_true")
     p.set_defaults(fn=_cmd_phi)
 
     p = subs.add_parser("trace", help="weight-graded braid traces")

@@ -22,10 +22,10 @@ VerificationError rather than falling back to another inverse.  The exact
 triangular inverse `_triangular_inverse` is kept as the independent oracle
 the verify suite compares the mirror against.
 
-rep_matrix and graded_trace are exact.  truncated_trace gives the trace of
-an all-positive word up to a fixed x-degree without building the matrix
-product: it sums the closed walks of each start state, truncating as it
-walks.  Every positive `half` entry is one x-monomial of cost
+rep_matrix and graded_trace are exact.  truncated_trace_table gives the
+trace of an all-positive word up to a fixed x-degree without building the
+matrix product: it sums the closed walks of each start state, truncating
+as it walks.  Every positive `half` entry is one x-monomial of cost
 2A + b + c >= 0, so per start state a forward and a backward min-plus pass
 over those integer costs keep just the moves on some closed walk within
 the truncation, and only those moves do series work.  That is exact: a
@@ -36,7 +36,7 @@ truncated_trace_table), so a weight with 2m above the truncation returns
 an empty trace before any generator matrix is built.
 
 Weights are m >= 0: generator_matrix (so also rep_matrix), graded_trace
-and truncated_trace refuse a negative one with InputError.
+and truncated_trace_table refuse a negative one with InputError.
 """
 
 import functools
@@ -114,9 +114,6 @@ class GradedMatrix:
     def identity(cls, n, m):
         one = XSeries.one()
         return cls(n, m, {s: {s: one} for s in weight_states(n, m)})
-
-    def entry(self, src, dst):
-        return self.cols.get(src, {}).get(dst, XSeries.zero())
 
     def after(self, first):
         """self o first (apply `first`, then self)."""
@@ -368,7 +365,7 @@ def _closed_walks(walk, start, trunc):
                 to = cost + xh
                 if to > trunc:
                     break  # the moves come sorted by cost
-                moves.append((src, dst, xh, weight, None))
+                moves.append((src, dst, xh, weight))
                 if to < nxt.get(dst, trunc + 1):
                     nxt[dst] = to
         if not nxt:
@@ -422,7 +419,7 @@ def truncated_trace_table(word, m, trunc):
     asserted rather than assumed."""
     if any(v < 0 for v in word.letters):
         raise InputError(
-            f"truncated_trace needs an all-positive word, got "
+            f"truncated_trace_table needs an all-positive word, got "
             f"{_braid.render_word(word)}"
         )
     _check_weight(m)
@@ -445,11 +442,6 @@ def truncated_trace_table(word, m, trunc):
             f"x-powers: {XSeries._adopt(tr, trunc).render()}"
         )
     return tr
-
-
-def truncated_trace(word, m, trunc):
-    """truncated_trace_table as an XSeries truncated at trunc."""
-    return XSeries._adopt(truncated_trace_table(word, m, trunc), trunc)
 
 
 def unknot_closure_check(word, z_order):

@@ -5,11 +5,9 @@ states (zhat) and the truncated trace over weight states (lawrence).  Each
 builds its own states and moves, so the two routes stay independent; this
 module holds only what they do alike once the moves are known.
 
-A move is a tuple (src, dst, x_half, weight, tag): one step from state
-src to state dst that costs x^(x_half/2) and carries the q-weight
-`weight`, a QLaurent.  tag is data of the engine that made the move (the
-transfer DP keeps the smallest cap at which the move exists); nothing here
-reads it.  A walk takes one move per letter, and its weight is the product
+A move is a tuple (src, dst, x_half, weight): one step from state src to
+state dst that costs x^(x_half/2) and carries the q-weight `weight`, a
+QLaurent.  A walk takes one move per letter, and its weight is the product
 of its moves' weights times x to the sum of their costs.
 
 Every cost is an integer >= 0, so a walk's cost never falls, and a walk
@@ -68,7 +66,7 @@ def sum_paths(start, layers, trunc):
     vec = {start: {0: {0: 1}}}
     for moves in layers:
         nxt = {}
-        for src, dst, xh, weight, _ in moves:
+        for src, dst, xh, weight in moves:
             amp = vec.get(src)
             if not amp:
                 continue

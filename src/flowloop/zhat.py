@@ -12,15 +12,15 @@ computed two ways:
   min-plus passes as in the DP below keep just the moves on closed walks
   within x^order, and a start state with none does no series work.  A
   closed walk of a weight-m state costs at least x^m (proved in
-  lawrence.truncated_trace_table), so a weight above the order returns an
-  empty trace before any generator matrix is built.  Each
-  weight's part goes into a raw Phi table in place, two
-  ring.xs_addmul_term_into calls per weight.  A part does not depend on
-  the cutoff m_cut, so the stabilization check adds the parts of weights
-  m_cut + 1 and m_cut + 2 into a raw Delta table and raises iff Delta is
-  nonzero, instead of recomputing Phi at m_cut + 2.  At the default
-  m_cut = order those two traces are empty by that bound.  Phi becomes an
-  XSeries once, with its small monomial coefficients shared.
+  lawrence.truncated_trace_table), so a weight above the order has an
+  empty trace and the weight loop stops at the order.  Each weight's part
+  goes into a raw Phi table in place, two ring.xs_addmul_term_into calls
+  per weight.  A part does not depend on the cutoff m_cut, so the
+  stabilization check adds the parts of weights m_cut + 1 and m_cut + 2
+  into a raw Delta table and raises iff Delta is nonzero, instead of
+  recomputing Phi at m_cut + 2.  At the default m_cut = order those two
+  weights lie above the order.  Phi becomes an XSeries once, with its
+  small monomial coefficients shared.
 * phi_homogeneous: for any homogeneous word, by a column-label transfer
   DP.  Each column carries a nonnegative label (for negative columns the
   label is the "hat" of the true label, lambda = -1 - hat).  Reading the
@@ -46,8 +46,7 @@ computed two ways:
   q^{(hat_above - hat_below)/2} factors around closed columns).  In half
   units the two factors are the literal pairs ({-2 m~: 1}, x^0) and
   ({2 (m~ + col+ - col-): -1}, x^{2n}) of _phi_homogeneous_run.  A loop
-  starts from a bottom, n - 1 labels with sum <= 2 cap; _bottoms reads
-  them off the compositions lawrence.weight_states already enumerates.
+  starts from a bottom, n - 1 labels with sum <= 2 cap (_bottoms).
 
   The DP visits only moves that lie on some closed path bottom -> bottom
   of total x-half-degree <= trunc = 2 order + 1.  This is exact: labels
@@ -56,36 +55,34 @@ computed two ways:
   product and the closing sector factor x^{n eps} only raises it further.
   Per bottom, a forward and a backward min-plus pass over integer costs
   pick those moves before any series arithmetic (walks.closed_moves), so
-  a bottom with no closed path in budget costs no amplitude work.  In the
-  standard reading such a path also keeps every label <= order (proof in
-  _label_bound), so no state or bottom above that is visited, and two
-  more lower bounds on the cost of a closed path prune before and inside
-  the forward pass: a bottom b whose closed paths all cost at least
-  2 W(b) > trunc, W(b) the largest label sum over columns no two of which
-  can both shed into each other before the cut (proof in _window_bound),
-  gets no forward pass, and letter j keeps only the moves that end within
-  its budget trunc - h_j(b), where h_j(b) bounds the cost of the letters
-  after j on any path that ends at b (_letter_budgets).  Neither drops a move of a closed path within
-  trunc, so the passes keep exactly the moves they kept without them.  The
-  q-weight of a crossing depends only on the middle column's sign, low
-  and the two sheds, and is shared by every move that has them.  The
-  series work runs on raw {x_half: {q_half: coeff}} tables: each kept
-  move adds its source amplitude times its weight into its destination
-  in place (walks.sum_paths), and each bottom's two axis
+  a bottom with no closed path in budget costs no amplitude work.  Such a
+  path also keeps every label <= order (proof in _label_bound), so no
+  state or bottom above that is visited, and two more lower bounds on the
+  cost of a closed path prune before and inside the forward pass: a
+  bottom b whose closed paths all cost at least 2 W(b) > trunc, W(b) the
+  largest label sum over columns no two of which can both shed into each
+  other before the cut (proof in _window_bound), gets no forward pass,
+  and letter j keeps only the moves that end within its budget
+  trunc - h_j(b), where h_j(b) bounds the cost of the letters after j on
+  any path that ends at b (_letter_budgets).  Neither drops a move of a
+  closed path within trunc, so the passes keep exactly the moves they kept
+  without them.  The q-weight of a crossing depends only on the middle
+  column's sign, low and the two sheds, and is shared by every move that
+  has them.  The series work runs on raw {x_half: {q_half: coeff}}
+  tables: each kept move adds its source amplitude times its weight into
+  its destination in place (walks.sum_paths), and each bottom's two axis
   sectors go into Phi the same way, through the one kernel
   ring.xs_addmul_term_into; only the final sums become XSeries.
 
   The label cap is checked in the same run: the DP runs at cap + 2 and
   splits each bottom's amplitude into the paths that also exist at cap
   (whose sum is Phi) and the rest (whose sum must vanish).  A move exists
-  at cap iff cap >= its need, and its weight does not depend on cap.
+  at cap iff every label it lands on is <= cap, and its weight does not
+  depend on cap, so a path exists at cap iff all its states stay within
+  cap.
 
-The orientation of the hat flow at negative crossings is the oracle-pinned
-choice; orientation="reversed" exposes the rejected mirror reading for
-debugging.  That reading differs from the standard one only in how labels
-move: at a negative column's own crossing its hat rises by b + c and each
-neighbor's true label rises by what it sheds, instead of falling.  Its
-crossing weight is the same function of the sign, low and the sheds.
+Both engines refuse an order or cap whose start states times letters pass
+PHI_WORK_LIMIT, before they build any state.
 
 zhat() multiplies Phi by the closure prefactor
 (-1)^{1+cr-+col-} q^{(w-(n-1))/2 + col-} x^{(w-n)/2 + cr-} and checks it
@@ -94,6 +91,8 @@ against the genus form (-1)^{1+lam} q^{g-lam} x^{g-1/2}.
 
 import functools
 from dataclasses import dataclass
+from itertools import product
+from math import comb
 from operator import itemgetter
 
 from . import braid as _braid
@@ -102,19 +101,31 @@ from . import walks as _walks
 from .errors import InputError, VerificationError
 from .ring import QLaurent, XSeries, qbinom, qtrinom, xs_addmul_term_into
 
-STANDARD = "standard"
-REVERSED = "reversed"
-
-
-def _require_orientation(orientation):
-    if orientation not in (STANDARD, REVERSED):
-        raise InputError(f"unknown orientation {orientation!r}")
+# Phi takes one forward step per start state and letter: on the DP route
+# from at most (label bound + 1)^(n - 1) bottoms, on the positive route
+# from the C(weight bound + n - 1, n - 1) states of weights up to the
+# weight bound.  Past this many start states times letters it refuses the
+# order or cap before it builds any state.  The benchmark items need at
+# most 3,645.
+PHI_WORK_LIMIT = 10 ** 6
 
 
 def _require_nonnegative(**values):
     for name, value in values.items():
         if value < 0:
             raise InputError(f"{name} must be >= 0")
+
+
+def _require_work(starts, kind, word, order):
+    """Refuse a Phi run from `starts` start states (`kind`) per letter of
+    the word when that passes PHI_WORK_LIMIT."""
+    letters = len(word.letters)
+    if starts * letters > PHI_WORK_LIMIT:
+        raise InputError(
+            f"order {order} needs {starts * letters} forward steps "
+            f"({starts} {kind} x {letters} letters), past "
+            f"PHI_WORK_LIMIT = {PHI_WORK_LIMIT}"
+        )
 
 
 def _finalize_phi(phi, label, word, order, cap=None, m_cut=None):
@@ -141,9 +152,9 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
     x-order: a knot word has a letter on every column, so every closed
     walk of a weight-m state costs at least x^m (proof in
     lawrence.truncated_trace_table), and a weight above the order has an
-    empty trace.  Each part goes into a raw Phi table in place, two
-    ring.xs_addmul_term_into calls per weight, and Phi becomes an XSeries
-    once at the end.
+    empty trace, so the loop stops at the order.  Each part goes into a
+    raw Phi table in place, two ring.xs_addmul_term_into calls per weight,
+    and Phi becomes an XSeries once at the end.
 
     stabilize insists that raising the cutoff to m_cut + 2 changes
     nothing, in one run: a weight part depends on m and the x-order only,
@@ -153,9 +164,9 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
     Phi + Delta != Phi iff Delta != 0, the guard raises iff Delta is
     nonempty: exactly when the old second run at m_cut + 2 would have
     differed.  For m_cut >= order both weights lie above the order, so
-    truncated_trace_table returns their empty traces at once, by the
-    proven bound, and the guard passes as it always did there; for
-    m_cut < order both are computed as before."""
+    their traces are empty and the guard passes; for m_cut < order the
+    ones up to the order are computed.  An order or m_cut whose start
+    states times letters pass PHI_WORK_LIMIT raises InputError."""
     stats = _braid.require_homogeneous_knot(word)
     if stats.cr_minus:
         raise InputError("phi_positive needs an all-positive word")
@@ -163,13 +174,15 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
         m_cut = order
     # m_cut is this route's cap: zhat and the CLI pass their cap as m_cut
     _require_nonnegative(order=order, cap=m_cut)
-    where = _braid._where(word, order, m_cut=m_cut)
     n = word.n
+    top = min(m_cut + 2 if stabilize else m_cut, order)
+    _require_work(comb(top + n - 1, n - 1), "start states", word, order)
+    where = _braid._where(word, order, m_cut=m_cut)
     trunc = 2 * order + 1
     phi = {}
     delta = {}
     try:
-        for m in range(m_cut + 3 if stabilize else m_cut + 1):
+        for m in range(top + 1):
             tr = _lawrence.truncated_trace_table(word, m, trunc)
             acc = phi if m <= m_cut else delta
             xs_addmul_term_into(acc, tr, {-2 * m: 1}, 0, trunc)
@@ -209,55 +222,35 @@ def _crossing_weight(mid_sign, low, b, c):
 
 def _transitions(key, cache):
     """All moves of one crossing: key = (mid_sign, kindL, kindR, lL, lM, lR,
-    cap, orientation); returns [(nL, nM, nR, x_half, coeff, need), ...]
-    sorted by x_half.
+    cap); returns [(nL, nM, nR, x_half, coeff), ...] sorted by x_half.
 
     kind* is the neighbor column's sign, or 0 for no neighbor (boundary).
     Sheds are counted in true-label units: a positive neighbor's label
-    drops by the shed, a negative neighbor's hat rises by it.
-
-    need is the smallest cap, not below the labels of the source, at which
-    the move exists: every check below that reads cap compares it with a
-    label the move lands on or, for a negative neighbor, with hat + shed."""
+    drops by the shed, a negative neighbor's hat rises by it.  Every label
+    a move lands on is <= cap and its weight does not depend on cap, so
+    the moves at a smaller cap are those whose landed labels stay within
+    it."""
     hit = cache.get(key)
     if hit is not None:
         return hit
-    mid_sign, kindL, kindR, lL, lM, lR, cap, orientation = key
+    mid_sign, kindL, kindR, lL, lM, lR, cap = key
 
     def shed_range(kind, label):
         if kind == 0:
             return (0,)
         if kind > 0:
             return range(label + 1)  # label drops, stays >= 0
-        # hat rises, capped.  The reversed reading caps the shed the same
-        # way although there the neighbor's hat DROPS by it, so a move's
-        # need counts hat + shed, not only the labels it lands on.
-        return range(cap - label + 1)
+        return range(cap - label + 1)  # hat rises, stays <= cap
 
     out = []
-    reversed_mid = mid_sign < 0 and orientation == REVERSED
-    drops = mid_sign < 0 and not reversed_mid
     for b in shed_range(kindL, lL):
         for c in shed_range(kindR, lR):
-            v = lM - b - c if drops else lM + b + c
+            v = lM - b - c if mid_sign < 0 else lM + b + c
             if v < 0 or v > cap:
                 continue
             coeff = _crossing_weight(mid_sign, min(lM, v), b, c)
-            if reversed_mid:
-                # mirror reading: neighbors gain from the middle going up
-                nL = (lL + b) if kindL > 0 else (lL - b if kindL else lL)
-                nR = (lR + c) if kindR > 0 else (lR - c if kindR else lR)
-                if (kindL > 0 and nL > cap) or (kindL < 0 and nL < 0):
-                    continue
-                if (kindR > 0 and nR > cap) or (kindR < 0 and nR < 0):
-                    continue
-                need = max(v, lL + b, lR + c)
-            else:
-                nL = (lL - b) if kindL > 0 else (lL + b if kindL else lL)
-                nR = (lR - c) if kindR > 0 else (lR + c if kindR else lR)
-                if (kindL < 0 and nL > cap) or (kindR < 0 and nR > cap):
-                    continue
-                need = max(v, nL, nR)
+            nL = (lL - b) if kindL > 0 else (lL + b if kindL else lL)
+            nR = (lR - c) if kindR > 0 else (lR + c if kindR else lR)
             # conserved charge m~ = sum_+ labels - sum_- hats (every kind
             # is +-1, or 0 for a boundary, whose label never moves); its
             # conservation is the telescoping of the per-column
@@ -265,7 +258,7 @@ def _transitions(key, cache):
             if mid_sign * (v - lM) + kindL * (nL - lL) + kindR * (nR - lR):
                 raise VerificationError(
                     f"charge leak in transfer move {key}")
-            out.append((nL, v, nR, lM + v, coeff, need))
+            out.append((nL, v, nR, lM + v, coeff))
     out.sort(key=itemgetter(3))
     cache[key] = out
     return out
@@ -280,22 +273,18 @@ def _column_signs(word):
 @functools.cache
 def _bottoms(n, cap, bound):
     """Every starting label vector: n - 1 labels in [0, bound] with sum
-    <= 2 cap, in lexicographic order.  Each is the head of one composition
-    of 2 cap into n parts, the last part taking up the slack, so the heads
-    of lawrence.weight_states(n + 1, 2 cap) list each vector once, in the
-    same order.  The filter reads every composition, several times as many
-    as it keeps, so the list is built once per (n, cap, bound)."""
-    return [s[:-1] for s in _lawrence.weight_states(n + 1, 2 * cap)
-            if max(s[:-1], default=0) <= bound]
+    <= 2 cap, in lexicographic order."""
+    return [b for b in product(range(bound + 1), repeat=n - 1)
+            if sum(b) <= 2 * cap]
 
 
-def _label_bound(trunc, top, orientation):
+def _label_bound(trunc, top):
     """The largest label the DP at cap top has to admit.
 
-    In the standard reading no label on a closed path of x-half cost
-    <= trunc exceeds trunc // 2 (= order), so the DP runs at
-    min(top, trunc // 2).  Proof.  In x-half units a crossing whose middle
-    label is u below and v above, and whose neighbors shed b and c, costs
+    No label on a closed path of x-half cost <= trunc exceeds trunc // 2
+    (= order), so the DP runs at min(top, trunc // 2).  Proof.  In x-half
+    units a crossing whose middle label is u below and v above, and whose
+    neighbors shed b and c, costs
     u + v = 2 min(u, v) + b + c (v = u + b + c for a positive middle,
     v = u - b - c for a negative one), and each unit of shed is paid at
     exactly one crossing, as the b or c of the crossing it is shed into.
@@ -313,23 +302,18 @@ def _label_bound(trunc, top, orientation):
     negative column's hat is the mirror case: it drops at its own
     crossings (min(u, v) = v there) and rises by its sheds, so with v_0
     its hat just above its last own crossing before the cut, l <= v_0 + T
-    and the path costs at least 2 v_0 + 2 T >= 2 l.  Hence 2 l <= trunc on every closed path
-    that reaches the truncated series.  States and bottoms with a larger
-    label carry nothing, and the standard moves at any cap are exactly
-    those whose labels landed on stay within it, so the smaller cap drops
-    just them.
-
-    The reversed reading makes no such promise (its sheds and hats move
-    the other way), so there the DP runs at top itself."""
-    if orientation == STANDARD:
-        return min(top, trunc // 2)
-    return top
+    and the path costs at least 2 v_0 + 2 T >= 2 l.  Hence 2 l <= trunc
+    on every closed path that reaches the truncated series.  States and
+    bottoms with a larger label carry nothing, and the moves at any cap
+    are exactly those whose labels landed on stay within it, so the
+    smaller cap drops just them."""
+    return min(top, trunc // 2)
 
 
 def _live_edges(letters, col_sign):
-    """For each edge (i, i + 1) of the column path, whether it is live in
-    the standard reading: each of the two columns has a crossing of the
-    other inside its own window.  letters are the word's columns (|letter|).
+    """For each edge (i, i + 1) of the column path, whether it is live:
+    each of the two columns has a crossing of the other inside its own
+    window.  letters are the word's columns (|letter|).
 
     A column's window is the part of the word in which it can shed label
     before the cut at the bottom is reached: for a positive column the
@@ -348,25 +332,25 @@ def _window_bound(bottom, live):
     """W(b): the largest sum of the labels of a set of columns that never
     holds both ends of a live edge (a path DP over the columns).
 
-    In the standard reading every closed path bottom -> bottom costs at
-    least 2 W(b) in x-half units, so a bottom with 2 W(b) > trunc carries
-    nothing.  Proof.  A crossing costs u + v = 2 min(u, v) + b + c (see
-    _label_bound), so a closed path costs twice its min terms plus all its
-    sheds.  On a closed path every column sheds what it receives (a
-    positive label rises by what it receives and drops by what it sheds, a
-    negative hat the other way round, and both return to the bottom).  Let
-    f(i -> j) be what column i sheds into the crossings of its neighbor j:
-    receipts equal sheds at every column, and the columns form a path, so
-    (by induction from an end of it) f(i -> i+1) = f(i+1 -> i) = f_e on
-    each edge e, and all the sheds add up to 2 sum_e f_e.  In a knot closure every column has an own
-    crossing.  Before a positive column's first own crossing its label
-    only drops, so there min(u, v) = u = b_i - D_i, with D_i what it
-    shed inside its window; after a negative column's last own crossing
-    its hat only rises, so there min(u, v) = v = b_i - D_i likewise.  The
-    column sheds inside its window only into neighbors that cross there,
-    so D_i <= the sum of f_e over those edges.  Take a set I of columns
-    with no live edge: each edge is then charged to at most one D_i of I,
-    and the path costs at least
+    Every closed path bottom -> bottom costs at least 2 W(b) in x-half
+    units, so a bottom with 2 W(b) > trunc carries nothing.  Proof.  A
+    crossing costs u + v = 2 min(u, v) + b + c (see _label_bound), so a
+    closed path costs twice its min terms plus all its sheds.  On a closed
+    path every column sheds what it receives (a positive label rises by what
+    it receives and drops by what it sheds, a negative hat the other way
+    round, and both return to the bottom).  Let f(i -> j) be what column i
+    sheds into the crossings of its neighbor j: receipts equal sheds at
+    every column, and the columns form a path, so (by induction from an end
+    of it) f(i -> i+1) = f(i+1 -> i) = f_e on each edge e, and all the sheds
+    add up to 2 sum_e f_e.  In a knot closure every column has an own
+    crossing.  Before a positive column's first own crossing its label only
+    drops, so there min(u, v) = u = b_i - D_i, with D_i what it shed inside
+    its window; after a negative column's last own crossing its hat only
+    rises, so there min(u, v) = v = b_i - D_i likewise.  The column sheds
+    inside its window only into neighbors that cross there, so D_i <= the
+    sum of f_e over those edges.  Take a set I of columns with no live edge:
+    each edge is then charged to at most one D_i of I, and the path costs at
+    least
         2 sum_{i in I} (b_i - D_i) + 2 sum_e f_e >= 2 sum_{i in I} b_i,
     the min terms of I being those of distinct crossings."""
     take = skip = 0  # the best set with / without the previous column
@@ -380,8 +364,8 @@ def _window_bound(bottom, live):
 
 
 def _letter_budgets(letters, col_sign, bottom, trunc):
-    """trunc - h_j(b) for each letter j in the standard reading: the most a
-    path may have cost after letter j and still close within trunc.
+    """trunc - h_j(b) for each letter j: the most a path may have cost
+    after letter j and still close within trunc.
 
     h_j(b) is a lower bound on the cost of the letters after j of any path
     that ends at bottom b.  It adds
@@ -412,25 +396,26 @@ def _letter_budgets(letters, col_sign, bottom, trunc):
     return out
 
 
-def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
-                      cache):
+def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, cache):
     """The closed label paths bottom -> bottom at label cap top (>= cap),
     weighted by the product of their crossing weights and truncated at
     x-half-degree trunc, split in two {x_half: {q_half: coeff}} tables:
     (inside, outside).
 
     inside sums the paths that also exist at cap: the bottom is one that
-    Phi at cap starts from (labels <= cap, sum <= 2 cap) and every move has
-    need <= cap.  It is the amplitude of the DP at cap.  outside sums the
-    rest, so inside + outside is the amplitude at top.  The series DP runs
-    only over the moves that the two min-plus passes place on some closed
-    path of cost <= trunc (see the module docstring), at the label bound
-    of _label_bound.  In the standard reading the forward pass keeps a move
-    of letter j only if it ends within the letter's budget trunc - h_j(b)
+    Phi at cap starts from (labels <= cap, sum <= 2 cap) and every state
+    stays within cap.  It is the amplitude of the DP at cap.  outside sums
+    the rest, so inside + outside is the amplitude at top.  The series DP
+    runs only over the moves that the two min-plus passes place on some
+    closed path of cost <= trunc (see the module docstring), at the label
+    bound of _label_bound; when that bound is <= cap, every kept path is
+    inside.  Otherwise a path from such a bottom stays within cap iff
+    every move on it lands within cap.  The forward pass keeps a move of
+    letter j only if it ends within the letter's budget trunc - h_j(b)
     (_letter_budgets); every move it drops lies on no closed path within
     trunc, so walks.closed_moves keeps the same moves as with trunc as
-    every budget, which is what the reversed reading uses."""
-    limit = _label_bound(trunc, top, orientation)
+    every budget."""
+    limit = _label_bound(trunc, top)
     # states carry a boundary label 0 at both ends, so column i sits at
     # index i between its two neighbors; a boundary has kind 0 and its
     # label never moves
@@ -438,10 +423,7 @@ def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
     kinds = (0,) + col_sign + (0,)
 
     letters = [abs(letter) for letter in word.letters]
-    if orientation == STANDARD:
-        budgets = _letter_budgets(letters, col_sign, bottom, trunc)
-    else:
-        budgets = [trunc] * len(letters)
+    budgets = _letter_budgets(letters, col_sign, bottom, trunc)
 
     # forward: cheapest cost from bottom to each state, and every move
     # that reaches its end within its letter's budget
@@ -453,14 +435,13 @@ def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
         nxt = {}
         for src, cost in reach.items():
             head, tail = src[:i - 1], src[i + 2:]
-            key = (sign, kindL, kindR, src[i - 1], src[i], src[i + 1], limit,
-                   orientation)
-            for nL, nM, nR, xh, coeff, need in _transitions(key, cache):
+            key = (sign, kindL, kindR, src[i - 1], src[i], src[i + 1], limit)
+            for nL, nM, nR, xh, coeff in _transitions(key, cache):
                 to = cost + xh
                 if to > budget:
                     break  # the moves come sorted by cost
                 dst = head + (nL, nM, nR) + tail
-                moves.append((src, dst, xh, coeff, need))
+                moves.append((src, dst, xh, coeff))
                 if to < nxt.get(dst, budget + 1):
                     nxt[dst] = to
         if not nxt:
@@ -475,15 +456,16 @@ def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
     total = _walks.sum_paths(start, kept, trunc)
     if max(bottom) > cap or sum(bottom) > 2 * cap:
         return {}, total
-    if all(move[4] <= cap for moves in kept for move in moves):
+    if limit <= cap:
         return total, {}
     inside = _walks.sum_paths(
-        start, [[m for m in moves if m[4] <= cap] for moves in kept], trunc)
+        start, [[m for m in moves if max(m[1]) <= cap] for moves in kept],
+        trunc)
     xs_addmul_term_into(total, inside, {0: -1}, 0, trunc)  # total -= inside
     return inside, total
 
 
-def _phi_homogeneous_run(word, order, cap, top, orientation):
+def _phi_homogeneous_run(word, order, cap, top):
     """(Phi at cap, Phi at top - Phi at cap) from one DP run at top.
 
     Both are accumulated in place as raw tables over the bottoms and the
@@ -493,17 +475,16 @@ def _phi_homogeneous_run(word, order, cap, top, orientation):
     col_plus = sum(1 for s in col_sign if s > 0)
     col_minus = n - 1 - col_plus
     trunc = 2 * order + 1
-    live = (_live_edges([abs(letter) for letter in word.letters], col_sign)
-            if orientation == STANDARD else None)
+    live = _live_edges([abs(letter) for letter in word.letters], col_sign)
     cache = {}
     phi = {}
     delta = {}
-    for bottom in _bottoms(n, top, _label_bound(trunc, top, orientation)):
-        if live is not None and 2 * _window_bound(bottom, live) > trunc:
+    for bottom in _bottoms(n, top, _label_bound(trunc, top)):
+        if 2 * _window_bound(bottom, live) > trunc:
             continue  # every closed path from it costs more than trunc
         try:
             inside, outside = _closed_amplitude(
-                word, col_sign, bottom, trunc, cap, top, orientation, cache)
+                word, col_sign, bottom, trunc, cap, top, cache)
         except VerificationError as exc:
             raise VerificationError(
                 f"{exc} in {_braid._where(word, order, cap)}") from exc
@@ -519,17 +500,16 @@ def _phi_homogeneous_run(word, order, cap, top, orientation):
     return XSeries._adopt(phi, trunc), XSeries._adopt(delta, trunc)
 
 
-def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
-                    stabilize=True):
+def phi_homogeneous(word, order, cap=None, stabilize=True):
     """Phi for any homogeneous knot word, truncated at x^order.
 
     cap bounds every column label (default = order; by the label bound of
-    _label_bound, no label above order reaches the truncated series in the
-    standard reading).  stabilize insists that raising the cap to cap + 2
-    changes nothing, in one DP run at cap + 2: a move exists at cap iff
-    cap >= its need, and _crossing_weight does not depend on cap, so the
-    run splits each bottom's amplitude into the paths that also exist at
-    cap (their sum is Phi at cap) and the rest, whose sum Delta is exactly
+    _label_bound, no label above order reaches the truncated series).
+    stabilize insists that raising the cap to cap + 2 changes nothing, in
+    one DP run at cap + 2: a move exists at cap iff every label it lands on
+    is <= cap, and _crossing_weight does not depend on cap, so the run
+    splits each bottom's amplitude into the paths that also exist at cap
+    (their sum is Phi at cap) and the rest, whose sum Delta is exactly
     Phi(cap + 2) - Phi(cap).  The guard raises iff Delta != 0, that is
     exactly when a second run at cap + 2 would differ from Phi.
 
@@ -537,22 +517,21 @@ def phi_homogeneous(word, order, cap=None, orientation=STANDARD,
     crossing costs x^{(u+v)/2} stay within x^order.  Every cost is >= 0
     and terms above the truncation are dropped anyway, so the pruned
     moves only ever carried terms that truncation would discard: the
-    series is the same as that of the unpruned DP."""
-    _require_orientation(orientation)
+    series is the same as that of the unpruned DP.  An order or cap whose
+    bottoms times letters pass PHI_WORK_LIMIT raises InputError."""
     _braid.require_homogeneous_knot(word)
     if cap is None:
         cap = order
     _require_nonnegative(order=order, cap=cap)
     top = cap + 2 if stabilize else cap
-    phi, delta = _phi_homogeneous_run(word, order, cap, top, orientation)
+    bound = _label_bound(2 * order + 1, top)
+    _require_work((bound + 1) ** (word.n - 1), "bottoms", word, order)
+    phi, delta = _phi_homogeneous_run(word, order, cap, top)
     if not delta.is_zero:
         raise VerificationError(
             f"label cap not stable: raising it to cap + 2 changes "
             f"phi_homogeneous of {_braid._where(word, order, cap)}"
         )
-    if orientation == REVERSED:
-        # the rejected reading has no normalization contract
-        return phi
     return _finalize_phi(phi, "phi_homogeneous", word, order, cap)
 
 
@@ -586,15 +565,12 @@ class ZhatResult:
                                     self.phi.trunc + x_half)
 
 
-def zhat(word, order, orientation=STANDARD, cap=None):
+def zhat(word, order, cap=None):
     """Phi and the BPS series of the closure knot, truncated prefactor-
     shifted; both prefactor presentations are computed and must agree.
 
     This is the one place that picks a Phi route: phi_positive for an
-    all-positive word, phi_homogeneous otherwise.  orientation changes
-    only negative columns, so it is checked here and used on the DP
-    route alone."""
-    _require_orientation(orientation)
+    all-positive word, phi_homogeneous otherwise."""
     stats = _braid.require_homogeneous_knot(word)
     n, w = stats.n, stats.writhe
     crm, colm = stats.cr_minus, stats.col_minus
@@ -623,7 +599,7 @@ def zhat(word, order, orientation=STANDARD, cap=None):
     if crm == 0:
         phi = phi_positive(word, order, m_cut=cap)
     else:
-        phi = phi_homogeneous(word, order, cap=cap, orientation=orientation)
+        phi = phi_homogeneous(word, order, cap=cap)
     pinned = (word.n, tuple(word.letters)) in _REFERENCE_WORDS
     return ZhatResult(
         word=word,

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import pytest
 
 from flowloop import QLaurent, XSeries
@@ -8,6 +11,18 @@ CORPUS = ("1", "1 1 1", "1 -2 1 -2", "1 1 1 2", "n=4; 1 -2 1 -3 -2")
 EXTRA_KNOTS = ("1 1 1 1 1", "1 1 1 -2 1 -2")
 # the all-positive words of both, the ones the graded-trace route takes
 POSITIVE_KNOTS = tuple(w for w in CORPUS + EXTRA_KNOTS if "-" not in w)
+
+
+def benchmark_batch(name, seed):
+    """The items of one pass of the benchmark workload `name` for `seed`,
+    as perfbench/workloads.py draws them."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
+                                    "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.batch(name, seed)
 
 
 def ql(terms):

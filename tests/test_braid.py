@@ -1,8 +1,6 @@
 """Braid parsing, closure statistics, and the two Alexander routes."""
 
-import os
 import re
-import sys
 import tracemalloc
 
 import pytest
@@ -36,7 +34,7 @@ from flowloop.braid import (
 )
 from flowloop.template import zeta_denominator, zeta_matrix
 
-from conftest import CORPUS, EXTRA_KNOTS, ql, xs
+from conftest import CORPUS, EXTRA_KNOTS, benchmark_batch, ql, xs
 
 
 def test_parse_infers_strand_count():
@@ -340,7 +338,8 @@ def _weight_rep_graded_then_q1(word):
     for r, dst in enumerate(states):
         row = []
         for c, src in enumerate(states):
-            q1 = mat_graded.entry(src, dst).specialize_q1()
+            entry = mat_graded.cols.get(src, {}).get(dst, XSeries.zero())
+            q1 = entry.specialize_q1()
             cell = QLaurent({x: qv.at_q1() for x, qv in q1.terms.items()})
             row.append(QLaurent.one() - cell if r == c else -cell)
         mat.append(row)
@@ -529,14 +528,8 @@ def test_axis_quotient_matches_xseries_oracle(poly, k, order):
 def q1_zeta_words():
     """The words of the seed-1 q1-zeta benchmark batch, with their
     orders."""
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
-                                    "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
     return sorted({(item.braid, item.order)
-                   for item in workloads.batch("q1-zeta", 1)
+                   for item in benchmark_batch("q1-zeta", 1)
                    if item.kind == "q1"})
 
 

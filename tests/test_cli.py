@@ -12,6 +12,7 @@ from flowloop.braid import Q1_WORK_LIMIT
 from flowloop.cli import main
 from flowloop.template import ORBIT_DEPTH_LIMIT
 from flowloop.verify import run_suite
+from flowloop.zhat import PHI_WORK_LIMIT
 
 GOLDEN_ZHAT = """\
 braid: n=2; 1 1 1
@@ -152,29 +153,6 @@ def test_verify_json_times_every_check(capsys):
     assert text.splitlines()[:-1] == [r.render() for r in run_suite("ring")]
 
 
-def test_phi_debug_mirror_differs(capsys):
-    code, good = run_cli(capsys, "phi", "--braid", "1 -2 1 -2", "--order", "2")
-    assert code == 0
-    code, bad = run_cli(
-        capsys, "phi", "--braid", "1 -2 1 -2", "--order", "2",
-        "--debug-mirror",
-    )
-    assert code == 0
-    assert "1 + (q^-1 + q)*x^2" in bad
-    assert good != bad
-
-
-def test_phi_debug_mirror_leaves_positive_words_alone(capsys):
-    # --debug-mirror changes only negative columns, and phi takes zhat's
-    # route, so an all-positive word prints what it prints without it
-    argv = ("phi", "--braid", "1 1 1 2", "--order", "5", "--cap", "2")
-    code, plain = run_cli(capsys, *argv)
-    assert code == 0
-    code, mirror = run_cli(capsys, *argv, "--debug-mirror")
-    assert code == 0
-    assert mirror == plain
-
-
 def test_convention_flag_does_not_change_traces(capsys):
     _, half = run_cli(capsys, "trace", "--braid", "1 1 1", "--mmax", "3")
     code, under = run_cli(
@@ -202,6 +180,7 @@ def test_convention_flag_does_not_change_traces(capsys):
         ["phi", "--braid", "1 1 1", "--order", "-1"],
         ["trace", "--braid", "1 1 1", "--mmax", "-1"],
         ["phi", "--braid", "1 1 1", "--cap", "-1"],
+        ["phi", "--braid", "1 -2 1 -2", "--debug-mirror"],  # no such flag
     ],
 )
 def test_input_errors_exit_1(capsys, argv):
@@ -241,6 +220,45 @@ def test_alexander_refuses_an_order_past_the_work_limit(capsys):
         f"Q1_WORK_LIMIT = {Q1_WORK_LIMIT}\n"
     )
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("braid,order,work,starts", [
+    ("1 1 1", "100000000", 300000003, "100000001 start states x 3"),
+    ("1 -2 1 -2", "100000", 40000800004, "10000200001 bottoms x 4"),
+], ids=["positive", "dp"])
+def test_zhat_refuses_an_order_past_the_work_limit(capsys, braid, order,
+                                                   work, starts):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["zhat", "--braid", braid, "--order", order])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: order {order} needs {work} forward steps ({starts} "
+        f"letters), past PHI_WORK_LIMIT = {PHI_WORK_LIMIT}\n"
+    )
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("braid,cap", [
+    ("1 1 1", "4000000"), ("1 -2 1 -2", "1000"),
+], ids=["positive", "dp"])
+def test_huge_cap_prints_what_cap_2_prints(capsys, braid, cap):
+    # no label or weight above the order reaches the series, so a cap
+    # above it does no more work than the order needs
+    argv = ["zhat", "--braid", braid, "--order", "2", "--cap"]
+    code, want = run_cli(capsys, *argv, "2")
+    assert code == 0
+    start = time.perf_counter()
+    code, got = run_cli(capsys, *argv, cap)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert got == want
 
 
 def test_cap_flag_matches_default(capsys):

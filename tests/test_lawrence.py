@@ -16,7 +16,7 @@ from flowloop.lawrence import (
     generator_matrix,
     graded_trace,
     rep_matrix,
-    truncated_trace,
+    truncated_trace_table,
     unknot_closure_check,
     weight_states,
 )
@@ -26,6 +26,11 @@ from flowloop.ring import qtrinom
 from conftest import POSITIVE_KNOTS, xs
 
 CONVENTIONS = (HALF, UNDER)
+
+
+def truncated_trace(word, m, trunc):
+    """truncated_trace_table as an XSeries truncated at trunc."""
+    return XSeries._adopt(truncated_trace_table(word, m, trunc), trunc)
 
 
 @pytest.mark.parametrize("n", range(2, 6))

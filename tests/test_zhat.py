@@ -25,11 +25,10 @@ from flowloop import (
     zhat,
 )
 from flowloop import braid, ring
-from flowloop.braid import alexander_classical
-from flowloop.lawrence import graded_trace
-from flowloop.zhat import REVERSED, STANDARD
+from flowloop.braid import alexander_classical, render_word
+from flowloop.lawrence import graded_trace, weight_states
 
-from conftest import CORPUS, EXTRA_KNOTS, POSITIVE_KNOTS, xs
+from conftest import CORPUS, EXTRA_KNOTS, POSITIVE_KNOTS, benchmark_batch, xs
 
 # the module itself: the package re-exports the function `zhat` under its name
 zmod = importlib.import_module("flowloop.zhat")
@@ -122,15 +121,6 @@ def test_phi_rejects_links_and_inhomogeneous():
             with pytest.raises(InputError) as exc:
                 route(parse_braid(text), 3)
             assert str(exc.value) == message, (route.__name__, text)
-
-
-def test_reversed_orientation_is_the_rejected_reading():
-    # the upside-down crossing rule is kept as a falsifiable control: it
-    # must NOT reproduce the loop count (fig8 loses its 2x term entirely)
-    w = parse_braid("1 -2 1 -2")
-    rev = phi_homogeneous(w, 2, orientation=REVERSED)
-    assert rev == xs({0: {0: 1}, 4: {-2: 1, 2: 1}}, trunc=5)
-    assert rev != phi_homogeneous(w, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -296,38 +286,39 @@ def test_shared_monomials_stay_intact():
 # the one-run transfer DP against a test-local copy of the two-run one
 
 
-def product_bottoms(n, cap, bound=None):
-    """The starting label vectors as the product filter gives them."""
+def oracle_bottoms(n, cap, bound=None):
+    """The starting label vectors, n - 1 labels in [0, bound] with sum
+    <= 2 cap, as heads of the compositions of 2 cap into n parts (the last
+    part takes up the slack), in lexicographic order."""
     if bound is None:
         bound = cap
-    return [b for b in product(range(bound + 1), repeat=n - 1)
-            if sum(b) <= 2 * cap]
+    return [s[:-1] for s in weight_states(n + 1, 2 * cap)
+            if max(s[:-1], default=0) <= bound]
 
 
-def test_bottoms_match_product_filter():
+def test_bottoms_match_composition_filter():
     for n in range(1, 6):
         for cap in range(7):
             for bound in range(cap + 1):
-                assert zmod._bottoms(n, cap, bound) == product_bottoms(
+                assert zmod._bottoms(n, cap, bound) == oracle_bottoms(
                     n, cap, bound), (n, cap, bound)
 
 
 def test_need_is_the_smallest_cap_of_a_move():
-    # from a source whose labels fit under cap, the moves at cap are
-    # exactly the moves at any larger cap whose need is <= cap
+    # a move's need is the largest label it lands on: from a source whose
+    # labels fit under cap, the moves at cap are exactly the moves at any
+    # larger cap that land within cap
     top = 5
-    for orientation in (STANDARD, REVERSED):
-        for mid_sign, kindL, kindR in product((1, -1), (1, 0, -1), (1, 0, -1)):
-            for lL, lM, lR in product(range(top + 1), repeat=3):
-                if (kindL == 0 and lL) or (kindR == 0 and lR):
-                    continue
-                at_top = zmod._transitions(
-                    (mid_sign, kindL, kindR, lL, lM, lR, top, orientation), {})
-                for cap in range(max(lL, lM, lR), top + 1):
-                    key = (mid_sign, kindL, kindR, lL, lM, lR, cap,
-                           orientation)
-                    assert zmod._transitions(key, {}) == [
-                        m for m in at_top if m[5] <= cap], key
+    for mid_sign, kindL, kindR in product((1, -1), (1, 0, -1), (1, 0, -1)):
+        for lL, lM, lR in product(range(top + 1), repeat=3):
+            if (kindL == 0 and lL) or (kindR == 0 and lR):
+                continue
+            at_top = zmod._transitions(
+                (mid_sign, kindL, kindR, lL, lM, lR, top), {})
+            for cap in range(max(lL, lM, lR), top + 1):
+                key = (mid_sign, kindL, kindR, lL, lM, lR, cap)
+                assert zmod._transitions(key, {}) == [
+                    m for m in at_top if max(m[:3]) <= cap], key
 
 
 def three_branch_weight(mid_sign, reversed_mid, u, b, c):
@@ -361,20 +352,14 @@ def test_crossing_weight_matches_three_branch_oracle():
                     three_branch_weight(-1, False, u, b, c), (u, b, c)
 
 
-def test_zhat_refuses_unknown_orientation_on_every_route():
-    for text in ("1 1 1", "1 -2 1 -2"):
-        with pytest.raises(InputError,
-                           match="^unknown orientation 'bogus'$"):
-            zhat(parse_braid(text), 3, orientation="bogus")
-
-
-def oracle_min_plus(word, col_sign, bottom, budget, cap, orientation,
-                    cache):
+def oracle_min_plus(word, col_sign, bottom, budget, cap, cache, rule=None):
     """Per letter, every move at cap out of the states reachable from
     bottom, with the exact cheapest x-half cost from bottom to each state
     (forward) and from each state back to bottom (backward).  With a
     budget, states whose forward cost exceeds it are dropped (they lie on
-    no closed path within it); without one, nothing is."""
+    no closed path within it); without one, nothing is.  rule gives the
+    moves of one crossing, zhat._transitions unless named."""
+    rule = rule or zmod._transitions
     n = word.n
     fwd = [{bottom: 0}]
     steps = []
@@ -389,8 +374,8 @@ def oracle_min_plus(word, col_sign, bottom, budget, cap, orientation,
             lL = state[i - 2] if i >= 2 else 0
             lM = state[i - 1]
             lR = state[i] if i <= n - 2 else 0
-            key = (sign, kindL, kindR, lL, lM, lR, cap, orientation)
-            for nL, nM, nR, xh, coeff, _ in zmod._transitions(key, cache):
+            key = (sign, kindL, kindR, lL, lM, lR, cap)
+            for nL, nM, nR, xh, coeff in rule(key, cache):
                 if budget is not None and cost + xh > budget:
                     continue
                 t = list(state)
@@ -415,13 +400,12 @@ def oracle_min_plus(word, col_sign, bottom, budget, cap, orientation,
     return steps, fwd, back
 
 
-def oracle_amplitude(word, col_sign, bottom, trunc, cap, orientation, cache,
-                     prune):
+def oracle_amplitude(word, col_sign, bottom, trunc, cap, cache, prune,
+                     rule=None):
     """The transfer DP at cap.  Unpruned, it takes every move from every
     state; pruned, only the moves on some closed path within trunc."""
     steps, fwd, back = oracle_min_plus(
-        word, col_sign, bottom, trunc if prune else None, cap, orientation,
-        cache)
+        word, col_sign, bottom, trunc if prune else None, cap, cache, rule)
     vec = {bottom: XSeries.one(trunc)}
     for k, moves in enumerate(steps):
         nxt = {}
@@ -440,8 +424,8 @@ def oracle_amplitude(word, col_sign, bottom, trunc, cap, orientation, cache,
     return vec.get(bottom, XSeries.zero(trunc))
 
 
-def oracle_phi(word, order, cap, orientation=STANDARD, prune=False):
-    """Phi at cap from the oracle DP over every bottom of the product
+def oracle_phi(word, order, cap, prune=False, rule=None):
+    """Phi at cap from the oracle DP over every bottom of the composition
     filter."""
     n = word.n
     col_sign = zmod._column_signs(word)
@@ -450,9 +434,9 @@ def oracle_phi(word, order, cap, orientation=STANDARD, prune=False):
     trunc = 2 * order + 1
     cache = {}
     phi = XSeries.zero(trunc)
-    for bottom in product_bottoms(n, cap):
-        amp = oracle_amplitude(word, col_sign, bottom, trunc, cap,
-                               orientation, cache, prune)
+    for bottom in oracle_bottoms(n, cap):
+        amp = oracle_amplitude(word, col_sign, bottom, trunc, cap, cache,
+                               prune, rule)
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
         # the axis-sector factor of the module docstring,
         # q^{(2 eps - 1) m~ + eps (col+ - col-)} (-x^n)^eps
@@ -463,20 +447,17 @@ def oracle_phi(word, order, cap, orientation=STANDARD, prune=False):
     return phi
 
 
-def closed_amplitude(word, col_sign, bottom, trunc, cap, top, orientation,
-                     cache):
+def closed_amplitude(word, col_sign, bottom, trunc, cap, top, cache):
     """_closed_amplitude's (inside, outside) tables as XSeries."""
     return tuple(XSeries._adopt(t, trunc) for t in zmod._closed_amplitude(
-        word, col_sign, bottom, trunc, cap, top, orientation, cache))
+        word, col_sign, bottom, trunc, cap, top, cache))
 
 
-def two_run_phi_homogeneous(word, order, cap, orientation):
+def two_run_phi_homogeneous(word, order, cap):
     """The guard as two DP runs: Phi at cap must equal Phi at cap + 2."""
-    phi = oracle_phi(word, order, cap, orientation, prune=True)
-    if phi != oracle_phi(word, order, cap + 2, orientation, prune=True):
+    phi = oracle_phi(word, order, cap, prune=True)
+    if phi != oracle_phi(word, order, cap + 2, prune=True):
         raise VerificationError(f"label cap {cap} not stable")
-    if orientation == REVERSED:
-        return phi
     return zmod._finalize_phi(phi, "phi_homogeneous", word, order, cap)
 
 
@@ -486,6 +467,51 @@ def outcome(fn, *args):
         return fn(*args)
     except VerificationError as exc:
         return "unstable" if "not stable" in str(exc) else str(exc)
+
+
+def reversed_transitions(key, cache):
+    """The upside-down reading of a negative crossing: there the middle
+    hat rises by the sheds and each neighbor's true label rises by what it
+    sheds, instead of falling, with the same weight function of the sign,
+    the low label and the sheds.  Positive crossings move as in
+    zhat._transitions."""
+    mid_sign, kindL, kindR, lL, lM, lR, cap = key
+    if mid_sign > 0:
+        return zmod._transitions(key, cache)
+
+    def shed_range(kind, label):
+        if kind == 0:
+            return (0,)
+        return range(label + 1) if kind > 0 else range(cap - label + 1)
+
+    out = []
+    for b in shed_range(kindL, lL):
+        for c in shed_range(kindR, lR):
+            v = lM + b + c
+            if v > cap:
+                continue
+            nL = (lL + b) if kindL > 0 else (lL - b if kindL else lL)
+            nR = (lR + c) if kindR > 0 else (lR - c if kindR else lR)
+            if (kindL > 0 and nL > cap) or (kindL < 0 and nL < 0):
+                continue
+            if (kindR > 0 and nR > cap) or (kindR < 0 and nR < 0):
+                continue
+            out.append((nL, v, nR, lM + v,
+                        zmod._crossing_weight(-1, lM, b, c)))
+    out.sort(key=itemgetter(3))
+    return out
+
+
+def test_reversed_orientation_is_the_rejected_reading():
+    # the upside-down crossing rule is kept as a falsifiable control: it
+    # must NOT reproduce the loop count (fig8 loses its 2x term entirely),
+    # and its series is stable under raising the cap
+    w = parse_braid("1 -2 1 -2")
+    for cap in (2, 4):
+        rev = oracle_phi(w, 2, cap, rule=reversed_transitions)
+        assert rev == xs({0: {0: 1}, 4: {-2: 1, 2: 1}}, trunc=5), cap
+    assert rev != reference_series("fig8_braid", 2)
+    assert oracle_phi(w, 2, 2) == reference_series("fig8_braid", 2)
 
 
 MIXED = tuple(w for w in CORPUS + EXTRA_KNOTS if "-" in w)
@@ -500,52 +526,49 @@ PRUNING_CASES = [
 DP_CASES = PRUNING_CASES + [("n=4; -1 -1 -1 3 2", 4)]
 
 
-@pytest.mark.parametrize("orientation", (STANDARD, REVERSED))
 @pytest.mark.parametrize("text,order", DP_CASES)
-def test_pruned_dp_matches_unpruned_on_every_bottom(text, order,
-                                                    orientation):
+def test_pruned_dp_matches_unpruned_on_every_bottom(text, order):
     word = parse_braid(text)
     col_sign = zmod._column_signs(word)
     trunc = 2 * order + 1
     zero = XSeries.zero(trunc)
     for cap in (order - 2, order):
         top = cap + 2
-        at_cap = set(product_bottoms(word.n, cap))
+        at_cap = set(oracle_bottoms(word.n, cap))
         cache, oracle_cache = {}, {}
         live = outside_live = removed = 0
-        for bottom in product_bottoms(word.n, top):
+        for bottom in oracle_bottoms(word.n, top):
             inside, outside = closed_amplitude(
-                word, col_sign, bottom, trunc, cap, top, orientation, cache)
+                word, col_sign, bottom, trunc, cap, top, cache)
             want = (oracle_amplitude(word, col_sign, bottom, trunc, cap,
-                                     orientation, oracle_cache, False)
+                                     oracle_cache, False)
                     if bottom in at_cap else zero)
             assert inside == want, (bottom, cap)
             assert inside + outside == oracle_amplitude(
-                word, col_sign, bottom, trunc, top, orientation,
-                oracle_cache, False), (bottom, cap)
+                word, col_sign, bottom, trunc, top, oracle_cache,
+                False), (bottom, cap)
             live += not inside.is_zero
             outside_live += not outside.is_zero
-            if orientation == STANDARD:
-                # the label bound: a state with a label above order lies
-                # on no closed path of cost <= trunc
-                _, fwd, back = oracle_min_plus(word, col_sign, bottom, trunc,
-                                               top, orientation, oracle_cache)
-                for ahead, behind in zip(fwd, back):
-                    for state, cost in ahead.items():
-                        if max(state) > order:
-                            removed += 1
-                            assert cost + behind.get(state, trunc + 1) \
-                                > trunc, (bottom, state)
+            # the label bound: a state with a label above order lies on no
+            # closed path of cost <= trunc
+            _, fwd, back = oracle_min_plus(word, col_sign, bottom, trunc,
+                                           top, oracle_cache)
+            for ahead, behind in zip(fwd, back):
+                for state, cost in ahead.items():
+                    if max(state) > order:
+                        removed += 1
+                        assert cost + behind.get(state, trunc + 1) \
+                            > trunc, (bottom, state)
         assert live  # some bottom closes, so the comparison is not vacuous
-        if orientation == STANDARD and cap == order:
+        if cap == order:
             assert removed  # the bound removed states, and they were dead
-        if orientation == STANDARD and cap < order:
+        else:
             assert outside_live  # some path leaves [0, cap]
 
 
 def check_bottom_bounds(word, order, cap):
-    """Check the two standard-reading bounds of the DP on every bottom of
-    the product filter at top = cap + 2 against the exact min-plus costs of
+    """Check the two bounds of the DP on every bottom of the composition
+    filter at top = cap + 2 against the exact min-plus costs of
     the oracle run without a budget:
 
     * the cheapest closed path from a bottom b costs >= 2 W(b), and a bottom
@@ -577,16 +600,16 @@ def check_bottom_bounds(word, order, cap):
 
     cache, oracle_cache = {}, {}
     dropped = excluded = spared = 0
-    for bottom in product_bottoms(word.n, top):
+    for bottom in oracle_bottoms(word.n, top):
         _, fwd, back = oracle_min_plus(word, col_sign, bottom, None, top,
-                                       STANDARD, oracle_cache)
+                                       oracle_cache)
         bound = 2 * zmod._window_bound(bottom, live)
         closing = back[0].get(bottom)
         assert closing is None or closing >= bound, (bottom, closing, bound)
         if bound > trunc:
             dropped += 1
             assert oracle_amplitude(word, col_sign, bottom, trunc, top,
-                                    STANDARD, oracle_cache, False).is_zero
+                                    oracle_cache, False).is_zero
         budgets = zmod._letter_budgets(letters, col_sign, bottom, trunc)
         for budget, ahead, behind in zip(budgets, fwd[1:], back[1:]):
             for state, cost in ahead.items():
@@ -601,7 +624,7 @@ def check_bottom_bounds(word, order, cap):
                 if not budgeted:
                     patch.setattr(zmod, "_letter_budgets", unbudgeted)
                 amplitude = zmod._closed_amplitude(
-                    word, col_sign, bottom, trunc, cap, top, STANDARD, cache)
+                    word, col_sign, bottom, trunc, cap, top, cache)
             # a forward pass that dies early keeps no move
             moves, kept = runs[0] if runs else (0, [[] for _ in letters])
             outcomes.append((amplitude, moves, [
@@ -622,31 +645,12 @@ def test_window_bound_and_letter_budgets(text, order):
                                                  spared)
 
 
-# the word on which a need that only looks at the labels landed on misses
-# the instability of the reversed reading
-REVERSED_REGRESSION = ("n=4; -1 -2 -3 -3 -1 -3 -2", 4, 3)
-
-
-@pytest.mark.parametrize("orientation", (STANDARD, REVERSED))
 @pytest.mark.parametrize("text,order", DP_CASES)
-def test_one_run_guard_matches_two_runs(text, order, orientation):
+def test_one_run_guard_matches_two_runs(text, order):
     word = parse_braid(text)
     for cap in range(order + 1):
-        assert outcome(phi_homogeneous, word, order, cap, orientation) \
-            == outcome(two_run_phi_homogeneous, word, order, cap,
-                       orientation), cap
-
-
-def test_one_run_guard_reversed_regression():
-    text, order, cap = REVERSED_REGRESSION
-    word = parse_braid(text)
-    with pytest.raises(VerificationError, match="not stable"):
-        two_run_phi_homogeneous(word, order, cap, REVERSED)
-    with pytest.raises(VerificationError,
-                       match=r"^label cap not stable: raising it to cap \+ 2 "
-                             r"changes phi_homogeneous of n=4; -1 -2 -3 -3 "
-                             r"-1 -3 -2 at order 4, cap 3$"):
-        phi_homogeneous(word, order, cap, REVERSED)
+        assert outcome(phi_homogeneous, word, order, cap) \
+            == outcome(two_run_phi_homogeneous, word, order, cap), cap
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +664,7 @@ def series_walk(start, layers, trunc):
     vec = {start: XSeries.one(trunc)}
     for moves in layers:
         nxt = {}
-        for src, dst, xh, coeff, _ in moves:
+        for src, dst, xh, coeff in moves:
             amp = vec.get(src)
             if amp is None:
                 continue
@@ -683,48 +687,44 @@ EXACT_CASES = [(text, 5 if text.startswith("n=4") else 6)
                for text in CORPUS + EXTRA_KNOTS]
 
 
-@pytest.mark.parametrize("orientation", (STANDARD, REVERSED))
 @pytest.mark.parametrize("text,order", EXACT_CASES)
-def test_in_place_dp_matches_series_walk(text, order, orientation,
-                                         monkeypatch):
+def test_in_place_dp_matches_series_walk(text, order, monkeypatch):
     word = parse_braid(text)
     col_sign = zmod._column_signs(word)
     trunc = 2 * order + 1
     for cap in range(order - 2, order + 1):
         top = cap + 2
-        bottoms = product_bottoms(word.n, top)
+        bottoms = oracle_bottoms(word.n, top)
         cache = {}
         tables = [zmod._closed_amplitude(word, col_sign, bottom, trunc, cap,
-                                         top, orientation, cache)
+                                         top, cache)
                   for bottom in bottoms]
-        phi, delta = zmod._phi_homogeneous_run(word, order, cap, top,
-                                               orientation)
+        phi, delta = zmod._phi_homogeneous_run(word, order, cap, top)
         with monkeypatch.context() as patch:
             patch.setattr(zmod._walks, "sum_paths", series_walk)
             cache = {}
             for bottom, got in zip(bottoms, tables):
                 # raw dict equality: no empty x-term, no zero coefficient
                 assert got == zmod._closed_amplitude(
-                    word, col_sign, bottom, trunc, cap, top, orientation,
-                    cache), (bottom, cap)
-        assert phi == oracle_phi(word, order, cap, orientation,
-                                 prune=True), cap
-        assert phi + delta == oracle_phi(word, order, top, orientation,
-                                         prune=True), cap
-        assert outcome(phi_homogeneous, word, order, cap, orientation) \
-            == outcome(two_run_phi_homogeneous, word, order, cap,
-                       orientation), cap
+                    word, col_sign, bottom, trunc, cap, top, cache), \
+                    (bottom, cap)
+        assert phi == oracle_phi(word, order, cap, prune=True), cap
+        assert phi + delta == oracle_phi(word, order, top, prune=True), cap
+        assert outcome(phi_homogeneous, word, order, cap) \
+            == outcome(two_run_phi_homogeneous, word, order, cap), cap
 
 
 @st.composite
-def mixed_knot_words(draw):
-    """Homogeneous words on <= 4 strands and <= 7 letters with a negative
-    column.  Every column appears once (so the closure is a knot), plus
-    pairs of one column at any two places (most of those keep it a knot)."""
+def mixed_knot_words(draw, negative=True):
+    """Homogeneous words on <= 4 strands and <= 7 letters, with a negative
+    column unless negative is False.  Every column appears once (so the
+    closure is a knot), plus pairs of one column at any two places (most of
+    those keep it a knot)."""
     n = draw(st.integers(min_value=2, max_value=4))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n - 1,
                           max_size=n - 1))
-    signs[draw(st.integers(min_value=0, max_value=n - 2))] = -1
+    if negative:
+        signs[draw(st.integers(min_value=0, max_value=n - 2))] = -1
     cols = list(draw(st.permutations(range(1, n))))
     for _ in range(draw(st.integers(0, (7 - (n - 1)) // 2))):
         c = draw(st.integers(min_value=1, max_value=n - 1))
@@ -745,10 +745,123 @@ def test_random_mixed_knots(word):
     # the one-run guard against the two-run one, below the default cap too
     for cap in range(4):
         assert outcome(phi_homogeneous, word, 3, cap) \
-            == outcome(two_run_phi_homogeneous, word, 3, cap, STANDARD), cap
+            == outcome(two_run_phi_homogeneous, word, 3, cap), cap
     # the window bound and the letter budgets against exact min-plus costs
     for cap in (1, 3):
         check_bottom_bounds(word, 3, cap)
+
+
+# ---------------------------------------------------------------------------
+# Phi and Zhat are invariants of the closure: equal on every conjugate
+# (Markov's theorem; Birman, Braids, Links, and Mapping Class Groups)
+
+
+def conjugates(word):
+    """Every cyclic rotation of the word and of its half-twist flip
+    sigma_i <-> sigma_{n-i}; each closes to the same knot."""
+    n, letters = word.n, list(word.letters)
+    flip = [(n - abs(v)) * (1 if v > 0 else -1) for v in letters]
+    return [parse_braid(f"n={n}; " + " ".join(map(str, w[k:] + w[:k])))
+            for w in (letters, flip) for k in range(len(w))]
+
+
+def assert_conjugation_invariant(word, order):
+    want = zhat(word, order)
+    for other in conjugates(word):
+        got = zhat(other, order)
+        assert (got.phi, got.zhat) == (want.phi, want.zhat), \
+            render_word(other)
+
+
+def benchmark_zhat_items(seed):
+    """The distinct (word, order) zhat items of every benchmark workload
+    for one seed, in batch order."""
+    items = {}
+    for name in ("mixed-dp", "positive-trace", "q1-zeta"):
+        for item in benchmark_batch(name, seed):
+            if item.kind == "zhat":
+                items.setdefault((item.braid, item.order), None)
+    return list(items)
+
+
+CONJUGATION_CASES = {
+    "corpus": [(text, 8 if text == "1 1 1" else 4)
+               for text in CORPUS + EXTRA_KNOTS],
+    "benchmark-seed-1": [(text, min(order, 4)) for text, order
+                         in benchmark_zhat_items(1)[:30]],
+}
+
+
+@pytest.mark.parametrize("cases", CONJUGATION_CASES.values(),
+                         ids=CONJUGATION_CASES.keys())
+def test_phi_is_conjugation_invariant_on_knots(cases):
+    for text, order in cases:
+        assert_conjugation_invariant(parse_braid(text), order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(mixed_knot_words(), mixed_knot_words(negative=False)))
+def test_phi_is_conjugation_invariant(word):
+    assume(analyze(word).closure_components == 1)
+    assert_conjugation_invariant(word, 3)
+
+
+# ---------------------------------------------------------------------------
+# both Phi routes refuse an order or cap past PHI_WORK_LIMIT
+
+
+class Measured(Exception):
+    """Stops a Phi route once its work estimate is known."""
+
+
+def phi_work(word, order):
+    """The start states x letters that zhat(word, order) checks against
+    PHI_WORK_LIMIT."""
+    seen = []
+
+    def spy(starts, kind, word, order):
+        seen.append(starts * len(word.letters))
+        raise Measured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zmod, "_require_work", spy)
+        with pytest.raises(Measured):
+            zhat(word, order)
+    return seen[0]
+
+
+def test_phi_work_limit_leaves_a_tenfold_margin():
+    items = {(text, 8) for text in CORPUS + EXTRA_KNOTS}
+    for seed in (1, 2, 3):
+        items.update(benchmark_zhat_items(seed))
+    for text, order in sorted(items):
+        assert 10 * phi_work(parse_braid(text), order) \
+            <= zmod.PHI_WORK_LIMIT, (text, order)
+
+
+@pytest.mark.parametrize("route,text,order,kind", [
+    (phi_positive, "1 1 1", 32, "start states"),
+    (phi_homogeneous, "1 -2 1 -2", 4, "bottoms"),
+], ids=["positive", "dp"])
+def test_phi_work_limit_is_the_work_estimate(monkeypatch, route, text, order,
+                                             kind):
+    # with the limit at 100, the largest fitting order runs and the next
+    # is refused: the trefoil needs 3 (order + 1) start states x letters,
+    # fig8 4 (order + 1)^2 bottoms x letters
+    monkeypatch.setattr(zmod, "PHI_WORK_LIMIT", 100)
+    word = parse_braid(text)
+    assert zhat(word, order).phi == route(word, order)
+    bigger = order + 2 if kind == "start states" else (order + 2) ** 2
+    letters = len(word.letters)
+    with pytest.raises(InputError, match=(
+            rf"^order {order + 1} needs {bigger * letters} forward steps "
+            rf"\({bigger} {kind} x {letters} letters\), past "
+            rf"PHI_WORK_LIMIT = 100$")):
+        zhat(word, order + 1)
+    # below the order, the cutoff bounds the estimate instead
+    route(word, 3 * order, order, stabilize=False)
+    with pytest.raises(InputError, match=f"^order {3 * order} needs "):
+        route(word, 3 * order, order + 1, stabilize=False)
 
 
 # ---------------------------------------------------------------------------
