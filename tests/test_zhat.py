@@ -469,6 +469,10 @@ def outcome(fn, *args):
         return "unstable" if "not stable" in str(exc) else str(exc)
 
 
+# the move rule of the one reading, kept unpatched for the reversed rule
+standard_transitions = zmod._transitions
+
+
 def reversed_transitions(key, cache):
     """The upside-down reading of a negative crossing: there the middle
     hat rises by the sheds and each neighbor's true label rises by what it
@@ -477,7 +481,7 @@ def reversed_transitions(key, cache):
     zhat._transitions."""
     mid_sign, kindL, kindR, lL, lM, lR, cap = key
     if mid_sign > 0:
-        return zmod._transitions(key, cache)
+        return standard_transitions(key, cache)
 
     def shed_range(kind, label):
         if kind == 0:
@@ -687,11 +691,33 @@ EXACT_CASES = [(text, 5 if text.startswith("n=4") else 6)
                for text in CORPUS + EXTRA_KNOTS]
 
 
+def landing_within(rule, top):
+    """rule's moves at label cap top that land within the key's cap: the
+    moves of the paths that _closed_amplitude counts inside."""
+    def within(key, cache):
+        return [m for m in rule(key[:-1] + (top,), cache)
+                if max(m[:3]) <= key[-1]]
+    return within
+
+
+@pytest.mark.parametrize("reading", ("standard", "reversed"))
 @pytest.mark.parametrize("text,order", EXACT_CASES)
-def test_in_place_dp_matches_series_walk(text, order, monkeypatch):
+def test_in_place_dp_matches_series_walk(text, order, reading, monkeypatch):
+    # the reversed case feeds the DP a second move rule, the test-local
+    # reversed_transitions, with the bounds proven for the one reading
+    # (_label_bound, _window_bound, _letter_budgets) switched off: the
+    # in-place sums and the inside/outside split must not depend on the
+    # moves they are given
     word = parse_braid(text)
     col_sign = zmod._column_signs(word)
     trunc = 2 * order + 1
+    if reading == "reversed":
+        monkeypatch.setattr(zmod, "_transitions", reversed_transitions)
+        monkeypatch.setattr(zmod, "_label_bound", lambda trunc, top: top)
+        monkeypatch.setattr(zmod, "_window_bound", lambda bottom, live: 0)
+        monkeypatch.setattr(zmod, "_letter_budgets",
+                            lambda letters, col_sign, bottom, trunc:
+                            [trunc] * len(letters))
     for cap in range(order - 2, order + 1):
         top = cap + 2
         bottoms = oracle_bottoms(word.n, top)
@@ -708,6 +734,14 @@ def test_in_place_dp_matches_series_walk(text, order, monkeypatch):
                 assert got == zmod._closed_amplitude(
                     word, col_sign, bottom, trunc, cap, top, cache), \
                     (bottom, cap)
+        if reading == "reversed":
+            assert phi == oracle_phi(
+                word, order, cap, prune=True,
+                rule=landing_within(reversed_transitions, top)), cap
+            assert phi + delta == oracle_phi(
+                word, order, top, prune=True,
+                rule=reversed_transitions), cap
+            continue
         assert phi == oracle_phi(word, order, cap, prune=True), cap
         assert phi + delta == oracle_phi(word, order, top, prune=True), cap
         assert outcome(phi_homogeneous, word, order, cap) \
