@@ -148,12 +148,9 @@ def analyze(word):
     components = _cycle_count(closure_permutation(word))
     genus = None
     if homogeneous and components == 1:
-        two_g = c - word.n + 1
-        if two_g % 2:
-            raise VerificationError(
-                f"parity violation: c - n + 1 = {two_g} is odd for a knot"
-            )
-        genus = two_g // 2
+        # a knot closure's permutation is an n-cycle, of sign (-1)^(n-1);
+        # each letter is a transposition, so c - n + 1 is even
+        genus = (c - word.n + 1) // 2
     return BraidStats(
         n=word.n,
         c=c,

@@ -32,8 +32,8 @@ the truncation, and only those moves do series work.  That is exact: a
 walk through any other move costs more than the truncation, so every term
 it would add is dropped anyway.  A closed walk of a weight-m state costs
 at least x^m when every column has a letter (proof in
-truncated_trace_table), so a weight with 2m above the truncation returns
-an empty trace before any generator matrix is built.
+truncated_trace_table), so a weight with 2m above the truncation has an
+empty trace, and zhat.phi_positive never asks for one.
 
 Weights are m >= 0: generator_matrix (so also rep_matrix), graded_trace
 and truncated_trace_table refuse a negative one with InputError.
@@ -396,7 +396,7 @@ def truncated_trace_table(word, m, trunc):
 
     When every column 1..n-1 has a letter of its own, a closed walk of a
     weight-m start state s costs at least 2m, so for 2m > trunc the table
-    is empty and is returned before any generator matrix is read.  Proof:
+    is empty; this is why zhat.phi_positive stops at weight order.  Proof:
     a move (A, b, c) costs 2A + b + c.  Let p_i be the first letter of
     column i and D_i what column i shed before p_i.  Before p_i only its
     neighbors' letters touch column i, and they only take from it, so at
@@ -412,8 +412,8 @@ def truncated_trace_table(word, m, trunc):
     comes later can shed across the edge, at most E_i.  Hence
     sum_i D_i <= sum_i E_i = S / 2 and the cost is at least
     2 sum_i s_i = 2m.  (A column with no letter of its own never pays 2A:
-    on "1 1" with n = 3 the walks of (0, m) cost 0, so the bound is not
-    used there.)
+    on "1 1" with n = 3 the walks of (0, m) cost 0, so the bound fails
+    there; a knot word has a letter on every column.)
 
     For a knot closure the half x-powers must cancel; that integrality is
     asserted rather than assumed."""
@@ -424,10 +424,7 @@ def truncated_trace_table(word, m, trunc):
         )
     _check_weight(m)
     n = word.n
-    letters = set(word.letters)
-    if 2 * m > trunc and len(letters) == n - 1:
-        return {}
-    moves = {v: _letter_moves(n, m, v) for v in letters}
+    moves = {v: _letter_moves(n, m, v) for v in set(word.letters)}
     walk = [moves[v] for v in word.letters]
     tr = {}
     for s in weight_states(n, m):

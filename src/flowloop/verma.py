@@ -23,7 +23,7 @@ from .errors import VerificationError
 from .ring import QLaurent, XSeries, qbinom
 
 
-def r_entry(i, j, ip, jp, inverse_x=False):
+def r_entry(i, j, ip, jp):
     """Single braiding coefficient; zero off the conserved sector."""
     if min(i, j, ip, jp) < 0 or i + j != ip + jp or jp > i:
         return XSeries.zero()
@@ -36,23 +36,17 @@ def r_entry(i, j, ip, jp, inverse_x=False):
             trunc=None,
         )
         out = out * factor
-    if inverse_x:
-        out = out.substitute_x_inverse()
     return out
 
 
-def _r_entry_inv(i, j, ip, jp, inverse_x=False):
+def _r_entry_inv(i, j, ip, jp):
     """Mirror of r_entry implementing the inverse braiding: swap the two
     factors inside source and target and invert both variables."""
-    out = r_entry(j, i, jp, ip, inverse_x=False)
-    out = out.bar_q().substitute_x_inverse()
-    if inverse_x:
-        out = out.substitute_x_inverse()
-    return out
+    return r_entry(j, i, jp, ip).bar_q().substitute_x_inverse()
 
 
 @functools.cache
-def _pair_matrix(total, sign, inverse_x):
+def _pair_matrix(total, sign):
     """Matrix of a pair braiding (sign -1: its mirror) on the
     weight-`total` sector, as cols[(i, j)][(ip, jp)]."""
     entry = r_entry if sign > 0 else _r_entry_inv
@@ -62,7 +56,7 @@ def _pair_matrix(total, sign, inverse_x):
         vec = {}
         for ip in range(total + 1):
             jpp = total - ip
-            val = entry(i, j, ip, jpp, inverse_x)
+            val = entry(i, j, ip, jpp)
             if not val.is_zero:
                 vec[(ip, jpp)] = val
         cols[(i, j)] = vec
@@ -70,12 +64,12 @@ def _pair_matrix(total, sign, inverse_x):
 
 
 @functools.cache
-def _mirror_ok(inverse_x):
+def _mirror_ok():
     """True if the mirrored braiding inverts R on the sectors of weight
-    <= 3."""
+    <= 3 (and so, under x -> 1/x, also with the variable x^{-1})."""
     for total in range(4):
-        prod = _lawrence.compose(_pair_matrix(total, -1, inverse_x),
-                                 _pair_matrix(total, 1, inverse_x))
+        prod = _lawrence.compose(_pair_matrix(total, -1),
+                                 _pair_matrix(total, 1))
         if any(vec != {src: XSeries.one()} for src, vec in prod.items()):
             return False
     return True
@@ -86,16 +80,14 @@ def tensor_states(n, m):
     return _lawrence.weight_states(n + 1, m)
 
 
-def tensor_action(word, m, inverse_x=False):
+def tensor_action(word, m):
     """Sparse matrix of the word on the weight-m sector of the n-fold
-    tensor power; cols[src][dst] = entry.  inverse_x selects the variable
-    x^{-1} in every braiding factor (the highest-weight parameter of the
-    left-hand side of the trace identity).  Each distinct letter's
-    matrix on the sector is read off the cached pair braidings, and
+    tensor power; cols[src][dst] = entry.  Each distinct letter's matrix
+    on the sector is read off the cached pair braidings, and
     lawrence.compose applies the letters in turn."""
-    if any(v < 0 for v in word.letters) and not _mirror_ok(inverse_x):
+    if any(v < 0 for v in word.letters) and not _mirror_ok():
         raise VerificationError(
-            f"mirrored braiding (inverse_x={inverse_x}) does not invert R; "
+            "mirrored braiding does not invert R; "
             f"refusing the inverse letters of {_braid.render_word(word)}"
         )
     states = tensor_states(word.n, m)
@@ -105,7 +97,7 @@ def tensor_action(word, m, inverse_x=False):
         sign = 1 if v > 0 else -1
         letter = letters[v] = {}
         for s in states:
-            pair = _pair_matrix(s[k] + s[k + 1], sign, inverse_x)
+            pair = _pair_matrix(s[k] + s[k + 1], sign)
             letter[s] = {s[:k] + dst + s[k + 2:]: w
                          for dst, w in pair[s[k], s[k + 1]].items()}
     cols = {s: {s: XSeries.one()} for s in states}
@@ -114,9 +106,9 @@ def tensor_action(word, m, inverse_x=False):
     return cols
 
 
-def tensor_trace(word, m, inverse_x=False):
+def tensor_trace(word, m):
     return _lawrence.GradedMatrix(
-        word.n + 1, m, tensor_action(word, m, inverse_x)).trace()
+        word.n + 1, m, tensor_action(word, m)).trace()
 
 
 def kohno_check(word, m_max):
@@ -125,10 +117,13 @@ def kohno_check(word, m_max):
         Tr (tensor sector m, variable x^{-1})
       == (qx)^{w/2} * sum_{k <= m} Tr_{V_{n,k}}.
 
+    The left-hand side is tensor_trace with x -> 1/x, an automorphism of
+    exact series, so it equals the trace with x^{-1} in every factor.
     Returns (ok, lhs_list, rhs_list) with the exact per-weight traces."""
     stats = _braid.analyze(word)
     w = stats.writhe
-    lhs = [tensor_trace(word, m, inverse_x=True) for m in range(m_max + 1)]
+    lhs = [tensor_trace(word, m).substitute_x_inverse()
+           for m in range(m_max + 1)]
     graded = _lawrence.graded_trace(word, m_max)
     qx_w = XSeries.monomial(QLaurent.monomial(1, w), w)  # (qx)^{w/2}
     rhs = []

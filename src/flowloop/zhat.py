@@ -74,19 +74,17 @@ computed two ways:
   sectors go into Phi the same way, through the one kernel
   ring.xs_addmul_term_into; only the final sums become XSeries.
 
-  The label cap is checked in the same run: the DP runs at cap + 2 and
-  splits each bottom's amplitude into the paths that also exist at cap
-  (whose sum is Phi) and the rest (whose sum must vanish).  A move exists
-  at cap iff every label it lands on is <= cap, and its weight does not
-  depend on cap, so a path exists at cap iff all its states stay within
-  cap.
+  The label cap is checked only where it can bind: below the order a
+  second run at cap + 2 must give the same Phi; at cap >= order the two
+  runs provably agree (proof in phi_homogeneous), so Phi takes one run.
 
 Both engines refuse an order or cap whose start states times letters pass
 PHI_WORK_LIMIT, before they build any state.
 
 zhat() multiplies Phi by the closure prefactor
-(-1)^{1+cr-+col-} q^{(w-(n-1))/2 + col-} x^{(w-n)/2 + cr-} and checks it
-against the genus form (-1)^{1+lam} q^{g-lam} x^{g-1/2}.
+(-1)^{1+cr-+col-} q^{(w-(n-1))/2 + col-} x^{(w-n)/2 + cr-}.  With
+g = (c - n + 1)/2, w = c - 2 cr- and lam = cr- - col-, it is the genus
+form (-1)^{1+lam} q^{g-lam} x^{g-1/2} term for term.
 """
 
 import functools
@@ -278,11 +276,11 @@ def _bottoms(n, cap, bound):
             if sum(b) <= 2 * cap]
 
 
-def _label_bound(trunc, top):
-    """The largest label the DP at cap top has to admit.
+def _label_bound(trunc, cap):
+    """The largest label the DP at label cap `cap` has to admit.
 
     No label on a closed path of x-half cost <= trunc exceeds trunc // 2
-    (= order), so the DP runs at min(top, trunc // 2).  Proof.  In x-half
+    (= order), so the DP runs at min(cap, trunc // 2).  Proof.  In x-half
     units a crossing whose middle label is u below and v above, and whose
     neighbors shed b and c, costs
     u + v = 2 min(u, v) + b + c (v = u + b + c for a positive middle,
@@ -307,7 +305,7 @@ def _label_bound(trunc, top):
     bottoms with a larger label carry nothing, and the moves at any cap
     are exactly those whose labels landed on stay within it, so the
     smaller cap drops just them."""
-    return min(top, trunc // 2)
+    return min(cap, trunc // 2)
 
 
 def _live_edges(letters, col_sign):
@@ -396,26 +394,17 @@ def _letter_budgets(letters, col_sign, bottom, trunc):
     return out
 
 
-def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, cache):
-    """The closed label paths bottom -> bottom at label cap top (>= cap),
+def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
+    """The closed label paths bottom -> bottom with every label <= limit,
     weighted by the product of their crossing weights and truncated at
-    x-half-degree trunc, split in two {x_half: {q_half: coeff}} tables:
-    (inside, outside).
+    x-half-degree trunc, as one {x_half: {q_half: coeff}} table.
 
-    inside sums the paths that also exist at cap: the bottom is one that
-    Phi at cap starts from (labels <= cap, sum <= 2 cap) and every state
-    stays within cap.  It is the amplitude of the DP at cap.  outside sums
-    the rest, so inside + outside is the amplitude at top.  The series DP
-    runs only over the moves that the two min-plus passes place on some
-    closed path of cost <= trunc (see the module docstring), at the label
-    bound of _label_bound; when that bound is <= cap, every kept path is
-    inside.  Otherwise a path from such a bottom stays within cap iff
-    every move on it lands within cap.  The forward pass keeps a move of
-    letter j only if it ends within the letter's budget trunc - h_j(b)
-    (_letter_budgets); every move it drops lies on no closed path within
-    trunc, so walks.closed_moves keeps the same moves as with trunc as
-    every budget."""
-    limit = _label_bound(trunc, top)
+    The series DP runs only over the moves that the two min-plus passes
+    place on some closed path of cost <= trunc (see the module docstring).
+    The forward pass keeps a move of letter j only if it ends within the
+    letter's budget trunc - h_j(b) (_letter_budgets); every move it drops
+    lies on no closed path within trunc, so walks.closed_moves keeps the
+    same moves as with trunc as every budget."""
     # states carry a boundary label 0 at both ends, so column i sits at
     # index i between its two neighbors; a boundary has kind 0 and its
     # label never moves
@@ -445,59 +434,43 @@ def _closed_amplitude(word, col_sign, bottom, trunc, cap, top, cache):
                 if to < nxt.get(dst, budget + 1):
                     nxt[dst] = to
         if not nxt:
-            return {}, {}
+            return {}
         layers.append((reach, moves))
         reach = nxt
     if start not in reach:
-        return {}, {}
+        return {}
 
     # backward: keep the moves on some closed path within the budget
     kept = _walks.closed_moves(start, layers, trunc)
-    total = _walks.sum_paths(start, kept, trunc)
-    if max(bottom) > cap or sum(bottom) > 2 * cap:
-        return {}, total
-    if limit <= cap:
-        return total, {}
-    inside = _walks.sum_paths(
-        start, [[m for m in moves if max(m[1]) <= cap] for moves in kept],
-        trunc)
-    xs_addmul_term_into(total, inside, {0: -1}, 0, trunc)  # total -= inside
-    return inside, total
+    return _walks.sum_paths(start, kept, trunc)
 
 
-def _phi_homogeneous_run(word, order, cap, top):
-    """(Phi at cap, Phi at top - Phi at cap) from one DP run at top.
-
-    Both are accumulated in place as raw tables over the bottoms and the
-    two axis sectors, and wrapped in an XSeries once at the end."""
+def _phi_homogeneous_run(word, order, cap):
+    """Phi at cap from one DP run, accumulated in place as a raw table over
+    the bottoms and the two axis sectors, and wrapped in an XSeries once
+    at the end."""
     n = word.n
     col_sign = _column_signs(word)
     col_plus = sum(1 for s in col_sign if s > 0)
     col_minus = n - 1 - col_plus
     trunc = 2 * order + 1
+    limit = _label_bound(trunc, cap)
     live = _live_edges([abs(letter) for letter in word.letters], col_sign)
     cache = {}
     phi = {}
-    delta = {}
-    for bottom in _bottoms(n, top, _label_bound(trunc, top)):
+    for bottom in _bottoms(n, cap, limit):
         if 2 * _window_bound(bottom, live) > trunc:
             continue  # every closed path from it costs more than trunc
-        try:
-            inside, outside = _closed_amplitude(
-                word, col_sign, bottom, trunc, cap, top, cache)
-        except VerificationError as exc:
-            raise VerificationError(
-                f"{exc} in {_braid._where(word, order, cap)}") from exc
-        if not inside and not outside:
+        amp = _closed_amplitude(word, col_sign, bottom, trunc, limit, cache)
+        if not amp:
             continue
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
         # the axis sectors eps = 0, 1 of the module docstring
-        for factor, xh in (({-2 * m_tilde: 1}, 0),
-                           ({2 * (m_tilde + col_plus - col_minus): -1},
-                            2 * n)):
-            xs_addmul_term_into(phi, inside, factor, xh, trunc)
-            xs_addmul_term_into(delta, outside, factor, xh, trunc)
-    return XSeries._adopt(phi, trunc), XSeries._adopt(delta, trunc)
+        xs_addmul_term_into(phi, amp, {-2 * m_tilde: 1}, 0, trunc)
+        xs_addmul_term_into(phi, amp,
+                            {2 * (m_tilde + col_plus - col_minus): -1},
+                            2 * n, trunc)
+    return XSeries._adopt(phi, trunc)
 
 
 def phi_homogeneous(word, order, cap=None, stabilize=True):
@@ -505,13 +478,18 @@ def phi_homogeneous(word, order, cap=None, stabilize=True):
 
     cap bounds every column label (default = order; by the label bound of
     _label_bound, no label above order reaches the truncated series).
-    stabilize insists that raising the cap to cap + 2 changes nothing, in
-    one DP run at cap + 2: a move exists at cap iff every label it lands on
-    is <= cap, and _crossing_weight does not depend on cap, so the run
-    splits each bottom's amplitude into the paths that also exist at cap
-    (their sum is Phi at cap) and the rest, whose sum Delta is exactly
-    Phi(cap + 2) - Phi(cap).  The guard raises iff Delta != 0, that is
-    exactly when a second run at cap + 2 would differ from Phi.
+    stabilize insists that raising the cap to cap + 2 changes nothing.
+    Below the order that is a second DP run at cap + 2, which must equal
+    the first.  At cap >= order the second run could not differ, so it is
+    not made.  Proof.  Both runs admit labels up to min(cap, order) =
+    min(cap + 2, order) = order, so they share every move and every
+    bottom's amplitude; they differ only in the bottoms b with
+    2 cap < sum b <= 2 cap + 4, so sum b >= 2 order + 1.  The odd columns
+    hold no edge of the column path, nor do the even ones, so one of the
+    two sets has label sum >= sum b / 2 and W(b) >= order + 1
+    (_window_bound).  Every closed path from such a bottom costs at least
+    2 W(b) >= 2 order + 2 > trunc, so it adds nothing to the truncated
+    series: Phi(cap + 2) = Phi(cap) term for term.
 
     The DP is pruned to the moves on closed label paths whose summed
     crossing costs x^{(u+v)/2} stay within x^order.  Every cost is >= 0
@@ -526,11 +504,17 @@ def phi_homogeneous(word, order, cap=None, stabilize=True):
     top = cap + 2 if stabilize else cap
     bound = _label_bound(2 * order + 1, top)
     _require_work((bound + 1) ** (word.n - 1), "bottoms", word, order)
-    phi, delta = _phi_homogeneous_run(word, order, cap, top)
-    if not delta.is_zero:
+    where = _braid._where(word, order, cap)
+    try:
+        phi = _phi_homogeneous_run(word, order, cap)
+        unstable = (stabilize and cap < order
+                    and _phi_homogeneous_run(word, order, cap + 2) != phi)
+    except VerificationError as exc:
+        raise VerificationError(f"{exc} in {where}") from exc
+    if unstable:
         raise VerificationError(
             f"label cap not stable: raising it to cap + 2 changes "
-            f"phi_homogeneous of {_braid._where(word, order, cap)}"
+            f"phi_homogeneous of {where}"
         )
     return _finalize_phi(phi, "phi_homogeneous", word, order, cap)
 
@@ -567,35 +551,16 @@ class ZhatResult:
 
 def zhat(word, order, cap=None):
     """Phi and the BPS series of the closure knot, truncated prefactor-
-    shifted; both prefactor presentations are computed and must agree.
+    shifted.
 
     This is the one place that picks a Phi route: phi_positive for an
     all-positive word, phi_homogeneous otherwise."""
     stats = _braid.require_homogeneous_knot(word)
     n, w = stats.n, stats.writhe
     crm, colm = stats.cr_minus, stats.col_minus
-    g = stats.genus
-    where = _braid._where(word, order)
-    if (w - (n - 1)) % 2:
-        raise VerificationError(
-            f"writhe parity violated for the knot closure of {where}")
-    lam = g - (w - (n - 1)) // 2 - colm
-    if lam != crm - colm:
-        raise VerificationError(
-            f"prefactor mismatch for {where}: lam={lam} but "
-            f"cr-ated={crm - colm}"
-        )
     sign = -1 if (1 + crm + colm) % 2 else 1
-    if sign != (-1 if (1 + lam) % 2 else 1):
-        raise VerificationError(f"prefactor sign forms disagree for {where}")
     q_half = (w - (n - 1)) + 2 * colm
-    if q_half != 2 * (g - lam):
-        raise VerificationError(
-            f"prefactor q-power forms disagree for {where}")
     x_half = (w - n) + 2 * crm
-    if x_half != 2 * g - 1:
-        raise VerificationError(
-            f"prefactor x-power forms disagree for {where}")
     if crm == 0:
         phi = phi_positive(word, order, m_cut=cap)
     else:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flowloop import InputError, VerificationError, XSeries, parse_braid
+from flowloop import (
+    InputError,
+    VerificationError,
+    XSeries,
+    parse_braid,
+    phi_positive,
+)
 from flowloop import lawrence, walks
 from flowloop.braid import analyze
 from flowloop.lawrence import (
@@ -274,7 +280,7 @@ def cheapest_closed_walks(word, m):
 def assert_closed_walks_cost_at_least_x_to_the_m(word, order):
     """Every closed walk of a weight-m start state costs at least x^m
     (2m in x-half units), at every weight up to order + 2: the bound that
-    lets truncated_trace_table skip a weight with 2m > trunc."""
+    stops phi_positive at weight order."""
     closing = 0
     for m in range(order + 3):
         for s, cost in cheapest_closed_walks(word, m).items():
@@ -299,28 +305,36 @@ def test_random_closed_walks_cost_at_least_x_to_the_m(word, order):
     assert_closed_walks_cost_at_least_x_to_the_m(word, order)
 
 
-def test_weights_past_the_truncation_read_no_generator(monkeypatch):
-    word = parse_braid("n=4; 1 2 1 3 2 3")
-    trunc = 2 * 3 + 1
+def test_phi_positive_reads_no_weight_above_the_order(monkeypatch):
+    # a weight above the order has an empty trace (the bound above), so
+    # phi_positive never asks for one, whatever its cutoff
+    word = parse_braid("n=4; 1 2 3 1 2 3 1")
+    order = 3
+    trunc = 2 * order + 1
     for m in (4, 5):  # the exact product has nothing within trunc either
         assert XSeries(rep_matrix(word, m).trace().terms, trunc).is_zero
+    real = lawrence.truncated_trace_table
+    asked = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"generator_matrix{args} read")
+    def spy(word, m, trunc):
+        asked.append(m)
+        return real(word, m, trunc)
 
-    monkeypatch.setattr(lawrence, "generator_matrix", refuse)
-    for m in (4, 5, 40):  # 2m > trunc
-        assert lawrence.truncated_trace_table(word, m, trunc) == {}
-    with pytest.raises(AssertionError, match="generator_matrix"):
-        lawrence.truncated_trace_table(word, 3, trunc)
-    # the negative-letter refusal still comes first at such a weight
-    with pytest.raises(InputError, match="all-positive"):
-        lawrence.truncated_trace_table(parse_braid("1 -2 1 -2"), 40, trunc)
+    want = phi_positive(word, order)
+    monkeypatch.setattr(lawrence, "truncated_trace_table", spy)
+    for m_cut, stabilize, top in ((None, True, order), (40, True, order),
+                                  (40, False, order), (2, True, order),
+                                  (1, False, 1)):
+        asked.clear()
+        got = phi_positive(word, order, m_cut, stabilize)
+        assert asked == list(range(top + 1)), (m_cut, stabilize)
+        if m_cut != 1:
+            assert got == want, (m_cut, stabilize)
 
 
 def test_weights_past_the_truncation_need_every_column():
-    # column 2 has no letter of its own, so (0, 2) closes at cost 0 and
-    # the 2m > trunc shortcut must not apply
+    # column 2 has no letter of its own, so (0, 2) closes at cost 0: the
+    # bound that stops phi_positive at the order needs every column
     word = parse_braid("n=3; 1 1")
     tr = truncated_trace(word, 2, 1)
     assert tr == XSeries(rep_matrix(word, 2).trace().terms, 1)

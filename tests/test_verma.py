@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from flowloop import VerificationError, parse_braid
-from flowloop import verma
+from flowloop import VerificationError, XSeries, parse_braid
+from flowloop import lawrence, verma
 from flowloop.verma import (
     _pair_matrix,
     kohno_check,
@@ -31,16 +31,10 @@ def test_entries_frozen():
     assert r_entry(0, 2, 1, 1).is_zero              # [0; 1]_q gate
 
 
-def test_entry_inverse_x_flag():
-    a = r_entry(1, 0, 0, 1)
-    b = r_entry(1, 0, 0, 1, inverse_x=True)
-    assert b == a.substitute_x_inverse()
-
-
 @pytest.mark.parametrize("total", range(4))
 def test_braiding_invertible_both_orders(total):
-    fwd = _pair_matrix(total, +1, False)
-    bwd = _pair_matrix(total, -1, False)
+    fwd = _pair_matrix(total, +1)
+    bwd = _pair_matrix(total, -1)
 
     def compose(a, b):
         out = {}
@@ -80,8 +74,8 @@ def test_tensor_dim(n, m):
 
 
 def test_failed_mirror_check_raises(monkeypatch):
-    monkeypatch.setattr(verma, "_mirror_ok", lambda inverse_x: False)
-    with pytest.raises(VerificationError, match="inverse_x=False"):
+    monkeypatch.setattr(verma, "_mirror_ok", lambda: False)
+    with pytest.raises(VerificationError, match="does not invert R"):
         tensor_action(parse_braid("1 -1"), 1)
 
 
@@ -98,3 +92,56 @@ def test_trace_identity(text):
     assert lhs == rhs
     writhe = sum(1 if v > 0 else -1 for v in w.letters)
     assert lhs[0] == xs({writhe: {writhe: 1}})  # (qx)^{w/2}
+
+
+def flagged_entry(i, j, ip, jp, sign):
+    """One braiding entry with the variable x^{-1} in it, as each entry was
+    built before the trace identity substituted once: r_entry with
+    x -> 1/x, and for the inverse braiding its mirror, which inverts x
+    a second time."""
+    if sign > 0:
+        return r_entry(i, j, ip, jp).substitute_x_inverse()
+    return r_entry(j, i, jp, ip).bar_q()
+
+
+def flagged_action(word, m):
+    """The word on the weight-m tensor sector with x^{-1} in every factor,
+    one flagged entry at a time (test oracle)."""
+    states = tensor_states(word.n, m)
+    cols = {s: {s: XSeries.one()} for s in states}
+    for v in word.letters:
+        k = abs(v) - 1
+        letter = {}
+        for s in states:
+            total = s[k] + s[k + 1]
+            letter[s] = {}
+            for ip in range(total + 1):
+                w = flagged_entry(s[k], s[k + 1], ip, total - ip,
+                                  1 if v > 0 else -1)
+                if not w.is_zero:
+                    letter[s][s[:k] + (ip, total - ip) + s[k + 2:]] = w
+        cols = lawrence.compose(letter, cols)
+    return cols
+
+
+def test_kohno_lhs_is_the_flagged_trace():
+    # x -> 1/x is a ring automorphism of exact series: the flagged matrices
+    # are tensor_action's with every entry substituted, so kohno_check may
+    # substitute once, after the trace
+    for text in ("1", "1 1 1", "1 -2 1 -2", "1 1 1 2", "n=3; 1 2",
+                 "n=4; 1 -2 1 -3 -2"):
+        word = parse_braid(text)
+        _, lhs, _ = kohno_check(word, 3)
+        for m in range(4):
+            flagged = flagged_action(word, m)
+            assert flagged == {
+                src: {dst: w.substitute_x_inverse() for dst, w in row.items()}
+                for src, row in tensor_action(word, m).items()}, (text, m)
+            assert lhs[m] == lawrence.GradedMatrix(
+                word.n + 1, m, flagged).trace(), (text, m)
+    # the flagged mirror inverts the flagged braiding, as the unflagged does
+    for m in range(4):
+        for text in ("1 -1", "-1 1"):
+            states = tensor_states(2, m)
+            assert flagged_action(parse_braid(text), m) == {
+                s: {s: XSeries.one()} for s in states}, (text, m)

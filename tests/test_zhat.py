@@ -1,13 +1,12 @@
 """Loop-counting series, reference models, prefactor, and normalization."""
 
-import dataclasses
 import importlib
 from itertools import product
 from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowloop import (
@@ -24,7 +23,7 @@ from flowloop import (
     zeta_classical,
     zhat,
 )
-from flowloop import braid, ring
+from flowloop import ring
 from flowloop.braid import alexander_classical, render_word
 from flowloop.lawrence import graded_trace, weight_states
 
@@ -124,6 +123,30 @@ def test_phi_rejects_links_and_inhomogeneous():
 
 
 # ---------------------------------------------------------------------------
+# random homogeneous knot words
+
+
+@st.composite
+def mixed_knot_words(draw, negative=True):
+    """Homogeneous words on <= 4 strands and <= 7 letters, with a negative
+    column unless negative is False.  Every column appears once (so the
+    closure is a knot), plus pairs of one column at any two places (most of
+    those keep it a knot)."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n - 1,
+                          max_size=n - 1))
+    if negative:
+        signs[draw(st.integers(min_value=0, max_value=n - 2))] = -1
+    cols = list(draw(st.permutations(range(1, n))))
+    for _ in range(draw(st.integers(0, (7 - (n - 1)) // 2))):
+        c = draw(st.integers(min_value=1, max_value=n - 1))
+        for _ in range(2):
+            cols.insert(draw(st.integers(0, len(cols))), c)
+    letters = " ".join(str(signs[c - 1] * c) for c in cols)
+    return parse_braid(f"n={n}; {letters}")
+
+
+# ---------------------------------------------------------------------------
 # prefactor and BPS normalization
 
 
@@ -150,15 +173,29 @@ def test_unknot_zhat_normalization():
     assert res.zhat == xs({-1: {0: -1}, 1: {0: 1}}, trunc=res.zhat.trunc)
 
 
-def test_prefactor_matches_genus_form():
-    for text in ("1 1 1", "1 -2 1 -2", "1 1 1 2", "n=4; 1 -2 1 -3 -2"):
-        w = parse_braid(text)
-        s = analyze(w)
-        sign, q_half, x_half = zhat(w, 2).prefactor
-        lam = s.cr_minus - s.col_minus
-        assert sign == (-1) ** ((1 + s.cr_minus + s.col_minus) % 2)
-        assert q_half == 2 * (s.genus - lam)
-        assert x_half == 2 * s.genus - 1
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(mixed_knot_words(), mixed_knot_words(negative=False)))
+@example(parse_braid("1 1 1"))
+@example(parse_braid("1 -2 1 -2"))
+@example(parse_braid("1 1 1 2"))
+@example(parse_braid("n=4; 1 -2 1 -3 -2"))
+def test_prefactor_matches_genus_form(word):
+    # zhat computes the closure form; with g = (c - n + 1)/2 (an integer:
+    # a knot closure's permutation is an n-cycle, of sign (-1)^(n-1), and a
+    # product of c transpositions), w = c - 2 cr- and lam = cr- - col-, it
+    # is the genus form term for term
+    s = analyze(word)
+    assume(s.closure_components == 1)
+    assert (s.c - s.n + 1) % 2 == 0
+    assert s.genus == (s.c - s.n + 1) // 2
+    sign, q_half, x_half = zhat(word, 2).prefactor
+    assert sign == (-1) ** ((1 + s.cr_minus + s.col_minus) % 2)
+    assert q_half == s.writhe - (s.n - 1) + 2 * s.col_minus
+    assert x_half == s.writhe - s.n + 2 * s.cr_minus
+    lam = s.cr_minus - s.col_minus
+    assert sign == (-1) ** ((1 + lam) % 2)
+    assert q_half == 2 * (s.genus - lam)
+    assert x_half == 2 * s.genus - 1
 
 
 def test_markov_stabilization_invariance():
@@ -283,7 +320,7 @@ def test_shared_monomials_stay_intact():
 
 
 # ---------------------------------------------------------------------------
-# the one-run transfer DP against a test-local copy of the two-run one
+# the pruned transfer DP and its cap guard against a test-local oracle DP
 
 
 def oracle_bottoms(n, cap, bound=None):
@@ -447,10 +484,11 @@ def oracle_phi(word, order, cap, prune=False, rule=None):
     return phi
 
 
-def closed_amplitude(word, col_sign, bottom, trunc, cap, top, cache):
-    """_closed_amplitude's (inside, outside) tables as XSeries."""
-    return tuple(XSeries._adopt(t, trunc) for t in zmod._closed_amplitude(
-        word, col_sign, bottom, trunc, cap, top, cache))
+def closed_amplitude(word, col_sign, bottom, trunc, cap, cache):
+    """_closed_amplitude at cap, through the label bound, as an XSeries."""
+    return XSeries._adopt(zmod._closed_amplitude(
+        word, col_sign, bottom, trunc, zmod._label_bound(trunc, cap), cache),
+        trunc)
 
 
 def two_run_phi_homogeneous(word, order, cap):
@@ -535,28 +573,19 @@ def test_pruned_dp_matches_unpruned_on_every_bottom(text, order):
     word = parse_braid(text)
     col_sign = zmod._column_signs(word)
     trunc = 2 * order + 1
-    zero = XSeries.zero(trunc)
-    for cap in (order - 2, order):
-        top = cap + 2
-        at_cap = set(oracle_bottoms(word.n, cap))
-        cache, oracle_cache = {}, {}
-        live = outside_live = removed = 0
-        for bottom in oracle_bottoms(word.n, top):
-            inside, outside = closed_amplitude(
-                word, col_sign, bottom, trunc, cap, top, cache)
-            want = (oracle_amplitude(word, col_sign, bottom, trunc, cap,
-                                     oracle_cache, False)
-                    if bottom in at_cap else zero)
-            assert inside == want, (bottom, cap)
-            assert inside + outside == oracle_amplitude(
-                word, col_sign, bottom, trunc, top, oracle_cache,
-                False), (bottom, cap)
-            live += not inside.is_zero
-            outside_live += not outside.is_zero
+    oracle_cache = {}
+    for cap in (order - 2, order, order + 2):
+        cache = {}
+        live = removed = 0
+        for bottom in oracle_bottoms(word.n, cap):
+            amp = closed_amplitude(word, col_sign, bottom, trunc, cap, cache)
+            assert amp == oracle_amplitude(word, col_sign, bottom, trunc, cap,
+                                           oracle_cache, False), (bottom, cap)
+            live += not amp.is_zero
             # the label bound: a state with a label above order lies on no
             # closed path of cost <= trunc
             _, fwd, back = oracle_min_plus(word, col_sign, bottom, trunc,
-                                           top, oracle_cache)
+                                           cap, oracle_cache)
             for ahead, behind in zip(fwd, back):
                 for state, cost in ahead.items():
                     if max(state) > order:
@@ -564,16 +593,14 @@ def test_pruned_dp_matches_unpruned_on_every_bottom(text, order):
                         assert cost + behind.get(state, trunc + 1) \
                             > trunc, (bottom, state)
         assert live  # some bottom closes, so the comparison is not vacuous
-        if cap == order:
+        if cap > order:
             assert removed  # the bound removed states, and they were dead
-        else:
-            assert outside_live  # some path leaves [0, cap]
 
 
 def check_bottom_bounds(word, order, cap):
     """Check the two bounds of the DP on every bottom of the composition
-    filter at top = cap + 2 against the exact min-plus costs of
-    the oracle run without a budget:
+    filter at cap against the exact min-plus costs of the oracle run
+    without a budget:
 
     * the cheapest closed path from a bottom b costs >= 2 W(b), and a bottom
       that the window bound drops (2 W(b) > trunc) has a zero unpruned
@@ -590,7 +617,7 @@ def check_bottom_bounds(word, order, cap):
     letters = [abs(v) for v in word.letters]
     live = zmod._live_edges(letters, col_sign)
     trunc = 2 * order + 1
-    top = cap + 2
+    limit = zmod._label_bound(trunc, cap)
     real = zmod._walks.closed_moves
     runs = []
 
@@ -604,15 +631,15 @@ def check_bottom_bounds(word, order, cap):
 
     cache, oracle_cache = {}, {}
     dropped = excluded = spared = 0
-    for bottom in oracle_bottoms(word.n, top):
-        _, fwd, back = oracle_min_plus(word, col_sign, bottom, None, top,
+    for bottom in oracle_bottoms(word.n, cap):
+        _, fwd, back = oracle_min_plus(word, col_sign, bottom, None, cap,
                                        oracle_cache)
         bound = 2 * zmod._window_bound(bottom, live)
         closing = back[0].get(bottom)
         assert closing is None or closing >= bound, (bottom, closing, bound)
         if bound > trunc:
             dropped += 1
-            assert oracle_amplitude(word, col_sign, bottom, trunc, top,
+            assert oracle_amplitude(word, col_sign, bottom, trunc, cap,
                                     oracle_cache, False).is_zero
         budgets = zmod._letter_budgets(letters, col_sign, bottom, trunc)
         for budget, ahead, behind in zip(budgets, fwd[1:], back[1:]):
@@ -628,7 +655,7 @@ def check_bottom_bounds(word, order, cap):
                 if not budgeted:
                     patch.setattr(zmod, "_letter_budgets", unbudgeted)
                 amplitude = zmod._closed_amplitude(
-                    word, col_sign, bottom, trunc, cap, top, cache)
+                    word, col_sign, bottom, trunc, limit, cache)
             # a forward pass that dies early keeps no move
             moves, kept = runs[0] if runs else (0, [[] for _ in letters])
             outcomes.append((amplitude, moves, [
@@ -642,7 +669,7 @@ def check_bottom_bounds(word, order, cap):
 @pytest.mark.parametrize("text,order", DP_CASES)
 def test_window_bound_and_letter_budgets(text, order):
     word = parse_braid(text)
-    for cap in (order - 2, order):
+    for cap in (order, order + 2):
         dropped, excluded, spared = check_bottom_bounds(word, order, cap)
         # each bound removed something, so no check above is vacuous
         assert dropped and excluded and spared, (cap, dropped, excluded,
@@ -651,10 +678,52 @@ def test_window_bound_and_letter_budgets(text, order):
 
 @pytest.mark.parametrize("text,order", DP_CASES)
 def test_one_run_guard_matches_two_runs(text, order):
+    # phi_homogeneous reruns at cap + 2 only below the order; at every cap
+    # it must raise exactly when the oracle DP's Phi(cap + 2) != Phi(cap)
     word = parse_braid(text)
-    for cap in range(order + 1):
+    for cap in range(order + 3):
         assert outcome(phi_homogeneous, word, order, cap) \
             == outcome(two_run_phi_homogeneous, word, order, cap), cap
+
+
+def test_guard_reruns_only_below_the_order(monkeypatch):
+    real = zmod._phi_homogeneous_run
+    caps = []
+
+    def spy(word, order, cap):
+        caps.append(cap)
+        return real(word, order, cap)
+
+    monkeypatch.setattr(zmod, "_phi_homogeneous_run", spy)
+    word = parse_braid("1 -2 1 -2")
+    order = 4
+    for cap, stabilize, runs in ((None, True, [4]), (4, True, [4]),
+                                 (5, True, [5]), (9, True, [9]),
+                                 (3, True, [3, 5]), (2, True, [2, 4]),
+                                 (3, False, [3]), (6, False, [6])):
+        caps.clear()
+        outcome(phi_homogeneous, word, order, cap, stabilize)
+        assert caps == runs, (cap, stabilize)
+
+
+def assert_high_bottoms_cost_past_trunc(word, order):
+    """Every bottom b with sum b > 2 order, up to the bottoms that Phi at
+    order + 2 starts from, has 2 W(b) > trunc: the lemma that lets
+    phi_homogeneous skip its rerun at cap >= order."""
+    col_sign = zmod._column_signs(word)
+    live = zmod._live_edges([abs(v) for v in word.letters], col_sign)
+    trunc = 2 * order + 1
+    checked = 0
+    for bottom in oracle_bottoms(word.n, order + 2, 2 * order + 4):
+        if sum(bottom) > 2 * order:
+            checked += 1
+            assert 2 * zmod._window_bound(bottom, live) > trunc, bottom
+    assert checked
+
+
+@pytest.mark.parametrize("text,order", DP_CASES)
+def test_bottoms_above_twice_the_order_cost_past_trunc(text, order):
+    assert_high_bottoms_cost_past_trunc(parse_braid(text), order)
 
 
 # ---------------------------------------------------------------------------
@@ -691,81 +760,49 @@ EXACT_CASES = [(text, 5 if text.startswith("n=4") else 6)
                for text in CORPUS + EXTRA_KNOTS]
 
 
-def landing_within(rule, top):
-    """rule's moves at label cap top that land within the key's cap: the
-    moves of the paths that _closed_amplitude counts inside."""
-    def within(key, cache):
-        return [m for m in rule(key[:-1] + (top,), cache)
-                if max(m[:3]) <= key[-1]]
-    return within
-
-
 @pytest.mark.parametrize("reading", ("standard", "reversed"))
 @pytest.mark.parametrize("text,order", EXACT_CASES)
 def test_in_place_dp_matches_series_walk(text, order, reading, monkeypatch):
     # the reversed case feeds the DP a second move rule, the test-local
     # reversed_transitions, with the bounds proven for the one reading
     # (_label_bound, _window_bound, _letter_budgets) switched off: the
-    # in-place sums and the inside/outside split must not depend on the
-    # moves they are given
+    # in-place sums must not depend on the moves they are given
     word = parse_braid(text)
     col_sign = zmod._column_signs(word)
     trunc = 2 * order + 1
     if reading == "reversed":
         monkeypatch.setattr(zmod, "_transitions", reversed_transitions)
-        monkeypatch.setattr(zmod, "_label_bound", lambda trunc, top: top)
+        monkeypatch.setattr(zmod, "_label_bound", lambda trunc, cap: cap)
         monkeypatch.setattr(zmod, "_window_bound", lambda bottom, live: 0)
         monkeypatch.setattr(zmod, "_letter_budgets",
                             lambda letters, col_sign, bottom, trunc:
                             [trunc] * len(letters))
-    for cap in range(order - 2, order + 1):
-        top = cap + 2
-        bottoms = oracle_bottoms(word.n, top)
+    for cap in range(order - 2, order + 3):
+        limit = zmod._label_bound(trunc, cap)
+        bottoms = oracle_bottoms(word.n, cap)
         cache = {}
-        tables = [zmod._closed_amplitude(word, col_sign, bottom, trunc, cap,
-                                         top, cache)
+        tables = [zmod._closed_amplitude(word, col_sign, bottom, trunc,
+                                         limit, cache)
                   for bottom in bottoms]
-        phi, delta = zmod._phi_homogeneous_run(word, order, cap, top)
+        phi = zmod._phi_homogeneous_run(word, order, cap)
         with monkeypatch.context() as patch:
             patch.setattr(zmod._walks, "sum_paths", series_walk)
             cache = {}
             for bottom, got in zip(bottoms, tables):
                 # raw dict equality: no empty x-term, no zero coefficient
                 assert got == zmod._closed_amplitude(
-                    word, col_sign, bottom, trunc, cap, top, cache), \
+                    word, col_sign, bottom, trunc, limit, cache), \
                     (bottom, cap)
         if reading == "reversed":
-            assert phi == oracle_phi(
-                word, order, cap, prune=True,
-                rule=landing_within(reversed_transitions, top)), cap
-            assert phi + delta == oracle_phi(
-                word, order, top, prune=True,
-                rule=reversed_transitions), cap
+            assert phi == oracle_phi(word, order, cap, prune=True,
+                                     rule=reversed_transitions), cap
             continue
         assert phi == oracle_phi(word, order, cap, prune=True), cap
-        assert phi + delta == oracle_phi(word, order, top, prune=True), cap
-        assert outcome(phi_homogeneous, word, order, cap) \
-            == outcome(two_run_phi_homogeneous, word, order, cap), cap
-
-
-@st.composite
-def mixed_knot_words(draw, negative=True):
-    """Homogeneous words on <= 4 strands and <= 7 letters, with a negative
-    column unless negative is False.  Every column appears once (so the
-    closure is a knot), plus pairs of one column at any two places (most of
-    those keep it a knot)."""
-    n = draw(st.integers(min_value=2, max_value=4))
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n - 1,
-                          max_size=n - 1))
-    if negative:
-        signs[draw(st.integers(min_value=0, max_value=n - 2))] = -1
-    cols = list(draw(st.permutations(range(1, n))))
-    for _ in range(draw(st.integers(0, (7 - (n - 1)) // 2))):
-        c = draw(st.integers(min_value=1, max_value=n - 1))
-        for _ in range(2):
-            cols.insert(draw(st.integers(0, len(cols))), c)
-    letters = " ".join(str(signs[c - 1] * c) for c in cols)
-    return parse_braid(f"n={n}; {letters}")
+        if cap <= order:
+            # the guard against the two-run oracle, the skipped rerun at
+            # cap = order included
+            assert outcome(phi_homogeneous, word, order, cap) \
+                == outcome(two_run_phi_homogeneous, word, order, cap), cap
 
 
 @settings(max_examples=50, deadline=None)
@@ -776,13 +813,15 @@ def test_random_mixed_knots(word):
     assert phi == oracle_phi(word, 3, 3)
     _, inv = alexander_classical(word, 3)
     assert phi.specialize_q1() == inv
-    # the one-run guard against the two-run one, below the default cap too
+    # the guard against the two-run oracle, below the default cap too
     for cap in range(4):
         assert outcome(phi_homogeneous, word, 3, cap) \
             == outcome(two_run_phi_homogeneous, word, 3, cap), cap
-    # the window bound and the letter budgets against exact min-plus costs
-    for cap in (1, 3):
+    # the window bound and the letter budgets against exact min-plus costs,
+    # and the lemma behind the skipped rerun
+    for cap in (3, 5):
         check_bottom_bounds(word, 3, cap)
+    assert_high_bottoms_cost_past_trunc(word, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -944,27 +983,6 @@ def test_trace_error_names_word_order_and_m_cut(monkeypatch):
                              r"x-powers: .* in n=2; 1 1 1 at order 4, "
                              r"m_cut 3$"):
         phi_positive(parse_braid("1 1 1"), 4, m_cut=3)
-
-
-@pytest.mark.parametrize("field,shift,message", (
-    ("writhe", 1, "writhe parity violated for the knot closure of"),
-    ("genus", 1, "prefactor mismatch for"),
-))
-def test_prefactor_errors_name_word_and_order(monkeypatch, field, shift,
-                                              message):
-    # the sign, q-power and x-power checks follow from these two for any
-    # integer stats, so no stats object reaches them
-    real = braid.require_homogeneous_knot
-
-    def skewed(word):
-        stats = real(word)
-        return dataclasses.replace(stats, **{field: getattr(stats, field)
-                                             + shift})
-
-    monkeypatch.setattr(braid, "require_homogeneous_knot", skewed)
-    with pytest.raises(VerificationError,
-                       match=rf"^{message} n=3; 1 -2 1 -2 at order 2\b"):
-        zhat(parse_braid("1 -2 1 -2"), 2)
 
 
 # ---------------------------------------------------------------------------
