@@ -26,14 +26,14 @@ rep_matrix and graded_trace are exact.  truncated_trace_table gives the
 trace of an all-positive word up to a fixed x-degree without building the
 matrix product: it sums the closed walks of each start state, truncating
 as it walks.  Every positive `half` entry is one x-monomial of cost
-2A + b + c >= 0, so per start state a forward and a backward min-plus pass
-over those integer costs keep just the moves on some closed walk within
-the truncation, and only those moves do series work.  That is exact: a
-walk through any other move costs more than the truncation, so every term
-it would add is dropped anyway.  A closed walk of a weight-m state costs
-at least x^m when every column has a letter (proof in
-truncated_trace_table), so a weight with 2m above the truncation has an
-empty trace, and zhat.phi_positive never asks for one.
+2A + b + c >= 0, so per start state a forward min-plus pass over those
+integer costs finds the cheapest cost to each state, and a backward series
+pass truncates each state's sum home at the truncation minus that cost.
+That is exact: every walk reaches the state at that cost or more, so each
+term it drops lies above the truncation in every closed walk.  A closed
+walk of a weight-m state costs at least x^m when every column has a letter
+(proof in truncated_trace_table), so a weight with 2m above the truncation
+has an empty trace, and zhat.phi_positive never asks for one.
 
 Weights are m >= 0: generator_matrix (so also rep_matrix), graded_trace
 and truncated_trace_table refuse a negative one with InputError.
@@ -347,14 +347,14 @@ def _letter_moves(n, m, i):
     return out
 
 
-def _closed_walks(walk, start, trunc):
-    """The moves on the closed walks start -> start of cost <= trunc, one
-    list per letter (see walks.closed_moves), or None if there is no such
-    walk.
+def _forward_layers(walk, start, trunc):
+    """The forward min-plus pass of the walks from start: one (reach,
+    moves) pair per letter for walks.sum_paths, or None if no walk returns
+    to start within trunc.
 
-    The forward pass carries the cheapest cost from start to each state
-    letter by letter, and takes from each state only the moves that end
-    within trunc; a state it cannot leave within trunc is dropped."""
+    The pass carries the cheapest cost from start to each state letter by
+    letter, and takes from each state only the moves that end within
+    trunc; a state it cannot leave within trunc is dropped."""
     layers = []
     reach = {start: 0}
     for gen in walk:
@@ -374,7 +374,7 @@ def _closed_walks(walk, start, trunc):
         reach = nxt
     if start not in reach:
         return None
-    return _walks.closed_moves(start, layers, trunc)
+    return layers
 
 
 def truncated_trace_table(word, m, trunc):
@@ -385,14 +385,14 @@ def truncated_trace_table(word, m, trunc):
     Every positive `half` entry is one x-monomial x^{(2A+b+c)/2} with
     2A + b + c >= 0, so each generator move has an integer x-half cost
     >= 0 (checked when the moves are read off the generator matrices) and
-    a walk's cost never falls.  Per start state s, a forward and a
-    backward min-plus pass over those costs keep only the moves that lie
-    on some closed walk s -> s of cost <= trunc (walks.closed_moves).
-    This is exact: a walk through any other move costs more than trunc,
-    so every term it adds to the trace lies above trunc and is dropped by
-    the truncation anyway.  The kept moves are summed in place into raw
-    tables (walks.sum_paths), and a start state with no closed walk in
-    budget does no series work at all.
+    a walk's cost never falls.  Per start state s, a forward min-plus
+    pass over those costs finds the cheapest cost from s to each state,
+    and walks.sum_paths sums the closed walks s -> s backward in place
+    into raw tables, each state's table truncated at trunc minus that
+    cost.  This is exact: every walk reaches the state at that cost or
+    more, so each term dropped there lies above trunc in every closed walk
+    and the truncation drops it anyway.  A start state that no walk
+    returns to within trunc does no series work at all.
 
     When every column 1..n-1 has a letter of its own, a closed walk of a
     weight-m start state s costs at least 2m, so for 2m > trunc the table
@@ -428,9 +428,9 @@ def truncated_trace_table(word, m, trunc):
     walk = [moves[v] for v in word.letters]
     tr = {}
     for s in weight_states(n, m):
-        kept = _closed_walks(walk, s, trunc)
-        if kept is not None:
-            xs_addmul_term_into(tr, _walks.sum_paths(s, kept, trunc),
+        layers = _forward_layers(walk, s, trunc)
+        if layers is not None:
+            xs_addmul_term_into(tr, _walks.sum_paths(s, layers, trunc),
                                 {0: 1}, 0, trunc)
     if any(x % 2 for x in tr) and \
             _braid.analyze(word).closure_components == 1:

@@ -1,4 +1,4 @@
-"""Closed-walk sums over per-letter move lists, pruned by min-plus costs.
+"""Closed-walk sums over per-letter move lists, truncated by min-plus costs.
 
 Both Phi engines sum closed walks: the transfer DP over column-label
 states (zhat) and the truncated trace over weight states (lawrence).  Each
@@ -16,42 +16,14 @@ engine's forward pass records, letter by letter, the cheapest cost from
 the start to each state and every move that ends within its letter's
 budget: trunc, or less where the engine has a lower bound on what the
 rest of a closed walk costs (the transfer DP's _letter_budgets), so that
-a move above it lies on no closed walk of cost <= trunc; closed_moves
-then runs the backward pass and keeps just the moves that lie on some
-closed walk of cost <= trunc.  Summing over those moves gives the
-truncated sum over all walks, term for term.
+a move above it lies on no closed walk of cost <= trunc.  sum_paths then
+sums backward from the start, truncating each state's table at trunc
+minus the cheapest cost of reaching it, so a term that no closed walk
+keeps is never formed; the result is the truncated sum over all walks,
+term for term.
 """
 
 from .ring import xs_addmul_term_into
-
-
-def closed_moves(start, layers, trunc):
-    """The moves of `layers` that lie on a closed walk start -> start of
-    cost <= trunc, one list per letter.
-
-    layers holds one (reach, moves) pair per letter from the forward pass:
-    reach maps each state the letter starts from to the cheapest cost of
-    getting there from start, and moves are the letter's moves out of those
-    states.  The backward pass finds the cheapest cost from each state back
-    to start; a move is kept iff the cheapest cost to its source, its own
-    cost and the cheapest cost home from its end sum to at most trunc."""
-    kept = []
-    back = {start: 0}
-    for reach, moves in reversed(layers):
-        live = []
-        prev = {}
-        for move in moves:
-            src, dst, xh = move[0], move[1], move[2]
-            tail = back.get(dst)
-            if tail is None or reach[src] + xh + tail > trunc:
-                continue
-            live.append(move)
-            if xh + tail < prev.get(src, trunc + 1):
-                prev[src] = xh + tail
-        kept.append(live)
-        back = prev
-    kept.reverse()
-    return kept
 
 
 def sum_paths(start, layers, trunc):
@@ -59,20 +31,27 @@ def sum_paths(start, layers, trunc):
     of the product of their weights, truncated at trunc, as an
     {x_half: {q_half: coeff}} table.
 
-    Each letter's amplitudes are raw tables, and every move adds its
-    source's amplitude times its weight into its destination's table in
-    place (xs_addmul_term_into); a table that cancels to empty is skipped
-    as a source."""
-    vec = {start: {0: {0: 1}}}
-    for moves in layers:
-        nxt = {}
+    layers holds one (reach, moves) pair per letter from the forward pass:
+    reach maps each state the letter starts from to the cheapest cost of
+    getting there from start, and moves are the letter's moves out of those
+    states.  Going from the last letter to the first, back[s] sums the
+    walks from s home to start through the later letters: every move adds
+    its end's table times its weight into its source's table in place
+    (xs_addmul_term_into), and a table that cancels to empty is skipped.
+    Every walk reaches src at a cost >= reach[src], so a term of src's
+    table above trunc - reach[src] lies above trunc in every closed walk
+    and is dropped there: the sum is exact."""
+    back = {start: {0: {0: 1}}}
+    for reach, moves in reversed(layers):
+        prev = {}
         for src, dst, xh, weight in moves:
-            amp = vec.get(src)
-            if not amp:
+            tail = back.get(dst)
+            if not tail:
                 continue
-            acc = nxt.get(dst)
+            acc = prev.get(src)
             if acc is None:
-                acc = nxt[dst] = {}
-            xs_addmul_term_into(acc, amp, weight.terms, xh, trunc)
-        vec = nxt
-    return vec.get(start, {})
+                acc = prev[src] = {}
+            xs_addmul_term_into(acc, tail, weight.terms, xh,
+                                trunc - reach[src])
+        back = prev
+    return back.get(start, {})

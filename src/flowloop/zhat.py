@@ -8,9 +8,9 @@ computed two ways:
       sum_m (1 - q^{2m+n-1} x^n) q^{-m} Tr_{V_{n,m}}
   where each trace is a sum of closed walks of the weight-m states,
   truncated at x^order (lawrence.truncated_trace_table).  Every positive
-  move costs a nonnegative x-power, so the same forward and backward
-  min-plus passes as in the DP below keep just the moves on closed walks
-  within x^order, and a start state with none does no series work.  A
+  move costs a nonnegative x-power, so the same forward min-plus pass and
+  backward series pass as in the DP below form no term above x^order,
+  and a start state with no closed walk within it does no series work.  A
   closed walk of a weight-m state costs at least x^m (proved in
   lawrence.truncated_trace_table), so a weight above the order has an
   empty trace and the weight loop stops at the order.  Each weight's part
@@ -48,31 +48,32 @@ computed two ways:
   ({2 (m~ + col+ - col-): -1}, x^{2n}) of _phi_homogeneous_run.  A loop
   starts from a bottom, n - 1 labels with sum <= 2 cap (_bottoms).
 
-  The DP visits only moves that lie on some closed path bottom -> bottom
-  of total x-half-degree <= trunc = 2 order + 1.  This is exact: labels
-  are nonnegative, so every crossing cost (u+v)/2 is >= 0 and the degree
-  of a path never falls; a term above trunc is dropped by the truncated
-  product and the closing sector factor x^{n eps} only raises it further.
-  Per bottom, a forward and a backward min-plus pass over integer costs
-  pick those moves before any series arithmetic (walks.closed_moves), so
-  a bottom with no closed path in budget costs no amplitude work.  Such a
-  path also keeps every label <= order (proof in _label_bound), so no
-  state or bottom above that is visited, and two more lower bounds on the
-  cost of a closed path prune before and inside the forward pass: a
-  bottom b whose closed paths all cost at least 2 W(b) > trunc, W(b) the
-  largest label sum over columns no two of which can both shed into each
-  other before the cut (proof in _window_bound), gets no forward pass,
-  and letter j keeps only the moves that end within its budget
-  trunc - h_j(b), where h_j(b) bounds the cost of the letters after j on
-  any path that ends at b (_letter_budgets).  Neither drops a move of a
-  closed path within trunc, so the passes keep exactly the moves they kept
-  without them.  The q-weight of a crossing depends only on the middle
-  column's sign, low and the two sheds, and is shared by every move that
-  has them.  The series work runs on raw {x_half: {q_half: coeff}}
-  tables: each kept move adds its source amplitude times its weight into
-  its destination in place (walks.sum_paths), and each bottom's two axis
-  sectors go into Phi the same way, through the one kernel
-  ring.xs_addmul_term_into; only the final sums become XSeries.
+  The DP forms no term of x-half-degree above trunc = 2 order + 1.  This
+  is exact: labels are nonnegative, so every crossing cost (u+v)/2 is
+  >= 0 and the degree of a path never falls; a term above trunc is
+  dropped by the truncated product and the closing sector factor
+  x^{n eps} only raises it further.  Per bottom, a forward min-plus pass
+  over integer costs records each letter's moves and the cheapest cost
+  from the bottom to each state before any series arithmetic, so a
+  bottom that cannot return within budget costs no amplitude work.  A
+  closed path within trunc also keeps every label <= order (proof in
+  _label_bound), so no state or bottom above that is visited, and two
+  more lower bounds on the cost of a closed path prune before and inside
+  the forward pass: a bottom b whose closed paths all cost at least
+  2 W(b) > trunc, W(b) the largest label sum over columns no two of which
+  can both shed into each other before the cut (proof in _window_bound),
+  gets no forward pass, and letter j keeps only the moves that end within
+  its budget trunc - h_j(b), where h_j(b) bounds the cost of the letters
+  after j on any path that ends at b (_letter_budgets).  Neither drops a
+  move of a closed path within trunc, so the sum is the one without
+  them.  The q-weight of a crossing depends only on the middle column's
+  sign, low and the two sheds, and is shared by every move that has them.
+  The series work runs backward on raw {x_half: {q_half: coeff}} tables:
+  each move adds its end's sum home times its weight into its source in
+  place, truncated at trunc minus the cheapest cost to the source
+  (walks.sum_paths), and each bottom's two axis sectors go into Phi the
+  same way, through the one kernel ring.xs_addmul_term_into; only the
+  final sums become XSeries.
 
   The label cap is checked only where it can bind: below the order a
   second run at cap + 2 must give the same Phi; at cap >= order the two
@@ -399,12 +400,13 @@ def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
     weighted by the product of their crossing weights and truncated at
     x-half-degree trunc, as one {x_half: {q_half: coeff}} table.
 
-    The series DP runs only over the moves that the two min-plus passes
-    place on some closed path of cost <= trunc (see the module docstring).
-    The forward pass keeps a move of letter j only if it ends within the
-    letter's budget trunc - h_j(b) (_letter_budgets); every move it drops
-    lies on no closed path within trunc, so walks.closed_moves keeps the
-    same moves as with trunc as every budget."""
+    The forward min-plus pass records each letter's moves and the
+    cheapest cost to each state, and walks.sum_paths sums them backward,
+    truncated by those costs (see the module docstring).  The forward pass
+    keeps a move of letter j only if it ends within the letter's budget
+    trunc - h_j(b) (_letter_budgets); every move it drops lies on no
+    closed path within trunc, so the sum is the one with trunc as every
+    budget."""
     # states carry a boundary label 0 at both ends, so column i sits at
     # index i between its two neighbors; a boundary has kind 0 and its
     # label never moves
@@ -440,9 +442,8 @@ def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
     if start not in reach:
         return {}
 
-    # backward: keep the moves on some closed path within the budget
-    kept = _walks.closed_moves(start, layers, trunc)
-    return _walks.sum_paths(start, kept, trunc)
+    # backward: the series sum home to bottom, truncated by reach
+    return _walks.sum_paths(start, layers, trunc)
 
 
 def _phi_homogeneous_run(word, order, cap):

@@ -29,7 +29,7 @@ from flowloop.lawrence import (
 from flowloop.lawrence import _triangular_inverse
 from flowloop.ring import qtrinom
 
-from conftest import POSITIVE_KNOTS, xs
+from conftest import POSITIVE_KNOTS, two_pass_sum, xs
 
 CONVENTIONS = (HALF, UNDER)
 
@@ -242,16 +242,18 @@ def test_pruned_walks_match_mul_term_walk(text, order):
         moves = {v: lawrence._letter_moves(n, m, v) for v in set(word.letters)}
         walk = [moves[v] for v in word.letters]
         for s, want in closed.items():
-            kept = lawrence._closed_walks(walk, s, trunc)
-            if kept is None:
-                # a start state the passes drop had nothing to add
+            layers = lawrence._forward_layers(walk, s, trunc)
+            if layers is None:
+                # a start state the forward pass drops had nothing to add
                 assert want.is_zero, (m, s)
             else:
                 # a weight-m closed walk costs at least x^m, so the two
                 # stabilization weights above the order keep no start state
                 assert m <= order, (m, s)
-                got = walks.sum_paths(s, kept, trunc)
+                got = walks.sum_paths(s, layers, trunc)
                 assert XSeries._adopt(got, trunc) == want, (m, s)
+                # raw dicts, against the two passes it replaced
+                assert got == two_pass_sum(s, layers, trunc), (m, s)
         oracle = sum(closed.values(), XSeries.zero(trunc))
         assert truncated_trace(word, m, trunc) == oracle, m
 

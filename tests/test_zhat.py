@@ -27,7 +27,15 @@ from flowloop import ring
 from flowloop.braid import alexander_classical, render_word
 from flowloop.lawrence import graded_trace, weight_states
 
-from conftest import CORPUS, EXTRA_KNOTS, POSITIVE_KNOTS, benchmark_batch, xs
+from conftest import (
+    CORPUS,
+    EXTRA_KNOTS,
+    POSITIVE_KNOTS,
+    benchmark_batch,
+    closed_moves,
+    two_pass_sum,
+    xs,
+)
 
 # the module itself: the package re-exports the function `zhat` under its name
 zmod = importlib.import_module("flowloop.zhat")
@@ -608,7 +616,8 @@ def check_bottom_bounds(word, order, cap):
     * from every reached state after letter j the cheapest way back to b
       costs >= h_j(b) = trunc - (letter j's budget);
     * _closed_amplitude keeps the same moves and amplitudes with and
-      without the letter budgets.
+      without the letter budgets: the moves the test-local closed_moves
+      keeps of the layers that _closed_amplitude hands to walks.sum_paths.
 
     Returns how many bottoms the window bound dropped, how many reached
     states the budgets exclude although they are within trunc, and how
@@ -618,13 +627,13 @@ def check_bottom_bounds(word, order, cap):
     live = zmod._live_edges(letters, col_sign)
     trunc = 2 * order + 1
     limit = zmod._label_bound(trunc, cap)
-    real = zmod._walks.closed_moves
+    real = zmod._walks.sum_paths
     runs = []
 
     def spy(start, layers, trunc):
-        kept = real(start, layers, trunc)
-        runs.append((sum(len(moves) for _, moves in layers), kept))
-        return kept
+        runs.append((sum(len(moves) for _, moves in layers),
+                     closed_moves(start, layers, trunc)))
+        return real(start, layers, trunc)
 
     def unbudgeted(letters, col_sign, bottom, trunc):
         return [trunc] * len(letters)
@@ -651,7 +660,7 @@ def check_bottom_bounds(word, order, cap):
         for budgeted in (True, False):
             runs.clear()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(zmod._walks, "closed_moves", spy)
+                patch.setattr(zmod._walks, "sum_paths", spy)
                 if not budgeted:
                     patch.setattr(zmod, "_letter_budgets", unbudgeted)
                 amplitude = zmod._closed_amplitude(
@@ -731,11 +740,13 @@ def test_bottoms_above_twice_the_order_cost_past_trunc(text, order):
 
 
 def series_walk(start, layers, trunc):
-    """walks.sum_paths as one mul_term per kept move and one XSeries addition
-    per merge, returned as a raw table of fresh dicts (the caller adds into
-    it in place, and a coefficient may be a shared ring._monomial)."""
+    """walks.sum_paths as a forward walk over every move of the forward
+    pass's (reach, moves) layers, truncated at trunc only: one mul_term per
+    move and one XSeries addition per merge, returned as a raw table of
+    fresh dicts (the caller adds into it in place, and a coefficient may be
+    a shared ring._monomial)."""
     vec = {start: XSeries.one(trunc)}
-    for moves in layers:
+    for _, moves in layers:
         nxt = {}
         for src, dst, xh, coeff in moves:
             amp = vec.get(src)
@@ -803,6 +814,32 @@ def test_in_place_dp_matches_series_walk(text, order, reading, monkeypatch):
             # cap = order included
             assert outcome(phi_homogeneous, word, order, cap) \
                 == outcome(two_run_phi_homogeneous, word, order, cap), cap
+
+
+@pytest.mark.parametrize("text,order", sorted(set(DP_CASES + EXACT_CASES)))
+def test_backward_sum_matches_two_pass_sum(text, order, monkeypatch):
+    # per bottom, the one backward series pass against the two passes it
+    # replaced, as raw dicts: no empty x-term, no zero coefficient
+    word = parse_braid(text)
+    col_sign = zmod._column_signs(word)
+    trunc = 2 * order + 1
+    real = zmod._walks.sum_paths
+    closing = []
+
+    def both(start, layers, trunc):
+        got = real(start, layers, trunc)
+        assert got == two_pass_sum(start, layers, trunc), (start, cap)
+        closing.append(bool(got))
+        return got
+
+    monkeypatch.setattr(zmod._walks, "sum_paths", both)
+    for cap in range(order - 2, order + 3):
+        limit = zmod._label_bound(trunc, cap)
+        cache = {}
+        for bottom in oracle_bottoms(word.n, cap):
+            zmod._closed_amplitude(word, col_sign, bottom, trunc, limit,
+                                   cache)
+    assert any(closing)
 
 
 @settings(max_examples=50, deadline=None)
