@@ -198,19 +198,16 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("zhat", parents=(), help="loop count and BPS series")
-    _add_common(p)
-    p.add_argument("--order", type=int, default=5,
-                   help="truncation order in x (default 5)")
-    p.add_argument("--cap", type=int, default=None,
-                   help="override the label/weight cutoff (default: order)")
-    p.set_defaults(fn=_cmd_zhat)
-
-    p = subs.add_parser("phi", help="loop count only")
-    _add_common(p)
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(fn=_cmd_phi)
+    for name, about, fn in (("zhat", "loop count and BPS series", _cmd_zhat),
+                            ("phi", "loop count only", _cmd_phi)):
+        p = subs.add_parser(name, help=about)
+        _add_common(p)
+        p.add_argument("--order", type=int, default=5,
+                       help="truncation order in x (default 5)")
+        p.add_argument("--cap", type=int, default=None,
+                       help="override the label/weight cutoff "
+                            "(default: order)")
+        p.set_defaults(fn=fn)
 
     p = subs.add_parser("trace", help="weight-graded braid traces")
     _add_common(p)

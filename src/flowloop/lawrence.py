@@ -180,15 +180,18 @@ def _negative_weight(A, b, c, convention):
 
 
 @functools.cache
-def _generator_mirror(n, m, i, sign, convention):
+def _generator_moves(n, m, i, sign, convention):
+    """Generator i (sign +1/-1) on weight_states(n, m) as moves: {src:
+    [(dst, x_half, weight), ...]}, cheapest first."""
     # distinct sheds (b, c) land on distinct states, and every weight is a
-    # nonzero Gaussian trinomial, so each move is one entry of its own
-    cols = {}
+    # nonzero Gaussian trinomial, so each move is one matrix entry of its own
+    weight = _positive_weight if sign > 0 else _negative_weight
+    table = {}
     for s in weight_states(n, m):
         L = s[i - 2] if i > 1 else 0
         A = s[i - 1]
         R = s[i] if i < n - 1 else 0
-        vec = {}
+        moves = []
         for b in range(L + 1):
             for c in range(R + 1):
                 t = list(s)
@@ -197,13 +200,19 @@ def _generator_mirror(n, m, i, sign, convention):
                 t[i - 1] = A + b + c
                 if i < n - 1:
                     t[i] = R - c
-                if sign > 0:
-                    coeff, xh = _positive_weight(A, b, c, convention)
-                else:
-                    coeff, xh = _negative_weight(A, b, c, convention)
-                vec[tuple(t)] = XSeries.monomial(coeff, xh)
-        cols[s] = vec
-    return GradedMatrix(n, m, cols)
+                coeff, xh = weight(A, b, c, convention)
+                moves.append((tuple(t), xh, coeff))
+        moves.sort(key=itemgetter(1))
+        table[s] = moves
+    return table
+
+
+@functools.cache
+def _generator_mirror(n, m, i, sign, convention):
+    return GradedMatrix(n, m, {
+        src: {dst: XSeries.monomial(w, xh) for dst, xh, w in moves}
+        for src, moves in _generator_moves(n, m, i, sign, convention).items()
+    })
 
 
 def _triangular_inverse(mat):
@@ -319,34 +328,6 @@ def graded_trace(word, m_max, convention=HALF):
     return traces
 
 
-_moves_cache = {}
-
-
-def _letter_moves(n, m, i):
-    """Positive generator i on weight_states(n, m) as moves: {src: [(dst,
-    x_half, weight), ...]}, one per x-term of each entry, cheapest first.
-
-    The moves are read off generator_matrix on every call and reused only
-    while it returns the very same columns object, so a replaced
-    generator matrix never gets the moves of an earlier one."""
-    cols = generator_matrix(n, m, i, 1).cols
-    hit = _moves_cache.get((n, m, i))
-    if hit is not None and hit[0] is cols:
-        return hit[1]
-    out = {}
-    for src, row in cols.items():
-        moves = [(dst, xh, weight) for dst, entry in row.items()
-                 for xh, weight in entry.terms.items()]
-        moves.sort(key=itemgetter(1))
-        if moves and moves[0][1] < 0:
-            raise VerificationError(
-                f"generator {i} at weight {m} on {n} strands has a move of "
-                f"negative x-half cost {moves[0][1]}")
-        out[src] = moves
-    _moves_cache[n, m, i] = (cols, out)
-    return out
-
-
 def _forward_layers(walk, start, trunc):
     """The forward min-plus pass of the walks from start: one (reach,
     moves) pair per letter for walks.sum_paths, or None if no walk returns
@@ -384,15 +365,15 @@ def truncated_trace_table(word, m, trunc):
 
     Every positive `half` entry is one x-monomial x^{(2A+b+c)/2} with
     2A + b + c >= 0, so each generator move has an integer x-half cost
-    >= 0 (checked when the moves are read off the generator matrices) and
-    a walk's cost never falls.  Per start state s, a forward min-plus
-    pass over those costs finds the cheapest cost from s to each state,
-    and walks.sum_paths sums the closed walks s -> s backward in place
-    into raw tables, each state's table truncated at trunc minus that
-    cost.  This is exact: every walk reaches the state at that cost or
-    more, so each term dropped there lies above trunc in every closed walk
-    and the truncation drops it anyway.  A start state that no walk
-    returns to within trunc does no series work at all.
+    >= 0 (checked before any walk starts) and a walk's cost never falls.
+    Per start state s, a forward min-plus pass over those costs finds the
+    cheapest cost from s to each state, and walks.sum_paths sums the
+    closed walks s -> s backward in place into raw tables, each state's
+    table truncated at trunc minus that cost.  This is exact: every walk
+    reaches the state at that cost or more, so each term dropped there
+    lies above trunc in every closed walk and the truncation drops it
+    anyway.  A start state that no walk returns to within trunc does no
+    series work at all.
 
     When every column 1..n-1 has a letter of its own, a closed walk of a
     weight-m start state s costs at least 2m, so for 2m > trunc the table
@@ -424,8 +405,15 @@ def truncated_trace_table(word, m, trunc):
         )
     _check_weight(m)
     n = word.n
-    moves = {v: _letter_moves(n, m, v) for v in set(word.letters)}
-    walk = [moves[v] for v in word.letters]
+    tables = {v: _generator_moves(n, m, v, 1, HALF)
+              for v in set(word.letters)}
+    for v, table in tables.items():
+        cheapest = min(moves[0][1] for moves in table.values())
+        if cheapest < 0:
+            raise VerificationError(
+                f"generator {v} at weight {m} on {n} strands has a move of "
+                f"negative x-half cost {cheapest}")
+    walk = [tables[v] for v in word.letters]
     tr = {}
     for s in weight_states(n, m):
         layers = _forward_layers(walk, s, trunc)

@@ -28,7 +28,7 @@ equality) encodes the saddle-node and period-doubling cancellations.
 from dataclasses import dataclass
 import functools
 
-from .errors import VerificationError
+from .errors import InputError, VerificationError
 
 
 def _signed_sum(pieces):
@@ -678,6 +678,8 @@ def saddle_node_identity(f, order):
     that the returned series equals 1."""
     if not isinstance(f, Framing):
         raise TypeError("f must be a Framing")
+    if order < 0:
+        raise InputError("order must be >= 0")
     trunc = 2 * order + 1
     out = XSeries.zero(trunc)
     n = 0
@@ -701,6 +703,8 @@ def period_doubling_identity(f, order):
     truncated at x^order.  The contract is lhs == rhs (even/odd split)."""
     if not isinstance(f, Framing):
         raise TypeError("f must be a Framing")
+    if order < 0:
+        raise InputError("order must be >= 0")
     trunc = 2 * order + 1
     lhs = XSeries.zero(trunc)
     n = 0

@@ -85,6 +85,7 @@ def tensor_action(word, m):
     tensor power; cols[src][dst] = entry.  Each distinct letter's matrix
     on the sector is read off the cached pair braidings, and
     lawrence.compose applies the letters in turn."""
+    _lawrence._check_weight(m)
     if any(v < 0 for v in word.letters) and not _mirror_ok():
         raise VerificationError(
             "mirrored braiding does not invert R; "

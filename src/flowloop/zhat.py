@@ -590,6 +590,7 @@ def reference_series(model, order):
 
     These are independent of the transfer machinery and pin both the
     per-crossing weights and the axis sectors."""
+    _require_nonnegative(order=order)
     trunc = 2 * order + 1
     acc = XSeries.zero(trunc)
     if model == "trefoil_braid":

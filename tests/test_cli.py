@@ -261,6 +261,17 @@ def test_huge_cap_prints_what_cap_2_prints(capsys, braid, cap):
     assert got == want
 
 
+@pytest.mark.parametrize("command", ("zhat", "phi"))
+def test_order_and_cap_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--order ORDER truncation order in x (default 5)" in text
+    assert "--cap CAP override the label/weight cutoff (default: order)" \
+        in text
+
+
 def test_cap_flag_matches_default(capsys):
     _, a = run_cli(capsys, "phi", "--braid", "1 -2 1 -2", "--order", "3")
     _, b = run_cli(

@@ -1,6 +1,7 @@
 """Weight-graded braid representation: dimensions, relations, traces."""
 
 import math
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from flowloop import (
     InputError,
+    QLaurent,
     VerificationError,
     XSeries,
     parse_braid,
@@ -93,6 +95,75 @@ def test_triangular_inverse_matches_mirror():
     assert _triangular_inverse(g).cols == direct.cols
 
 
+# ---------------------------------------------------------------------------
+# the generator matrix and its walk moves as built before the one cached
+# move table, kept verbatim as the table's oracle
+
+
+def oracle_generator_matrix(n, m, i, sign, convention):
+    """Matrix of generator i (sign +1/-1), one entry per shed pair (b, c)."""
+    # distinct sheds (b, c) land on distinct states, and every weight is a
+    # nonzero Gaussian trinomial, so each move is one entry of its own
+    cols = {}
+    for s in weight_states(n, m):
+        L = s[i - 2] if i > 1 else 0
+        A = s[i - 1]
+        R = s[i] if i < n - 1 else 0
+        vec = {}
+        for b in range(L + 1):
+            for c in range(R + 1):
+                t = list(s)
+                if i > 1:
+                    t[i - 2] = L - b
+                t[i - 1] = A + b + c
+                if i < n - 1:
+                    t[i] = R - c
+                if sign > 0:
+                    coeff, xh = lawrence._positive_weight(A, b, c, convention)
+                else:
+                    coeff, xh = lawrence._negative_weight(A, b, c, convention)
+                vec[tuple(t)] = XSeries.monomial(coeff, xh)
+        cols[s] = vec
+    return GradedMatrix(n, m, cols)
+
+
+def oracle_moves(mat):
+    """The matrix as moves: {src: [(dst, x_half, weight), ...]}, one per
+    x-term of each entry, cheapest first, as the walk read them off it."""
+    out = {}
+    for src, row in mat.cols.items():
+        moves = [(dst, xh, weight) for dst, entry in row.items()
+                 for xh, weight in entry.terms.items()]
+        moves.sort(key=itemgetter(1))
+        out[src] = moves
+    return out
+
+
+def plain_moves(table):
+    """A move table with each weight as its raw {q_half: coeff} dict."""
+    return {src: [(dst, xh, weight.terms) for dst, xh, weight in moves]
+            for src, moves in table.items()}
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_move_table_matches_oracle(n):
+    for m in range(5):
+        for i in range(1, n):
+            for sign in (1, -1):
+                for conv in CONVENTIONS:
+                    case = (m, i, sign, conv)
+                    want = oracle_generator_matrix(n, m, i, sign, conv)
+                    got = generator_matrix(n, m, i, sign, conv)
+                    assert got == want, case
+                    assert {s: set(row) for s, row in got.cols.items()} \
+                        == {s: set(row) for s, row in want.cols.items()}, \
+                        case
+                    # the walk's table, move for move and in the same order
+                    table = lawrence._generator_moves(n, m, i, sign, conv)
+                    assert plain_moves(table) \
+                        == plain_moves(oracle_moves(want)), case
+
+
 def test_failed_mirror_check_raises(monkeypatch):
     monkeypatch.setattr(lawrence, "_mirror_validated",
                         lambda convention: False)
@@ -169,10 +240,10 @@ def test_truncated_trace_refuses_negative_letters():
 
 def test_truncated_trace_checks_integrality(monkeypatch):
     word = parse_braid("1")
-    truncated_trace(word, 1, 5)  # reads the real generator's moves first
-    half_power = GradedMatrix(2, 1, {(1,): {(1,): XSeries.monomial(1, 1)}})
-    monkeypatch.setattr(lawrence, "generator_matrix",
-                        lambda n, m, i, sign: half_power)
+    truncated_trace(word, 1, 5)  # caches the real generator's moves first
+    half_power = {(1,): [((1,), 1, QLaurent.one())]}
+    monkeypatch.setattr(lawrence, "_generator_moves",
+                        lambda n, m, i, sign, convention: half_power)
     with pytest.raises(VerificationError,
                        match=r"n=2; 1 at weight 1 kept half x-powers"):
         truncated_trace(word, 1, 5)
@@ -180,9 +251,9 @@ def test_truncated_trace_checks_integrality(monkeypatch):
 
 def test_truncated_trace_refuses_negative_costs(monkeypatch):
     # the min-plus pruning is exact only for moves of cost >= 0
-    below = GradedMatrix(2, 1, {(1,): {(1,): XSeries.monomial(1, -2)}})
-    monkeypatch.setattr(lawrence, "generator_matrix",
-                        lambda n, m, i, sign: below)
+    below = {(1,): [((1,), -2, QLaurent.one())]}
+    monkeypatch.setattr(lawrence, "_generator_moves",
+                        lambda n, m, i, sign, convention: below)
     with pytest.raises(VerificationError,
                        match=r"generator 1 at weight 1 on 2 strands has a "
                              r"move of negative x-half cost -2"):
@@ -239,8 +310,9 @@ def test_pruned_walks_match_mul_term_walk(text, order):
     trunc = 2 * order + 1
     for m in range(order + 3):
         closed = mul_term_walk(word, m, trunc)
-        moves = {v: lawrence._letter_moves(n, m, v) for v in set(word.letters)}
-        walk = [moves[v] for v in word.letters]
+        tables = {v: lawrence._generator_moves(n, m, v, 1, HALF)
+                  for v in set(word.letters)}
+        walk = [tables[v] for v in word.letters]
         for s, want in closed.items():
             layers = lawrence._forward_layers(walk, s, trunc)
             if layers is None:

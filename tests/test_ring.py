@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from flowloop import (
     Framing,
+    InputError,
     QLaurent,
     VerificationError,
     XSeries,
@@ -315,10 +316,10 @@ def test_qbinom_matches_product_form(n, k):
 def cold_caches(monkeypatch):
     """Empty binomial, generator and crossing-weight caches for one test,
     so that what it runs fills them afresh."""
-    for mod, name in ((ring, "_qbinom_cache"), (lawrence, "_moves_cache")):
-        monkeypatch.setattr(mod, name, {})
-    for cached in (ring.qtrinom, lawrence._generator_mirror,
-                   zmod._crossing_weight, verma._pair_matrix):
+    monkeypatch.setattr(ring, "_qbinom_cache", {})
+    for cached in (ring.qtrinom, lawrence._generator_moves,
+                   lawrence._generator_mirror, zmod._crossing_weight,
+                   verma._pair_matrix):
         cached.cache_clear()
 
 
@@ -448,6 +449,13 @@ def test_saddle_node_collapses_to_one(f):
 def test_period_doubling_sides_agree(f):
     lhs, rhs = period_doubling_identity(f, 8)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("identity", (saddle_node_identity,
+                                      period_doubling_identity))
+def test_identities_refuse_a_negative_order(identity):
+    with pytest.raises(InputError, match="^order must be >= 0$"):
+        identity(Framing(1), -1)
 
 
 def test_framing_render():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from flowloop import VerificationError, XSeries, parse_braid
+from flowloop import InputError, VerificationError, XSeries, parse_braid
 from flowloop import lawrence, verma
 from flowloop.verma import (
     _pair_matrix,
@@ -145,3 +145,9 @@ def test_kohno_lhs_is_the_flagged_trace():
             states = tensor_states(2, m)
             assert flagged_action(parse_braid(text), m) == {
                 s: {s: XSeries.one()} for s in states}, (text, m)
+
+
+@pytest.mark.parametrize("fn", (tensor_action, tensor_trace))
+def test_negative_weights_are_refused(fn):
+    with pytest.raises(InputError, match=r"^weight m must be >= 0, got m=-1$"):
+        fn(parse_braid("1 1 1"), -1)

@@ -41,7 +41,8 @@ def forward_layers(states, walk, start, budgets):
                 to = cost + xh
                 if to > budget:
                     break
-                moves.append((src, dst % states, xh, weight))
+                dst %= states
+                moves.append((src, dst, xh, weight))
                 nxt[dst] = min(nxt.get(dst, to), to)
         layers.append((reach, moves))
         reach = nxt
@@ -61,6 +62,22 @@ def test_backward_sum_matches_two_pass_sum_on_random_layers(
     # raw dicts: no empty x-term, no zero coefficient
     assert walks.sum_paths(start, layers, trunc) \
         == two_pass_sum(start, layers, trunc)
+
+
+def test_forward_layers_reach_the_state_a_move_ends_on():
+    # of two states, 2 is state 0: the cost-0 walk through it must set
+    # reach[0] to 0, or sum_paths would cut its x-half 2 term at
+    # trunc - 3 = 1
+    one = QLaurent.one()
+    stay = [[(0, 0, one), (0, 1, one)], [], [], []]
+    walk = [[[(2, 0, one), (0, 3, one)], [], [], []],
+            [[(0, 0, one)], [], [], []], stay, stay]
+    layers = forward_layers(2, walk, 0, [4] * len(walk))
+    assert [reach for reach, moves in layers] == [{0: 0}] * len(walk)
+    # (1 + x^(3/2)) (1 + x^(1/2))^2 through x^2, keyed by x-half
+    want = {0: {0: 1}, 1: {0: 2}, 2: {0: 1}, 3: {0: 1}, 4: {0: 2}}
+    assert walks.sum_paths(0, layers, 4) == two_pass_sum(0, layers, 4) \
+        == want
 
 
 # ---------------------------------------------------------------------------

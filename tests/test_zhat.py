@@ -3,7 +3,6 @@
 import importlib
 from itertools import product
 from operator import itemgetter
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from flowloop import (
     InputError,
     QLaurent,
+    REFERENCE_MODELS,
     VerificationError,
     XSeries,
     analyze,
@@ -94,6 +94,12 @@ def test_reference_models_cross_agree():
 def test_reference_series_rejects_unknown_model():
     with pytest.raises(InputError):
         reference_series("granny_knot", 3)
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS)
+def test_reference_series_refuses_a_negative_order(model):
+    with pytest.raises(InputError, match="^order must be >= 0$"):
+        reference_series(model, -1)
 
 
 def test_transfer_matches_traces_on_positive_words():
@@ -1002,19 +1008,16 @@ def test_dp_error_names_word_order_and_cap(monkeypatch):
 
 
 def test_trace_error_names_word_order_and_m_cut(monkeypatch):
-    # every generator entry times x^(1/2): the trefoil's closed walks then
+    # every generator move times x^(1/2): the trefoil's closed walks then
     # keep half x-powers, which truncated_trace refuses
-    real = zmod._lawrence.generator_matrix
+    real = zmod._lawrence._generator_moves
 
-    def half_shifted(n, m, i, sign):
-        cols = real(n, m, i, sign).cols
-        return SimpleNamespace(cols={
-            src: {dst: entry * XSeries.monomial(1, 1)
-                  for dst, entry in row.items()}
-            for src, row in cols.items()})
+    def half_shifted(n, m, i, sign, convention):
+        return {src: [(dst, xh + 1, weight) for dst, xh, weight in moves]
+                for src, moves in real(n, m, i, sign, convention).items()}
 
-    phi_positive(parse_braid("1 1 1"), 4, m_cut=3)  # reads the real moves
-    monkeypatch.setattr(zmod._lawrence, "generator_matrix", half_shifted)
+    phi_positive(parse_braid("1 1 1"), 4, m_cut=3)  # caches the real moves
+    monkeypatch.setattr(zmod._lawrence, "_generator_moves", half_shifted)
     with pytest.raises(VerificationError,
                        match=r"^trace of n=2; 1 1 1 at weight 0 kept half "
                              r"x-powers: .* in n=2; 1 1 1 at order 4, "
