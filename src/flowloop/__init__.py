@@ -15,8 +15,16 @@ Quick start::
 Everything is pure Python with integer coefficients; no environment
 variable changes what is computed or how.  Malformed or out-of-range
 input raises `ParseError` or `InputError`; a failed internal cross-check
-raises `VerificationError`, which always signals a bug.
+raises `VerificationError`, which signals a bug, unless it is a
+stabilization guard firing at a cutoff (`cap`, `m_cut`) the caller set
+below the default.
+
+`template`, `verify` and `verma` load on first use: their public names
+resolve through the module `__getattr__` below, so `import flowloop` and
+a `zhat` call never load them.
 """
+
+import importlib
 
 from .braid import (
     BraidStats,
@@ -45,16 +53,6 @@ from .ring import (
     qtrinom,
     saddle_node_identity,
 )
-from .template import (
-    Orbit,
-    Strip,
-    Template,
-    build_template,
-    enumerate_orbits,
-    zeta_classical,
-)
-from .verify import run_suite, suite_names
-from .verma import kohno_check, r_entry, tensor_action, tensor_trace
 from .zhat import (
     REFERENCE_MODELS,
     ZhatResult,
@@ -65,6 +63,37 @@ from .zhat import (
 )
 
 __version__ = "0.1.0"
+
+# the public names of the submodules that load on first use: a cold
+# `flowloop zhat` needs none of them
+_LAZY = {
+    "Orbit": "template",
+    "Strip": "template",
+    "Template": "template",
+    "build_template": "template",
+    "enumerate_orbits": "template",
+    "zeta_classical": "template",
+    "run_suite": "verify",
+    "suite_names": "verify",
+    "kohno_check": "verma",
+    "r_entry": "verma",
+    "tensor_action": "verma",
+    "tensor_trace": "verma",
+}
+
+
+def __getattr__(name):
+    """Resolve a lazy public name from its submodule on every access (PEP
+    562), without caching it here, so that rebinding the submodule's
+    attribute rebinds this name too."""
+    sub = _LAZY.get(name)
+    if sub is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{sub}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
 
 
 __all__ = [

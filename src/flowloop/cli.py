@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 bad input (parse/validation), 2 failed
-verification (internal contract or a verify suite reporting failures).
+verification (internal contract, a verify suite reporting failures, or a
+stabilization guard firing at a --cap set below what the word needs).
+`template` and `verify` are imported only by the commands that use them.
 """
 
 import argparse
 import json
 import sys
 
-from . import braid, lawrence, template, verify
+from . import braid, lawrence
 from .errors import InputError, ParseError, VerificationError
 from .zhat import zhat as _zhat
 
@@ -124,6 +126,8 @@ def _cmd_alexander(args):
 
 
 def _cmd_orbits(args):
+    from . import template
+
     word = braid.parse_braid(args.braid)
     stats = braid.analyze(word)
     tpl = template.build_template(word)
@@ -159,6 +163,8 @@ def _cmd_orbits(args):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     results = verify.run_suite(args.suite)
     passed = sum(1 for r in results if r.ok)
     lines = [r.render() for r in results]
@@ -176,6 +182,19 @@ def _cmd_verify(args):
     }
     _print(payload, args.format == "json", lines)
     return 0 if passed == len(results) else 2
+
+
+class _SuiteNames:
+    """The choices of `verify --suite`, read from flowloop.verify only when
+    argparse checks a value or prints help, so no other command loads it."""
+
+    def __iter__(self):
+        from . import verify
+
+        return iter(verify.suite_names())
+
+    def __contains__(self, name):
+        return name in tuple(self)
 
 
 def _add_common(sub, braid_arg=True):
@@ -235,7 +254,8 @@ def build_parser():
 
     p = subs.add_parser("verify", help="built-in consistency suites")
     _add_common(p, braid_arg=False)
-    p.add_argument("--suite", choices=verify.suite_names(), default="all")
+    # set after add_argument, whose check of the usage text would read them
+    p.add_argument("--suite", default="all").choices = _SuiteNames()
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -8,4 +8,6 @@ class InputError(ValueError):
 
 class VerificationError(RuntimeError):
     """An internal exactness contract failed (division remainder, route
-    disagreement, stabilization failure).  Always a bug, never user error."""
+    disagreement, stabilization failure).  A bug, except for a stabilization
+    failure at a cutoff the caller set below the default: that cutoff is
+    too small for the word."""

@@ -16,11 +16,15 @@ weight conventions are supported:
 
 Both give the same closed traces on knot words.  Negative generators use
 the mirrored weights (q -> q^{-1}, monomials inverted, and for `under' the
-left/right shed roles swapped); that mirror is checked against sigma
-sigma^{-1} = id for all n, m <= 4 at first use, and a failed check raises
-VerificationError rather than falling back to another inverse.  The exact
-triangular inverse `_triangular_inverse` is kept as the independent oracle
-the verify suite compares the mirror against.
+left/right shed roles swapped); that mirror is checked against
+sigma_i^{-1} sigma_i = id, exactly, for all (n, m) <= (4, 4) at the first
+negative generator_matrix.  The check reads the cached move tables of
+both signs, which the positive walk shares, and sums their products as
+raw {q_half: coeff} tables through the ring kernel, so it builds no
+GradedMatrix or XSeries; a failed check raises VerificationError rather
+than falling back to another inverse.  The exact triangular inverse
+`_triangular_inverse` is kept as the independent oracle the verify suite
+compares the mirror against.
 
 rep_matrix and graded_trace are exact.  truncated_trace_table gives the
 trace of an all-positive word up to a fixed x-degree without building the
@@ -48,7 +52,13 @@ from . import braid as _braid
 from . import walks as _walks
 from ._parallel import parallel_map
 from .errors import InputError, VerificationError
-from .ring import QLaurent, XSeries, qtrinom, xs_addmul_term_into
+from .ring import (
+    QLaurent,
+    XSeries,
+    ql_addmul_into,
+    qtrinom,
+    xs_addmul_term_into,
+)
 
 HALF = "half"
 UNDER = "under"
@@ -266,15 +276,26 @@ def _triangular_inverse(mat):
 @functools.cache
 def _mirror_validated(convention):
     """True if the mirrored negative weights invert the positive ones for
-    all (n, m) <= (4, 4)."""
+    all (n, m) <= (4, 4): sigma_i^{-1} sigma_i = id, exactly.
+
+    It reads the cached move tables of both signs and sums, per source,
+    every positive move followed by every negative move out of its end as
+    raw {q_half: coeff} tables keyed by (end state, x_half); the identity
+    leaves exactly coefficient 1 at (source, x^0 q^0)."""
     for n in range(2, 5):
         for m in range(0, 5):
-            ident = GradedMatrix.identity(n, m)
             for i in range(1, n):
-                pos = _generator_mirror(n, m, i, +1, convention)
-                neg = _generator_mirror(n, m, i, -1, convention)
-                if neg.after(pos) != ident:
-                    return False
+                pos = _generator_moves(n, m, i, +1, convention)
+                neg = _generator_moves(n, m, i, -1, convention)
+                for src, moves in pos.items():
+                    acc = {}
+                    for mid, xh, w in moves:
+                        for dst, xh2, w2 in neg[mid]:
+                            cell = acc.setdefault((dst, xh + xh2), {})
+                            ql_addmul_into(cell, w.terms, w2.terms)
+                    acc = {k: v for k, v in acc.items() if v}
+                    if acc != {(src, 0): {0: 1}}:
+                        return False
     return True
 
 

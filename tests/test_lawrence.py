@@ -171,6 +171,63 @@ def test_failed_mirror_check_raises(monkeypatch):
         generator_matrix(3, 2, 1, -1)
 
 
+def oracle_mirror_validated(convention):
+    """sigma_i^{-1} sigma_i = id for all (n, m) <= (4, 4), checked on
+    GradedMatrix products, as lawrence._mirror_validated was written before
+    it read the raw move tables (test oracle)."""
+    for n in range(2, 5):
+        for m in range(0, 5):
+            ident = GradedMatrix.identity(n, m)
+            for i in range(1, n):
+                pos = lawrence._generator_mirror(n, m, i, +1, convention)
+                neg = lawrence._generator_mirror(n, m, i, -1, convention)
+                if neg.after(pos) != ident:
+                    return False
+    return True
+
+
+@pytest.fixture
+def cold_mirror():
+    """Empty move-table, generator and mirror-check caches before and after
+    the test, so a planted weight is read afresh and leaves nothing behind."""
+    caches = (lawrence._generator_moves, lawrence._generator_mirror,
+              lawrence._mirror_validated)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_mirror_check_matches_matrix_oracle(conv, cold_mirror):
+    assert lawrence._mirror_validated(conv) is True
+    assert oracle_mirror_validated(conv) is True
+
+
+# one shed pattern on the smallest grade, and one that only the (n, m) =
+# (4, 3) and (4, 4) sectors reach: both sheds taken from a middle label 1
+PLANTED = [(0, 0, 0), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+@pytest.mark.parametrize("abc", PLANTED, ids=map(str, PLANTED))
+def test_planted_mirror_fault_is_caught(conv, abc, monkeypatch, cold_mirror):
+    real = lawrence._negative_weight
+
+    def planted(A, b, c, convention):
+        coeff, xh = real(A, b, c, convention)
+        if (A, b, c) == abc:
+            coeff = coeff + 1  # one wrong q^0 coefficient
+        return coeff, xh
+
+    monkeypatch.setattr(lawrence, "_negative_weight", planted)
+    assert lawrence._mirror_validated(conv) is False
+    assert oracle_mirror_validated(conv) is False
+    with pytest.raises(VerificationError, match=repr(conv)):
+        generator_matrix(2, 0, 1, -1, conv)
+
+
 def test_rep_matrix_word_inverse_collapses():
     w = parse_braid("1 -1")
     assert rep_matrix(w, 3).cols == GradedMatrix.identity(2, 3).cols

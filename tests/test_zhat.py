@@ -923,6 +923,26 @@ def test_phi_is_conjugation_invariant(word):
 
 
 # ---------------------------------------------------------------------------
+# the mirror image: negating every letter mirrors the knot, which bars q in
+# Phi and in Zhat; an all-positive word's mirror runs on the other route
+
+
+def mirror(word):
+    return parse_braid(f"n={word.n}; "
+                       + " ".join(str(-v) for v in word.letters))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(mixed_knot_words(), mixed_knot_words(negative=False)),
+       st.integers(min_value=0, max_value=5))
+def test_mirror_pair_bars_q(word, order):
+    assume(analyze(word).closure_components == 1)
+    res, bar = zhat(word, order), zhat(mirror(word), order)
+    assert bar.phi == res.phi.bar_q()
+    assert bar.zhat == res.zhat.bar_q()
+
+
+# ---------------------------------------------------------------------------
 # both Phi routes refuse an order or cap past PHI_WORK_LIMIT
 
 
