@@ -39,6 +39,14 @@ walk of a weight-m state costs at least x^m when every column has a letter
 (proof in truncated_trace_table), so a weight with 2m above the truncation
 has an empty trace, and zhat.phi_positive never asks for one.
 
+The walks and the mirror check name a state by its position in
+weight_states(n, m), not by its tuple.  Each generator has one cached move
+table (_generator_moves): a list indexed by source position whose moves
+name their ends by position, so every dict keyed by state in the forward
+pass and in walks.sum_paths hashes a small int.  _generator_mirror maps the
+positions back to tuples for GradedMatrix, so matrices, dumps and traces
+read as before.
+
 Weights are m >= 0: generator_matrix (so also rep_matrix), graded_trace
 and truncated_trace_table refuse a negative one with InputError.
 """
@@ -191,13 +199,18 @@ def _negative_weight(A, b, c, convention):
 
 @functools.cache
 def _generator_moves(n, m, i, sign, convention):
-    """Generator i (sign +1/-1) on weight_states(n, m) as moves: {src:
-    [(dst, x_half, weight), ...]}, cheapest first."""
+    """Generator i (sign +1/-1) on weight_states(n, m) as moves, one list
+    per source state indexed by its position in weight_states(n, m): each
+    move (dst, x_half, weight) names its end by position too, cheapest
+    first.  The walks key their dicts by these small ints, which hash far
+    faster than the state tuples; _generator_mirror maps them back."""
     # distinct sheds (b, c) land on distinct states, and every weight is a
     # nonzero Gaussian trinomial, so each move is one matrix entry of its own
     weight = _positive_weight if sign > 0 else _negative_weight
-    table = {}
-    for s in weight_states(n, m):
+    states = weight_states(n, m)
+    position = {s: k for k, s in enumerate(states)}
+    table = []
+    for s in states:
         L = s[i - 2] if i > 1 else 0
         A = s[i - 1]
         R = s[i] if i < n - 1 else 0
@@ -211,17 +224,20 @@ def _generator_moves(n, m, i, sign, convention):
                 if i < n - 1:
                     t[i] = R - c
                 coeff, xh = weight(A, b, c, convention)
-                moves.append((tuple(t), xh, coeff))
+                moves.append((position[tuple(t)], xh, coeff))
         moves.sort(key=itemgetter(1))
-        table[s] = moves
+        table.append(moves)
     return table
 
 
 @functools.cache
 def _generator_mirror(n, m, i, sign, convention):
+    states = weight_states(n, m)
     return GradedMatrix(n, m, {
-        src: {dst: XSeries.monomial(w, xh) for dst, xh, w in moves}
-        for src, moves in _generator_moves(n, m, i, sign, convention).items()
+        states[src]: {states[dst]: XSeries.monomial(w, xh)
+                      for dst, xh, w in moves}
+        for src, moves in enumerate(
+            _generator_moves(n, m, i, sign, convention))
     })
 
 
@@ -280,14 +296,14 @@ def _mirror_validated(convention):
 
     It reads the cached move tables of both signs and sums, per source,
     every positive move followed by every negative move out of its end as
-    raw {q_half: coeff} tables keyed by (end state, x_half); the identity
-    leaves exactly coefficient 1 at (source, x^0 q^0)."""
+    raw {q_half: coeff} tables keyed by (end position, x_half); the
+    identity leaves exactly coefficient 1 at (source, x^0 q^0)."""
     for n in range(2, 5):
         for m in range(0, 5):
             for i in range(1, n):
                 pos = _generator_moves(n, m, i, +1, convention)
                 neg = _generator_moves(n, m, i, -1, convention)
-                for src, moves in pos.items():
+                for src, moves in enumerate(pos):
                     acc = {}
                     for mid, xh, w in moves:
                         for dst, xh2, w2 in neg[mid]:
@@ -352,7 +368,8 @@ def graded_trace(word, m_max, convention=HALF):
 def _forward_layers(walk, start, trunc):
     """The forward min-plus pass of the walks from start: one (reach,
     moves) pair per letter for walks.sum_paths, or None if no walk returns
-    to start within trunc.
+    to start within trunc.  States are positions in weight_states, as in
+    the _generator_moves tables of `walk`.
 
     The pass carries the cheapest cost from start to each state letter by
     letter, and takes from each state only the moves that end within
@@ -429,14 +446,14 @@ def truncated_trace_table(word, m, trunc):
     tables = {v: _generator_moves(n, m, v, 1, HALF)
               for v in set(word.letters)}
     for v, table in tables.items():
-        cheapest = min(moves[0][1] for moves in table.values())
+        cheapest = min(moves[0][1] for moves in table)
         if cheapest < 0:
             raise VerificationError(
                 f"generator {v} at weight {m} on {n} strands has a move of "
                 f"negative x-half cost {cheapest}")
     walk = [tables[v] for v in word.letters]
     tr = {}
-    for s in weight_states(n, m):
+    for s in range(dim(n, m)):
         layers = _forward_layers(walk, s, trunc)
         if layers is not None:
             xs_addmul_term_into(tr, _walks.sum_paths(s, layers, trunc),

@@ -44,7 +44,9 @@ enumerate_orbits still lists the orbits themselves, for the `orbits`
 command and as the test oracle of the determinant.  It refuses what the
 zeta refuses, a cycle of mark-0 strips (_check_no_free_cycle, which also
 measures the longest mark-0 path), and its depth-first search refuses a
-max_degree whose strip words would be longer than ORBIT_DEPTH_LIMIT.
+max_degree whose strip words would be longer than ORBIT_DEPTH_LIMIT, or
+whose primitive orbits, counted exactly from det(I - |A|(x)) with every
+sign +1 (_orbit_counts), are more than ORBIT_COUNT_LIMIT.
 """
 
 from dataclasses import dataclass
@@ -191,6 +193,42 @@ def _is_primitive(seq):
 # longest strip word it may build stays at half of CPython's default
 # recursion limit (1000), leaving room for the caller's frames.
 ORBIT_DEPTH_LIMIT = 500
+# The search spends about 20 us per orbit it lists, so it refuses a
+# max_degree with more primitive orbits than this (about 2 s of search)
+# before it starts.  The CI corpus at degree 8 has at most 6,775.
+ORBIT_COUNT_LIMIT = 10 ** 5
+
+
+def _orbit_counts(template, max_degree):
+    """[p_0, ..., p_max_degree]: p_d primitive closed orbits of degree d,
+    from det(I - |A|(x)) alone, |A| the strip adjacency with every sign +1.
+
+    By Bowen-Lanford, 1/P(x) = prod over primitive orbits of
+    1/(1 - x^deg) for P = det(I - |A|(x)), so -x P'/P = sum_d c_d x^d with
+    c_d = sum_{e | d} e p_e, and Moebius inversion gives each p_d from c_d
+    and the p_e of the proper divisors e of d.  P has constant term 1
+    (_check_no_free_cycle), so -x P'/P is an integer power series."""
+    k = template.branch_count
+    mat = [[{0: 1} if r == c else {} for c in range(k)] for r in range(k)]
+    for s in template.strips:
+        ql_add_into(mat[s.src][s.dst], {2 * s.mark: 1}, -1)
+    poly = [0] * (max_degree + 1)
+    for x_half, coeff in _braid._det(mat).terms.items():
+        if x_half // 2 <= max_degree:
+            poly[x_half // 2] = coeff
+    series = [0] * (max_degree + 1)  # -x P'/P, c_d at index d
+    primitive = [0] * (max_degree + 1)
+    for d in range(1, max_degree + 1):
+        series[d] = -d * poly[d] - sum(poly[j] * series[d - j]
+                                       for j in range(1, d))
+        rest = series[d] - sum(e * primitive[e] for e in range(1, d)
+                               if d % e == 0)
+        primitive[d], left = divmod(rest, d)
+        if left:
+            raise VerificationError(
+                f"orbit count of degree {d} is not whole in the template of "
+                + _braid.render_word(template.word))
+    return primitive
 
 
 def enumerate_orbits(template, max_degree):
@@ -204,8 +242,9 @@ def enumerate_orbits(template, max_degree):
     at most (max_degree + 1)(L + 1) strips and the search terminates.  In a
     built template only leftward sheds are free and those strictly
     decrease the column, so L <= n - 2.  Above ORBIT_DEPTH_LIMIT strips,
-    counting (max_degree + 1) max(n - 1, L + 1), the search is refused
-    with an InputError before it starts.
+    counting (max_degree + 1) max(n - 1, L + 1), or with more than
+    ORBIT_COUNT_LIMIT primitive orbits to list (_orbit_counts), the search
+    is refused with an InputError before it starts.
     """
     if max_degree < 0:
         raise InputError("max_degree must be >= 0")
@@ -217,6 +256,15 @@ def enumerate_orbits(template, max_degree):
             f"{longest} strips on {template.n} strands, past the orbit "
             f"search depth limit of {ORBIT_DEPTH_LIMIT} strips"
         )
+    listed = 0
+    for degree, count in enumerate(_orbit_counts(template, max_degree)):
+        if listed + count > ORBIT_COUNT_LIMIT:
+            raise InputError(
+                f"max_degree {max_degree} has more primitive orbits than "
+                f"the orbit count limit of {ORBIT_COUNT_LIMIT}; max_degree "
+                f"{degree - 1} has {listed}"
+            )
+        listed += count
     strips = template.strips
     by_src = template.by_src
     found = {}

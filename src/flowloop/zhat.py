@@ -7,7 +7,8 @@ computed two ways:
 * phi_positive: for all-positive words, from the graded traces as
       sum_m (1 - q^{2m+n-1} x^n) q^{-m} Tr_{V_{n,m}}
   where each trace is a sum of closed walks of the weight-m states,
-  truncated at x^order (lawrence.truncated_trace_table).  Every positive
+  truncated at x^order (lawrence.truncated_trace_table), each state named
+  by its position in lawrence.weight_states.  Every positive
   move costs a nonnegative x-power, so the same forward min-plus pass and
   backward series pass as in the DP below form no term above x^order,
   and a start state with no closed walk within it does no series work.  A
@@ -68,6 +69,12 @@ computed two ways:
   move of a closed path within trunc, so the sum is the one without
   them.  The q-weight of a crossing depends only on the middle column's
   sign, low and the two sheds, and is shared by every move that has them.
+  A state is one int: column i's label (its hat, for a negative column)
+  sits in bits [(i - 1) B, i B), B = _field_width(limit) bits for the
+  label bound `limit` of the run, and no move lands on a label above
+  limit, so no field overflows.  Per run and column, one dict maps the
+  bits of columns i - 1..i + 1 (one shift and one mask) to the crossing's
+  moves as (delta, x_half, coeff), and a move lands on state + delta.
   The series work runs backward on raw {x_half: {q_half: coeff}} tables:
   each move adds its end's sum home times its weight into its source in
   place, truncated at trunc minus the cheapest cost to the source
@@ -395,10 +402,67 @@ def _letter_budgets(letters, col_sign, bottom, trunc):
     return out
 
 
+def _field_width(limit):
+    """Bits per label of a packed state whose labels are all <= limit."""
+    return max(limit.bit_length(), 1)
+
+
+def _pack(labels, width):
+    """The label vector as one int: label k (0-based) in bits
+    [k width, (k + 1) width)."""
+    state = 0
+    for label in reversed(labels):
+        state = (state << width) | label
+    return state
+
+
+def _letter_field(i, width):
+    """(shift, mask) that read the labels of columns i - 1, i and i + 1 (the
+    ones a crossing of column i touches) out of a packed state: column 1
+    has no left neighbor, and the bits above column n - 1 are 0."""
+    if i == 1:
+        return 0, (1 << 2 * width) - 1
+    return (i - 2) * width, (1 << 3 * width) - 1
+
+
+def _field_moves(col_sign, i, field, width, limit, deltas):
+    """The moves of a crossing of column i out of every state whose
+    columns i - 1..i + 1 read `field` (_letter_field), as
+    [(delta, x_half, coeff), ...] sorted by x_half: the move lands on
+    state + delta.  They are the moves of _transitions at cap = limit;
+    every label they land on is <= limit < 2^width, so no field of the
+    landed state overflows into its neighbor.  A delta depends only on the
+    sheds, so `deltas` keeps one int object per value, shared by every
+    move of the column that has it."""
+    low = (1 << width) - 1
+    kinds = (0,) + col_sign + (0,)
+    lL = 0
+    if i > 1:
+        lL, field = field & low, field >> width
+    lM, lR = field & low, field >> width
+    key = (kinds[i], kinds[i - 1], kinds[i + 1], lL, lM, lR, limit)
+    mid = (i - 1) * width
+    out = []
+    # the field table is this crossing's cache: a throwaway dict keeps
+    # _transitions from holding every move list a second time
+    for nL, nM, nR, xh, coeff in _transitions(key, {}):
+        delta = ((nM - lM) << mid) + ((nR - lR) << mid + width)
+        if i > 1:
+            delta += (nL - lL) << mid - width
+        out.append((deltas.setdefault(delta, delta), xh, coeff))
+    return out
+
+
 def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
     """The closed label paths bottom -> bottom with every label <= limit,
     weighted by the product of their crossing weights and truncated at
     x-half-degree trunc, as one {x_half: {q_half: coeff}} table.
+
+    A state is one int, the labels packed by _pack in fields of
+    _field_width(limit) bits.  cache holds, per column and limit, a table
+    that maps the field a crossing touches to its moves (_field_moves) and
+    the deltas those moves share, so a move is one dict lookup and one
+    add.
 
     The forward min-plus pass records each letter's moves and the
     cheapest cost to each state, and walks.sum_paths sums them backward,
@@ -406,12 +470,14 @@ def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
     keeps a move of letter j only if it ends within the letter's budget
     trunc - h_j(b) (_letter_budgets); every move it drops lies on no
     closed path within trunc, so the sum is the one with trunc as every
-    budget."""
-    # states carry a boundary label 0 at both ends, so column i sits at
-    # index i between its two neighbors; a boundary has kind 0 and its
-    # label never moves
-    start = (0,) + bottom + (0,)
-    kinds = (0,) + col_sign + (0,)
+    budget.  A bottom with a label above limit closes no path: in a knot
+    word every column has an own crossing, which lands its label within
+    limit, and after its last one a positive label only drops and a
+    negative hat rises to at most limit."""
+    if max(bottom) > limit:
+        return {}
+    width = _field_width(limit)
+    start = _pack(bottom, width)
 
     letters = [abs(letter) for letter in word.letters]
     budgets = _letter_budgets(letters, col_sign, bottom, trunc)
@@ -421,17 +487,24 @@ def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
     layers = []
     reach = {start: 0}
     for i, budget in zip(letters, budgets):
-        sign, kindL, kindR = kinds[i], kinds[i - 1], kinds[i + 1]
+        column = cache.get((i, limit))
+        if column is None:
+            column = cache[(i, limit)] = ({}, {})
+        table, deltas = column
+        shift, mask = _letter_field(i, width)
         moves = []
         nxt = {}
         for src, cost in reach.items():
-            head, tail = src[:i - 1], src[i + 2:]
-            key = (sign, kindL, kindR, src[i - 1], src[i], src[i + 1], limit)
-            for nL, nM, nR, xh, coeff in _transitions(key, cache):
+            field = (src >> shift) & mask
+            out = table.get(field)
+            if out is None:
+                out = table[field] = _field_moves(col_sign, i, field, width,
+                                                  limit, deltas)
+            for delta, xh, coeff in out:
                 to = cost + xh
                 if to > budget:
                     break  # the moves come sorted by cost
-                dst = head + (nL, nM, nR) + tail
+                dst = src + delta
                 moves.append((src, dst, xh, coeff))
                 if to < nxt.get(dst, budget + 1):
                     nxt[dst] = to

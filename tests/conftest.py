@@ -1,10 +1,16 @@
+import importlib
 import os
 import sys
+from operator import itemgetter
 
 import pytest
 
 from flowloop import QLaurent, XSeries
+from flowloop import lawrence, walks
 from flowloop.ring import xs_addmul_term_into
+
+# the module itself: the package re-exports the function `zhat` under its name
+zmod = importlib.import_module("flowloop.zhat")
 
 # the standing corpus: every braid word the suite must handle end to end
 CORPUS = ("1", "1 1 1", "1 -2 1 -2", "1 1 1 2", "n=4; 1 -2 1 -3 -2")
@@ -99,6 +105,117 @@ def two_pass_sum(start, layers, trunc):
     """walks.sum_paths by the two passes it replaced: closed_moves, then the
     forward series sum over the kept moves."""
     return forward_sum_paths(start, closed_moves(start, layers, trunc), trunc)
+
+
+# ---------------------------------------------------------------------------
+# both engines' walks with tuple states, as they were written before states
+# became ints (positions in lawrence, packed labels in zhat), kept as oracles
+
+
+def tuple_generator_moves(n, m, i, sign, convention):
+    """Generator i (sign +1/-1) on weight_states(n, m) as moves: {src:
+    [(dst, x_half, weight), ...]}, cheapest first."""
+    weight = (lawrence._positive_weight if sign > 0
+              else lawrence._negative_weight)
+    table = {}
+    for s in lawrence.weight_states(n, m):
+        L = s[i - 2] if i > 1 else 0
+        A = s[i - 1]
+        R = s[i] if i < n - 1 else 0
+        moves = []
+        for b in range(L + 1):
+            for c in range(R + 1):
+                t = list(s)
+                if i > 1:
+                    t[i - 2] = L - b
+                t[i - 1] = A + b + c
+                if i < n - 1:
+                    t[i] = R - c
+                coeff, xh = weight(A, b, c, convention)
+                moves.append((tuple(t), xh, coeff))
+        moves.sort(key=itemgetter(1))
+        table[s] = moves
+    return table
+
+
+def tuple_forward_layers(walk, start, trunc):
+    """lawrence._forward_layers over tuple-keyed move tables."""
+    layers = []
+    reach = {start: 0}
+    for gen in walk:
+        moves = []
+        nxt = {}
+        for src, cost in reach.items():
+            for dst, xh, weight in gen[src]:
+                to = cost + xh
+                if to > trunc:
+                    break  # the moves come sorted by cost
+                moves.append((src, dst, xh, weight))
+                if to < nxt.get(dst, trunc + 1):
+                    nxt[dst] = to
+        if not nxt:
+            return None
+        layers.append((reach, moves))
+        reach = nxt
+    if start not in reach:
+        return None
+    return layers
+
+
+def tuple_walk(word, m):
+    """The word's positive `half` generators as tuple-keyed move tables,
+    one per letter."""
+    tables = {v: tuple_generator_moves(word.n, m, v, 1, lawrence.HALF)
+              for v in set(word.letters)}
+    return [tables[v] for v in word.letters]
+
+
+def tuple_truncated_trace_table(word, m, trunc):
+    """lawrence.truncated_trace_table summed over tuple states."""
+    walk = tuple_walk(word, m)
+    tr = {}
+    for s in lawrence.weight_states(word.n, m):
+        layers = tuple_forward_layers(walk, s, trunc)
+        if layers is not None:
+            xs_addmul_term_into(tr, walks.sum_paths(s, layers, trunc),
+                                {0: 1}, 0, trunc)
+    return tr
+
+
+def tuple_closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
+    """zhat._closed_amplitude with the label vector as a tuple padded by a
+    boundary label 0 at both ends, splicing each move's three labels in."""
+    start = (0,) + bottom + (0,)
+    kinds = (0,) + col_sign + (0,)
+
+    letters = [abs(letter) for letter in word.letters]
+    budgets = zmod._letter_budgets(letters, col_sign, bottom, trunc)
+
+    layers = []
+    reach = {start: 0}
+    for i, budget in zip(letters, budgets):
+        sign, kindL, kindR = kinds[i], kinds[i - 1], kinds[i + 1]
+        moves = []
+        nxt = {}
+        for src, cost in reach.items():
+            head, tail = src[:i - 1], src[i + 2:]
+            key = (sign, kindL, kindR, src[i - 1], src[i], src[i + 1], limit)
+            for nL, nM, nR, xh, coeff in zmod._transitions(key, cache):
+                to = cost + xh
+                if to > budget:
+                    break  # the moves come sorted by cost
+                dst = head + (nL, nM, nR) + tail
+                moves.append((src, dst, xh, coeff))
+                if to < nxt.get(dst, budget + 1):
+                    nxt[dst] = to
+        if not nxt:
+            return {}
+        layers.append((reach, moves))
+        reach = nxt
+    if start not in reach:
+        return {}
+
+    return walks.sum_paths(start, layers, trunc)
 
 
 @pytest.fixture

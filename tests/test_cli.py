@@ -10,7 +10,7 @@ import pytest
 
 from flowloop.braid import Q1_WORK_LIMIT
 from flowloop.cli import main
-from flowloop.template import ORBIT_DEPTH_LIMIT
+from flowloop.template import ORBIT_COUNT_LIMIT, ORBIT_DEPTH_LIMIT
 from flowloop.verify import run_suite
 from flowloop.zhat import PHI_WORK_LIMIT
 
@@ -199,6 +199,19 @@ def test_orbits_refuses_a_degree_past_the_depth_limit(capsys):
         "error: max_degree 1200 allows strip words of 2402 strips on 3 "
         f"strands, past the orbit search depth limit of {ORBIT_DEPTH_LIMIT} "
         "strips\n"
+    )
+    assert elapsed < 1.0
+
+
+def test_orbits_refuses_a_degree_past_the_count_limit(capsys):
+    # within the depth limit, but with about 7.8e101 primitive orbits
+    start = time.perf_counter()
+    code = main(["orbits", "--braid", "1 -2 1 -2", "--max-degree", "249"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: max_degree 249 has more primitive orbits than the orbit "
+        f"count limit of {ORBIT_COUNT_LIMIT}; max_degree 14 has 86414\n"
     )
     assert elapsed < 1.0
 

@@ -31,7 +31,14 @@ from flowloop.lawrence import (
 from flowloop.lawrence import _triangular_inverse
 from flowloop.ring import qtrinom
 
-from conftest import POSITIVE_KNOTS, two_pass_sum, xs
+from conftest import (
+    POSITIVE_KNOTS,
+    tuple_forward_layers,
+    tuple_truncated_trace_table,
+    tuple_walk,
+    two_pass_sum,
+    xs,
+)
 
 CONVENTIONS = (HALF, UNDER)
 
@@ -145,6 +152,15 @@ def plain_moves(table):
             for src, moves in table.items()}
 
 
+def state_moves(table, n, m):
+    """A position-indexed move table of weight_states(n, m) as {src:
+    [(dst, x_half, weight), ...]} over the state tuples."""
+    states = weight_states(n, m)
+    return {states[src]: [(states[dst], xh, weight)
+                          for dst, xh, weight in moves]
+            for src, moves in enumerate(table)}
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_move_table_matches_oracle(n):
     for m in range(5):
@@ -158,9 +174,11 @@ def test_move_table_matches_oracle(n):
                     assert {s: set(row) for s, row in got.cols.items()} \
                         == {s: set(row) for s, row in want.cols.items()}, \
                         case
-                    # the walk's table, move for move and in the same order
+                    # the walk's table, move for move and in the same order,
+                    # through the position -> state map
                     table = lawrence._generator_moves(n, m, i, sign, conv)
-                    assert plain_moves(table) \
+                    assert len(table) == len(weight_states(n, m)), case
+                    assert plain_moves(state_moves(table, n, m)) \
                         == plain_moves(oracle_moves(want)), case
 
 
@@ -298,7 +316,7 @@ def test_truncated_trace_refuses_negative_letters():
 def test_truncated_trace_checks_integrality(monkeypatch):
     word = parse_braid("1")
     truncated_trace(word, 1, 5)  # caches the real generator's moves first
-    half_power = {(1,): [((1,), 1, QLaurent.one())]}
+    half_power = [[(0, 1, QLaurent.one())]]  # the one state (1,)
     monkeypatch.setattr(lawrence, "_generator_moves",
                         lambda n, m, i, sign, convention: half_power)
     with pytest.raises(VerificationError,
@@ -308,7 +326,7 @@ def test_truncated_trace_checks_integrality(monkeypatch):
 
 def test_truncated_trace_refuses_negative_costs(monkeypatch):
     # the min-plus pruning is exact only for moves of cost >= 0
-    below = {(1,): [((1,), -2, QLaurent.one())]}
+    below = [[(0, -2, QLaurent.one())]]  # the one state (1,)
     monkeypatch.setattr(lawrence, "_generator_moves",
                         lambda n, m, i, sign, convention: below)
     with pytest.raises(VerificationError,
@@ -370,8 +388,9 @@ def test_pruned_walks_match_mul_term_walk(text, order):
         tables = {v: lawrence._generator_moves(n, m, v, 1, HALF)
                   for v in set(word.letters)}
         walk = [tables[v] for v in word.letters]
-        for s, want in closed.items():
-            layers = lawrence._forward_layers(walk, s, trunc)
+        # closed runs over weight_states(n, m) in order, so s sits at k
+        for k, (s, want) in enumerate(closed.items()):
+            layers = lawrence._forward_layers(walk, k, trunc)
             if layers is None:
                 # a start state the forward pass drops had nothing to add
                 assert want.is_zero, (m, s)
@@ -379,12 +398,50 @@ def test_pruned_walks_match_mul_term_walk(text, order):
                 # a weight-m closed walk costs at least x^m, so the two
                 # stabilization weights above the order keep no start state
                 assert m <= order, (m, s)
-                got = walks.sum_paths(s, layers, trunc)
+                got = walks.sum_paths(k, layers, trunc)
                 assert XSeries._adopt(got, trunc) == want, (m, s)
                 # raw dicts, against the two passes it replaced
-                assert got == two_pass_sum(s, layers, trunc), (m, s)
+                assert got == two_pass_sum(k, layers, trunc), (m, s)
         oracle = sum(closed.values(), XSeries.zero(trunc))
         assert truncated_trace(word, m, trunc) == oracle, m
+
+
+def state_layers(layers, states):
+    """Forward-pass layers over positions, with each position replaced by
+    its state in `states`."""
+    return [({states[s]: cost for s, cost in reach.items()},
+             [(states[src], states[dst], xh, weight)
+              for src, dst, xh, weight in moves])
+            for reach, moves in layers]
+
+
+@pytest.mark.parametrize("text,order", WALK_CASES)
+def test_position_walk_matches_tuple_walk(text, order):
+    # per start state, the forward pass over positions keeps the same
+    # reach and the same moves in the same order as the tuple-state pass,
+    # and sums to the same raw table; so does the whole trace
+    word = parse_braid(text)
+    n = word.n
+    trunc = 2 * order + 1
+    closing = 0
+    for m in range(order + 3):
+        states = weight_states(n, m)
+        walk = [lawrence._generator_moves(n, m, v, 1, HALF)
+                for v in word.letters]
+        oracle_walk = tuple_walk(word, m)
+        for k, s in enumerate(states):
+            layers = lawrence._forward_layers(walk, k, trunc)
+            want = tuple_forward_layers(oracle_walk, s, trunc)
+            if layers is None:
+                assert want is None, (m, s)
+                continue
+            closing += 1
+            assert state_layers(layers, states) == want, (m, s)
+            assert walks.sum_paths(k, layers, trunc) \
+                == walks.sum_paths(s, want, trunc), (m, s)
+        assert truncated_trace_table(word, m, trunc) \
+            == tuple_truncated_trace_table(word, m, trunc), m
+    assert closing
 
 
 def cheapest_closed_walks(word, m):

@@ -1,5 +1,6 @@
 """Branched-surface chart of the return flow: strips, orbits, zeta."""
 
+import importlib
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from flowloop import (
 )
 from flowloop.braid import alexander_classical
 from flowloop.template import (
+    ORBIT_COUNT_LIMIT,
     ORBIT_DEPTH_LIMIT,
     Strip,
     Template,
@@ -22,10 +24,13 @@ from flowloop.template import (
     _cyclic_open,
     _is_primitive,
     _minimal_rotation,
+    _orbit_counts,
     zeta_denominator,
 )
 
 from conftest import CORPUS, EXTRA_KNOTS, xs
+
+template_module = importlib.import_module("flowloop.template")
 
 
 def test_cyclic_interval_helpers():
@@ -66,6 +71,51 @@ def test_orbit_search_runs_to_its_depth_limit_and_refuses_past_it():
                        rf"2 strands, past the orbit search depth limit of "
                        rf"{ORBIT_DEPTH_LIMIT} strips"):
         enumerate_orbits(t, deepest + 1)
+
+
+@pytest.mark.parametrize("text", CORPUS + EXTRA_KNOTS)
+def test_orbit_count_matches_the_search(text):
+    # the count from det(I - |A|(x)) against the orbits the search lists,
+    # degree by degree
+    t = build_template(parse_braid(text))
+    for max_degree in range(7):
+        census = Counter(o.degree for o in enumerate_orbits(t, max_degree))
+        assert _orbit_counts(t, max_degree) \
+            == [census[d] for d in range(max_degree + 1)], max_degree
+
+
+def test_orbit_count_refuses_a_degree_past_the_limit():
+    # fig8 up to degree 249 has about 7.8e101 primitive orbits; the count
+    # refuses it before the search lists any, and names the largest degree
+    # that fits
+    t = build_template(parse_braid("1 -2 1 -2"))
+    assert 10 ** 101 < sum(_orbit_counts(t, 249)) < 10 ** 102
+    assert sum(_orbit_counts(t, 14)) == 86414 <= ORBIT_COUNT_LIMIT
+    assert sum(_orbit_counts(t, 15)) > ORBIT_COUNT_LIMIT
+    for max_degree in (15, 249):
+        with pytest.raises(InputError, match=(
+                rf"^max_degree {max_degree} has more primitive orbits than "
+                rf"the orbit count limit of {ORBIT_COUNT_LIMIT}; max_degree "
+                rf"14 has 86414$")):
+            enumerate_orbits(t, max_degree)
+
+
+def test_orbit_count_limit_bounds_the_orbits_listed(monkeypatch):
+    # fig8 has 2, 2, 6, 10 and 24 primitive orbits of degrees 1 to 5, so
+    # the limit bounds the running total, not one degree's count: 20
+    # admits degree 4 (20 orbits in all), and 19 refuses it although no
+    # single degree up to 4 has more than 10
+    t = build_template(parse_braid("1 -2 1 -2"))
+    assert _orbit_counts(t, 5) == [0, 2, 2, 6, 10, 24]
+    monkeypatch.setattr(template_module, "ORBIT_COUNT_LIMIT", 20)
+    assert len(enumerate_orbits(t, 4)) == 20
+    with pytest.raises(InputError, match=r"^max_degree 5 .* limit of 20; "
+                       r"max_degree 4 has 20$"):
+        enumerate_orbits(t, 5)
+    monkeypatch.setattr(template_module, "ORBIT_COUNT_LIMIT", 19)
+    with pytest.raises(InputError, match=r"^max_degree 4 .* limit of 19; "
+                       r"max_degree 3 has 10$"):
+        enumerate_orbits(t, 4)
 
 
 def test_stabilized_trefoil_chart():

@@ -33,6 +33,7 @@ from conftest import (
     POSITIVE_KNOTS,
     benchmark_batch,
     closed_moves,
+    tuple_closed_amplitude,
     two_pass_sum,
     xs,
 )
@@ -848,6 +849,91 @@ def test_backward_sum_matches_two_pass_sum(text, order, monkeypatch):
     assert any(closing)
 
 
+def unpack(state, width, columns):
+    """The labels of a packed state, as a tuple of `columns` labels."""
+    low = (1 << width) - 1
+    return tuple((state >> k * width) & low for k in range(columns))
+
+
+@pytest.mark.parametrize("text,order", sorted(set(DP_CASES + EXACT_CASES)))
+def test_packed_dp_matches_tuple_dp(text, order, monkeypatch):
+    # per bottom, the forward pass over packed states keeps the same reach
+    # and the same moves in the same order as the tuple-state pass of the
+    # test-local oracle, and sums to the same raw table
+    word = parse_braid(text)
+    col_sign = zmod._column_signs(word)
+    trunc = 2 * order + 1
+    real = zmod._walks.sum_paths
+    passes = []
+
+    def spy(start, layers, trunc):
+        passes.append(layers)
+        return real(start, layers, trunc)
+
+    def labels(layers, state_labels):
+        return [({state_labels(s): cost for s, cost in reach.items()},
+                 [(state_labels(src), state_labels(dst), xh, coeff)
+                  for src, dst, xh, coeff in moves])
+                for reach, moves in layers]
+
+    monkeypatch.setattr(zmod._walks, "sum_paths", spy)
+    closing = 0
+    for cap in range(order - 2, order + 3):
+        limit = zmod._label_bound(trunc, cap)
+        width = zmod._field_width(limit)
+        cache, oracle_cache = {}, {}
+        for bottom in oracle_bottoms(word.n, cap):
+            passes.clear()
+            got = zmod._closed_amplitude(word, col_sign, bottom, trunc,
+                                         limit, cache)
+            want = tuple_closed_amplitude(word, col_sign, bottom, trunc,
+                                          limit, oracle_cache)
+            assert got == want, (bottom, cap)
+            # both sum a closed walk or neither does
+            assert len(passes) in (0, 2), (bottom, cap)
+            if passes:
+                closing += 1
+                packed, padded = passes
+                assert labels(packed, lambda s: unpack(s, width, word.n - 1)) \
+                    == labels(padded, lambda s: s[1:-1]), (bottom, cap)
+    assert closing
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_field_moves_splice_the_crossing_into_the_packed_state(data):
+    # every move of a crossing, read off the packed state's field and added
+    # as a delta, lands on the packed state of the spliced label tuple, and
+    # no field overflows into its neighbor
+    n = data.draw(st.integers(2, 6), label="n")
+    col_sign = tuple(data.draw(st.lists(st.sampled_from((1, -1)),
+                                        min_size=n - 1, max_size=n - 1)))
+    limit = data.draw(st.integers(0, 17), label="limit")
+    src_labels = tuple(data.draw(st.lists(st.integers(0, limit),
+                                          min_size=n - 1, max_size=n - 1)))
+    i = data.draw(st.integers(1, n - 1), label="i")
+    width = zmod._field_width(limit)
+    src = zmod._pack(src_labels, width)
+    assert 0 <= src < 1 << (n - 1) * width
+    assert unpack(src, width, n - 1) == src_labels
+    shift, mask = zmod._letter_field(i, width)
+    moves = zmod._field_moves(col_sign, i, (src >> shift) & mask, width,
+                              limit, {})
+    kinds = (0,) + col_sign + (0,)
+    padded = (0,) + src_labels + (0,)
+    key = (kinds[i], kinds[i - 1], kinds[i + 1],
+           padded[i - 1], padded[i], padded[i + 1], limit)
+    want = zmod._transitions(key, {})
+    assert [(xh, coeff) for _, xh, coeff in moves] \
+        == [(xh, coeff) for _, _, _, xh, coeff in want]
+    for (delta, _, _), (nL, nM, nR, _, _) in zip(moves, want):
+        dst = src + delta
+        spliced = (padded[:i - 1] + (nL, nM, nR) + padded[i + 2:])[1:-1]
+        assert 0 <= dst < 1 << (n - 1) * width, (spliced, dst)
+        assert unpack(dst, width, n - 1) == spliced
+        assert zmod._pack(spliced, width) == dst
+
+
 @settings(max_examples=50, deadline=None)
 @given(mixed_knot_words())
 def test_random_mixed_knots(word):
@@ -1033,8 +1119,8 @@ def test_trace_error_names_word_order_and_m_cut(monkeypatch):
     real = zmod._lawrence._generator_moves
 
     def half_shifted(n, m, i, sign, convention):
-        return {src: [(dst, xh + 1, weight) for dst, xh, weight in moves]
-                for src, moves in real(n, m, i, sign, convention).items()}
+        return [[(dst, xh + 1, weight) for dst, xh, weight in moves]
+                for moves in real(n, m, i, sign, convention)]
 
     phi_positive(parse_braid("1 1 1"), 4, m_cut=3)  # caches the real moves
     monkeypatch.setattr(zmod._lawrence, "_generator_moves", half_shifted)
