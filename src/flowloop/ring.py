@@ -27,6 +27,7 @@ equality) encodes the saddle-node and period-doubling cancellations.
 
 from dataclasses import dataclass
 import functools
+import types
 
 from .errors import InputError, VerificationError
 
@@ -514,17 +515,12 @@ class XSeries:
 
     def __eq__(self, other):
         if isinstance(other, XSeries):
-            return self.trunc == other.trunc and self._same_terms(other)
+            return self.trunc == other.trunc and self.terms == other.terms
         if isinstance(other, (int, QLaurent)):
             return self == self._coerce(other)
         return NotImplemented
 
     __hash__ = None
-
-    def _same_terms(self, other):
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[x] == other.terms[x] for x in self.terms)
 
     def render(self, var="x", tail=False):
         pieces = []
@@ -566,13 +562,15 @@ def _monomial(c, e):
     """The QLaurent c * q^(e/2) for c != 0.  While |c| and |e| are at most
     _SHARED_SPAN, every call returns the same object, made on first use,
     so kept series cost no dict for such a coefficient (most values of a
-    q = 1 series and most coefficients of Phi are one).  Sharing is safe
-    because no QLaurent's terms are ever mutated in place."""
+    q = 1 series and most coefficients of Phi are one).  A shared object's
+    terms are a read-only view, so an in-place add into them raises
+    TypeError instead of changing every series that holds it."""
     if -_SHARED_SPAN <= c <= _SHARED_SPAN and \
             -_SHARED_SPAN <= e <= _SHARED_SPAN:
         hit = _SHARED.get((c, e))
         if hit is None:
-            hit = _SHARED[c, e] = QLaurent._raw({e: c})
+            hit = _SHARED[c, e] = QLaurent._raw(
+                types.MappingProxyType({e: c}))
         return hit
     return QLaurent._raw({e: c})
 

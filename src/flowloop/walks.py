@@ -10,10 +10,11 @@ state dst that costs x^(x_half/2) and carries the q-weight `weight`, a
 QLaurent.  States are opaque hashable keys here; both engines make them
 small ints, since every dict lookup of the two passes hashes one: the
 trace walk names a weight state by its position in
-lawrence.weight_states, and the transfer DP packs a label vector into
-one int, one bit field per column (zhat._pack).  A walk takes one move
-per letter, and its weight is the product of its moves' weights times x
-to the sum of their costs.
+lawrence.weight_states, and the transfer DP packs a label vector,
+padded with a zero boundary field at each end, into one int, one bit
+field per column (zhat._pack).  A walk takes one move per letter, and its
+weight is the product of its moves' weights times x to the sum of their
+costs.
 
 Every cost is an integer >= 0, so a walk's cost never falls, and a walk
 of cost above trunc adds only terms that the truncated sum drops.  An

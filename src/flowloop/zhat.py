@@ -69,12 +69,14 @@ computed two ways:
   move of a closed path within trunc, so the sum is the one without
   them.  The q-weight of a crossing depends only on the middle column's
   sign, low and the two sheds, and is shared by every move that has them.
-  A state is one int: column i's label (its hat, for a negative column)
-  sits in bits [(i - 1) B, i B), B = _field_width(limit) bits for the
-  label bound `limit` of the run, and no move lands on a label above
-  limit, so no field overflows.  Per run and column, one dict maps the
-  bits of columns i - 1..i + 1 (one shift and one mask) to the crossing's
-  moves as (delta, x_half, coeff), and a move lands on state + delta.
+  A state is one int, the label tuple padded with a boundary 0 at each
+  end: column i's label (its hat, for a negative column) sits in bits
+  [i B, (i + 1) B), B = _field_width(limit) bits for the run's label bound
+  `limit`, and the boundary columns 0 and n read 0.  No move lands on a
+  label above limit, so no field overflows.  A crossing of any column i
+  reads columns i - 1..i + 1 as the 3 B bits from (i - 1) B up, and per
+  run and column one dict maps them to the crossing's moves as
+  (delta, x_half, coeff): a move lands on state + delta.
   The series work runs backward on raw {x_half: {q_half: coeff}} tables:
   each move adds its end's sum home times its weight into its source in
   place, truncated at trunc minus the cheapest cost to the source
@@ -168,11 +170,11 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
     Phi(m_cut + 2) = Phi(m_cut) + Delta with Delta = part(m_cut + 1) +
     part(m_cut + 2).  Those two parts go into a raw Delta table, and since
     Phi + Delta != Phi iff Delta != 0, the guard raises iff Delta is
-    nonempty: exactly when the old second run at m_cut + 2 would have
-    differed.  For m_cut >= order both weights lie above the order, so
-    their traces are empty and the guard passes; for m_cut < order the
-    ones up to the order are computed.  An order or m_cut whose start
-    states times letters pass PHI_WORK_LIMIT raises InputError."""
+    nonempty, that is iff Phi(m_cut + 2) != Phi(m_cut).  For m_cut >= order
+    both weights lie above the order, so their traces are empty and the
+    guard passes; for m_cut < order the ones up to the order are computed.
+    An order or m_cut whose start states times letters pass PHI_WORK_LIMIT
+    raises InputError."""
     stats = _braid.require_homogeneous_knot(word)
     if stats.cr_minus:
         raise InputError("phi_positive needs an all-positive word")
@@ -268,12 +270,6 @@ def _transitions(key, cache):
     out.sort(key=itemgetter(3))
     cache[key] = out
     return out
-
-
-def _column_signs(word):
-    """+1 or -1 for each of the word's n - 1 columns."""
-    stats = _braid.analyze(word)
-    return tuple(1 if s == "+" else -1 for s in stats.column_sign)
 
 
 @functools.cache
@@ -408,47 +404,36 @@ def _field_width(limit):
 
 
 def _pack(labels, width):
-    """The label vector as one int: label k (0-based) in bits
-    [k width, (k + 1) width)."""
+    """The label vector of columns 1..n - 1 as one int: column i's label in
+    bits [i width, (i + 1) width), with the boundary column 0's field,
+    bits [0, width), and everything from column n's field up left 0."""
     state = 0
     for label in reversed(labels):
-        state = (state << width) | label
+        state = (state | label) << width
     return state
-
-
-def _letter_field(i, width):
-    """(shift, mask) that read the labels of columns i - 1, i and i + 1 (the
-    ones a crossing of column i touches) out of a packed state: column 1
-    has no left neighbor, and the bits above column n - 1 are 0."""
-    if i == 1:
-        return 0, (1 << 2 * width) - 1
-    return (i - 2) * width, (1 << 3 * width) - 1
 
 
 def _field_moves(col_sign, i, field, width, limit, deltas):
     """The moves of a crossing of column i out of every state whose
-    columns i - 1..i + 1 read `field` (_letter_field), as
-    [(delta, x_half, coeff), ...] sorted by x_half: the move lands on
-    state + delta.  They are the moves of _transitions at cap = limit;
-    every label they land on is <= limit < 2^width, so no field of the
-    landed state overflows into its neighbor.  A delta depends only on the
-    sheds, so `deltas` keeps one int object per value, shared by every
-    move of the column that has it."""
+    columns i - 1..i + 1 read `field` (the 3 width bits from (i - 1) width
+    up), as [(delta, x_half, coeff), ...] sorted by x_half: the move lands
+    on state + delta.  They are the moves of _transitions at cap = limit;
+    a boundary neighbor has kind 0, so its label stays 0, and every label
+    they land on is <= limit < 2^width, so no field overflows into its
+    neighbor.  A delta depends only on the sheds, so `deltas` keeps one
+    int object per value, shared by every move of the column that has
+    it."""
     low = (1 << width) - 1
     kinds = (0,) + col_sign + (0,)
-    lL = 0
-    if i > 1:
-        lL, field = field & low, field >> width
-    lM, lR = field & low, field >> width
+    lL, lM, lR = field & low, (field >> width) & low, field >> 2 * width
     key = (kinds[i], kinds[i - 1], kinds[i + 1], lL, lM, lR, limit)
-    mid = (i - 1) * width
+    shift = (i - 1) * width
     out = []
     # the field table is this crossing's cache: a throwaway dict keeps
     # _transitions from holding every move list a second time
     for nL, nM, nR, xh, coeff in _transitions(key, {}):
-        delta = ((nM - lM) << mid) + ((nR - lR) << mid + width)
-        if i > 1:
-            delta += (nL - lL) << mid - width
+        delta = ((nL - lL) + ((nM - lM) << width)
+                 + ((nR - lR) << 2 * width)) << shift
         out.append((deltas.setdefault(delta, delta), xh, coeff))
     return out
 
@@ -458,11 +443,11 @@ def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
     weighted by the product of their crossing weights and truncated at
     x-half-degree trunc, as one {x_half: {q_half: coeff}} table.
 
-    A state is one int, the labels packed by _pack in fields of
-    _field_width(limit) bits.  cache holds, per column and limit, a table
-    that maps the field a crossing touches to its moves (_field_moves) and
-    the deltas those moves share, so a move is one dict lookup and one
-    add.
+    A state is one int, the padded label tuple packed by _pack in fields
+    of _field_width(limit) bits.  limit is fixed for a run, so cache holds,
+    per column, a table that maps the 3 fields a crossing touches to its
+    moves (_field_moves) and the deltas those moves share: a move is one
+    shift, one mask, one dict lookup and one add.
 
     The forward min-plus pass records each letter's moves and the
     cheapest cost to each state, and walks.sum_paths sums them backward,
@@ -484,14 +469,15 @@ def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
 
     # forward: cheapest cost from bottom to each state, and every move
     # that reaches its end within its letter's budget
+    mask = (1 << 3 * width) - 1
     layers = []
     reach = {start: 0}
     for i, budget in zip(letters, budgets):
-        column = cache.get((i, limit))
+        column = cache.get(i)
         if column is None:
-            column = cache[(i, limit)] = ({}, {})
+            column = cache[i] = ({}, {})
         table, deltas = column
-        shift, mask = _letter_field(i, width)
+        shift = (i - 1) * width
         moves = []
         nxt = {}
         for src, cost in reach.items():
@@ -519,12 +505,12 @@ def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
     return _walks.sum_paths(start, layers, trunc)
 
 
-def _phi_homogeneous_run(word, order, cap):
+def _phi_homogeneous_run(word, order, cap, col_sign):
     """Phi at cap from one DP run, accumulated in place as a raw table over
     the bottoms and the two axis sectors, and wrapped in an XSeries once
-    at the end."""
+    at the end.  col_sign is +1 or -1 for each of the word's n - 1
+    columns."""
     n = word.n
-    col_sign = _column_signs(word)
     col_plus = sum(1 for s in col_sign if s > 0)
     col_minus = n - 1 - col_plus
     trunc = 2 * order + 1
@@ -571,7 +557,8 @@ def phi_homogeneous(word, order, cap=None, stabilize=True):
     moves only ever carried terms that truncation would discard: the
     series is the same as that of the unpruned DP.  An order or cap whose
     bottoms times letters pass PHI_WORK_LIMIT raises InputError."""
-    _braid.require_homogeneous_knot(word)
+    stats = _braid.require_homogeneous_knot(word)
+    col_sign = tuple(1 if s == "+" else -1 for s in stats.column_sign)
     if cap is None:
         cap = order
     _require_nonnegative(order=order, cap=cap)
@@ -580,9 +567,10 @@ def phi_homogeneous(word, order, cap=None, stabilize=True):
     _require_work((bound + 1) ** (word.n - 1), "bottoms", word, order)
     where = _braid._where(word, order, cap)
     try:
-        phi = _phi_homogeneous_run(word, order, cap)
+        phi = _phi_homogeneous_run(word, order, cap, col_sign)
         unstable = (stabilize and cap < order
-                    and _phi_homogeneous_run(word, order, cap + 2) != phi)
+                    and _phi_homogeneous_run(word, order, cap + 2,
+                                             col_sign) != phi)
     except VerificationError as exc:
         raise VerificationError(f"{exc} in {where}") from exc
     if unstable:

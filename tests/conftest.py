@@ -5,7 +5,7 @@ from operator import itemgetter
 
 import pytest
 
-from flowloop import QLaurent, XSeries
+from flowloop import QLaurent, XSeries, analyze
 from flowloop import lawrence, walks
 from flowloop.ring import xs_addmul_term_into
 
@@ -180,6 +180,11 @@ def tuple_truncated_trace_table(word, m, trunc):
             xs_addmul_term_into(tr, walks.sum_paths(s, layers, trunc),
                                 {0: 1}, 0, trunc)
     return tr
+
+
+def column_signs(word):
+    """+1 or -1 for each of the word's n - 1 columns."""
+    return tuple(1 if s == "+" else -1 for s in analyze(word).column_sign)
 
 
 def tuple_closed_amplitude(word, col_sign, bottom, trunc, limit, cache):

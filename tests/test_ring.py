@@ -146,6 +146,16 @@ def test_adopted_small_monomials_are_shared():
     assert big.specialize_q1().terms[0] is not big.specialize_q1().terms[0]
 
 
+def test_shared_monomials_are_read_only():
+    # an in-place add into a shared coefficient would change every series
+    # that holds it, so its terms refuse the write
+    shared = ring._monomial(-1, -10)
+    with pytest.raises(TypeError):
+        ring.ql_add_into(shared.terms, {-8: -1})
+    assert shared.terms == {-10: -1}
+    assert ring._monomial(-1, -10) is shared
+
+
 # ---------------------------------------------------------------------------
 # QLaurent basics
 
@@ -432,6 +442,12 @@ def test_render_with_tail():
 def test_equality_ignores_trunc_marker_only_terms():
     assert xs({0: {0: 1}}, trunc=5) == xs({0: {0: 1}}, trunc=5)
     assert xs({0: {0: 1}}, trunc=5) != xs({0: {0: 2}}, trunc=5)
+    assert xs({0: {0: 1}}, trunc=5) != xs({0: {0: 1}}, trunc=7)
+    assert xs({0: {0: 1}}, trunc=5) != xs({0: {0: 1}, 2: {0: 1}}, trunc=5)
+    assert xs({0: {0: 1}, 2: {0: 1}}, trunc=5) != xs({0: {0: 1}}, trunc=5)
+    # a shared read-only coefficient equals a plain one with its terms
+    assert XSeries._adopt({4: {4: -1}}, 9) == xs({4: {4: -1}}, trunc=9)
+    assert xs({4: {4: -1}}, trunc=9) == XSeries._adopt({4: {4: -1}}, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from conftest import (
     POSITIVE_KNOTS,
     benchmark_batch,
     closed_moves,
+    column_signs,
     tuple_closed_amplitude,
     two_pass_sum,
     xs,
@@ -480,7 +481,7 @@ def oracle_phi(word, order, cap, prune=False, rule=None):
     """Phi at cap from the oracle DP over every bottom of the composition
     filter."""
     n = word.n
-    col_sign = zmod._column_signs(word)
+    col_sign = column_signs(word)
     col_plus = sum(1 for s in col_sign if s > 0)
     col_minus = n - 1 - col_plus
     trunc = 2 * order + 1
@@ -586,7 +587,7 @@ DP_CASES = PRUNING_CASES + [("n=4; -1 -1 -1 3 2", 4)]
 @pytest.mark.parametrize("text,order", DP_CASES)
 def test_pruned_dp_matches_unpruned_on_every_bottom(text, order):
     word = parse_braid(text)
-    col_sign = zmod._column_signs(word)
+    col_sign = column_signs(word)
     trunc = 2 * order + 1
     oracle_cache = {}
     for cap in (order - 2, order, order + 2):
@@ -629,7 +630,7 @@ def check_bottom_bounds(word, order, cap):
     Returns how many bottoms the window bound dropped, how many reached
     states the budgets exclude although they are within trunc, and how
     many forward moves the budgets spared."""
-    col_sign = zmod._column_signs(word)
+    col_sign = column_signs(word)
     letters = [abs(v) for v in word.letters]
     live = zmod._live_edges(letters, col_sign)
     trunc = 2 * order + 1
@@ -706,9 +707,9 @@ def test_guard_reruns_only_below_the_order(monkeypatch):
     real = zmod._phi_homogeneous_run
     caps = []
 
-    def spy(word, order, cap):
+    def spy(word, order, cap, col_sign):
         caps.append(cap)
-        return real(word, order, cap)
+        return real(word, order, cap, col_sign)
 
     monkeypatch.setattr(zmod, "_phi_homogeneous_run", spy)
     word = parse_braid("1 -2 1 -2")
@@ -726,7 +727,7 @@ def assert_high_bottoms_cost_past_trunc(word, order):
     """Every bottom b with sum b > 2 order, up to the bottoms that Phi at
     order + 2 starts from, has 2 W(b) > trunc: the lemma that lets
     phi_homogeneous skip its rerun at cap >= order."""
-    col_sign = zmod._column_signs(word)
+    col_sign = column_signs(word)
     live = zmod._live_edges([abs(v) for v in word.letters], col_sign)
     trunc = 2 * order + 1
     checked = 0
@@ -786,7 +787,7 @@ def test_in_place_dp_matches_series_walk(text, order, reading, monkeypatch):
     # (_label_bound, _window_bound, _letter_budgets) switched off: the
     # in-place sums must not depend on the moves they are given
     word = parse_braid(text)
-    col_sign = zmod._column_signs(word)
+    col_sign = column_signs(word)
     trunc = 2 * order + 1
     if reading == "reversed":
         monkeypatch.setattr(zmod, "_transitions", reversed_transitions)
@@ -802,7 +803,7 @@ def test_in_place_dp_matches_series_walk(text, order, reading, monkeypatch):
         tables = [zmod._closed_amplitude(word, col_sign, bottom, trunc,
                                          limit, cache)
                   for bottom in bottoms]
-        phi = zmod._phi_homogeneous_run(word, order, cap)
+        phi = zmod._phi_homogeneous_run(word, order, cap, col_sign)
         with monkeypatch.context() as patch:
             patch.setattr(zmod._walks, "sum_paths", series_walk)
             cache = {}
@@ -828,7 +829,7 @@ def test_backward_sum_matches_two_pass_sum(text, order, monkeypatch):
     # per bottom, the one backward series pass against the two passes it
     # replaced, as raw dicts: no empty x-term, no zero coefficient
     word = parse_braid(text)
-    col_sign = zmod._column_signs(word)
+    col_sign = column_signs(word)
     trunc = 2 * order + 1
     real = zmod._walks.sum_paths
     closing = []
@@ -849,19 +850,23 @@ def test_backward_sum_matches_two_pass_sum(text, order, monkeypatch):
     assert any(closing)
 
 
-def unpack(state, width, columns):
-    """The labels of a packed state, as a tuple of `columns` labels."""
+def unpack(state, width, n):
+    """The padded label tuple of a packed state: the fields of columns
+    0..n, the boundary columns 0 and n included.  Nothing may sit above
+    column n's field."""
+    assert state >> (n + 1) * width == 0, state
     low = (1 << width) - 1
-    return tuple((state >> k * width) & low for k in range(columns))
+    return tuple((state >> k * width) & low for k in range(n + 1))
 
 
 @pytest.mark.parametrize("text,order", sorted(set(DP_CASES + EXACT_CASES)))
 def test_packed_dp_matches_tuple_dp(text, order, monkeypatch):
     # per bottom, the forward pass over packed states keeps the same reach
-    # and the same moves in the same order as the tuple-state pass of the
-    # test-local oracle, and sums to the same raw table
+    # and the same moves in the same order as the padded-tuple pass of the
+    # test-local oracle, and sums to the same raw table: every packed state
+    # is the bit image of its padded tuple, boundary zeros included
     word = parse_braid(text)
-    col_sign = zmod._column_signs(word)
+    col_sign = column_signs(word)
     trunc = 2 * order + 1
     real = zmod._walks.sum_paths
     passes = []
@@ -894,44 +899,56 @@ def test_packed_dp_matches_tuple_dp(text, order, monkeypatch):
             if passes:
                 closing += 1
                 packed, padded = passes
-                assert labels(packed, lambda s: unpack(s, width, word.n - 1)) \
-                    == labels(padded, lambda s: s[1:-1]), (bottom, cap)
+                assert labels(packed, lambda s: unpack(s, width, word.n)) \
+                    == labels(padded, lambda s: s), (bottom, cap)
     assert closing
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_field_moves_splice_the_crossing_into_the_packed_state(data):
-    # every move of a crossing, read off the packed state's field and added
-    # as a delta, lands on the packed state of the spliced label tuple, and
-    # no field overflows into its neighbor
-    n = data.draw(st.integers(2, 6), label="n")
-    col_sign = tuple(data.draw(st.lists(st.sampled_from((1, -1)),
-                                        min_size=n - 1, max_size=n - 1)))
-    limit = data.draw(st.integers(0, 17), label="limit")
-    src_labels = tuple(data.draw(st.lists(st.integers(0, limit),
-                                          min_size=n - 1, max_size=n - 1)))
-    i = data.draw(st.integers(1, n - 1), label="i")
+def assert_moves_splice(col_sign, src_labels, limit):
+    """_pack is the bit image of the label tuple padded with a boundary 0
+    at each end: the field read at (i - 1) B is the padded triple of
+    columns i - 1..i + 1 for every column i, 1 and n - 1 included, and
+    every move of the crossing, added as a delta, lands on the packed
+    state of the spliced padded tuple, with bits [0, B) and everything
+    from bit n B up still zero."""
+    n = len(src_labels) + 1
     width = zmod._field_width(limit)
-    src = zmod._pack(src_labels, width)
-    assert 0 <= src < 1 << (n - 1) * width
-    assert unpack(src, width, n - 1) == src_labels
-    shift, mask = zmod._letter_field(i, width)
-    moves = zmod._field_moves(col_sign, i, (src >> shift) & mask, width,
-                              limit, {})
+    low = (1 << width) - 1
     kinds = (0,) + col_sign + (0,)
     padded = (0,) + src_labels + (0,)
-    key = (kinds[i], kinds[i - 1], kinds[i + 1],
-           padded[i - 1], padded[i], padded[i + 1], limit)
-    want = zmod._transitions(key, {})
-    assert [(xh, coeff) for _, xh, coeff in moves] \
-        == [(xh, coeff) for _, _, _, xh, coeff in want]
-    for (delta, _, _), (nL, nM, nR, _, _) in zip(moves, want):
-        dst = src + delta
-        spliced = (padded[:i - 1] + (nL, nM, nR) + padded[i + 2:])[1:-1]
-        assert 0 <= dst < 1 << (n - 1) * width, (spliced, dst)
-        assert unpack(dst, width, n - 1) == spliced
-        assert zmod._pack(spliced, width) == dst
+    src = zmod._pack(src_labels, width)
+    assert src & low == 0 and src >> n * width == 0
+    assert unpack(src, width, n) == padded
+    for i in range(1, n):
+        field = (src >> (i - 1) * width) & ((1 << 3 * width) - 1)
+        assert field == (padded[i - 1] | padded[i] << width
+                         | padded[i + 1] << 2 * width), i
+        moves = zmod._field_moves(col_sign, i, field, width, limit, {})
+        key = (kinds[i], kinds[i - 1], kinds[i + 1],
+               padded[i - 1], padded[i], padded[i + 1], limit)
+        want = zmod._transitions(key, {})
+        assert [(xh, coeff) for _, xh, coeff in moves] \
+            == [(xh, coeff) for _, _, _, xh, coeff in want]
+        for (delta, _, _), (nL, nM, nR, _, _) in zip(moves, want):
+            dst = src + delta
+            spliced = padded[:i - 1] + (nL, nM, nR) + padded[i + 2:]
+            assert dst & low == 0 and dst >> n * width == 0, (i, spliced)
+            assert unpack(dst, width, n) == spliced
+            assert zmod._pack(spliced[1:-1], width) == dst
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_field_moves_splice_the_crossing_into_the_packed_state(data):
+    # every limit up to 17, so every field width 1..5 and both sides of
+    # each width step (2^k - 1 and 2^k), with n from 2 to 6
+    for limit in range(18):
+        n = data.draw(st.integers(2, 6), label="n")
+        col_sign = tuple(data.draw(st.lists(
+            st.sampled_from((1, -1)), min_size=n - 1, max_size=n - 1)))
+        src_labels = tuple(data.draw(st.lists(
+            st.integers(0, limit), min_size=n - 1, max_size=n - 1)))
+        assert_moves_splice(col_sign, src_labels, limit)
 
 
 @settings(max_examples=50, deadline=None)
