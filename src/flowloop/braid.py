@@ -8,22 +8,25 @@ when every column 1..n-1 is nonempty and single-signed; those are the
 words the flow-loop machinery accepts (their closures are fibered links).
 
 The q = 1 layer works on raw {x_half: int} tables, the layout of
-QLaurent.terms.  The reduced Burau route rewrites one row of its product
-per letter through ring.ql_add_into; the weight-rep route takes each
-distinct m = 1 generator matrix to q = 1 once, packs its entries into
-integers (Kronecker substitution under a proven coefficient bound) and
-composes those with lawrence.compose.  Both end in _det, one determinant
-also shared by the template zeta, which packs every entry the same way
-and eliminates in Z.  _axis_quotient, the q = 1 series (1 - x^k)/P(x) of
-both (1 - x)/Delta and the zeta, is an integer recurrence over a list; it
-refuses an order whose work passes Q1_WORK_LIMIT before allocating.
-Objects are made only for the determinant and the outputs.
+QLaurent.terms.  The reduced Burau route rewrites one row of its product,
+kept between two empty rows, per letter through ring.ql_add_into; the
+weight-rep route takes each distinct m = 1 generator matrix to q = 1
+once, packs its entries into integers (Kronecker substitution under a
+proven coefficient bound) and composes those with lawrence.compose.
+Both end in _det, one determinant also shared by the template zeta,
+which packs every entry the same way and eliminates in Z.
+_axis_quotient, the q = 1 series (1 - x^k)/P(x) of both (1 - x)/Delta
+and the zeta, is an integer recurrence over a list.  Both refuse, before
+they start, work estimated past Q1_WORK_LIMIT; their callers add the word
+and order to their errors.  Objects are made only for the determinant
+and the outputs.
 """
 
 import re
 from dataclasses import dataclass
 
 from .errors import InputError, ParseError, VerificationError
+from .errors import require_nonnegative
 from .ring import QLaurent, XSeries, _monomial, ql_add_into
 
 _PREFIX = re.compile(r"^n\s*=\s*([+-]?\d+)\s*;\s*(.*)$", re.S)
@@ -164,13 +167,18 @@ def analyze(word):
     )
 
 
-def require_homogeneous_knot(word):
-    """analyze(word), or InputError unless the word is homogeneous and its
-    closure a knot: the words every Phi route and the Alexander route
-    accept."""
+def require_homogeneous(word):
+    """analyze(word), or InputError unless the word is homogeneous."""
     stats = analyze(word)
     if not stats.is_homogeneous:
         raise InputError(f"braid word {render_word(word)} is not homogeneous")
+    return stats
+
+
+def require_homogeneous_knot(word):
+    """require_homogeneous(word), or InputError unless the closure is also a
+    knot: the words every Phi route and the Alexander route accept."""
+    stats = require_homogeneous(word)
     if stats.closure_components != 1:
         raise InputError(
             f"closure has {stats.closure_components} components, need a knot"
@@ -194,9 +202,9 @@ def _where(word, order, cap=None, m_cut=None):
 # {x_half: int} table (the layout of QLaurent.terms, exponents counting
 # halves of x); only _det and the outputs make QLaurent/XSeries objects.
 
-# (1 - x^k)/P(x) to x^order takes (2 order + 2) x (terms of P) steps of
-# _axis_quotient; past this many it refuses the order before it allocates
-# anything.  The corpus at order 400 needs under 10^4.
+# Steps of _axis_quotient ((2 order + 2) x terms of P) and of _det (about
+# 0.4 us each); past this many either refuses before it starts.  The corpus
+# at order 400 needs under 10^4, every determinant tested under 5 10^4.
 Q1_WORK_LIMIT = 10 ** 6
 
 
@@ -267,8 +275,11 @@ def _det(mat):
     nonzero rows, so its norm is at most B as well, and a nonzero
     polynomial with coefficients below 2^(K - 1) does not vanish at 2^K.)
 
-    K comes from B, never from a guess.  One determinant, shared by both
-    Alexander routes and the template zeta.
+    K comes from B, never from a guess.  Elimination makes about k^3/3
+    products of entries of up to k K bits, each about (k K / 64)^2 word
+    products, a thousand of which (0.4 us on a 2-core Xeon) make one step;
+    past Q1_WORK_LIMIT steps _det raises InputError before packing.  One
+    determinant, shared by both Alexander routes and the template zeta.
     """
     k = len(mat)
     if k == 0:
@@ -277,6 +288,11 @@ def _det(mat):
     if not bound:
         return QLaurent.zero()
     K = bound.bit_length() + 2
+    work = k ** 3 * (k * K // 64) ** 2 // 3000
+    if work > Q1_WORK_LIMIT:
+        raise InputError(f"a {k} x {k} determinant of {K}-bit packed "
+                         f"coefficients needs about {work} elimination "
+                         f"steps, past Q1_WORK_LIMIT = {Q1_WORK_LIMIT}")
     low = 0
     m = []
     for row in mat:
@@ -330,31 +346,29 @@ def _normalize_alexander(d, word, order):
 def _burau_reduced(word):
     """Reduced Burau matrix of the word at t = x, as x-half tables.
 
-    Generator i differs from the identity only in row r = i - 1, so
-    g P replaces row r of the running product P with
+    The running product P sits between empty rows 0 and n.  Generator i
+    differs from the identity only in row i, so g P replaces row i with
 
-        sigma_i:       -t P[r] + t P[r-1] + P[r+1]
-        sigma_i^(-1):  -t^(-1) P[r] + P[r-1] + t^(-1) P[r+1]
+        sigma_i:       -t P[i] + t P[i-1] + P[i+1]
+        sigma_i^(-1):  -t^(-1) P[i] + P[i-1] + t^(-1) P[i+1]
 
-    (rows outside 0..n-2 dropped): at most three shifted rows per letter,
-    each entry scaled by a unit and added by ring.ql_add_into.
+    three shifted rows per letter, each entry scaled by a unit and added
+    by ring.ql_add_into.
     """
     k = word.n - 1
-    prod = [[{0: 1} if r == c else {} for c in range(k)] for r in range(k)]
+    prod = [[]] + [[{0: 1} if r == c else {} for c in range(k)]
+                   for r in range(k)] + [[]]  # rows 0 and n stay empty
     for v in word.letters:
-        r = abs(v) - 1
+        i = abs(v)
         t = 2 if v > 0 else -2  # half-exponent of t^(+-1)
-        parts = [(prod[r], t, -1)]
-        if r > 0:
-            parts.append((prod[r - 1], t if v > 0 else 0, 1))
-        if r < k - 1:
-            parts.append((prod[r + 1], 0 if v > 0 else t, 1))
         row = [{} for _ in range(k)]
-        for src, shift, scale in parts:
+        for src, shift, scale in ((prod[i], t, -1),
+                                  (prod[i - 1], t if v > 0 else 0, 1),
+                                  (prod[i + 1], 0 if v > 0 else t, 1)):
             for acc, entry in zip(row, src):
                 ql_add_into(acc, entry, scale, shift)
-        prod[r] = row
-    return prod
+        prod[i] = row
+    return prod[1:-1]
 
 
 def _burau_alexander_matrix(word):
@@ -437,15 +451,17 @@ def alexander_classical(word, order):
 
     Computed independently from the q = 1 weight-graded representation and
     from the reduced Burau matrix; the two must agree exactly.  Every
-    VerificationError names the word and the order.  An order past
-    Q1_WORK_LIMIT raises InputError.
+    VerificationError names the word and the order.  An order or a
+    determinant whose work passes Q1_WORK_LIMIT raises InputError.
     """
-    if order < 0:
-        raise InputError("order must be >= 0")
+    require_nonnegative(order=order)
     stats = require_homogeneous_knot(word)
     where = _where(word, order)
-    d_rep = _alexander_weight_rep(word, order, stats)
-    d_bur = _alexander_burau(word, order)
+    try:  # _det names neither the word nor the order
+        d_rep = _alexander_weight_rep(word, order, stats)
+        d_bur = _alexander_burau(word, order)
+    except InputError as exc:
+        raise InputError(f"{exc} in {where}") from exc
     if d_rep != d_bur:
         raise VerificationError(
             f"Alexander routes disagree for {where}: weight-rep gives "
@@ -468,7 +484,10 @@ def alexander_classical(word, order):
             f"Alexander polynomial of {where} has |Delta(1)| != 1: "
             f"{delta.render('x')}"
         )
-    inv = _axis_quotient(1, delta.terms, order)
+    try:
+        inv = _axis_quotient(1, delta.terms, order)
+    except VerificationError as exc:
+        raise VerificationError(f"{exc} in {where}") from exc
     if inv.coeff(0) != QLaurent.one():
         raise VerificationError(
             f"(1-x)/Delta of {where} does not start with 1")

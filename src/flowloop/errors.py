@@ -11,3 +11,11 @@ class VerificationError(RuntimeError):
     disagreement, stabilization failure).  A bug, except for a stabilization
     failure at a cutoff the caller set below the default: that cutoff is
     too small for the word."""
+
+
+def require_nonnegative(**values):
+    """InputError naming the first of the keyword arguments that is
+    negative: the one refusal of a negative order, cap, weight or degree."""
+    for name, value in values.items():
+        if value < 0:
+            raise InputError(f"{name} must be >= 0, got {value}")

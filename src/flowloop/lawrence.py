@@ -6,9 +6,9 @@ the left neighbor and c off the right into the middle,
 
     (a_{i-1}, a_i, a_{i+1}) -> (a_{i-1}-b, a_i+b+c, a_{i+1}-c),
 
-summed over 0 <= b <= a_{i-1}, 0 <= c <= a_{i+1} (boundary columns have no
-neighbor on that side and the corresponding shed is pinned to 0).  Two
-weight conventions are supported:
+summed over 0 <= b <= a_{i-1}, 0 <= c <= a_{i+1}, where the columns 0 and
+n past either end hold 0, so nothing is shed from there.  Two weight
+conventions are supported:
 
   half   (-1)^{a_i} q^{(a_i^2 + a_i+b+c)/2} [a_i+b+c; a_i,b,c]_q
          x^{(2a_i+b+c)/2}
@@ -47,8 +47,8 @@ pass and in walks.sum_paths hashes a small int.  _generator_mirror maps the
 positions back to tuples for GradedMatrix, so matrices, dumps and traces
 read as before.
 
-Weights are m >= 0: generator_matrix (so also rep_matrix), graded_trace
-and truncated_trace_table refuse a negative one with InputError.
+Weights are m >= 0: generator_matrix, rep_matrix, graded_trace and
+truncated_trace_table refuse a negative one with InputError.
 """
 
 import functools
@@ -59,7 +59,7 @@ from operator import itemgetter
 from . import braid as _braid
 from . import walks as _walks
 from ._parallel import parallel_map
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, require_nonnegative
 from .ring import (
     QLaurent,
     XSeries,
@@ -75,11 +75,6 @@ UNDER = "under"
 def _check_convention(convention):
     if convention not in (HALF, UNDER):
         raise InputError(f"unknown convention {convention!r}")
-
-
-def _check_weight(m):
-    if m < 0:
-        raise InputError(f"weight m must be >= 0, got m={m}")
 
 
 @functools.cache
@@ -211,20 +206,14 @@ def _generator_moves(n, m, i, sign, convention):
     position = {s: k for k, s in enumerate(states)}
     table = []
     for s in states:
-        L = s[i - 2] if i > 1 else 0
-        A = s[i - 1]
-        R = s[i] if i < n - 1 else 0
+        p = (0,) + s + (0,)  # columns 0 and n hold 0 and shed nothing
+        L, A, R = p[i - 1:i + 2]
         moves = []
         for b in range(L + 1):
             for c in range(R + 1):
-                t = list(s)
-                if i > 1:
-                    t[i - 2] = L - b
-                t[i - 1] = A + b + c
-                if i < n - 1:
-                    t[i] = R - c
+                t = p[:i - 1] + (L - b, A + b + c, R - c) + p[i + 2:]
                 coeff, xh = weight(A, b, c, convention)
-                moves.append((position[tuple(t)], xh, coeff))
+                moves.append((position[t[1:-1]], xh, coeff))
         moves.sort(key=itemgetter(1))
         table.append(moves)
     return table
@@ -318,7 +307,7 @@ def _mirror_validated(convention):
 def generator_matrix(n, m, i, sign, convention=HALF):
     """Matrix of generator i (sign +1/-1) on weight_states(n, m)."""
     _check_convention(convention)
-    _check_weight(m)
+    require_nonnegative(m=m)
     if not 1 <= i <= n - 1:
         raise InputError(f"generator index {i} out of range for n={n}")
     if sign not in (1, -1):
@@ -335,6 +324,7 @@ def generator_matrix(n, m, i, sign, convention=HALF):
 def rep_matrix(word, m, convention=HALF):
     """Product of generator matrices over the word (left letter first)."""
     _check_convention(convention)
+    require_nonnegative(m=m)
     acc = GradedMatrix.identity(word.n, m)
     for v in word.letters:
         g = generator_matrix(word.n, m, abs(v), 1 if v > 0 else -1, convention)
@@ -348,8 +338,7 @@ def graded_trace(word, m_max, convention=HALF):
     For knot closures the half x-powers must cancel; that integrality is
     asserted rather than assumed."""
     _check_convention(convention)
-    if m_max < 0:
-        raise InputError("m_max must be >= 0")
+    require_nonnegative(m_max=m_max)
     is_knot = _braid.analyze(word).closure_components == 1
 
     def one_trace(m):
@@ -360,8 +349,8 @@ def graded_trace(word, m_max, convention=HALF):
         for m, tr in enumerate(traces):
             if not tr.x_integral:
                 raise VerificationError(
-                    f"trace at weight {m} kept half x-powers: {tr.render()}"
-                )
+                    f"trace of {_braid.render_word(word)} at weight {m} "
+                    f"kept half x-powers: {tr.render()}")
     return traces
 
 
@@ -441,7 +430,7 @@ def truncated_trace_table(word, m, trunc):
             f"truncated_trace_table needs an all-positive word, got "
             f"{_braid.render_word(word)}"
         )
-    _check_weight(m)
+    require_nonnegative(m=m)
     n = word.n
     tables = {v: _generator_moves(n, m, v, 1, HALF)
               for v in set(word.letters)}

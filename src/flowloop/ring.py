@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import functools
 import types
 
-from .errors import InputError, VerificationError
+from .errors import VerificationError, require_nonnegative
 
 
 def _signed_sum(pieces):
@@ -676,8 +676,7 @@ def saddle_node_identity(f, order):
     that the returned series equals 1."""
     if not isinstance(f, Framing):
         raise TypeError("f must be a Framing")
-    if order < 0:
-        raise InputError("order must be >= 0")
+    require_nonnegative(order=order)
     trunc = 2 * order + 1
     out = XSeries.zero(trunc)
     n = 0
@@ -701,8 +700,7 @@ def period_doubling_identity(f, order):
     truncated at x^order.  The contract is lhs == rhs (even/odd split)."""
     if not isinstance(f, Framing):
         raise TypeError("f must be a Framing")
-    if order < 0:
-        raise InputError("order must be >= 0")
+    require_nonnegative(order=order)
     trunc = 2 * order + 1
     lhs = XSeries.zero(trunc)
     n = 0

@@ -52,7 +52,7 @@ sign +1 (_orbit_counts), are more than ORBIT_COUNT_LIMIT.
 from dataclasses import dataclass
 
 from . import braid as _braid
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, require_nonnegative
 from .ring import ql_add_into
 
 
@@ -134,11 +134,7 @@ def _cyclic_open(a, b, c):
 
 
 def build_template(word):
-    stats = _braid.analyze(word)
-    if not stats.is_homogeneous:
-        raise InputError(
-            f"braid word {_braid.render_word(word)} is not homogeneous"
-        )
+    _braid.require_homogeneous(word)
     letters = word.letters
     c = len(letters)
     cols = [abs(v) for v in letters]
@@ -208,12 +204,9 @@ def _orbit_counts(template, max_degree):
     c_d = sum_{e | d} e p_e, and Moebius inversion gives each p_d from c_d
     and the p_e of the proper divisors e of d.  P has constant term 1
     (_check_no_free_cycle), so -x P'/P is an integer power series."""
-    k = template.branch_count
-    mat = [[{0: 1} if r == c else {} for c in range(k)] for r in range(k)]
-    for s in template.strips:
-        ql_add_into(mat[s.src][s.dst], {2 * s.mark: 1}, -1)
     poly = [0] * (max_degree + 1)
-    for x_half, coeff in _braid._det(mat).terms.items():
+    det = _braid._det(zeta_matrix(template, signed=False))
+    for x_half, coeff in det.terms.items():
         if x_half // 2 <= max_degree:
             poly[x_half // 2] = coeff
     series = [0] * (max_degree + 1)  # -x P'/P, c_d at index d
@@ -242,12 +235,11 @@ def enumerate_orbits(template, max_degree):
     at most (max_degree + 1)(L + 1) strips and the search terminates.  In a
     built template only leftward sheds are free and those strictly
     decrease the column, so L <= n - 2.  Above ORBIT_DEPTH_LIMIT strips,
-    counting (max_degree + 1) max(n - 1, L + 1), or with more than
-    ORBIT_COUNT_LIMIT primitive orbits to list (_orbit_counts), the search
-    is refused with an InputError before it starts.
+    counting (max_degree + 1) max(n - 1, L + 1), past ORBIT_COUNT_LIMIT
+    primitive orbits, or past braid.Q1_WORK_LIMIT to count them
+    (_orbit_counts), the search is refused with an InputError first.
     """
-    if max_degree < 0:
-        raise InputError("max_degree must be >= 0")
+    require_nonnegative(max_degree=max_degree)
     free_run = _check_no_free_cycle(template)
     longest = (max_degree + 1) * max(template.n - 1, free_run + 1)
     if longest > ORBIT_DEPTH_LIMIT:
@@ -256,8 +248,13 @@ def enumerate_orbits(template, max_degree):
             f"{longest} strips on {template.n} strands, past the orbit "
             f"search depth limit of {ORBIT_DEPTH_LIMIT} strips"
         )
+    try:
+        counts = _orbit_counts(template, max_degree)
+    except InputError as exc:
+        raise InputError(f"{exc} in {_braid.render_word(template.word)} "
+                         f"at max_degree {max_degree}") from exc
     listed = 0
-    for degree, count in enumerate(_orbit_counts(template, max_degree)):
+    for degree, count in enumerate(counts):
         if listed + count > ORBIT_COUNT_LIMIT:
             raise InputError(
                 f"max_degree {max_degree} has more primitive orbits than "
@@ -337,13 +334,14 @@ def _check_no_free_cycle(template):
     return max(run, default=0)
 
 
-def zeta_matrix(template):
+def zeta_matrix(template, signed=True):
     """I - A(x) over branch lines, as {x_half: int} tables (exponents
-    count halves of x)."""
+    count halves of x); unsigned, I - |A|(x) with every strip sign +1."""
     k = template.branch_count
     mat = [[{0: 1} if r == c else {} for c in range(k)] for r in range(k)]
     for s in template.strips:
-        ql_add_into(mat[s.src][s.dst], {2 * s.mark: 1}, 1 if s.twist else -1)
+        ql_add_into(mat[s.src][s.dst], {2 * s.mark: 1},
+                    1 if signed and s.twist else -1)
     return mat
 
 
@@ -356,10 +354,16 @@ def zeta_denominator(template):
 def zeta_classical(word, order):
     """(1 - x^n) * prod over primitive orbits of (1 - sign x^deg)^{-1},
     computed as (1 - x^n)/det(I - A(x)) and truncated at x^order; equals
-    the q = 1 loop count of the closure.  An order past
-    braid.Q1_WORK_LIMIT raises InputError."""
-    if order < 0:
-        raise InputError("order must be >= 0")
+    the q = 1 loop count of the closure.  An order or a determinant whose
+    work passes braid.Q1_WORK_LIMIT raises InputError."""
+    require_nonnegative(order=order)
     template = build_template(word)
-    return _braid._axis_quotient(template.n,
-                                 zeta_denominator(template).terms, order)
+    try:  # _det names neither the word nor the order
+        denominator = zeta_denominator(template).terms
+    except InputError as exc:
+        raise InputError(f"{exc} in {_braid._where(word, order)}") from exc
+    try:
+        return _braid._axis_quotient(template.n, denominator, order)
+    except VerificationError as exc:
+        raise VerificationError(
+            f"{exc} in {_braid._where(word, order)}") from exc

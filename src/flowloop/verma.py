@@ -19,7 +19,7 @@ import functools
 
 from . import braid as _braid
 from . import lawrence as _lawrence
-from .errors import VerificationError
+from .errors import VerificationError, require_nonnegative
 from .ring import QLaurent, XSeries, qbinom
 
 
@@ -85,7 +85,7 @@ def tensor_action(word, m):
     tensor power; cols[src][dst] = entry.  Each distinct letter's matrix
     on the sector is read off the cached pair braidings, and
     lawrence.compose applies the letters in turn."""
-    _lawrence._check_weight(m)
+    require_nonnegative(m=m)
     if any(v < 0 for v in word.letters) and not _mirror_ok():
         raise VerificationError(
             "mirrored braiding does not invert R; "

@@ -72,10 +72,11 @@ computed two ways:
   A state is one int, the label tuple padded with a boundary 0 at each
   end: column i's label (its hat, for a negative column) sits in bits
   [i B, (i + 1) B), B = _field_width(limit) bits for the run's label bound
-  `limit`, and the boundary columns 0 and n read 0.  No move lands on a
-  label above limit, so no field overflows.  A crossing of any column i
-  reads columns i - 1..i + 1 as the 3 B bits from (i - 1) B up, and per
-  run and column one dict maps them to the crossing's moves as
+  `limit`, and the boundary columns 0 and n read 0, columns of kind 0 that
+  shed nothing, so one rule serves every crossing (_transitions).  No move
+  lands on a label above limit, so no field overflows.  A crossing of any
+  column i reads columns i - 1..i + 1 as the 3 B bits from (i - 1) B up,
+  and per run and column one dict maps them to the crossing's moves as
   (delta, x_half, coeff): a move lands on state + delta.
   The series work runs backward on raw {x_half: {q_half: coeff}} tables:
   each move adds its end's sum home times its weight into its source in
@@ -106,7 +107,7 @@ from operator import itemgetter
 from . import braid as _braid
 from . import lawrence as _lawrence
 from . import walks as _walks
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, require_nonnegative
 from .ring import QLaurent, XSeries, qbinom, qtrinom, xs_addmul_term_into
 
 # Phi takes one forward step per start state and letter: on the DP route
@@ -116,12 +117,6 @@ from .ring import QLaurent, XSeries, qbinom, qtrinom, xs_addmul_term_into
 # order or cap before it builds any state.  The benchmark items need at
 # most 3,645.
 PHI_WORK_LIMIT = 10 ** 6
-
-
-def _require_nonnegative(**values):
-    for name, value in values.items():
-        if value < 0:
-            raise InputError(f"{name} must be >= 0")
 
 
 def _require_work(starts, kind, word, order):
@@ -181,7 +176,7 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
     if m_cut is None:
         m_cut = order
     # m_cut is this route's cap: zhat and the CLI pass their cap as m_cut
-    _require_nonnegative(order=order, cap=m_cut)
+    require_nonnegative(order=order, cap=m_cut)
     n = word.n
     top = min(m_cut + 2 if stabilize else m_cut, order)
     _require_work(comb(top + n - 1, n - 1), "start states", word, order)
@@ -232,35 +227,25 @@ def _transitions(key, cache):
     """All moves of one crossing: key = (mid_sign, kindL, kindR, lL, lM, lR,
     cap); returns [(nL, nM, nR, x_half, coeff), ...] sorted by x_half.
 
-    kind* is the neighbor column's sign, or 0 for no neighbor (boundary).
-    Sheds are counted in true-label units: a positive neighbor's label
-    drops by the shed, a negative neighbor's hat rises by it.  Every label
-    a move lands on is <= cap and its weight does not depend on cap, so
-    the moves at a smaller cap are those whose landed labels stay within
-    it."""
+    kind* is a neighbor's column sign, or 0 for the boundary past either
+    end, which holds label 0.  A neighbor of kind k goes from l to
+    l - k shed: a positive label drops to >= 0, a negative hat rises to
+    <= cap, and the boundary sheds nothing.  Every label a move lands on
+    is <= cap and its weight does not depend on cap, so the moves at a
+    smaller cap are those whose landed labels stay within it."""
     hit = cache.get(key)
     if hit is not None:
         return hit
     mid_sign, kindL, kindR, lL, lM, lR, cap = key
-
-    def shed_range(kind, label):
-        if kind == 0:
-            return (0,)
-        if kind > 0:
-            return range(label + 1)  # label drops, stays >= 0
-        return range(cap - label + 1)  # hat rises, stays <= cap
-
     out = []
-    for b in shed_range(kindL, lL):
-        for c in shed_range(kindR, lR):
-            v = lM - b - c if mid_sign < 0 else lM + b + c
+    for b in range((lL if kindL >= 0 else cap - lL) + 1):
+        for c in range((lR if kindR >= 0 else cap - lR) + 1):
+            v = lM + mid_sign * (b + c)
             if v < 0 or v > cap:
                 continue
             coeff = _crossing_weight(mid_sign, min(lM, v), b, c)
-            nL = (lL - b) if kindL > 0 else (lL + b if kindL else lL)
-            nR = (lR - c) if kindR > 0 else (lR + c if kindR else lR)
-            # conserved charge m~ = sum_+ labels - sum_- hats (every kind
-            # is +-1, or 0 for a boundary, whose label never moves); its
+            nL, nR = lL - kindL * b, lR - kindR * c
+            # conserved charge m~ = sum_+ labels - sum_- hats; its
             # conservation is the telescoping of the per-column
             # q^{(hat_above - hat_below)/2} factors around a closed braid
             if mid_sign * (v - lM) + kindL * (nL - lL) + kindR * (nR - lR):
@@ -313,9 +298,9 @@ def _label_bound(trunc, cap):
 
 
 def _live_edges(letters, col_sign):
-    """For each edge (i, i + 1) of the column path, whether it is live:
-    each of the two columns has a crossing of the other inside its own
-    window.  letters are the word's columns (|letter|).
+    """For each edge (i, i + 1), i = 0..n - 2, whether it is live: each of
+    its columns has a crossing of the other inside its own window; the
+    boundary column 0 has none.  letters are the word's columns (|letter|).
 
     A column's window is the part of the word in which it can shed label
     before the cut at the bottom is reached: for a positive column the
@@ -326,13 +311,13 @@ def _live_edges(letters, col_sign):
         own = [j for j, c in enumerate(letters) if c == i]
         windows.append(set(letters[:own[0]] if sign > 0
                            else letters[own[-1] + 1:]))
-    return tuple(i + 1 in windows[i - 1] and i in windows[i]
-                 for i in range(1, len(col_sign)))
+    return (False,) + tuple(i + 1 in windows[i - 1] and i in windows[i]
+                            for i in range(1, len(col_sign)))
 
 
 def _window_bound(bottom, live):
     """W(b): the largest sum of the labels of a set of columns that never
-    holds both ends of a live edge (a path DP over the columns).
+    holds both ends of a live edge (path DP; live[i] joins columns i, i + 1).
 
     Every closed path bottom -> bottom costs at least 2 W(b) in x-half
     units, so a bottom with 2 W(b) > trunc carries nothing.  Proof.  A
@@ -357,7 +342,7 @@ def _window_bound(bottom, live):
     the min terms of I being those of distinct crossings."""
     take = skip = 0  # the best set with / without the previous column
     for i, label in enumerate(bottom):
-        if i and live[i - 1]:
+        if live[i]:
             take, skip = skip + label, max(take, skip)
         else:
             skip = max(take, skip)
@@ -418,11 +403,11 @@ def _field_moves(col_sign, i, field, width, limit, deltas):
     columns i - 1..i + 1 read `field` (the 3 width bits from (i - 1) width
     up), as [(delta, x_half, coeff), ...] sorted by x_half: the move lands
     on state + delta.  They are the moves of _transitions at cap = limit;
-    a boundary neighbor has kind 0, so its label stays 0, and every label
-    they land on is <= limit < 2^width, so no field overflows into its
-    neighbor.  A delta depends only on the sheds, so `deltas` keeps one
-    int object per value, shared by every move of the column that has
-    it."""
+    a boundary neighbor has kind 0 and label 0, so it sheds nothing, and
+    every label they land on is <= limit < 2^width, so no field overflows
+    into its neighbor.  A delta depends only on the sheds, so `deltas`
+    keeps one int object per value, shared by every move of the column
+    that has it."""
     low = (1 << width) - 1
     kinds = (0,) + col_sign + (0,)
     lL, lM, lR = field & low, (field >> width) & low, field >> 2 * width
@@ -561,7 +546,7 @@ def phi_homogeneous(word, order, cap=None, stabilize=True):
     col_sign = tuple(1 if s == "+" else -1 for s in stats.column_sign)
     if cap is None:
         cap = order
-    _require_nonnegative(order=order, cap=cap)
+    require_nonnegative(order=order, cap=cap)
     top = cap + 2 if stabilize else cap
     bound = _label_bound(2 * order + 1, top)
     _require_work((bound + 1) ** (word.n - 1), "bottoms", word, order)
@@ -651,9 +636,11 @@ def reference_series(model, order):
 
     These are independent of the transfer machinery and pin both the
     per-crossing weights and the axis sectors."""
-    _require_nonnegative(order=order)
+    require_nonnegative(order=order)
     trunc = 2 * order + 1
     acc = XSeries.zero(trunc)
+    one_minus_x = XSeries({0: QLaurent.one(), 2: QLaurent.monomial(-1, 0)},
+                          trunc)
     if model == "trefoil_braid":
         a = 0
         while 3 * a <= order:
@@ -676,9 +663,6 @@ def reference_series(model, order):
                 if a % 2:
                     coeff = -coeff
                 acc = acc + XSeries.monomial(coeff, 2 * (2 * a + b), trunc)
-        one_minus_x = XSeries(
-            {0: QLaurent.one(), 2: QLaurent.monomial(-1, 0)}, trunc
-        )
         return one_minus_x * acc
     if model == "fig8_braid":
         for a in range(order + 1):
@@ -734,9 +718,6 @@ def reference_series(model, order):
                             * qbinom(c + d, c)
                         ).shift(2 * c * c)
                         acc = acc + XSeries.monomial(coeff, 2 * deg, trunc)
-        one_minus_x = XSeries(
-            {0: QLaurent.one(), 2: QLaurent.monomial(-1, 0)}, trunc
-        )
         return one_minus_x * acc
     raise InputError(
         f"unknown model {model!r}; pick one of {', '.join(REFERENCE_MODELS)}"

@@ -1,6 +1,7 @@
 """Braid parsing, closure statistics, and the two Alexander routes."""
 
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from flowloop import (
     VerificationError,
     XSeries,
     analyze,
+    enumerate_orbits,
     parse_braid,
     render_word,
     zeta_classical,
@@ -32,7 +34,7 @@ from flowloop.braid import (
     alexander_classical,
     closure_permutation,
 )
-from flowloop.template import zeta_denominator, zeta_matrix
+from flowloop.template import _orbit_counts, zeta_denominator, zeta_matrix
 
 from conftest import CORPUS, EXTRA_KNOTS, benchmark_batch, ql, xs
 
@@ -603,6 +605,65 @@ def test_q1_work_limit_leaves_a_tenfold_margin_at_order_400():
         det = zeta_denominator(build_template(word))
         for terms in (len(delta.terms), len(det.terms)):
             assert 10 * (2 * 400 + 2) * terms <= Q1_WORK_LIMIT
+
+
+@pytest.mark.parametrize("route", (alexander_classical, zeta_classical),
+                         ids=["alexander", "zeta"])
+def test_q1_quotient_errors_name_word_and_order(monkeypatch, route):
+    # a planted constant term 2, which _axis_quotient refuses
+    real = bmod._axis_quotient
+    monkeypatch.setattr(bmod, "_axis_quotient",
+                        lambda k, poly, order: real(k, {**poly, 0: 2}, order))
+    with pytest.raises(VerificationError, match=(
+            r"^inverse: constant term 2 is not a unit monomial in "
+            r"n=3; 1 -2 1 -2 at order 4$")):
+        route(parse_braid("1 -2 1 -2"), 4)
+
+
+def unknot(n):
+    return parse_braid(" ".join(str(i) for i in range(1, n)))
+
+
+# the q = 1 routes of the `alexander` and `orbits` commands
+Q1_ROUTES = [
+    (lambda w: alexander_classical(w, 4), "order 4"),
+    (lambda w: zeta_classical(w, 4), "order 4"),
+    (lambda w: enumerate_orbits(build_template(w), 2), "max_degree 2"),
+]
+
+
+@pytest.mark.parametrize("route,at", Q1_ROUTES,
+                         ids=["alexander", "zeta", "orbits"])
+def test_q1_routes_refuse_huge_determinants(route, at):
+    # the 120-strand unknot's 119 x 119 determinants take tens of seconds
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=(
+            r"^a 119 x 119 determinant of \d+-bit packed coefficients needs "
+            rf"about \d+ elimination steps, past Q1_WORK_LIMIT = "
+            rf"{Q1_WORK_LIMIT} in n=120; 1 2 3 .* 118 119 at {at}$")):
+        route(unknot(120))
+    assert time.perf_counter() - start < 1
+
+
+def test_q1_routes_compute_a_40_strand_unknot():
+    word = unknot(40)
+    delta, inv = alexander_classical(word, 4)
+    assert delta == XSeries.one() and inv == zeta_classical(word, 4)
+    orbits = enumerate_orbits(build_template(word), 2)
+    assert len(orbits) == sum(_orbit_counts(build_template(word), 2))
+
+
+def test_det_work_limit_is_the_work_estimate(monkeypatch):
+    # the 40-strand unknot's Burau matrix: k = 39 rows of K = 64-bit packed
+    # coefficients, 39^3 (39 * 64 // 64)^2 // 3000 = 30074 steps
+    mat = _burau_alexander_matrix(unknot(40))
+    monkeypatch.setattr(bmod, "Q1_WORK_LIMIT", 30074)
+    assert _det(mat) == -QLaurent({2 * j: 1 for j in range(40)})
+    monkeypatch.setattr(bmod, "Q1_WORK_LIMIT", 30073)
+    with pytest.raises(InputError, match=(
+            r"^a 39 x 39 determinant of 64-bit packed coefficients needs "
+            r"about 30074 elimination steps, past Q1_WORK_LIMIT = 30073$")):
+        _det(mat)
 
 
 def test_alexander_analyzes_the_word_once(monkeypatch):

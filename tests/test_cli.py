@@ -181,13 +181,18 @@ def test_convention_flag_does_not_change_traces(capsys):
         ["trace", "--braid", "1 1 1", "--mmax", "-1"],
         ["phi", "--braid", "1 1 1", "--cap", "-1"],
         ["phi", "--braid", "1 -2 1 -2", "--debug-mirror"],  # no such flag
+        ["orbits", "--braid", "1 1 1", "--max-degree", "-1"],
     ],
 )
 def test_input_errors_exit_1(capsys, argv):
     assert main(argv) == 1
-    if "--cap" in argv:
-        # both routes name the flag the caller set
-        assert capsys.readouterr().err == "error: cap must be >= 0\n"
+    if "-1" in argv:
+        # one refusal format, naming the parameter the flag sets; both Phi
+        # routes name the cap
+        name = {"--order": "order", "--cap": "cap", "--mmax": "m_max",
+                "--max-degree": "max_degree"}[argv[argv.index("-1") - 1]]
+        assert capsys.readouterr().err == \
+            f"error: {name} must be >= 0, got -1\n"
 
 
 def test_orbits_refuses_a_degree_past_the_depth_limit(capsys):

@@ -16,7 +16,7 @@ from flowloop import (
     phi_positive,
 )
 from flowloop import lawrence, walks
-from flowloop.braid import analyze
+from flowloop.braid import BraidWord, analyze
 from flowloop.lawrence import (
     HALF,
     UNDER,
@@ -324,6 +324,20 @@ def test_truncated_trace_checks_integrality(monkeypatch):
         truncated_trace(word, 1, 5)
 
 
+def test_graded_trace_integrality_error_names_the_word(monkeypatch):
+    # every generator entry planted as x^(1/2): the knot's traces then keep
+    # half x-powers
+    def half_power(n, m, i, sign, convention):
+        return lawrence.GradedMatrix(n, m, {
+            s: {s: XSeries.monomial(QLaurent.one(), 1)}
+            for s in weight_states(n, m)})
+
+    monkeypatch.setattr(lawrence, "_generator_mirror", half_power)
+    with pytest.raises(VerificationError, match=(
+            r"^trace of n=2; 1 at weight 0 kept half x-powers: ")):
+        graded_trace(parse_braid("1"), 1)
+
+
 def test_truncated_trace_refuses_negative_costs(monkeypatch):
     # the min-plus pruning is exact only for moves of cost >= 0
     below = [[(0, -2, QLaurent.one())]]  # the one state (1,)
@@ -533,14 +547,19 @@ def test_negative_weights_are_refused():
     word = parse_braid("1 1 1")
     assert weight_states(2, -1) == weight_states(3, -1) == []
     assert lawrence.dim(2, -1) == 0
-    with pytest.raises(InputError, match="m=-1"):
+    with pytest.raises(InputError, match="^m must be >= 0, got -1$"):
         generator_matrix(2, -1, 1, 1)
-    with pytest.raises(InputError, match="m=-3"):
+    with pytest.raises(InputError, match="^m must be >= 0, got -3$"):
         rep_matrix(word, -3)
-    with pytest.raises(InputError, match="m=-1"):
+    # the letterless word calls no generator_matrix, so rep_matrix checks
+    with pytest.raises(InputError, match="^m must be >= 0, got -1$"):
+        rep_matrix(BraidWord(2, ()), -1)
+    with pytest.raises(InputError, match="^m must be >= 0, got -1$"):
         truncated_trace(word, -1, 5)
-    with pytest.raises(InputError, match="m=-1"):
+    with pytest.raises(InputError, match="^m must be >= 0, got -1$"):
         lawrence.truncated_trace_table(word, -1, -5)
+    with pytest.raises(InputError, match="^m_max must be >= 0, got -1$"):
+        graded_trace(word, -1)
 
 
 def table_negative_weight(A, b, c, convention):

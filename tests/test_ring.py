@@ -470,7 +470,7 @@ def test_period_doubling_sides_agree(f):
 @pytest.mark.parametrize("identity", (saddle_node_identity,
                                       period_doubling_identity))
 def test_identities_refuse_a_negative_order(identity):
-    with pytest.raises(InputError, match="^order must be >= 0$"):
+    with pytest.raises(InputError, match="^order must be >= 0, got -1$"):
         identity(Framing(1), -1)
 
 

@@ -40,6 +40,11 @@ def test_cyclic_interval_helpers():
     assert _cyclic_open(0, 1, 4) == []
 
 
+def test_zeta_refuses_a_negative_order():
+    with pytest.raises(InputError, match="^order must be >= 0, got -1$"):
+        zeta_classical(parse_braid("1 1 1"), -1)
+
+
 def test_minimal_rotation_and_primitivity():
     assert _minimal_rotation((2, 0, 1)) == (0, 1, 2)
     assert _minimal_rotation((1, 0, 1, 0)) == (0, 1, 0, 1)

@@ -149,5 +149,5 @@ def test_kohno_lhs_is_the_flagged_trace():
 
 @pytest.mark.parametrize("fn", (tensor_action, tensor_trace))
 def test_negative_weights_are_refused(fn):
-    with pytest.raises(InputError, match=r"^weight m must be >= 0, got m=-1$"):
+    with pytest.raises(InputError, match=r"^m must be >= 0, got -1$"):
         fn(parse_braid("1 1 1"), -1)

@@ -15,6 +15,7 @@ from flowloop import (
     VerificationError,
     XSeries,
     analyze,
+    build_template,
     parse_braid,
     phi_homogeneous,
     phi_positive,
@@ -100,7 +101,7 @@ def test_reference_series_rejects_unknown_model():
 
 @pytest.mark.parametrize("model", REFERENCE_MODELS)
 def test_reference_series_refuses_a_negative_order(model):
-    with pytest.raises(InputError, match="^order must be >= 0$"):
+    with pytest.raises(InputError, match="^order must be >= 0, got -1$"):
         reference_series(model, -1)
 
 
@@ -136,6 +137,11 @@ def test_phi_rejects_links_and_inhomogeneous():
             with pytest.raises(InputError) as exc:
                 route(parse_braid(text), 3)
             assert str(exc.value) == message, (route.__name__, text)
+    # the template takes links too, so it uses the homogeneity half alone
+    with pytest.raises(InputError,
+                       match="^braid word n=2; 1 -1 is not homogeneous$"):
+        build_template(parse_braid("1 -1"))
+    assert build_template(parse_braid("1 1")).branch_count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +378,50 @@ def test_need_is_the_smallest_cap_of_a_move():
                 key = (mid_sign, kindL, kindR, lL, lM, lR, cap)
                 assert zmod._transitions(key, {}) == [
                     m for m in at_top if max(m[:3]) <= cap], key
+
+
+def branchy_transitions(key):
+    """The crossing rule with a branch for the boundary and one per sign
+    of the middle and of each neighbor (test oracle for zhat._transitions,
+    which reads the boundary as a column of kind 0 and label 0)."""
+    mid_sign, kindL, kindR, lL, lM, lR, cap = key
+
+    def shed_range(kind, label):
+        if kind == 0:
+            return (0,)
+        if kind > 0:
+            return range(label + 1)  # label drops, stays >= 0
+        return range(cap - label + 1)  # hat rises, stays <= cap
+
+    out = []
+    for b in shed_range(kindL, lL):
+        for c in shed_range(kindR, lR):
+            v = lM - b - c if mid_sign < 0 else lM + b + c
+            if v < 0 or v > cap:
+                continue
+            nL = (lL - b) if kindL > 0 else (lL + b if kindL else lL)
+            nR = (lR - c) if kindR > 0 else (lR + c if kindR else lR)
+            out.append((nL, v, nR, lM + v,
+                        zmod._crossing_weight(mid_sign, min(lM, v), b, c)))
+    out.sort(key=itemgetter(3))
+    return out
+
+
+def test_transitions_match_the_branchy_rule():
+    # every key up to cap 6: both middle signs, neighbor kinds +1/0/-1 and
+    # every label within the cap, a boundary (kind 0) holding label 0
+    keys = 0
+    for cap in range(7):
+        for mid_sign, kindL, kindR in product((1, -1), (1, 0, -1),
+                                              (1, 0, -1)):
+            for lL, lM, lR in product(range(cap + 1), repeat=3):
+                if (kindL == 0 and lL) or (kindR == 0 and lR):
+                    continue
+                key = (mid_sign, kindL, kindR, lL, lM, lR, cap)
+                assert zmod._transitions(key, {}) == \
+                    branchy_transitions(key), key
+                keys += 1
+    assert keys == 7448
 
 
 def three_branch_weight(mid_sign, reversed_mid, u, b, c):
