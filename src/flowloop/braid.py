@@ -458,8 +458,10 @@ def alexander_classical(word, order):
     stats = require_homogeneous_knot(word)
     where = _where(word, order)
     try:  # _det names neither the word nor the order
-        d_rep = _alexander_weight_rep(word, order, stats)
+        # Burau first: its matrix is cheap to build, so a determinant past
+        # Q1_WORK_LIMIT is refused before the weight-rep matrix is composed
         d_bur = _alexander_burau(word, order)
+        d_rep = _alexander_weight_rep(word, order, stats)
     except InputError as exc:
         raise InputError(f"{exc} in {where}") from exc
     if d_rep != d_bur:

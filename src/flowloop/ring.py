@@ -356,9 +356,9 @@ class XSeries:
     @classmethod
     def _adopt(cls, table, trunc):
         # internal: wrap an {x_half: {q_half: coeff}} table that has no
-        # empty entry, no zero coefficient and nothing above trunc,
-        # adopting its dicts without copying; a small monomial becomes the
-        # shared _monomial, so a kept result holds no dict for it
+        # empty entry, no zero coefficient and nothing above trunc, with
+        # each coefficient copied by _adopt_coeff; a small monomial becomes
+        # the shared _monomial, so a kept result holds no dict for it
         return cls._raw({x: _adopt_coeff(t) for x, t in table.items()},
                         trunc)
 
@@ -576,12 +576,15 @@ def _monomial(c, e):
 
 
 def _adopt_coeff(terms):
-    """QLaurent adopting the {q_half: coeff} dict terms, or the shared
-    _monomial when terms has one entry."""
+    """QLaurent of a fresh copy of the {q_half: coeff} dict terms, or the
+    shared _monomial when terms has one entry.  The copy is built entry by
+    entry, so it is sized to its entries (dict(terms) may clone the
+    table's larger hash table): a kept result neither aliases the table
+    nor keeps its slack."""
     if len(terms) == 1:
         ((e, c),) = terms.items()
         return _monomial(c, e)
-    return QLaurent._raw(terms)
+    return QLaurent._raw({e: c for e, c in terms.items()})
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,11 @@ computed two ways:
   shed nothing, so one rule serves every crossing (_transitions).  No move
   lands on a label above limit, so no field overflows.  A crossing of any
   column i reads columns i - 1..i + 1 as the 3 B bits from (i - 1) B up,
-  and per run and column one dict maps them to the crossing's moves as
-  (delta, x_half, coeff): a move lands on state + delta.
+  and one table per process, column, kinds of columns i - 1..i + 1 and
+  limit (_column_table) maps them to the crossing's moves as
+  (delta, x_half, coeff), one tuple per (delta, x_half): a move lands on
+  state + delta.  The table is filled on first use and shared by every
+  word and run with that key.
   The series work runs backward on raw {x_half: {q_half: coeff}} tables:
   each move adds its end's sum home times its weight into its source in
   place, truncated at trunc minus the cheapest cost to the source
@@ -170,9 +173,13 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
     guard passes; for m_cut < order the ones up to the order are computed.
     An order or m_cut whose start states times letters pass PHI_WORK_LIMIT
     raises InputError."""
-    stats = _braid.require_homogeneous_knot(word)
-    if stats.cr_minus:
+    if _braid.require_homogeneous_knot(word).cr_minus:
         raise InputError("phi_positive needs an all-positive word")
+    return _phi_positive(word, order, m_cut, stabilize)
+
+
+def _phi_positive(word, order, m_cut, stabilize):
+    """phi_positive past its gate: word is an all-positive knot word."""
     if m_cut is None:
         m_cut = order
     # m_cut is this route's cap: zhat and the CLI pass their cap as m_cut
@@ -398,41 +405,70 @@ def _pack(labels, width):
     return state
 
 
-def _field_moves(col_sign, i, field, width, limit, deltas):
+@functools.cache
+def _column_table(kinds, i, limit):
+    """The memo of the crossings of column i at label bound limit, whose
+    columns i - 1..i + 1 have kinds kinds (0 for the boundary): a dict,
+    filled on first use, that maps the 3 fields a crossing reads to its
+    moves (_field_moves), and the dict that interns those moves.
+
+    A field's moves depend on nothing else: not on the word, the order,
+    the cap or the bottom, so one table serves every run in the process
+    that has a crossing of column i with these kinds at this limit."""
+    return {}, {}
+
+
+def _field_moves(col_sign, i, field, limit, interned):
     """The moves of a crossing of column i out of every state whose
-    columns i - 1..i + 1 read `field` (the 3 width bits from (i - 1) width
-    up), as [(delta, x_half, coeff), ...] sorted by x_half: the move lands
-    on state + delta.  They are the moves of _transitions at cap = limit;
-    a boundary neighbor has kind 0 and label 0, so it sheds nothing, and
-    every label they land on is <= limit < 2^width, so no field overflows
-    into its neighbor.  A delta depends only on the sheds, so `deltas`
-    keeps one int object per value, shared by every move of the column
-    that has it."""
+    columns i - 1..i + 1 read `field` (the 3 B bits from (i - 1) B up,
+    B = _field_width(limit)), as a tuple of (delta, x_half, coeff) sorted
+    by x_half: the move lands on state + delta.  They are the moves of
+    _transitions at cap = limit; a boundary neighbor has kind 0 and label
+    0, so it sheds nothing, and every label they land on is <= limit <
+    2^B, so no field overflows into its neighbor.
+
+    `interned` keeps one tuple per (delta, x_half), shared by every field
+    of the column's table.  Within the table the kinds are fixed, so each
+    field of delta has a fixed sign and a magnitude below 2^B, and delta
+    gives the sheds b and c; x_half = 2 low + b + c then gives low, and
+    b, c and low fix the weight."""
+    width = _field_width(limit)
     low = (1 << width) - 1
     kinds = (0,) + col_sign + (0,)
     lL, lM, lR = field & low, (field >> width) & low, field >> 2 * width
     key = (kinds[i], kinds[i - 1], kinds[i + 1], lL, lM, lR, limit)
     shift = (i - 1) * width
     out = []
-    # the field table is this crossing's cache: a throwaway dict keeps
+    # the column table is this crossing's cache: a throwaway dict keeps
     # _transitions from holding every move list a second time
     for nL, nM, nR, xh, coeff in _transitions(key, {}):
         delta = ((nL - lL) + ((nM - lM) << width)
                  + ((nR - lR) << 2 * width)) << shift
-        out.append((deltas.setdefault(delta, delta), xh, coeff))
-    return out
+        out.append(interned.setdefault((delta, xh), (delta, xh, coeff)))
+    return tuple(out)
 
 
-def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
+def _letter_tables(letters, col_sign, limit):
+    """Per letter, the (shift, table, interned) of its column at label
+    bound limit: the column's field offset (i - 1) B and its
+    _column_table."""
+    width = _field_width(limit)
+    kinds = (0,) + col_sign + (0,)
+    return [((i - 1) * width,) + _column_table(kinds[i - 1:i + 2], i, limit)
+            for i in letters]
+
+
+def _closed_amplitude(letters, tables, col_sign, bottom, trunc, limit):
     """The closed label paths bottom -> bottom with every label <= limit,
     weighted by the product of their crossing weights and truncated at
     x-half-degree trunc, as one {x_half: {q_half: coeff}} table.
 
-    A state is one int, the padded label tuple packed by _pack in fields
-    of _field_width(limit) bits.  limit is fixed for a run, so cache holds,
-    per column, a table that maps the 3 fields a crossing touches to its
-    moves (_field_moves) and the deltas those moves share: a move is one
-    shift, one mask, one dict lookup and one add.
+    letters are the word's columns (|letter|) and tables their
+    _letter_tables at limit.  A state is one int, the padded label tuple
+    packed by _pack in fields of _field_width(limit) bits, and each
+    letter's column table maps the 3 fields a crossing touches to its
+    moves (_field_moves): a move is one shift, one mask, one dict lookup
+    and one add.
 
     The forward min-plus pass records each letter's moves and the
     cheapest cost to each state, and walks.sum_paths sums them backward,
@@ -448,8 +484,6 @@ def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
         return {}
     width = _field_width(limit)
     start = _pack(bottom, width)
-
-    letters = [abs(letter) for letter in word.letters]
     budgets = _letter_budgets(letters, col_sign, bottom, trunc)
 
     # forward: cheapest cost from bottom to each state, and every move
@@ -457,20 +491,16 @@ def _closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
     mask = (1 << 3 * width) - 1
     layers = []
     reach = {start: 0}
-    for i, budget in zip(letters, budgets):
-        column = cache.get(i)
-        if column is None:
-            column = cache[i] = ({}, {})
-        table, deltas = column
-        shift = (i - 1) * width
+    for i, (shift, table, interned), budget in zip(letters, tables,
+                                                   budgets):
         moves = []
         nxt = {}
         for src, cost in reach.items():
             field = (src >> shift) & mask
             out = table.get(field)
             if out is None:
-                out = table[field] = _field_moves(col_sign, i, field, width,
-                                                  limit, deltas)
+                out = table[field] = _field_moves(col_sign, i, field, limit,
+                                                  interned)
             for delta, xh, coeff in out:
                 to = cost + xh
                 if to > budget:
@@ -500,13 +530,15 @@ def _phi_homogeneous_run(word, order, cap, col_sign):
     col_minus = n - 1 - col_plus
     trunc = 2 * order + 1
     limit = _label_bound(trunc, cap)
-    live = _live_edges([abs(letter) for letter in word.letters], col_sign)
-    cache = {}
+    letters = [abs(letter) for letter in word.letters]
+    live = _live_edges(letters, col_sign)
+    tables = _letter_tables(letters, col_sign, limit)
     phi = {}
     for bottom in _bottoms(n, cap, limit):
         if 2 * _window_bound(bottom, live) > trunc:
             continue  # every closed path from it costs more than trunc
-        amp = _closed_amplitude(word, col_sign, bottom, trunc, limit, cache)
+        amp = _closed_amplitude(letters, tables, col_sign, bottom, trunc,
+                                limit)
         if not amp:
             continue
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
@@ -541,8 +573,20 @@ def phi_homogeneous(word, order, cap=None, stabilize=True):
     and terms above the truncation are dropped anyway, so the pruned
     moves only ever carried terms that truncation would discard: the
     series is the same as that of the unpruned DP.  An order or cap whose
-    bottoms times letters pass PHI_WORK_LIMIT raises InputError."""
-    stats = _braid.require_homogeneous_knot(word)
+    bottoms times letters pass PHI_WORK_LIMIT raises InputError.
+
+    The DP's column tables (_column_table) outlive the call: the process
+    keeps every table it has built, one per column, kinds of columns
+    i - 1..i + 1 and label bound, and a table's fields grow like
+    (bound + 1)^3 (n=4; 1 -2 1 -3 -2 at order 16 leaves 1.7 MB).
+    _column_table.cache_clear() frees them."""
+    return _phi_homogeneous(word, _braid.require_homogeneous_knot(word),
+                            order, cap, stabilize)
+
+
+def _phi_homogeneous(word, stats, order, cap, stabilize):
+    """phi_homogeneous past its gate: stats is the word's BraidStats from
+    braid.require_homogeneous_knot."""
     col_sign = tuple(1 if s == "+" else -1 for s in stats.column_sign)
     if cap is None:
         cap = order
@@ -601,17 +645,19 @@ def zhat(word, order, cap=None):
     shifted.
 
     This is the one place that picks a Phi route: phi_positive for an
-    all-positive word, phi_homogeneous otherwise."""
+    all-positive word, phi_homogeneous otherwise.  The latter keeps its
+    column tables for the rest of the process (see phi_homogeneous)."""
     stats = _braid.require_homogeneous_knot(word)
     n, w = stats.n, stats.writhe
     crm, colm = stats.cr_minus, stats.col_minus
     sign = -1 if (1 + crm + colm) % 2 else 1
     q_half = (w - (n - 1)) + 2 * colm
     x_half = (w - n) + 2 * crm
+    # the engines past their gate: this one analyzed the word already
     if crm == 0:
-        phi = phi_positive(word, order, m_cut=cap)
+        phi = _phi_positive(word, order, cap, stabilize=True)
     else:
-        phi = phi_homogeneous(word, order, cap=cap)
+        phi = _phi_homogeneous(word, stats, order, cap, stabilize=True)
     pinned = (word.n, tuple(word.letters)) in _REFERENCE_WORDS
     return ZhatResult(
         word=word,

@@ -645,6 +645,20 @@ def test_q1_routes_refuse_huge_determinants(route, at):
     assert time.perf_counter() - start < 1
 
 
+def test_alexander_refuses_before_composing_the_weight_rep(monkeypatch):
+    # the Burau route runs first, so its refused determinant stops the
+    # command before the weight-rep matrix of 119 generators is composed
+    def composed(word):
+        raise AssertionError("weight-rep matrix composed")
+
+    monkeypatch.setattr(bmod, "_weight_rep_alexander_matrix", composed)
+    with pytest.raises(InputError, match=(
+            r"^a 119 x 119 determinant of \d+-bit packed coefficients needs "
+            rf"about \d+ elimination steps, past Q1_WORK_LIMIT = "
+            rf"{Q1_WORK_LIMIT} in n=120; 1 2 3 .* 118 119 at order 4$")):
+        alexander_classical(unknot(120), 4)
+
+
 def test_q1_routes_compute_a_40_strand_unknot():
     word = unknot(40)
     delta, inv = alexander_classical(word, 4)

@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, JSON schema, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,8 @@ from flowloop.cli import main
 from flowloop.template import ORBIT_COUNT_LIMIT, ORBIT_DEPTH_LIMIT
 from flowloop.verify import run_suite
 from flowloop.zhat import PHI_WORK_LIMIT
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 GOLDEN_ZHAT = """\
 braid: n=2; 1 1 1
@@ -296,6 +299,41 @@ def test_cap_flag_matches_default(capsys):
         capsys, "phi", "--braid", "1 -2 1 -2", "--order", "3", "--cap", "6"
     )
     assert a.splitlines()[-1] == b.splitlines()[-1]
+
+
+def corpus_items():
+    """(argv, exit status) of each item of data/cli_corpus_items.txt."""
+    items = []
+    with open(os.path.join(DATA, "cli_corpus_items.txt")) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            braid, order, cap, status = (line.rstrip("\n").split("@")
+                                         + ["", ""])[:4]
+            argv = ["zhat", "--braid", braid, "--order", order]
+            items.append((argv + (["--cap", cap] if cap else []),
+                          int(status or 0)))
+    return items
+
+
+def test_corpus_outputs_do_not_depend_on_the_words_before(capsys):
+    """Every corpus item, run in one process forward and then reversed,
+    prints its stretch of data/cli_corpus.txt (recorded one fresh process
+    per item) and exits with its status: the transfer DP's column tables,
+    shared by every word the process computes, keep nothing of the words
+    that filled them."""
+    items = corpus_items()
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out + captured.err
+
+    forward = [run(argv) for argv, _ in items]
+    assert [code for code, _ in forward] == [status for _, status in items]
+    with open(os.path.join(DATA, "cli_corpus.txt")) as fh:
+        assert "".join(out for _, out in forward) == fh.read()
+    assert [run(argv) for argv, _ in reversed(items)][::-1] == forward
 
 
 # ---------------------------------------------------------------------------

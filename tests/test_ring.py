@@ -146,6 +146,21 @@ def test_adopted_small_monomials_are_shared():
     assert big.specialize_q1().terms[0] is not big.specialize_q1().terms[0]
 
 
+def test_adopted_series_holds_its_own_coefficients():
+    # _adopt copies every coefficient it keeps, so the accumulator it
+    # wrapped can be added into, cleared or emptied afterwards
+    table = {2: {0: 1, 2: 1}, 4: {4: -1}, 6: {-2: 3, 0: 1, 2: 3}}
+    series = XSeries._adopt(table, 9)
+    want = xs({2: {0: 1, 2: 1}, 4: {4: -1}, 6: {-2: 3, 0: 1, 2: 3}}, trunc=9)
+    assert series == want
+    ring.ql_add_into(table[2], {0: 4, 4: 1})
+    table[6].clear()
+    table[4] = {0: 7}
+    del table[2]
+    assert series == want
+    assert series.terms[6].terms == {-2: 3, 0: 1, 2: 3}
+
+
 def test_shared_monomials_are_read_only():
     # an in-place add into a shared coefficient would change every series
     # that holds it, so its terms refuse the write
@@ -324,12 +339,12 @@ def test_qbinom_matches_product_form(n, k):
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """Empty binomial, generator and crossing-weight caches for one test,
-    so that what it runs fills them afresh."""
+    """Empty binomial, generator, crossing-weight and DP column-table
+    caches for one test, so that what it runs fills them afresh."""
     monkeypatch.setattr(ring, "_qbinom_cache", {})
     for cached in (ring.qtrinom, lawrence._generator_moves,
                    lawrence._generator_mirror, zmod._crossing_weight,
-                   verma._pair_matrix):
+                   zmod._column_table, verma._pair_matrix):
         cached.cache_clear()
 
 

@@ -229,6 +229,27 @@ def test_markov_stabilization_invariance():
     assert a.zhat == b.zhat
 
 
+@pytest.mark.parametrize("text", CORPUS + EXTRA_KNOTS)
+def test_zhat_analyzes_the_word_once(monkeypatch, text):
+    # zhat's knot gate hands its stats to the engine it picks, on the
+    # positive route and on the DP route alike
+    calls = []
+
+    def counting(word):
+        calls.append(word)
+        return analyze(word)
+
+    monkeypatch.setattr(zmod._braid, "analyze", counting)
+    word = parse_braid(text)
+    assert zhat(word, 3).stats == analyze(word)
+    assert len(calls) == 1, calls
+    # the public engines keep their own gate
+    route = phi_homogeneous if "-" in text else phi_positive
+    calls.clear()
+    route(word, 3)
+    assert len(calls) == 1, calls
+
+
 # ---------------------------------------------------------------------------
 # property: the transfer recursion is exact on random positive knot words
 
@@ -550,11 +571,19 @@ def oracle_phi(word, order, cap, prune=False, rule=None):
     return phi
 
 
-def closed_amplitude(word, col_sign, bottom, trunc, cap, cache):
+def dp_amplitude(word, col_sign, bottom, trunc, limit):
+    """zhat._closed_amplitude of one bottom at label bound limit, through
+    the letter tables that _phi_homogeneous_run hands it."""
+    letters = [abs(v) for v in word.letters]
+    return zmod._closed_amplitude(
+        letters, zmod._letter_tables(letters, col_sign, limit), col_sign,
+        bottom, trunc, limit)
+
+
+def closed_amplitude(word, col_sign, bottom, trunc, cap):
     """_closed_amplitude at cap, through the label bound, as an XSeries."""
-    return XSeries._adopt(zmod._closed_amplitude(
-        word, col_sign, bottom, trunc, zmod._label_bound(trunc, cap), cache),
-        trunc)
+    return XSeries._adopt(dp_amplitude(
+        word, col_sign, bottom, trunc, zmod._label_bound(trunc, cap)), trunc)
 
 
 def two_run_phi_homogeneous(word, order, cap):
@@ -641,10 +670,9 @@ def test_pruned_dp_matches_unpruned_on_every_bottom(text, order):
     trunc = 2 * order + 1
     oracle_cache = {}
     for cap in (order - 2, order, order + 2):
-        cache = {}
         live = removed = 0
         for bottom in oracle_bottoms(word.n, cap):
-            amp = closed_amplitude(word, col_sign, bottom, trunc, cap, cache)
+            amp = closed_amplitude(word, col_sign, bottom, trunc, cap)
             assert amp == oracle_amplitude(word, col_sign, bottom, trunc, cap,
                                            oracle_cache, False), (bottom, cap)
             live += not amp.is_zero
@@ -696,7 +724,7 @@ def check_bottom_bounds(word, order, cap):
     def unbudgeted(letters, col_sign, bottom, trunc):
         return [trunc] * len(letters)
 
-    cache, oracle_cache = {}, {}
+    oracle_cache = {}
     dropped = excluded = spared = 0
     for bottom in oracle_bottoms(word.n, cap):
         _, fwd, back = oracle_min_plus(word, col_sign, bottom, None, cap,
@@ -721,8 +749,8 @@ def check_bottom_bounds(word, order, cap):
                 patch.setattr(zmod._walks, "sum_paths", spy)
                 if not budgeted:
                     patch.setattr(zmod, "_letter_budgets", unbudgeted)
-                amplitude = zmod._closed_amplitude(
-                    word, col_sign, bottom, trunc, limit, cache)
+                amplitude = dp_amplitude(word, col_sign, bottom, trunc,
+                                         limit)
             # a forward pass that dies early keeps no move
             moves, kept = runs[0] if runs else (0, [[] for _ in letters])
             outcomes.append((amplitude, moves, [
@@ -829,8 +857,19 @@ EXACT_CASES = [(text, 5 if text.startswith("n=4") else 6)
                for text in CORPUS + EXTRA_KNOTS]
 
 
+@pytest.fixture
+def fresh_column_tables():
+    """Empty the process-wide column tables of the transfer DP before and
+    after a test that swaps its move rule, so that no table built by one
+    rule serves the other, in this test or a later one."""
+    zmod._column_table.cache_clear()
+    yield
+    zmod._column_table.cache_clear()
+
+
 @pytest.mark.parametrize("reading", ("standard", "reversed"))
 @pytest.mark.parametrize("text,order", EXACT_CASES)
+@pytest.mark.usefixtures("fresh_column_tables")
 def test_in_place_dp_matches_series_walk(text, order, reading, monkeypatch):
     # the reversed case feeds the DP a second move rule, the test-local
     # reversed_transitions, with the bounds proven for the one reading
@@ -849,19 +888,15 @@ def test_in_place_dp_matches_series_walk(text, order, reading, monkeypatch):
     for cap in range(order - 2, order + 3):
         limit = zmod._label_bound(trunc, cap)
         bottoms = oracle_bottoms(word.n, cap)
-        cache = {}
-        tables = [zmod._closed_amplitude(word, col_sign, bottom, trunc,
-                                         limit, cache)
+        tables = [dp_amplitude(word, col_sign, bottom, trunc, limit)
                   for bottom in bottoms]
         phi = zmod._phi_homogeneous_run(word, order, cap, col_sign)
         with monkeypatch.context() as patch:
             patch.setattr(zmod._walks, "sum_paths", series_walk)
-            cache = {}
             for bottom, got in zip(bottoms, tables):
                 # raw dict equality: no empty x-term, no zero coefficient
-                assert got == zmod._closed_amplitude(
-                    word, col_sign, bottom, trunc, limit, cache), \
-                    (bottom, cap)
+                assert got == dp_amplitude(word, col_sign, bottom, trunc,
+                                           limit), (bottom, cap)
         if reading == "reversed":
             assert phi == oracle_phi(word, order, cap, prune=True,
                                      rule=reversed_transitions), cap
@@ -893,10 +928,8 @@ def test_backward_sum_matches_two_pass_sum(text, order, monkeypatch):
     monkeypatch.setattr(zmod._walks, "sum_paths", both)
     for cap in range(order - 2, order + 3):
         limit = zmod._label_bound(trunc, cap)
-        cache = {}
         for bottom in oracle_bottoms(word.n, cap):
-            zmod._closed_amplitude(word, col_sign, bottom, trunc, limit,
-                                   cache)
+            dp_amplitude(word, col_sign, bottom, trunc, limit)
     assert any(closing)
 
 
@@ -936,11 +969,10 @@ def test_packed_dp_matches_tuple_dp(text, order, monkeypatch):
     for cap in range(order - 2, order + 3):
         limit = zmod._label_bound(trunc, cap)
         width = zmod._field_width(limit)
-        cache, oracle_cache = {}, {}
+        oracle_cache = {}
         for bottom in oracle_bottoms(word.n, cap):
             passes.clear()
-            got = zmod._closed_amplitude(word, col_sign, bottom, trunc,
-                                         limit, cache)
+            got = dp_amplitude(word, col_sign, bottom, trunc, limit)
             want = tuple_closed_amplitude(word, col_sign, bottom, trunc,
                                           limit, oracle_cache)
             assert got == want, (bottom, cap)
@@ -973,7 +1005,7 @@ def assert_moves_splice(col_sign, src_labels, limit):
         field = (src >> (i - 1) * width) & ((1 << 3 * width) - 1)
         assert field == (padded[i - 1] | padded[i] << width
                          | padded[i + 1] << 2 * width), i
-        moves = zmod._field_moves(col_sign, i, field, width, limit, {})
+        moves = zmod._field_moves(col_sign, i, field, limit, {})
         key = (kinds[i], kinds[i - 1], kinds[i + 1],
                padded[i - 1], padded[i], padded[i + 1], limit)
         want = zmod._transitions(key, {})
@@ -999,6 +1031,53 @@ def test_field_moves_splice_the_crossing_into_the_packed_state(data):
         src_labels = tuple(data.draw(st.lists(
             st.integers(0, limit), min_size=n - 1, max_size=n - 1)))
         assert_moves_splice(col_sign, src_labels, limit)
+
+
+# order 4 runs at labels 2..4, order 7 at 5..7: limits 4 and 7 share the
+# field width 3, so their tables differ only in the limit of their key
+TABLE_CASES = [(text, order) for text in CORPUS + EXTRA_KNOTS
+               for order in (4, 7)]
+
+
+def phi_at_caps(word, order):
+    """phi_homogeneous (or "unstable") at caps order - 2..order + 2."""
+    return [outcome(phi_homogeneous, word, order, cap)
+            for cap in range(order - 2, order + 3)]
+
+
+def cold_phi_at_caps(word, order):
+    """phi_at_caps with every column table built by this word alone, and
+    the number of tables it built."""
+    zmod._column_table.cache_clear()
+    phi = phi_at_caps(word, order)
+    return phi, zmod._column_table.cache_info().currsize
+
+
+def test_column_tables_do_not_depend_on_the_word_that_built_them():
+    # every Phi through tables warmed by the words before it, in both
+    # orders, equals Phi through tables of its own
+    cold = {(text, order): cold_phi_at_caps(parse_braid(text), order)
+            for text, order in TABLE_CASES}
+    for cases in (TABLE_CASES, TABLE_CASES[::-1]):
+        zmod._column_table.cache_clear()
+        for text, order in cases:
+            assert phi_at_caps(parse_braid(text), order) \
+                == cold[text, order][0], (text, order)
+        # words share tables, so the comparison is not vacuous
+        assert zmod._column_table.cache_info().currsize \
+            < sum(size for _, size in cold.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(mixed_knot_words(), min_size=2, max_size=2))
+def test_column_tables_built_by_another_word_give_the_same_phi(words):
+    warm, word = words
+    assume(analyze(warm).closure_components == 1)
+    assume(analyze(word).closure_components == 1)
+    want, _ = cold_phi_at_caps(word, 3)
+    zmod._column_table.cache_clear()
+    phi_at_caps(warm, 3)
+    assert phi_at_caps(word, 3) == want
 
 
 @settings(max_examples=50, deadline=None)
@@ -1169,6 +1248,7 @@ def test_finalize_phi_names_word_order_and_cap():
                            "phi_positive", word, 2)
 
 
+@pytest.mark.usefixtures("fresh_column_tables")
 def test_dp_error_names_word_order_and_cap(monkeypatch):
     def leaking(key, cache):
         raise VerificationError("charge leak in transfer move")
