@@ -1,8 +1,8 @@
 """Serial map over independent work items, in input order.
 
-A thread pool was slower here because every item holds the interpreter
-lock.  The module stays as the one place the per-layer benchmark tracer
-hooks to attribute mapped work to its caller.
+No flowloop module calls it any more: a thread pool was slower here
+because every item holds the interpreter lock.  It stays only because the
+per-layer benchmark tracer (perfbench/tracer.py) names it as a target.
 """
 
 

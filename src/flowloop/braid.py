@@ -10,7 +10,7 @@ words the flow-loop machinery accepts (their closures are fibered links).
 The q = 1 layer works on raw {x_half: int} tables, the layout of
 QLaurent.terms.  The reduced Burau route rewrites one row of its product,
 kept between two empty rows, per letter through ring.ql_add_into; the
-weight-rep route takes each distinct m = 1 generator matrix to q = 1
+weight-rep route takes each distinct letter's m = 1 move table to q = 1
 once, packs its entries into integers (Kronecker substitution under a
 proven coefficient bound) and composes those with lawrence.compose.
 Both end in _det, one determinant also shared by the template zeta,
@@ -388,12 +388,15 @@ def _alexander_burau(word, order):
 def _weight_rep_alexander_matrix(word):
     """I - M for the m=1 weight-graded matrix M of the word at q = 1.
 
-    Each distinct generator matrix g of the word is taken to q = 1 once,
-    and each of its entries, shifted by its lowest half-exponent lo_g, is
-    packed into one integer at x^(1/2) = 2^K.  lawrence.compose folds the
-    packed matrices into M shifted by the sum of lo_g over the letters.
-    Evaluation at q = 1 and at 2^K are ring homomorphisms, so both commute
-    with the product: M is rep_matrix(word, 1) at q = 1, exactly.
+    Each distinct letter's cached move table (lawrence._letter_moves, so a
+    negative letter passes the mirror check first) is taken to q = 1 once,
+    and each move's one x-monomial, shifted by the letter's lowest
+    half-exponent lo_g, is packed into one integer at x^(1/2) = 2^K.
+    States are positions in lawrence.weight_states(n, 1).
+    lawrence.compose folds the packed matrices into M shifted by the sum
+    of lo_g over the letters.  Evaluation at q = 1 and at 2^K are ring
+    homomorphisms, so both commute with the product: M is
+    rep_matrix(word, 1) at q = 1, exactly.
 
     Bound.  Let N_g be the largest total norm (sum of ||entry||_1) of a
     column g[src].  Column src of g P is sum over mid of P[src][mid] g[mid],
@@ -405,29 +408,24 @@ def _weight_rep_alexander_matrix(word):
     """
     from . import lawrence  # deferred: lawrence imports this module
 
-    packed, norm, lows = {}, {}, {}
+    tables, norm, lows = {}, {}, {}
     for v in set(word.letters):
-        cols = lawrence.generator_matrix(
-            word.n, 1, abs(v), 1 if v > 0 else -1).cols
-        packed[v] = {
-            src: {dst: {x: qv.at_q1() for x, qv in entry.terms.items()}
-                  for dst, entry in col.items()}
-            for src, col in cols.items()
-        }
-        norm[v] = max(sum(abs(c) for t in col.values() for c in t.values())
-                      for col in packed[v].values())
-        lows[v] = min(x for col in packed[v].values() for t in col.values()
-                      for x in t)
+        tables[v] = [[(dst, xh, w.at_q1()) for dst, xh, w in moves]
+                     for moves in lawrence._letter_moves(word.n, 1, v,
+                                                         lawrence.HALF)]
+        norm[v] = max(sum(abs(c) for _, _, c in moves)
+                      for moves in tables[v])
+        lows[v] = min(moves[0][1] for moves in tables[v])  # cheapest first
     bound, low = 1, 0
     for v in word.letters:
         bound *= norm[v]
         low += lows[v]
     K = bound.bit_length() + 2
-    for v, cols in packed.items():
-        for col in cols.values():
-            for dst, t in col.items():
-                col[dst] = _pack(t, K, lows[v])
-    states = lawrence.weight_states(word.n, 1)
+    packed = {v: {src: {dst: _pack({xh: c}, K, lows[v])
+                        for dst, xh, c in moves}
+                  for src, moves in enumerate(table)}
+              for v, table in tables.items()}
+    states = range(lawrence.dim(word.n, 1))
     prod = {s: {s: 1} for s in states}
     for v in word.letters:
         prod = lawrence.compose(packed[v], prod)

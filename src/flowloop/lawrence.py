@@ -17,35 +17,28 @@ conventions are supported:
 Both give the same closed traces on knot words.  Negative generators use
 the mirrored weights (q -> q^{-1}, monomials inverted, and for `under' the
 left/right shed roles swapped); that mirror is checked against
-sigma_i^{-1} sigma_i = id, exactly, for all (n, m) <= (4, 4) at the first
-negative generator_matrix.  The check reads the cached move tables of
-both signs, which the positive walk shares, and sums their products as
-raw {q_half: coeff} tables through the ring kernel, so it builds no
-GradedMatrix or XSeries; a failed check raises VerificationError rather
-than falling back to another inverse.  The exact triangular inverse
-`_triangular_inverse` is kept as the independent oracle the verify suite
-compares the mirror against.
+sigma_i^{-1} sigma_i = id, exactly, for all (n, m) <= (4, 4) before any
+negative move table is read (_letter_moves, the one gate of
+generator_matrix, the trace walks and the q = 1 weight-rep route).  The
+check sums the products of the cached move tables of both signs as raw
+{q_half: coeff} tables through the ring kernel; a failed check raises
+VerificationError rather than falling back to another inverse.  The exact
+triangular inverse `_triangular_inverse` is kept as the independent
+oracle the verify suite compares the mirror against.
 
-rep_matrix and graded_trace are exact.  truncated_trace_table gives the
-trace of an all-positive word up to a fixed x-degree without building the
-matrix product: it sums the closed walks of each start state, truncating
-as it walks.  Every positive `half` entry is one x-monomial of cost
-2A + b + c >= 0, so per start state a forward min-plus pass over those
-integer costs finds the cheapest cost to each state, and a backward series
-pass truncates each state's sum home at the truncation minus that cost.
-That is exact: every walk reaches the state at that cost or more, so each
-term it drops lies above the truncation in every closed walk.  A closed
-walk of a weight-m state costs at least x^m when every column has a letter
-(proof in truncated_trace_table), so a weight with 2m above the truncation
-has an empty trace, and zhat.phi_positive never asks for one.
+Traces are sums of closed walks (truncated_trace_table): graded_trace,
+and through it `flowloop trace`, unknot_closure_check and verma's Kohno
+identity, takes them exact, zhat.phi_positive truncated at its order.
+rep_matrix composes the GradedMatrix product; it serves `trace --dump`,
+the braid-relation checks and the tests' oracle.
 
 The walks and the mirror check name a state by its position in
 weight_states(n, m), not by its tuple.  Each generator has one cached move
 table (_generator_moves): a list indexed by source position whose moves
 name their ends by position, so every dict keyed by state in the forward
 pass and in walks.sum_paths hashes a small int.  _generator_mirror maps the
-positions back to tuples for GradedMatrix, so matrices, dumps and traces
-read as before.
+positions back to tuples for GradedMatrix, so matrices and dumps read as
+before.
 
 Weights are m >= 0: generator_matrix, rep_matrix, graded_trace and
 truncated_trace_table refuse a negative one with InputError.
@@ -58,7 +51,6 @@ from operator import itemgetter
 
 from . import braid as _braid
 from . import walks as _walks
-from ._parallel import parallel_map
 from .errors import InputError, VerificationError, require_nonnegative
 from .ring import (
     QLaurent,
@@ -304,6 +296,19 @@ def _mirror_validated(convention):
     return True
 
 
+def _letter_moves(n, m, v, convention):
+    """The cached move table of letter v: generator |v| with the sign of v.
+    A negative letter's table is read only after its convention passes
+    the mirror check."""
+    if v < 0 and not _mirror_validated(convention):
+        raise VerificationError(
+            f"mirrored weights of convention {convention!r} do not invert "
+            f"the positive generators; refusing generator {v} at "
+            f"(n, m) = ({n}, {m})"
+        )
+    return _generator_moves(n, m, abs(v), 1 if v > 0 else -1, convention)
+
+
 def generator_matrix(n, m, i, sign, convention=HALF):
     """Matrix of generator i (sign +1/-1) on weight_states(n, m)."""
     _check_convention(convention)
@@ -312,12 +317,7 @@ def generator_matrix(n, m, i, sign, convention=HALF):
         raise InputError(f"generator index {i} out of range for n={n}")
     if sign not in (1, -1):
         raise InputError("sign must be +1 or -1")
-    if sign < 0 and not _mirror_validated(convention):
-        raise VerificationError(
-            f"mirrored weights of convention {convention!r} do not invert "
-            f"the positive generators; refusing generator -{i} at "
-            f"(n, m) = ({n}, {m})"
-        )
+    _letter_moves(n, m, sign * i, convention)  # the mirror check
     return _generator_mirror(n, m, i, sign, convention)
 
 
@@ -333,25 +333,15 @@ def rep_matrix(word, m, convention=HALF):
 
 
 def graded_trace(word, m_max, convention=HALF):
-    """[Tr rep_matrix(word, m) for m in 0..m_max], exact Laurent entries.
+    """[Tr rep_matrix(word, m) for m in 0..m_max], exact Laurent entries,
+    each a sum of closed walks (truncated_trace_table with no truncation).
 
     For knot closures the half x-powers must cancel; that integrality is
     asserted rather than assumed."""
-    _check_convention(convention)
     require_nonnegative(m_max=m_max)
-    is_knot = _braid.analyze(word).closure_components == 1
-
-    def one_trace(m):
-        return rep_matrix(word, m, convention).trace()
-
-    traces = parallel_map(one_trace, range(m_max + 1))
-    if is_knot and convention == HALF:
-        for m, tr in enumerate(traces):
-            if not tr.x_integral:
-                raise VerificationError(
-                    f"trace of {_braid.render_word(word)} at weight {m} "
-                    f"kept half x-powers: {tr.render()}")
-    return traces
+    return [XSeries._adopt(truncated_trace_table(word, m, None, convention),
+                           None)
+            for m in range(m_max + 1)]
 
 
 def _forward_layers(walk, start, trunc):
@@ -385,68 +375,75 @@ def _forward_layers(walk, start, trunc):
     return layers
 
 
-def truncated_trace_table(word, m, trunc):
-    """Tr rep_matrix(word, m), `half` convention, truncated at x-half trunc,
-    for an all-positive word, as a sum of closed walks, returned as an
+def truncated_trace_table(word, m, trunc=None, convention=HALF):
+    """Tr rep_matrix(word, m, convention) for any word, truncated at x-half
+    trunc (exact for trunc None), as a sum of closed walks, returned as an
     {x_half: {q_half: coeff}} table.
 
-    Every positive `half` entry is one x-monomial x^{(2A+b+c)/2} with
-    2A + b + c >= 0, so each generator move has an integer x-half cost
-    >= 0 (checked before any walk starts) and a walk's cost never falls.
-    Per start state s, a forward min-plus pass over those costs finds the
-    cheapest cost from s to each state, and walks.sum_paths sums the
-    closed walks s -> s backward in place into raw tables, each state's
-    table truncated at trunc minus that cost.  This is exact: every walk
-    reaches the state at that cost or more, so each term dropped there
-    lies above trunc in every closed walk and the truncation drops it
-    anyway.  A start state that no walk returns to within trunc does no
-    series work at all.
+    Every generator entry is one x-monomial, so each move has an integer
+    x-half cost.  Each letter's costs are shifted by its cheapest move's,
+    so every shifted cost is >= 0, and every closed walk's cost shifts by
+    the same S, the sum of the letters' shifts.  The walks then run at
+    bound trunc - S, and their sum is shifted back by S.  For trunc None
+    the bound is the sum of each letter's dearest shifted move, which no
+    walk passes, so the trace is exact.  A negative letter's table is
+    read only after the mirror check of its convention.
 
-    When every column 1..n-1 has a letter of its own, a closed walk of a
-    weight-m start state s costs at least 2m, so for 2m > trunc the table
-    is empty; this is why zhat.phi_positive stops at weight order.  Proof:
-    a move (A, b, c) costs 2A + b + c.  Let p_i be the first letter of
-    column i and D_i what column i shed before p_i.  Before p_i only its
-    neighbors' letters touch column i, and they only take from it, so at
-    p_i its label is A = s_i - D_i, and that letter costs at least
-    2(s_i - D_i).  Every shed also costs 1 at the letter that makes it, so
-    a closed walk costs at least sum_i 2(s_i - D_i) + S, S the total
-    shed.  Across the edge between columns i and i+1 the sheds balance:
-    the label sum of columns 1..i changes only by them and is the same at
-    both ends of a closed walk, so the sheds each way are E_i = half the
-    sheds across that edge.  Column i sheds across the edge only at a
-    letter of column i+1, and column i+1 only at a letter of column i, so
-    before its own first letter only the endpoint whose first letter
-    comes later can shed across the edge, at most E_i.  Hence
-    sum_i D_i <= sum_i E_i = S / 2 and the cost is at least
-    2 sum_i s_i = 2m.  (A column with no letter of its own never pays 2A:
-    on "1 1" with n = 3 the walks of (0, m) cost 0, so the bound fails
-    there; a knot word has a letter on every column.)
+    Per start state s, a forward min-plus pass over the shifted costs
+    finds the cheapest cost from s to each state, and walks.sum_paths
+    sums the closed walks s -> s backward in place into raw tables, each
+    state's table truncated at the bound minus that cost.  This is exact:
+    every walk reaches the state at that cost or more, so each term
+    dropped there lies above the bound in every closed walk and the
+    truncation drops it anyway.  A start state that no walk returns to
+    within the bound does no series work at all.
+
+    For an all-positive `half` word with a letter on every column
+    1..n-1, a closed walk of a weight-m start state s costs at least 2m,
+    so for 2m > trunc the table is empty; this is why zhat.phi_positive
+    stops at weight order.  Proof: a move (A, b, c) costs 2A + b + c.
+    Let p_i be the first letter of column i and D_i what column i shed
+    before p_i.  Before p_i only its neighbors' letters touch column i,
+    and they only take from it, so at p_i its label is A = s_i - D_i, and
+    that letter costs at least 2(s_i - D_i).  Every shed also costs 1 at
+    the letter that makes it, so a closed walk costs at least
+    sum_i 2(s_i - D_i) + S', S' the total shed.  Across the edge between
+    columns i and i+1 the sheds balance: the label sum of columns 1..i
+    changes only by them and is the same at both ends of a closed walk,
+    so the sheds each way are E_i = half the sheds across that edge.
+    Column i sheds across the edge only at a letter of column i+1, and
+    column i+1 only at a letter of column i, so before its own first
+    letter only the endpoint whose first letter comes later can shed
+    across the edge, at most E_i.  Hence sum_i D_i <= sum_i E_i = S' / 2
+    and the cost is at least 2 sum_i s_i = 2m.  (A column with no letter
+    of its own never pays 2A: on "1 1" with n = 3 the walks of (0, m)
+    cost 0, so the bound fails there; a knot word has a letter on every
+    column.)
 
     For a knot closure the half x-powers must cancel; that integrality is
     asserted rather than assumed."""
-    if any(v < 0 for v in word.letters):
-        raise InputError(
-            f"truncated_trace_table needs an all-positive word, got "
-            f"{_braid.render_word(word)}"
-        )
+    _check_convention(convention)
     require_nonnegative(m=m)
     n = word.n
-    tables = {v: _generator_moves(n, m, v, 1, HALF)
-              for v in set(word.letters)}
-    for v, table in tables.items():
-        cheapest = min(moves[0][1] for moves in table)
-        if cheapest < 0:
-            raise VerificationError(
-                f"generator {v} at weight {m} on {n} strands has a move of "
-                f"negative x-half cost {cheapest}")
+    lows, tables = {}, {}
+    for v in dict.fromkeys(word.letters):
+        table = tables[v] = _letter_moves(n, m, v, convention)
+        low = lows[v] = min(moves[0][1] for moves in table)  # cheapest first
+        if low:
+            tables[v] = [[(dst, xh - low, w) for dst, xh, w in moves]
+                         for moves in table]
     walk = [tables[v] for v in word.letters]
+    shift = sum(lows[v] for v in word.letters)
+    if trunc is None:
+        bound = sum(max(moves[-1][1] for moves in table) for table in walk)
+    else:
+        bound = trunc - shift
     tr = {}
     for s in range(dim(n, m)):
-        layers = _forward_layers(walk, s, trunc)
+        layers = _forward_layers(walk, s, bound)
         if layers is not None:
-            xs_addmul_term_into(tr, _walks.sum_paths(s, layers, trunc),
-                                {0: 1}, 0, trunc)
+            xs_addmul_term_into(tr, _walks.sum_paths(s, layers, bound),
+                                {0: 1}, shift, trunc)
     if any(x % 2 for x in tr) and \
             _braid.analyze(word).closure_components == 1:
         raise VerificationError(

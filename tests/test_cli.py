@@ -336,6 +336,24 @@ def test_corpus_outputs_do_not_depend_on_the_words_before(capsys):
     assert [run(argv) for argv, _ in reversed(items)][::-1] == forward
 
 
+def test_trace_corpus_outputs(capsys):
+    """Every item of data/cli_trace_corpus_items.txt prints its stretch of
+    data/cli_trace_corpus.txt: traces, a matrix dump and JSON, in both
+    conventions, as the matrix products printed them."""
+    out = []
+    with open(os.path.join(DATA, "cli_trace_corpus_items.txt")) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            braid, mmax, extra = (line.rstrip("\n").split("@") + [""])[:3]
+            assert main(["trace", "--braid", braid, "--mmax", mmax]
+                        + extra.split()) == 0
+            captured = capsys.readouterr()
+            out.append(captured.out + captured.err)
+    with open(os.path.join(DATA, "cli_trace_corpus.txt")) as fh:
+        assert "".join(out) == fh.read()
+
+
 # ---------------------------------------------------------------------------
 # real process: entry point
 

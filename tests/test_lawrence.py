@@ -16,7 +16,7 @@ from flowloop import (
     phi_positive,
 )
 from flowloop import lawrence, walks
-from flowloop.braid import BraidWord, analyze
+from flowloop.braid import BraidWord, alexander_classical, analyze, render_word
 from flowloop.lawrence import (
     HALF,
     UNDER,
@@ -30,8 +30,11 @@ from flowloop.lawrence import (
 )
 from flowloop.lawrence import _triangular_inverse
 from flowloop.ring import qtrinom
+from flowloop.verma import kohno_check
 
 from conftest import (
+    CORPUS,
+    EXTRA_KNOTS,
     POSITIVE_KNOTS,
     tuple_forward_layers,
     tuple_truncated_trace_table,
@@ -308,11 +311,6 @@ def test_random_truncated_traces(word, order):
     assert_truncated_trace_exact(word, order)
 
 
-def test_truncated_trace_refuses_negative_letters():
-    with pytest.raises(InputError, match="n=3; 1 -2 1 -2"):
-        truncated_trace(parse_braid("1 -2 1 -2"), 1, 5)
-
-
 def test_truncated_trace_checks_integrality(monkeypatch):
     word = parse_braid("1")
     truncated_trace(word, 1, 5)  # caches the real generator's moves first
@@ -325,28 +323,98 @@ def test_truncated_trace_checks_integrality(monkeypatch):
 
 
 def test_graded_trace_integrality_error_names_the_word(monkeypatch):
-    # every generator entry planted as x^(1/2): the knot's traces then keep
-    # half x-powers
+    # every generator move planted as a loop of cost x^(1/2): the knot's
+    # traces then keep half x-powers
     def half_power(n, m, i, sign, convention):
-        return lawrence.GradedMatrix(n, m, {
-            s: {s: XSeries.monomial(QLaurent.one(), 1)}
-            for s in weight_states(n, m)})
+        return [[(s, 1, QLaurent.one())] for s in range(lawrence.dim(n, m))]
 
-    monkeypatch.setattr(lawrence, "_generator_mirror", half_power)
+    monkeypatch.setattr(lawrence, "_generator_moves", half_power)
     with pytest.raises(VerificationError, match=(
             r"^trace of n=2; 1 at weight 0 kept half x-powers: ")):
         graded_trace(parse_braid("1"), 1)
 
 
-def test_truncated_trace_refuses_negative_costs(monkeypatch):
-    # the min-plus pruning is exact only for moves of cost >= 0
-    below = [[(0, -2, QLaurent.one())]]  # the one state (1,)
-    monkeypatch.setattr(lawrence, "_generator_moves",
-                        lambda n, m, i, sign, convention: below)
-    with pytest.raises(VerificationError,
-                       match=r"generator 1 at weight 1 on 2 strands has a "
-                             r"move of negative x-half cost -2"):
-        truncated_trace(parse_braid("1"), 1, 5)
+# ---------------------------------------------------------------------------
+# graded traces of any word, on the closed walks, against the exact product
+
+LINKS = ("1 1", "1 1 1 1", "1 -2 1 -2 1 -2", "n=3; 1 1 2 2")
+ANY_WORDS = ([parse_braid(text) for text in
+              CORPUS + EXTRA_KNOTS + LINKS + ("1 -1", "n=3; 1 1")]
+             + [BraidWord(3, ())])
+
+
+def assert_graded_trace_exact(word, m_max, conv):
+    assert graded_trace(word, m_max, conv) == \
+        [rep_matrix(word, m, conv).trace() for m in range(m_max + 1)]
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+@pytest.mark.parametrize("word", ANY_WORDS, ids=render_word)
+def test_graded_trace_matches_rep_matrix(word, conv):
+    assert_graded_trace_exact(word, 3 if word.n > 3 else 4, conv)
+
+
+@st.composite
+def signed_words(draw):
+    """Arbitrary words on <= 5 strands and <= 7 letters of either sign:
+    knots and links, columns with no letter and letterless words too."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    letter = st.integers(min_value=1, max_value=n - 1)
+    letters = draw(st.lists(st.tuples(letter, st.sampled_from((1, -1))),
+                            max_size=7))
+    return BraidWord(n, tuple(i * sign for i, sign in letters))
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_words(), st.sampled_from(CONVENTIONS))
+def test_random_graded_traces(word, conv):
+    assert_graded_trace_exact(word, 3 if word.n > 3 else 4, conv)
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_truncated_trace_of_negative_letters(conv):
+    # the walks run at trunc minus the letters' shifts, which here lie
+    # below 0 (negative letters cost negative x-powers)
+    word = parse_braid("1 -2 1 -2")
+    for m in range(4):
+        for trunc in (-4, -1, 0, 3):
+            want = XSeries(rep_matrix(word, m, conv).trace().terms, trunc)
+            got = truncated_trace_table(word, m, trunc, conv)
+            assert XSeries._adopt(got, trunc) == want, (m, trunc)
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_planted_mirror_fault_stops_the_walks(conv, monkeypatch,
+                                              cold_mirror):
+    real = lawrence._negative_weight
+
+    def planted(A, b, c, convention):
+        coeff, xh = real(A, b, c, convention)
+        return coeff + 1, xh  # one wrong q^0 coefficient everywhere
+
+    monkeypatch.setattr(lawrence, "_negative_weight", planted)
+    with pytest.raises(VerificationError, match=repr(conv)):
+        graded_trace(parse_braid("1 -2 1 -2"), 1, conv)
+    if conv == HALF:  # the q = 1 weight-rep route reads the `half' tables
+        with pytest.raises(VerificationError, match=repr(conv)):
+            alexander_classical(parse_braid("1 -2 1 -2"), 4)
+
+
+def test_trace_routes_build_no_matrix(monkeypatch):
+    # the traces, the unknot check, Kohno's weight side and the q = 1
+    # weight-rep route read the move tables, never a GradedMatrix product
+    def refused(*args, **kwargs):
+        raise AssertionError("matrix route called")
+
+    for name in ("rep_matrix", "generator_matrix"):
+        monkeypatch.setattr(lawrence, name, refused)
+    monkeypatch.setattr(GradedMatrix, "after", refused)
+    word = parse_braid("1 -2 1 -2")
+    for conv in CONVENTIONS:
+        graded_trace(word, 3, conv)
+    unknot_closure_check(parse_braid("n=3; 1 -2"), 4)
+    assert kohno_check(word, 2)[0]
+    alexander_classical(word, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from flowloop import (
 )
 from flowloop import ring
 from flowloop.braid import alexander_classical, render_word
-from flowloop.lawrence import graded_trace, weight_states
+from flowloop.lawrence import rep_matrix, weight_states
 
 from conftest import (
     CORPUS,
@@ -279,11 +279,14 @@ def test_random_positive_knots(letters):
 
 
 def graded_trace_phi(word, order, m_cut):
-    """Phi from exact graded traces, truncated after the fact."""
+    """Phi from exact graded traces, truncated after the fact.  The traces
+    are matrix products (rep_matrix), not the closed walks phi_positive
+    sums, so the oracle stays independent of it."""
     n = word.n
     trunc = 2 * order + 1
     phi = XSeries.zero(trunc)
-    for m, tr in enumerate(graded_trace(word, m_cut)):
+    for m in range(m_cut + 1):
+        tr = rep_matrix(word, m).trace()
         phi = phi + tr * XSeries.monomial(
             QLaurent.monomial(1, -2 * m), 0, trunc)
         phi = phi + tr * XSeries.monomial(
