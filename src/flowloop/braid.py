@@ -10,11 +10,12 @@ words the flow-loop machinery accepts (their closures are fibered links).
 The q = 1 layer works on raw {x_half: int} tables, the layout of
 QLaurent.terms.  The reduced Burau route rewrites one row of its product,
 kept between two empty rows, per letter through ring.ql_add_into; the
-weight-rep route takes each distinct letter's m = 1 move table to q = 1
-once, packs its entries into integers (Kronecker substitution under a
-proven coefficient bound) and composes those with lawrence.compose.
-Both end in _det, one determinant also shared by the template zeta,
-which packs every entry the same way and eliminates in Z.
+weight-rep route takes each letter's m = 1 move table to q = 1 once per
+process (_q1_moves), packs its entries into integers (ring's Kronecker
+codec, under a proven coefficient bound) and composes those with
+lawrence.compose.  Both end in _det, one determinant also shared by the
+template zeta, which packs every nonempty entry the same way and
+eliminates in Z.
 _axis_quotient, the q = 1 series (1 - x^k)/P(x) of both (1 - x)/Delta
 and the zeta, is an integer recurrence over a list.  Both refuse, before
 they start, work estimated past Q1_WORK_LIMIT; their callers add the word
@@ -22,12 +23,21 @@ and order to their errors.  Objects are made only for the determinant
 and the outputs.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 
 from .errors import InputError, ParseError, VerificationError
 from .errors import require_nonnegative
-from .ring import QLaurent, XSeries, _monomial, ql_add_into
+from .ring import (
+    QLaurent,
+    XSeries,
+    _monomial,
+    kronecker_pack,
+    kronecker_unpack,
+    ql_add_into,
+    ql_norm,
+)
 
 _PREFIX = re.compile(r"^n\s*=\s*([+-]?\d+)\s*;\s*(.*)$", re.S)
 
@@ -208,36 +218,12 @@ def _where(word, order, cap=None, m_cut=None):
 Q1_WORK_LIMIT = 10 ** 6
 
 
-def _pack(entry, K, lo):
-    """The table entry times x^(-lo/2) (lo at most its lowest exponent),
-    evaluated at x^(1/2) = 2^K: one integer."""
-    return sum(c << K * (e - lo) for e, c in entry.items())
-
-
-def _unpack(value, K, low):
-    """The table whose coefficients are the balanced base-2^K digits of
-    value, the lowest at half-exponent low; inverts _pack when every
-    coefficient is below 2^(K - 1) in absolute value."""
-    mask, half = (1 << K) - 1, 1 << (K - 1)
-    terms = {}
-    e = low
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= 1 << K
-        if digit:
-            terms[e] = digit
-        value = (value - digit) >> K
-        e += 1
-    return terms
-
-
 def _det_bound(mat):
     """B = prod over rows of (sum over the row's entries of ||entry||_1),
     the bound _det proves on every coefficient of det(mat)."""
     bound = 1
     for row in mat:
-        bound *= sum(abs(c) for entry in row for c in entry.values())
+        bound *= sum(ql_norm(entry) for entry in row if entry)
     return bound
 
 
@@ -260,17 +246,18 @@ def _det(mat):
     more, all nonnegative).  Every coefficient of det(M') thus has
     |coeff| <= B < 2^(K - 1) for K = B.bit_length() + 2.
 
-    Packing.  Evaluate every entry at y = 2^K, an integer.  Evaluation is
-    a ring homomorphism Z[y] -> Z, so det(M'(2^K)) = det(M')(2^K).  The
-    integer determinant is computed by fraction-free elimination (Bareiss
-    1968): after step p every entry below and right of the pivot is a
+    Packing.  Evaluate every nonempty entry at y = 2^K by ring's Kronecker
+    codec (kronecker_pack); an empty entry is 0.  Evaluation is a ring
+    homomorphism Z[y] -> Z, so det(M'(2^K)) = det(M')(2^K).  The integer
+    determinant is computed by fraction-free elimination (Bareiss 1968):
+    after step p every entry below and right of the pivot is a
     (p+2)-minor of the input, so by Sylvester's identity the division by
     the previous pivot is exact in Z.  A zero pivot is swapped for the
     first lower row with a nonzero entry in its column; if there is none
     the matrix is singular.  Intermediate minors need no bound: they are
     exact integers, and only the final value is decoded.  Since
-    |coeff| < 2^(K - 1), the balanced base-2^K digits of that value are
-    exactly the coefficients of det(M').  (The swaps are also the ones the
+    |coeff| < 2^(K - 1), kronecker_unpack decodes that value into exactly
+    the coefficients of det(M').  (The swaps are also the ones the
     polynomial elimination would make: each minor is a minor of M' over
     nonzero rows, so its norm is at most B as well, and a nonzero
     polynomial with coefficients below 2^(K - 1) does not vanish at 2^K.)
@@ -298,7 +285,8 @@ def _det(mat):
     for row in mat:
         lo = min(e for entry in row for e in entry)
         low += lo
-        m.append([_pack(entry, K, lo) for entry in row])
+        m.append([kronecker_pack(entry, K, lo) if entry else 0
+                  for entry in row])
     sign, prev = 1, 1
     for p in range(k - 1):
         if not m[p][p]:
@@ -314,7 +302,7 @@ def _det(mat):
             for c in range(p + 1, k):
                 row[c] = (pivot * row[c] - lead * pivot_row[c]) // prev
         prev = pivot
-    return QLaurent._raw(_unpack(sign * m[k - 1][k - 1], K, low))
+    return QLaurent._raw(kronecker_unpack(sign * m[k - 1][k - 1], K, low))
 
 
 def _cyclotomic_like(n):
@@ -385,14 +373,30 @@ def _alexander_burau(word, order):
     return _normalize_alexander(d, word, order)
 
 
+@functools.cache
+def _q1_moves(n, v):
+    """Letter v's m = 1 move table at q = 1, read once per process: one
+    list of (dst, x_half - low, coeff) per source position, with low the
+    table's lowest half-exponent, and the table's largest row norm (the
+    sum of |coeff| over one source's moves).  The table comes from
+    lawrence._letter_moves, so a negative letter passes the mirror check
+    first."""
+    from . import lawrence  # deferred: lawrence imports this module
+
+    table = lawrence._letter_moves(n, 1, v, lawrence.HALF)
+    low = min(moves[0][1] for moves in table)  # cheapest first
+    q1 = [[(dst, xh - low, w.at_q1()) for dst, xh, w in moves]
+          for moves in table]
+    return q1, low, max(sum(abs(c) for _, _, c in moves) for moves in q1)
+
+
 def _weight_rep_alexander_matrix(word):
     """I - M for the m=1 weight-graded matrix M of the word at q = 1.
 
-    Each distinct letter's cached move table (lawrence._letter_moves, so a
-    negative letter passes the mirror check first) is taken to q = 1 once,
-    and each move's one x-monomial, shifted by the letter's lowest
-    half-exponent lo_g, is packed into one integer at x^(1/2) = 2^K.
-    States are positions in lawrence.weight_states(n, 1).
+    Each distinct letter's move table at q = 1 (_q1_moves) has one
+    x-monomial per move, shifted by the letter's lowest half-exponent
+    lo_g, and each is packed into one integer at x^(1/2) = 2^K by ring's
+    Kronecker codec.  States are positions in lawrence.weight_states(n, 1).
     lawrence.compose folds the packed matrices into M shifted by the sum
     of lo_g over the letters.  Evaluation at q = 1 and at 2^K are ring
     homomorphisms, so both commute with the product: M is
@@ -404,32 +408,27 @@ def _weight_rep_alexander_matrix(word):
     the identity, every coefficient of every prefix product, M included,
     is thus at most B = prod over letters of N_g < 2^(K - 1) for
     K = B.bit_length() + 2: compose's zero test on the packed sums is
-    exact, and _unpack decodes M.
+    exact, and kronecker_unpack decodes M.
     """
     from . import lawrence  # deferred: lawrence imports this module
 
-    tables, norm, lows = {}, {}, {}
-    for v in set(word.letters):
-        tables[v] = [[(dst, xh, w.at_q1()) for dst, xh, w in moves]
-                     for moves in lawrence._letter_moves(word.n, 1, v,
-                                                         lawrence.HALF)]
-        norm[v] = max(sum(abs(c) for _, _, c in moves)
-                      for moves in tables[v])
-        lows[v] = min(moves[0][1] for moves in tables[v])  # cheapest first
+    tables = {v: _q1_moves(word.n, v) for v in set(word.letters)}
     bound, low = 1, 0
     for v in word.letters:
-        bound *= norm[v]
-        low += lows[v]
+        _, lo, norm = tables[v]
+        bound *= norm
+        low += lo
     K = bound.bit_length() + 2
-    packed = {v: {src: {dst: _pack({xh: c}, K, lows[v])
+    packed = {v: {src: {dst: kronecker_pack({xh: c}, K, 0)
                         for dst, xh, c in moves}
                   for src, moves in enumerate(table)}
-              for v, table in tables.items()}
+              for v, (table, _, _) in tables.items()}
     states = range(lawrence.dim(word.n, 1))
     prod = {s: {s: 1} for s in states}
     for v in word.letters:
         prod = lawrence.compose(packed[v], prod)
-    mat = [[_unpack(-prod[src].get(dst, 0), K, low) for src in states]
+    mat = [[kronecker_unpack(-prod[src].get(dst, 0), K, low)
+            for src in states]
            for dst in states]
     for r, row in enumerate(mat):
         ql_add_into(row[r], {0: 1})

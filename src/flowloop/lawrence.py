@@ -36,9 +36,11 @@ The walks and the mirror check name a state by its position in
 weight_states(n, m), not by its tuple.  Each generator has one cached move
 table (_generator_moves): a list indexed by source position whose moves
 name their ends by position, so every dict keyed by state in the forward
-pass and in walks.sum_paths hashes a small int.  _generator_mirror maps the
-positions back to tuples for GradedMatrix, so matrices and dumps read as
-before.
+pass and in walks.sum_paths hashes a small int.  Each table's largest row
+norm is cached beside it (_generator_norm): walks.sum_paths proves the
+width of its Kronecker-packed coefficients from those norms.
+_generator_mirror maps the positions back to tuples for GradedMatrix, so
+matrices and dumps read as before.
 
 Weights are m >= 0: generator_matrix, rep_matrix, graded_trace and
 truncated_trace_table refuse a negative one with InputError.
@@ -56,6 +58,7 @@ from .ring import (
     QLaurent,
     XSeries,
     ql_addmul_into,
+    ql_norm,
     qtrinom,
     xs_addmul_term_into,
 )
@@ -212,6 +215,15 @@ def _generator_moves(n, m, i, sign, convention):
 
 
 @functools.cache
+def _generator_norm(n, m, i, sign, convention):
+    """The largest row norm of the _generator_moves table: the sum of
+    ||weight||_1 over one source state's moves, maximized over the states.
+    walks.sum_paths takes it as the letter's bound."""
+    return max(sum(ql_norm(w.terms) for _, _, w in moves)
+               for moves in _generator_moves(n, m, i, sign, convention))
+
+
+@functools.cache
 def _generator_mirror(n, m, i, sign, convention):
     states = weight_states(n, m)
     return GradedMatrix(n, m, {
@@ -346,16 +358,18 @@ def graded_trace(word, m_max, convention=HALF):
 
 def _forward_layers(walk, start, trunc):
     """The forward min-plus pass of the walks from start: one (reach,
-    moves) pair per letter for walks.sum_paths, or None if no walk returns
-    to start within trunc.  States are positions in weight_states, as in
-    the _generator_moves tables of `walk`.
+    moves, norm) triple per letter for walks.sum_paths, or None if no walk
+    returns to start within trunc.  walk holds one (table, norm) pair per
+    letter: a _generator_moves table, whose states are positions in
+    weight_states, and its _generator_norm, which bounds the row norm of
+    every state, so the pass does no per-state work for it.
 
     The pass carries the cheapest cost from start to each state letter by
     letter, and takes from each state only the moves that end within
     trunc; a state it cannot leave within trunc is dropped."""
     layers = []
     reach = {start: 0}
-    for gen in walk:
+    for gen, norm in walk:
         moves = []
         nxt = {}
         for src, cost in reach.items():
@@ -368,7 +382,7 @@ def _forward_layers(walk, start, trunc):
                     nxt[dst] = to
         if not nxt:
             return None
-        layers.append((reach, moves))
+        layers.append((reach, moves, norm))
         reach = nxt
     if start not in reach:
         return None
@@ -391,12 +405,15 @@ def truncated_trace_table(word, m, trunc=None, convention=HALF):
 
     Per start state s, a forward min-plus pass over the shifted costs
     finds the cheapest cost from s to each state, and walks.sum_paths
-    sums the closed walks s -> s backward in place into raw tables, each
-    state's table truncated at the bound minus that cost.  This is exact:
-    every walk reaches the state at that cost or more, so each term
-    dropped there lies above the bound in every closed walk and the
-    truncation drops it anyway.  A start state that no walk returns to
-    within the bound does no series work at all.
+    sums the closed walks s -> s backward in place, each state's table
+    truncated at the bound minus that cost.  This is exact: every walk
+    reaches the state at that cost or more, so each term dropped there
+    lies above the bound in every closed walk and the truncation drops it
+    anyway.  A start state that no walk returns to within the bound does
+    no series work at all.  The sum runs on Kronecker-packed coefficients
+    (see the walks module), at a width proven from each letter's cached
+    largest row norm (_generator_norm), and is decoded once per start
+    state.
 
     For an all-positive `half` word with a letter on every column
     1..n-1, a closed walk of a weight-m start state s costs at least 2m,
@@ -427,15 +444,18 @@ def truncated_trace_table(word, m, trunc=None, convention=HALF):
     n = word.n
     lows, tables = {}, {}
     for v in dict.fromkeys(word.letters):
-        table = tables[v] = _letter_moves(n, m, v, convention)
+        table = _letter_moves(n, m, v, convention)
         low = lows[v] = min(moves[0][1] for moves in table)  # cheapest first
         if low:
-            tables[v] = [[(dst, xh - low, w) for dst, xh, w in moves]
-                         for moves in table]
+            table = [[(dst, xh - low, w) for dst, xh, w in moves]
+                     for moves in table]
+        tables[v] = table, _generator_norm(n, m, abs(v), 1 if v > 0 else -1,
+                                           convention)
     walk = [tables[v] for v in word.letters]
     shift = sum(lows[v] for v in word.letters)
     if trunc is None:
-        bound = sum(max(moves[-1][1] for moves in table) for table in walk)
+        bound = sum(max(moves[-1][1] for moves in table)
+                    for table, _ in walk)
     else:
         bound = trunc - shift
     tr = {}

@@ -17,6 +17,22 @@ plain-dict loops that both classes do their arithmetic with;
 ql_addmul_into is the one q-product loop, and ql_mul and
 xs_addmul_term_into run it.
 
+kronecker_pack and kronecker_unpack are the one Kronecker codec (von zur
+Gathen and Gerhard, Modern Computer Algebra; D. Harvey, J. Symbolic
+Comput. 2009): a {half: coeff} table times y^(-low), y the half-power of
+its variable and low at most its lowest exponent, is evaluated at
+y = 2^K, one integer.  Evaluation at 2^K is a ring homomorphism
+Z[y] -> Z, so the packed product of two tables is the product of their
+packed values, at the sum of their lows, and two packed values at one
+low add; one at a higher low is shifted left by K bits per step first.
+Whenever every coefficient of the true result has
+|coeff| < 2^(K - 1), its balanced base-2^K digits are exactly those
+coefficients, so kronecker_unpack decodes it, and a packed value is 0
+iff the table is empty.  Each caller proves such a bound, from the L1
+norms (ql_norm) of what it multiplies, before it picks K: braid._det and
+the q = 1 weight-rep route (braid), and the closed-walk sums of both Phi
+engines (walks.sum_paths).
+
 qbinom / qtrinom are the Gaussian binomial/trinomial with the generalized
 negative-top convention.  qbinom builds nonnegative tops from q-Pascal rows
 in one cache and reflects a negative top onto a nonnegative one; qtrinom is
@@ -67,6 +83,11 @@ def ql_mul(a, b):
     return out
 
 
+def ql_norm(a):
+    """||a||_1: the sum of |coeff| over the {exp: coeff} dict a."""
+    return sum(map(abs, a.values()))
+
+
 def ql_add_into(acc, a, scale=1, shift=0):
     """acc += scale * a with every exponent raised by shift, in place
     (zeros dropped); scale is nonzero."""
@@ -114,6 +135,31 @@ def xs_addmul_term_into(acc, a, qc, xh, tmax):
         ql_addmul_into(t, qa, qc)
         if not t:
             del acc[nx]
+
+
+def kronecker_pack(terms, K, low):
+    """The {half: coeff} table terms times y^(-low), low at most its lowest
+    exponent, evaluated at y = 2^K: one integer."""
+    return sum(c << K * (e - low) for e, c in terms.items())
+
+
+def kronecker_unpack(value, K, low):
+    """The {half: coeff} table whose coefficients are the balanced
+    base-2^K digits of value, the lowest at exponent low: the inverse of
+    kronecker_pack when every coefficient is below 2^(K - 1) in absolute
+    value."""
+    mask, half = (1 << K) - 1, 1 << (K - 1)
+    terms = {}
+    e = low
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << K
+        if digit:
+            terms[e] = digit
+        value = (value - digit) >> K
+        e += 1
+    return terms
 
 
 def xs_mul(a, b, tmax):

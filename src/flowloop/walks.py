@@ -7,8 +7,8 @@ module holds only what they do alike once the moves are known.
 
 A move is a tuple (src, dst, x_half, weight): one step from state src to
 state dst that costs x^(x_half/2) and carries the q-weight `weight`, a
-QLaurent.  States are opaque hashable keys here; both engines make them
-small ints, since every dict lookup of the two passes hashes one: the
+nonzero QLaurent.  States are opaque hashable keys here; both engines make
+them small ints, since every dict lookup of the two passes hashes one: the
 trace walk names a weight state by its position in
 lawrence.weight_states, and the transfer DP packs a label vector,
 padded with a zero boundary field at each end, into one int, one bit
@@ -22,14 +22,29 @@ engine's forward pass records, letter by letter, the cheapest cost from
 the start to each state and every move that ends within its letter's
 budget: trunc, or less where the engine has a lower bound on what the
 rest of a closed walk costs (the transfer DP's _letter_budgets), so that
-a move above it lies on no closed walk of cost <= trunc.  sum_paths then
+a move above it lies on no closed walk of cost <= trunc.  It also records
+per letter a row norm N: an upper bound, over the states the letter
+leaves, on the sum of ||weight||_1 over a state's moves.  sum_paths then
 sums backward from the start, truncating each state's table at trunc
 minus the cheapest cost of reaching it, so a term that no closed walk
 keeps is never formed; the result is the truncated sum over all walks,
-term for term.
+term for term.  Each q-coefficient of the sum is one integer, packed by
+the Kronecker codec of ring (kronecker_pack) at a K that the row norms
+prove (sum_paths).
 """
 
-from .ring import xs_addmul_term_into
+import functools
+
+from .ring import kronecker_pack, kronecker_unpack
+
+
+@functools.cache
+def _packed_weights(K):
+    """The weights packed at 2^K so far: id(weight) -> (weight, packed
+    value, lowest q-half exponent).  An entry holds its weight, so no other
+    object takes that id while the entry lives.  K is a multiple of 8, so
+    few K occur and each weight is packed once per K."""
+    return {}
 
 
 def sum_paths(start, layers, trunc):
@@ -37,27 +52,80 @@ def sum_paths(start, layers, trunc):
     of the product of their weights, truncated at trunc, as an
     {x_half: {q_half: coeff}} table.
 
-    layers holds one (reach, moves) pair per letter from the forward pass:
-    reach maps each state the letter starts from to the cheapest cost of
-    getting there from start, and moves are the letter's moves out of those
-    states.  Going from the last letter to the first, back[s] sums the
-    walks from s home to start through the later letters: every move adds
-    its end's table times its weight into its source's table in place
-    (xs_addmul_term_into), and a table that cancels to empty is skipped.
-    Every walk reaches src at a cost >= reach[src], so a term of src's
-    table above trunc - reach[src] lies above trunc in every closed walk
-    and is dropped there: the sum is exact."""
-    back = {start: {0: {0: 1}}}
-    for reach, moves in reversed(layers):
+    layers holds one (reach, moves, norm) triple per letter from the
+    forward pass: reach maps each state the letter starts from to the
+    cheapest cost of getting there from start, moves are the letter's
+    moves out of those states, and norm bounds the sum of ||weight||_1 over
+    the moves of any one of those states.  Going from the last letter to
+    the first, back[s] sums the walks from s home to start through the
+    later letters: every move adds its end's table times its weight into
+    its source's table in place, and a table that cancels to empty is
+    skipped.  Every walk reaches src at a cost >= reach[src], so a term of
+    src's table above trunc - reach[src] lies above trunc in every closed
+    walk and is dropped there: the sum is exact.
+
+    Each x-term of a table is a pair (P, e): e is at most its lowest
+    q-half exponent, and P its q-polynomial times q^(-e/2) at
+    q^(1/2) = 2^K (ring.kronecker_pack).  A move multiplies P by its
+    packed weight and adds the weight's lowest exponent to e, one big-int
+    multiply per x-term; two terms at different e add after the one at the
+    higher e is shifted left by K bits per step.  The start's table is
+    decoded once, by ring.kronecker_unpack.
+
+    Bound.  With B_j = max over s of ||back_j[s]||_1 after letter j's moves
+    (back_L = start's table 1, so B_L = 1), back_j[s] is the sum of
+    weight times x^(x_half/2) times back_(j+1)[dst] over s's moves,
+    truncated; ||ab||_1 <= ||a||_1 ||b||_1 and truncation only drops terms,
+    so every partial sum has ||.||_1 <= N_j B_(j+1), and B_j <= N_j ... N_L.
+    So every coefficient of every table, intermediate ones included, is at
+    most B = prod_j N_j.  K = B.bit_length() + 2, rounded up to a multiple
+    of 8, gives B < 2^(K - 2): every packed value decodes exactly, and one
+    is 0 iff its table is, so a cancelled x-term is deleted exactly.  K is
+    proven, never guessed and retried."""
+    bound = 1
+    for _, _, norm in layers:
+        bound *= norm
+    if not bound:
+        return {}  # a letter with no move: no walk closes
+    K = (bound.bit_length() + 9) // 8 * 8
+    packed = _packed_weights(K)
+    back = {start: {0: (1, 0)}}
+    for reach, moves, _ in reversed(layers):
         prev = {}
         for src, dst, xh, weight in moves:
             tail = back.get(dst)
             if not tail:
                 continue
+            hit = packed.get(id(weight))
+            if hit is None:
+                low = min(weight.terms)
+                hit = packed[id(weight)] = (
+                    weight, kronecker_pack(weight.terms, K, low), low)
+            _, w, low = hit
             acc = prev.get(src)
             if acc is None:
                 acc = prev[src] = {}
-            xs_addmul_term_into(acc, tail, weight.terms, xh,
-                                trunc - reach[src])
+            top = trunc - reach[src] - xh
+            for x, (p, e) in tail.items():
+                if x > top:
+                    continue
+                x += xh
+                p *= w
+                e += low
+                cur = acc.get(x)
+                if cur is not None:
+                    q, f = cur
+                    if f < e:
+                        p = q + (p << K * (e - f))
+                        e = f
+                    elif f > e:
+                        p += q << K * (f - e)
+                    else:
+                        p += q
+                    if not p:
+                        del acc[x]
+                        continue
+                acc[x] = (p, e)
         back = prev
-    return back.get(start, {})
+    return {x: kronecker_unpack(p, K, e)
+            for x, (p, e) in back.get(start, {}).items()}

@@ -81,12 +81,15 @@ computed two ways:
   (delta, x_half, coeff), one tuple per (delta, x_half): a move lands on
   state + delta.  The table is filled on first use and shared by every
   word and run with that key.
-  The series work runs backward on raw {x_half: {q_half: coeff}} tables:
-  each move adds its end's sum home times its weight into its source in
-  place, truncated at trunc minus the cheapest cost to the source
-  (walks.sum_paths), and each bottom's two axis sectors go into Phi the
-  same way, through the one kernel ring.xs_addmul_term_into; only the
-  final sums become XSeries.
+  Each field of a column table also holds its row norm, the sum of
+  ||coeff||_1 over its moves, and the forward pass keeps the largest one
+  a letter reads.  The series work runs backward (walks.sum_paths): each
+  move adds its end's sum home times its weight into its source in place,
+  truncated at trunc minus the cheapest cost to the source, on
+  Kronecker-packed q-coefficients whose width those norms prove.  Each
+  bottom's decoded {x_half: {q_half: coeff}} table goes into Phi once per
+  axis sector through ring.xs_addmul_term_into; only the final sums
+  become XSeries.
 
   The label cap is checked only where it can bind: below the order a
   second run at cap + 2 must give the same Phi; at cap >= order the two
@@ -111,7 +114,14 @@ from . import braid as _braid
 from . import lawrence as _lawrence
 from . import walks as _walks
 from .errors import InputError, VerificationError, require_nonnegative
-from .ring import QLaurent, XSeries, qbinom, qtrinom, xs_addmul_term_into
+from .ring import (
+    QLaurent,
+    XSeries,
+    ql_norm,
+    qbinom,
+    qtrinom,
+    xs_addmul_term_into,
+)
 
 # Phi takes one forward step per start state and letter: on the DP route
 # from at most (label bound + 1)^(n - 1) bottoms, on the positive route
@@ -135,13 +145,14 @@ def _require_work(starts, kind, word, order):
 
 
 def _finalize_phi(phi, label, word, order, cap=None, m_cut=None):
-    where = _braid._where(word, order, cap, m_cut)
     if phi.coeff(0) != QLaurent.one():
         raise VerificationError(
-            f"{label} of {where} does not start with 1: {phi}")
+            f"{label} of {_braid._where(word, order, cap, m_cut)} does not "
+            f"start with 1: {phi}")
     if not phi.x_integral or not phi.q_integral:
         raise VerificationError(
-            f"{label} of {where} kept half-integer exponents: {phi}")
+            f"{label} of {_braid._where(word, order, cap, m_cut)} kept "
+            f"half-integer exponents: {phi}")
     return phi
 
 
@@ -187,7 +198,6 @@ def _phi_positive(word, order, m_cut, stabilize):
     n = word.n
     top = min(m_cut + 2 if stabilize else m_cut, order)
     _require_work(comb(top + n - 1, n - 1), "start states", word, order)
-    where = _braid._where(word, order, m_cut=m_cut)
     trunc = 2 * order + 1
     phi = {}
     delta = {}
@@ -199,11 +209,12 @@ def _phi_positive(word, order, m_cut, stabilize):
             xs_addmul_term_into(acc, tr, {2 * (m + n - 1): -1}, 2 * n, trunc)
     except VerificationError as exc:
         # truncated_trace_table names the word and the weight, not the order
-        raise VerificationError(f"{exc} in {where}") from exc
+        raise VerificationError(
+            f"{exc} in {_braid._where(word, order, m_cut=m_cut)}") from exc
     if delta:
         raise VerificationError(
             f"weight cutoff not stable: raising it to m_cut + 2 changes "
-            f"phi_positive of {where}"
+            f"phi_positive of {_braid._where(word, order, m_cut=m_cut)}"
         )
     return _finalize_phi(XSeries._adopt(phi, trunc), "phi_positive", word,
                          order, m_cut=m_cut)
@@ -410,7 +421,8 @@ def _column_table(kinds, i, limit):
     """The memo of the crossings of column i at label bound limit, whose
     columns i - 1..i + 1 have kinds kinds (0 for the boundary): a dict,
     filled on first use, that maps the 3 fields a crossing reads to its
-    moves (_field_moves), and the dict that interns those moves.
+    moves and their row norm (_field_moves), and the dict that interns
+    those moves.
 
     A field's moves depend on nothing else: not on the word, the order,
     the cap or the bottom, so one table serves every run in the process
@@ -422,7 +434,8 @@ def _field_moves(col_sign, i, field, limit, interned):
     """The moves of a crossing of column i out of every state whose
     columns i - 1..i + 1 read `field` (the 3 B bits from (i - 1) B up,
     B = _field_width(limit)), as a tuple of (delta, x_half, coeff) sorted
-    by x_half: the move lands on state + delta.  They are the moves of
+    by x_half, and their row norm, the sum of ||coeff||_1 over them: the
+    move lands on state + delta.  They are the moves of
     _transitions at cap = limit; a boundary neighbor has kind 0 and label
     0, so it sheds nothing, and every label they land on is <= limit <
     2^B, so no field overflows into its neighbor.
@@ -439,13 +452,15 @@ def _field_moves(col_sign, i, field, limit, interned):
     key = (kinds[i], kinds[i - 1], kinds[i + 1], lL, lM, lR, limit)
     shift = (i - 1) * width
     out = []
+    norm = 0
     # the column table is this crossing's cache: a throwaway dict keeps
     # _transitions from holding every move list a second time
     for nL, nM, nR, xh, coeff in _transitions(key, {}):
         delta = ((nL - lL) + ((nM - lM) << width)
                  + ((nR - lR) << 2 * width)) << shift
         out.append(interned.setdefault((delta, xh), (delta, xh, coeff)))
-    return tuple(out)
+        norm += ql_norm(coeff.terms)
+    return tuple(out), norm
 
 
 def _letter_tables(letters, col_sign, limit):
@@ -467,12 +482,14 @@ def _closed_amplitude(letters, tables, col_sign, bottom, trunc, limit):
     _letter_tables at limit.  A state is one int, the padded label tuple
     packed by _pack in fields of _field_width(limit) bits, and each
     letter's column table maps the 3 fields a crossing touches to its
-    moves (_field_moves): a move is one shift, one mask, one dict lookup
-    and one add.
+    moves and their row norm (_field_moves): a move is one shift, one
+    mask, one dict lookup and one add.
 
-    The forward min-plus pass records each letter's moves and the
-    cheapest cost to each state, and walks.sum_paths sums them backward,
-    truncated by those costs (see the module docstring).  The forward pass
+    The forward min-plus pass records each letter's moves, the cheapest
+    cost to each state and the largest row norm of the states the letter
+    leaves, one compare per state, and walks.sum_paths sums the moves
+    backward, truncated by those costs, on Kronecker-packed coefficients
+    whose width the norms prove (see the walks module).  The forward pass
     keeps a move of letter j only if it ends within the letter's budget
     trunc - h_j(b) (_letter_budgets); every move it drops lies on no
     closed path within trunc, so the sum is the one with trunc as every
@@ -495,12 +512,16 @@ def _closed_amplitude(letters, tables, col_sign, bottom, trunc, limit):
                                                    budgets):
         moves = []
         nxt = {}
+        top = 0
         for src, cost in reach.items():
             field = (src >> shift) & mask
-            out = table.get(field)
-            if out is None:
-                out = table[field] = _field_moves(col_sign, i, field, limit,
+            hit = table.get(field)
+            if hit is None:
+                hit = table[field] = _field_moves(col_sign, i, field, limit,
                                                   interned)
+            out, norm = hit
+            if norm > top:
+                top = norm
             for delta, xh, coeff in out:
                 to = cost + xh
                 if to > budget:
@@ -511,7 +532,7 @@ def _closed_amplitude(letters, tables, col_sign, bottom, trunc, limit):
                     nxt[dst] = to
         if not nxt:
             return {}
-        layers.append((reach, moves))
+        layers.append((reach, moves, top))
         reach = nxt
     if start not in reach:
         return {}
@@ -594,18 +615,18 @@ def _phi_homogeneous(word, stats, order, cap, stabilize):
     top = cap + 2 if stabilize else cap
     bound = _label_bound(2 * order + 1, top)
     _require_work((bound + 1) ** (word.n - 1), "bottoms", word, order)
-    where = _braid._where(word, order, cap)
     try:
         phi = _phi_homogeneous_run(word, order, cap, col_sign)
         unstable = (stabilize and cap < order
                     and _phi_homogeneous_run(word, order, cap + 2,
                                              col_sign) != phi)
     except VerificationError as exc:
-        raise VerificationError(f"{exc} in {where}") from exc
+        raise VerificationError(
+            f"{exc} in {_braid._where(word, order, cap)}") from exc
     if unstable:
         raise VerificationError(
             f"label cap not stable: raising it to cap + 2 changes "
-            f"phi_homogeneous of {where}"
+            f"phi_homogeneous of {_braid._where(word, order, cap)}"
         )
     return _finalize_phi(phi, "phi_homogeneous", word, order, cap)
 

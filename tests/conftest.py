@@ -8,6 +8,9 @@ import pytest
 from flowloop import QLaurent, XSeries, analyze
 from flowloop import lawrence, walks
 from flowloop.ring import xs_addmul_term_into
+# the packed sum itself, for the checks below while a test spies on
+# walks.sum_paths
+from flowloop.walks import sum_paths as packed_sum_paths
 
 # the module itself: the package re-exports the function `zhat` under its name
 zmod = importlib.import_module("flowloop.zhat")
@@ -43,24 +46,26 @@ def xs(terms, trunc=None):
 
 
 # ---------------------------------------------------------------------------
-# the two-pass closed-walk sum that walks.sum_paths replaced, kept verbatim
-# as its oracle: a backward min-plus pass picks the moves on some closed walk
-# within trunc, then a forward series pass sums over just those moves
+# the two-pass closed-walk sum that walks.sum_paths replaced, kept as its
+# oracle on the dict kernel: a backward min-plus pass picks the moves on
+# some closed walk within trunc, then a forward series pass sums over just
+# those moves
 
 
 def closed_moves(start, layers, trunc):
     """The moves of `layers` that lie on a closed walk start -> start of
     cost <= trunc, one list per letter.
 
-    layers holds one (reach, moves) pair per letter from the forward pass:
-    reach maps each state the letter starts from to the cheapest cost of
-    getting there from start, and moves are the letter's moves out of those
-    states.  The backward pass finds the cheapest cost from each state back
-    to start; a move is kept iff the cheapest cost to its source, its own
-    cost and the cheapest cost home from its end sum to at most trunc."""
+    layers holds one (reach, moves, norm) triple per letter from the
+    forward pass: reach maps each state the letter starts from to the
+    cheapest cost of getting there from start, and moves are the letter's
+    moves out of those states; norm is not read.  The backward pass finds
+    the cheapest cost from each state back to start; a move is kept iff the
+    cheapest cost to its source, its own cost and the cheapest cost home
+    from its end sum to at most trunc."""
     kept = []
     back = {start: 0}
-    for reach, moves in reversed(layers):
+    for reach, moves, _ in reversed(layers):
         live = []
         prev = {}
         for move in moves:
@@ -79,8 +84,8 @@ def closed_moves(start, layers, trunc):
 
 def forward_sum_paths(start, layers, trunc):
     """Sum over the walks start -> start through the per-letter move lists
-    of the product of their weights, truncated at trunc, as an
-    {x_half: {q_half: coeff}} table.
+    `layers` (one list of moves per letter) of the product of their
+    weights, truncated at trunc, as an {x_half: {q_half: coeff}} table.
 
     Each letter's amplitudes are raw tables, and every move adds its
     source's amplitude times its weight into its destination's table in
@@ -105,6 +110,54 @@ def two_pass_sum(start, layers, trunc):
     """walks.sum_paths by the two passes it replaced: closed_moves, then the
     forward series sum over the kept moves."""
     return forward_sum_paths(start, closed_moves(start, layers, trunc), trunc)
+
+
+def backward_dict_sum(start, layers, trunc):
+    """walks.sum_paths on the dict kernel, as it was before its
+    coefficients were packed, and the largest |coefficient| of every table
+    it forms on the way, intermediate ones included."""
+    top = 1
+    back = {start: {0: {0: 1}}}
+    for reach, moves, _ in reversed(layers):
+        prev = {}
+        for src, dst, xh, weight in moves:
+            tail = back.get(dst)
+            if not tail:
+                continue
+            acc = prev.setdefault(src, {})
+            xs_addmul_term_into(acc, tail, weight.terms, xh,
+                                trunc - reach[src])
+            top = max([top] + [abs(c) for t in acc.values()
+                               for c in t.values()])
+        back = prev
+    return back.get(start, {}), top
+
+
+def proven_bound(layers):
+    """B = the product of the layers' row norms: the bound walks.sum_paths
+    proves on every coefficient of every table it forms."""
+    bound = 1
+    for _, _, norm in layers:
+        bound *= norm
+    return bound
+
+
+def assert_packed_sum(start, layers, trunc):
+    """walks.sum_paths of the layers equals the two-pass oracle as raw
+    dicts (no empty x-term, no zero coefficient), and its proven B is at
+    least every |coefficient| of every table of the backward dict-kernel
+    sum, which equals it too; B = 0 only when a letter leaves its states
+    by no move, and then the sum is empty.  Returns the sum."""
+    got = packed_sum_paths(start, layers, trunc)
+    assert got == two_pass_sum(start, layers, trunc)
+    want, top = backward_dict_sum(start, layers, trunc)
+    assert got == want
+    bound = proven_bound(layers)
+    if bound:
+        assert bound >= top, (bound, top)
+    else:
+        assert not got and any(not moves for _, moves, _ in layers)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +192,11 @@ def tuple_generator_moves(n, m, i, sign, convention):
 
 
 def tuple_forward_layers(walk, start, trunc):
-    """lawrence._forward_layers over tuple-keyed move tables."""
+    """lawrence._forward_layers over tuple-keyed move tables: walk holds one
+    (table, norm) pair per letter."""
     layers = []
     reach = {start: 0}
-    for gen in walk:
+    for gen, norm in walk:
         moves = []
         nxt = {}
         for src, cost in reach.items():
@@ -155,18 +209,26 @@ def tuple_forward_layers(walk, start, trunc):
                     nxt[dst] = to
         if not nxt:
             return None
-        layers.append((reach, moves))
+        layers.append((reach, moves, norm))
         reach = nxt
     if start not in reach:
         return None
     return layers
 
 
+def row_norm(moves):
+    """The sum of ||weight||_1 over the moves of one state, each move a
+    tuple whose last entry is its weight."""
+    return sum(abs(c) for move in moves for c in move[-1].terms.values())
+
+
 def tuple_walk(word, m):
     """The word's positive `half` generators as tuple-keyed move tables,
-    one per letter."""
-    tables = {v: tuple_generator_moves(word.n, m, v, 1, lawrence.HALF)
-              for v in set(word.letters)}
+    one (table, largest row norm) pair per letter."""
+    tables = {}
+    for v in set(word.letters):
+        table = tuple_generator_moves(word.n, m, v, 1, lawrence.HALF)
+        tables[v] = table, max(map(row_norm, table.values()))
     return [tables[v] for v in word.letters]
 
 
@@ -202,10 +264,13 @@ def tuple_closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
         sign, kindL, kindR = kinds[i], kinds[i - 1], kinds[i + 1]
         moves = []
         nxt = {}
+        top = 0
         for src, cost in reach.items():
             head, tail = src[:i - 1], src[i + 2:]
             key = (sign, kindL, kindR, src[i - 1], src[i], src[i + 1], limit)
-            for nL, nM, nR, xh, coeff in zmod._transitions(key, cache):
+            out = zmod._transitions(key, cache)
+            top = max(top, row_norm(out))
+            for nL, nM, nR, xh, coeff in out:
                 to = cost + xh
                 if to > budget:
                     break  # the moves come sorted by cost
@@ -215,7 +280,7 @@ def tuple_closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
                     nxt[dst] = to
         if not nxt:
             return {}
-        layers.append((reach, moves))
+        layers.append((reach, moves, top))
         reach = nxt
     if start not in reach:
         return {}

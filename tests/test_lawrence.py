@@ -15,7 +15,7 @@ from flowloop import (
     parse_braid,
     phi_positive,
 )
-from flowloop import lawrence, walks
+from flowloop import braid, lawrence, walks
 from flowloop.braid import BraidWord, alexander_classical, analyze, render_word
 from flowloop.lawrence import (
     HALF,
@@ -36,10 +36,10 @@ from conftest import (
     CORPUS,
     EXTRA_KNOTS,
     POSITIVE_KNOTS,
+    assert_packed_sum,
     tuple_forward_layers,
     tuple_truncated_trace_table,
     tuple_walk,
-    two_pass_sum,
     xs,
 )
 
@@ -209,10 +209,12 @@ def oracle_mirror_validated(convention):
 
 @pytest.fixture
 def cold_mirror():
-    """Empty move-table, generator and mirror-check caches before and after
-    the test, so a planted weight is read afresh and leaves nothing behind."""
+    """Empty move-table, generator, row-norm, q = 1 table and mirror-check
+    caches before and after the test, so a planted weight is read afresh
+    and leaves nothing behind."""
     caches = (lawrence._generator_moves, lawrence._generator_mirror,
-              lawrence._mirror_validated)
+              lawrence._generator_norm, lawrence._mirror_validated,
+              braid._q1_moves)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -467,7 +469,8 @@ def test_pruned_walks_match_mul_term_walk(text, order):
     trunc = 2 * order + 1
     for m in range(order + 3):
         closed = mul_term_walk(word, m, trunc)
-        tables = {v: lawrence._generator_moves(n, m, v, 1, HALF)
+        tables = {v: (lawrence._generator_moves(n, m, v, 1, HALF),
+                      lawrence._generator_norm(n, m, v, 1, HALF))
                   for v in set(word.letters)}
         walk = [tables[v] for v in word.letters]
         # closed runs over weight_states(n, m) in order, so s sits at k
@@ -480,10 +483,10 @@ def test_pruned_walks_match_mul_term_walk(text, order):
                 # a weight-m closed walk costs at least x^m, so the two
                 # stabilization weights above the order keep no start state
                 assert m <= order, (m, s)
-                got = walks.sum_paths(k, layers, trunc)
+                # raw dicts, against the two passes it replaced and the
+                # dict-kernel sum it packs, within its proven bound
+                got = assert_packed_sum(k, layers, trunc)
                 assert XSeries._adopt(got, trunc) == want, (m, s)
-                # raw dicts, against the two passes it replaced
-                assert got == two_pass_sum(k, layers, trunc), (m, s)
         oracle = sum(closed.values(), XSeries.zero(trunc))
         assert truncated_trace(word, m, trunc) == oracle, m
 
@@ -493,8 +496,8 @@ def state_layers(layers, states):
     its state in `states`."""
     return [({states[s]: cost for s, cost in reach.items()},
              [(states[src], states[dst], xh, weight)
-              for src, dst, xh, weight in moves])
-            for reach, moves in layers]
+              for src, dst, xh, weight in moves], norm)
+            for reach, moves, norm in layers]
 
 
 @pytest.mark.parametrize("text,order", WALK_CASES)
@@ -508,7 +511,8 @@ def test_position_walk_matches_tuple_walk(text, order):
     closing = 0
     for m in range(order + 3):
         states = weight_states(n, m)
-        walk = [lawrence._generator_moves(n, m, v, 1, HALF)
+        walk = [(lawrence._generator_moves(n, m, v, 1, HALF),
+                 lawrence._generator_norm(n, m, v, 1, HALF))
                 for v in word.letters]
         oracle_walk = tuple_walk(word, m)
         for k, s in enumerate(states):

@@ -1,4 +1,5 @@
-"""The backward closed-walk sum against the two passes it replaced."""
+"""The packed backward closed-walk sum against the two passes it replaced
+and against the dict-kernel backward sum it packs."""
 
 import sys
 
@@ -9,7 +10,12 @@ from hypothesis import strategies as st
 from flowloop import QLaurent, parse_braid, zhat
 from flowloop import walks
 
-from conftest import benchmark_batch, two_pass_sum
+from conftest import (
+    assert_packed_sum,
+    benchmark_batch,
+    row_norm,
+    two_pass_sum,
+)
 
 # ---------------------------------------------------------------------------
 # random layers: few states, short words, small costs, and weights whose
@@ -27,15 +33,17 @@ letters = st.lists(
 
 
 def forward_layers(states, walk, start, budgets):
-    """The (reach, moves) layers of a forward min-plus pass over `walk` from
-    start, on states 0..states - 1 (a move's end taken mod states), each
-    letter keeping the moves that end within its budget, as both engines'
-    forward passes do."""
+    """The (reach, moves, norm) layers of a forward min-plus pass over
+    `walk` from start, on states 0..states - 1 (a move's end taken mod
+    states), each letter keeping the moves that end within its budget, as
+    both engines' forward passes do, and bounding the row norm by the
+    largest sum of ||weight||_1 over all the moves of a state it leaves."""
     layers = []
     reach = {start: 0}
     for letter, budget in zip(walk, budgets):
         moves = []
         nxt = {}
+        norm = max((row_norm(letter[src]) for src in reach), default=0)
         for src, cost in reach.items():
             for dst, xh, weight in letter[src]:
                 to = cost + xh
@@ -44,7 +52,7 @@ def forward_layers(states, walk, start, budgets):
                 dst %= states
                 moves.append((src, dst, xh, weight))
                 nxt[dst] = min(nxt.get(dst, to), to)
-        layers.append((reach, moves))
+        layers.append((reach, moves, norm))
         reach = nxt
     return layers
 
@@ -60,8 +68,55 @@ def test_backward_sum_matches_two_pass_sum_on_random_layers(
         st.integers(0, 2), min_size=len(walk), max_size=len(walk)))]
     layers = forward_layers(states, walk, start, budgets)
     # raw dicts: no empty x-term, no zero coefficient
-    assert walks.sum_paths(start, layers, trunc) \
-        == two_pass_sum(start, layers, trunc)
+    assert_packed_sum(start, layers, trunc)
+
+
+# large coefficients of both signs at half exponents, and each move
+# optionally doubled by its negation, so that whole tables cancel to zero
+big_weights = st.dictionaries(
+    st.integers(-9, 9),
+    st.integers(-10 ** 30, 10 ** 30).filter(bool),
+    min_size=1, max_size=4).map(QLaurent)
+big_letters = st.lists(
+    st.lists(st.tuples(st.integers(0, STATES - 1), st.integers(0, 3),
+                       big_weights, st.booleans()), min_size=1, max_size=3)
+    .map(lambda moves: sorted(
+        [move for dst, xh, weight, twin in moves
+         for move in ([(dst, xh, weight), (dst, xh, -weight)] if twin
+                      else [(dst, xh, weight)])],
+        key=lambda move: move[1])),
+    min_size=STATES, max_size=STATES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, STATES), st.lists(big_letters, min_size=1, max_size=5),
+       st.integers(0, 12), st.data())
+def test_packed_sum_on_large_and_cancelling_weights(states, walk, trunc,
+                                                    data):
+    start = data.draw(st.integers(0, states - 1))
+    layers = forward_layers(states, walk, start, [trunc] * len(walk))
+    assert_packed_sum(start, layers, trunc)
+
+
+def test_packed_sum_cancels_to_empty():
+    # two walks whose weights cancel term for term, one of them at a lower
+    # q-exponent on the way: the packed x-terms at different lows must
+    # line up and delete each other exactly, at 2^90 scale
+    big = 3 ** 57
+    w = QLaurent({-3: big, 5: -big})
+    stay = [[(0, 0, QLaurent.one())], [], [], []]
+    walk = [[[(0, 1, w), (1, 1, -w)], [], [], []],
+            [[(0, 1, QLaurent({0: 1}))], [(0, 1, QLaurent({0: 1}))], [],
+             []],
+            stay]
+    layers = forward_layers(2, walk, 0, [4] * len(walk))
+    assert walks.sum_paths(0, layers, 4) == two_pass_sum(0, layers, 4) \
+        == {}
+    # one walk alone keeps both 2^90-scale coefficients, at q^(-3/2)
+    # and q^(5/2)
+    walk[0] = [[(0, 1, w)], [], [], []]
+    layers = forward_layers(2, walk, 0, [4] * len(walk))
+    assert assert_packed_sum(0, layers, 4) == {2: {-3: big, 5: -big}}
 
 
 def test_forward_layers_reach_the_state_a_move_ends_on():
@@ -73,7 +128,7 @@ def test_forward_layers_reach_the_state_a_move_ends_on():
     walk = [[[(2, 0, one), (0, 3, one)], [], [], []],
             [[(0, 0, one)], [], [], []], stay, stay]
     layers = forward_layers(2, walk, 0, [4] * len(walk))
-    assert [reach for reach, moves in layers] == [{0: 0}] * len(walk)
+    assert [reach for reach, _, _ in layers] == [{0: 0}] * len(walk)
     # (1 + x^(3/2)) (1 + x^(1/2))^2 through x^2, keyed by x-half
     want = {0: {0: 1}, 1: {0: 2}, 2: {0: 1}, 3: {0: 1}, 4: {0: 2}}
     assert walks.sum_paths(0, layers, 4) == two_pass_sum(0, layers, 4) \
@@ -81,32 +136,52 @@ def test_forward_layers_reach_the_state_a_move_ends_on():
 
 
 # ---------------------------------------------------------------------------
-# the truncation at trunc - reach forms no more coefficient products than the
+# the truncation at trunc - reach forms no more x-term products than the
 # two passes did
 
 
+class CountedWeight(int):
+    """A packed weight that counts in counts[0] the x-terms it multiplies:
+    int * CountedWeight calls __rmul__ first, as a subclass overrides it."""
+
+    counts = [0]
+
+    def __rmul__(self, other):
+        self.counts[0] += 1
+        return int(other) * int(self)
+
+
 def counting_kernel(real, counts):
-    """real (ring.xs_addmul_term_into), counting in counts[0] the q-term
-    products of the x-terms it keeps."""
+    """real (ring.xs_addmul_term_into), counting in counts[0] the x-terms
+    it keeps, one product of an x-term by qc each."""
     def kernel(acc, a, qc, xh, tmax):
-        counts[0] += len(qc) * sum(
-            len(qa) for x, qa in a.items() if tmax is None or x + xh <= tmax)
+        counts[0] += sum(1 for x in a if tmax is None or x + xh <= tmax)
         return real(acc, a, qc, xh, tmax)
     return kernel
 
 
 def phi_products(word, order, sum_paths, monkeypatch):
     """zhat(word, order) with walks.sum_paths replaced by sum_paths, and the
-    coefficient products of every xs_addmul_term_into call that walks and
-    the test-local two-pass oracle make."""
-    counts = [0]
+    x-term products that walks' packed multiplies and the test-local
+    two-pass oracle's xs_addmul_term_into calls make."""
+    counts = CountedWeight.counts = [0]
     oracle = sys.modules[two_pass_sum.__module__]
-    with monkeypatch.context() as patch:
-        patch.setattr(walks, "sum_paths", sum_paths)
-        for module in (walks, oracle):
-            patch.setattr(module, "xs_addmul_term_into",
-                          counting_kernel(module.xs_addmul_term_into, counts))
-        result = zhat(word, order)
+
+    def counted_pack(terms, K, low):
+        return CountedWeight(real_pack(terms, K, low))
+
+    real_pack = walks.kronecker_pack
+    # no weight packed before, or packed here, serves another sum
+    walks._packed_weights.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(walks, "sum_paths", sum_paths)
+            patch.setattr(walks, "kronecker_pack", counted_pack)
+            patch.setattr(oracle, "xs_addmul_term_into",
+                          counting_kernel(oracle.xs_addmul_term_into, counts))
+            result = zhat(word, order)
+    finally:
+        walks._packed_weights.cache_clear()
     return result, counts[0]
 
 

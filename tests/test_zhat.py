@@ -32,11 +32,12 @@ from conftest import (
     CORPUS,
     EXTRA_KNOTS,
     POSITIVE_KNOTS,
+    assert_packed_sum,
     benchmark_batch,
     closed_moves,
     column_signs,
+    row_norm,
     tuple_closed_amplitude,
-    two_pass_sum,
     xs,
 )
 
@@ -720,7 +721,7 @@ def check_bottom_bounds(word, order, cap):
     runs = []
 
     def spy(start, layers, trunc):
-        runs.append((sum(len(moves) for _, moves in layers),
+        runs.append((sum(len(moves) for _, moves, _ in layers),
                      closed_moves(start, layers, trunc)))
         return real(start, layers, trunc)
 
@@ -830,12 +831,13 @@ def test_bottoms_above_twice_the_order_cost_past_trunc(text, order):
 
 def series_walk(start, layers, trunc):
     """walks.sum_paths as a forward walk over every move of the forward
-    pass's (reach, moves) layers, truncated at trunc only: one mul_term per
+    pass's (reach, moves, norm) layers, truncated at trunc only: one
+    mul_term per
     move and one XSeries addition per merge, returned as a raw table of
     fresh dicts (the caller adds into it in place, and a coefficient may be
     a shared ring._monomial)."""
     vec = {start: XSeries.one(trunc)}
-    for _, moves in layers:
+    for _, moves, _ in layers:
         nxt = {}
         for src, dst, xh, coeff in moves:
             amp = vec.get(src)
@@ -914,17 +916,17 @@ def test_in_place_dp_matches_series_walk(text, order, reading, monkeypatch):
 
 @pytest.mark.parametrize("text,order", sorted(set(DP_CASES + EXACT_CASES)))
 def test_backward_sum_matches_two_pass_sum(text, order, monkeypatch):
-    # per bottom, the one backward series pass against the two passes it
-    # replaced, as raw dicts: no empty x-term, no zero coefficient
+    # per bottom, the one packed backward series pass against the two
+    # passes it replaced and the dict-kernel backward sum, as raw dicts: no
+    # empty x-term, no zero coefficient; its proven bound holds every
+    # coefficient of every table of the dict-kernel sum
     word = parse_braid(text)
     col_sign = column_signs(word)
     trunc = 2 * order + 1
-    real = zmod._walks.sum_paths
     closing = []
 
     def both(start, layers, trunc):
-        got = real(start, layers, trunc)
-        assert got == two_pass_sum(start, layers, trunc), (start, cap)
+        got = assert_packed_sum(start, layers, trunc)
         closing.append(bool(got))
         return got
 
@@ -964,8 +966,8 @@ def test_packed_dp_matches_tuple_dp(text, order, monkeypatch):
     def labels(layers, state_labels):
         return [({state_labels(s): cost for s, cost in reach.items()},
                  [(state_labels(src), state_labels(dst), xh, coeff)
-                  for src, dst, xh, coeff in moves])
-                for reach, moves in layers]
+                  for src, dst, xh, coeff in moves], norm)
+                for reach, moves, norm in layers]
 
     monkeypatch.setattr(zmod._walks, "sum_paths", spy)
     closing = 0
@@ -1008,12 +1010,13 @@ def assert_moves_splice(col_sign, src_labels, limit):
         field = (src >> (i - 1) * width) & ((1 << 3 * width) - 1)
         assert field == (padded[i - 1] | padded[i] << width
                          | padded[i + 1] << 2 * width), i
-        moves = zmod._field_moves(col_sign, i, field, limit, {})
+        moves, norm = zmod._field_moves(col_sign, i, field, limit, {})
         key = (kinds[i], kinds[i - 1], kinds[i + 1],
                padded[i - 1], padded[i], padded[i + 1], limit)
         want = zmod._transitions(key, {})
         assert [(xh, coeff) for _, xh, coeff in moves] \
             == [(xh, coeff) for _, _, _, xh, coeff in want]
+        assert norm == row_norm(want)
         for (delta, _, _), (nL, nM, nR, _, _) in zip(moves, want):
             dst = src + delta
             spliced = padded[:i - 1] + (nL, nM, nR) + padded[i + 2:]
