@@ -67,8 +67,13 @@ computed two ways:
   its budget trunc - h_j(b), where h_j(b) bounds the cost of the letters
   after j on any path that ends at b (_letter_budgets).  Neither drops a
   move of a closed path within trunc, so the sum is the one without
-  them.  The q-weight of a crossing depends only on the middle column's
-  sign, low and the two sheds, and is shared by every move that has them.
+  them.  Both are taken once per run, not per bottom: the window filter
+  reads the word only through its live edges, so the filtered bottoms are
+  kept per (n, cap, label bound, live edges, trunc) (_open_bottoms), and
+  h_j(b) is one linear form sum_i a_{j,i} b_i, so a bottom pays one dot
+  product per letter.  The q-weight of a crossing depends only on the
+  middle column's sign, low and the two sheds, and is shared by every move
+  that has them.
   A state is one int, the label tuple padded with a boundary 0 at each
   end: column i's label (its hat, for a negative column) sits in bits
   [i B, (i + 1) B), B = _field_width(limit) bits for the run's label bound
@@ -95,6 +100,17 @@ computed two ways:
   second run at cap + 2 must give the same Phi; at cap >= order the two
   runs provably agree (proof in phi_homogeneous), so Phi takes one run.
 
+  Where the word is cut decides which bottoms the two bounds keep.  At
+  cap >= order the one run is the whole truncated trace of the transfer
+  product, and every cyclic rotation of the word closes to the same knot
+  and has the same trace, so the run takes the word's first rotation that
+  starts on a positive letter and ends on a negative one (_cut).  The cut
+  then sits between a negative column's own crossing and a positive
+  column's own crossing, both columns have empty windows, and the two
+  bounds usually prune more than at the given cut.  Below the order the
+  bottoms' sum filter makes the run depend on the cut, so there the given
+  word runs, and so does its cap + 2 guard.
+
 Both engines refuse an order or cap whose start states times letters pass
 PHI_WORK_LIMIT, before they build any state.
 
@@ -108,7 +124,7 @@ import functools
 from dataclasses import dataclass
 from itertools import product
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import braid as _braid
 from . import lawrence as _lawrence
@@ -275,12 +291,21 @@ def _transitions(key, cache):
     return out
 
 
-@functools.cache
 def _bottoms(n, cap, bound):
     """Every starting label vector: n - 1 labels in [0, bound] with sum
     <= 2 cap, in lexicographic order."""
     return [b for b in product(range(bound + 1), repeat=n - 1)
             if sum(b) <= 2 * cap]
+
+
+@functools.cache
+def _open_bottoms(n, cap, bound, live, trunc):
+    """The bottoms of _bottoms(n, cap, bound) whose closed paths may cost
+    at most trunc: those with 2 W(b) <= trunc, W(b) = _window_bound(b,
+    live).  The filter reads the word only through its live edges, so one
+    tuple serves every run in the process with this key."""
+    return tuple(b for b in _bottoms(n, cap, bound)
+                 if 2 * _window_bound(b, live) <= trunc)
 
 
 def _label_bound(trunc, cap):
@@ -368,37 +393,41 @@ def _window_bound(bottom, live):
     return max(take, skip)
 
 
-def _letter_budgets(letters, col_sign, bottom, trunc):
-    """trunc - h_j(b) for each letter j: the most a path may have cost
-    after letter j and still close within trunc.
+def _letter_budgets(letters, col_sign):
+    """The linear form h_j(b) = sum_i a_{j,i} b_i, a_{j,i} in {0, 1, 2}, as
+    one row (a_{j,1}, ..., a_{j,n-1}) per letter j: h_j(b) bounds from
+    below the cost of the letters after j of any path that ends at bottom
+    b, so letter j's budget trunc - h_j(b) is the most a path may have
+    cost after letter j and still close within trunc.
 
-    h_j(b) is a lower bound on the cost of the letters after j of any path
-    that ends at bottom b.  It adds
-    * b_i for each positive column with an own crossing after letter j:
-      after its last own crossing its label only drops, to b_i, so that
+    Column i adds
+    * a_{j,i} = 1 if it is positive and has an own crossing after letter
+      j: after its last own crossing its label only drops, to b_i, so that
       crossing has v = b_i + its later sheds and costs u + v >= b_i;
-    * 2 b_i for each negative column with an own crossing after letter j
+    * a_{j,i} = 2 if it is negative, has an own crossing after letter j
       and no neighbor crossing after its last one: its hat cannot move
-      after that crossing, so there v = b_i and u >= v.
-    Distinct columns count distinct crossings, and every crossing costs
-    >= 0, so the sum is a lower bound.  A move of letter j that ends above
-    trunc - h_j(b) lies on no closed path within trunc."""
-    out = []
-    h = 0
+      after that crossing, so there v = b_i and u >= v;
+    and 0 otherwise.  Distinct columns count distinct crossings, and every
+    crossing costs >= 0, so the sum is a lower bound.  A move of letter j
+    that ends above trunc - h_j(b) lies on no closed path within trunc.
+    The form depends on the word only, so a run takes it once and each
+    bottom pays one dot product per letter."""
+    rows = []
+    row = [0] * len(col_sign)
     seen = set()  # columns whose last own crossing is already behind us
     crowded = set()  # columns with a neighbor crossing after the letter
     for i in reversed(letters):
-        out.append(trunc - h)
+        rows.append(tuple(row))
         if i not in seen:
             seen.add(i)
             if col_sign[i - 1] > 0:
-                h += bottom[i - 1]
+                row[i - 1] = 1
             elif i not in crowded:
-                h += 2 * bottom[i - 1]
+                row[i - 1] = 2
         crowded.add(i - 1)
         crowded.add(i + 1)
-    out.reverse()
-    return out
+    rows.reverse()
+    return rows
 
 
 def _field_width(limit):
@@ -464,13 +493,14 @@ def _field_moves(col_sign, i, field, limit, interned):
 
 
 def _letter_tables(letters, col_sign, limit):
-    """Per letter, the (shift, table, interned) of its column at label
-    bound limit: the column's field offset (i - 1) B and its
-    _column_table."""
+    """Per letter j, the (shift, table, interned, row) the forward pass
+    reads at label bound limit: its column's field offset (i - 1) B, its
+    _column_table and row j of the _letter_budgets form."""
     width = _field_width(limit)
     kinds = (0,) + col_sign + (0,)
     return [((i - 1) * width,) + _column_table(kinds[i - 1:i + 2], i, limit)
-            for i in letters]
+            + (row,)
+            for i, row in zip(letters, _letter_budgets(letters, col_sign))]
 
 
 def _closed_amplitude(letters, tables, col_sign, bottom, trunc, limit):
@@ -501,15 +531,14 @@ def _closed_amplitude(letters, tables, col_sign, bottom, trunc, limit):
         return {}
     width = _field_width(limit)
     start = _pack(bottom, width)
-    budgets = _letter_budgets(letters, col_sign, bottom, trunc)
 
     # forward: cheapest cost from bottom to each state, and every move
     # that reaches its end within its letter's budget
     mask = (1 << 3 * width) - 1
     layers = []
     reach = {start: 0}
-    for i, (shift, table, interned), budget in zip(letters, tables,
-                                                   budgets):
+    for i, (shift, table, interned, row) in zip(letters, tables):
+        budget = trunc - sum(map(mul, row, bottom))
         moves = []
         nxt = {}
         top = 0
@@ -542,22 +571,25 @@ def _closed_amplitude(letters, tables, col_sign, bottom, trunc, limit):
 
 
 def _phi_homogeneous_run(word, order, cap, col_sign):
-    """Phi at cap from one DP run, accumulated in place as a raw table over
-    the bottoms and the two axis sectors, and wrapped in an XSeries once
-    at the end.  col_sign is +1 or -1 for each of the word's n - 1
-    columns."""
+    """Phi at cap from one DP run over the word as it is cut here,
+    accumulated in place as a raw table over the bottoms and the two axis
+    sectors, and wrapped in an XSeries once at the end.  col_sign is +1 or
+    -1 for each of the word's n - 1 columns.
+
+    At cap >= order every rotation of the word gives the same Phi, and
+    phi_homogeneous hands it the rotation at the word's first -|+
+    boundary (_cut); below the order the bottoms' sum filter makes Phi
+    depend on the cut, so it hands it the word as given."""
     n = word.n
     col_plus = sum(1 for s in col_sign if s > 0)
     col_minus = n - 1 - col_plus
     trunc = 2 * order + 1
     limit = _label_bound(trunc, cap)
     letters = [abs(letter) for letter in word.letters]
-    live = _live_edges(letters, col_sign)
     tables = _letter_tables(letters, col_sign, limit)
     phi = {}
-    for bottom in _bottoms(n, cap, limit):
-        if 2 * _window_bound(bottom, live) > trunc:
-            continue  # every closed path from it costs more than trunc
+    for bottom in _open_bottoms(n, cap, limit,
+                                _live_edges(letters, col_sign), trunc):
         amp = _closed_amplitude(letters, tables, col_sign, bottom, trunc,
                                 limit)
         if not amp:
@@ -589,6 +621,25 @@ def phi_homogeneous(word, order, cap=None, stabilize=True):
     2 W(b) >= 2 order + 2 > trunc, so it adds nothing to the truncated
     series: Phi(cap + 2) = Phi(cap) term for term.
 
+    At cap >= order that one run starts from the word's cut: its first
+    rotation that starts on a positive letter and ends on a negative one,
+    or the word itself if it has no such -|+ boundary (_cut).  This is
+    exact.  By the same argument a bottom with sum b >= 2 order + 1 closes
+    no path within trunc, so the filter sum b <= 2 cap drops none, and by
+    _label_bound neither does the label bound: the run is the sum of the
+    closed paths within trunc over every bottom and every label, the
+    truncated trace of the transfer product times the axis-sector factor,
+    which depends only on the conserved m~.  A trace
+    does not change under cyclic rotation, and each rotation closes to the
+    same knot (Markov's theorem; Birman, Braids, Links, and Mapping Class
+    Groups).  At the cut the first letter's column and the last letter's
+    column have empty windows (_live_edges), so _window_bound and
+    _letter_budgets usually prune more.  Below the order the bottoms' filter
+    sum b <= 2 cap does depend on the cut (n=5; -3 -4 1 -3 2 -3 at order
+    3, cap 1 gives another Phi than its cut), so both runs there take the
+    word as given.  The prefactor, every message and every result keep the
+    given word.
+
     The DP is pruned to the moves on closed label paths whose summed
     crossing costs x^{(u+v)/2} stay within x^order.  Every cost is >= 0
     and terms above the truncation are dropped anyway, so the pruned
@@ -600,9 +651,22 @@ def phi_homogeneous(word, order, cap=None, stabilize=True):
     keeps every table it has built, one per column, kinds of columns
     i - 1..i + 1 and label bound, and a table's fields grow like
     (bound + 1)^3 (n=4; 1 -2 1 -3 -2 at order 16 leaves 1.7 MB).
-    _column_table.cache_clear() frees them."""
+    _column_table.cache_clear() frees them, and _open_bottoms.cache_clear()
+    the filtered bottoms."""
     return _phi_homogeneous(word, _braid.require_homogeneous_knot(word),
                             order, cap, stabilize)
+
+
+def _cut(word):
+    """The first rotation of the word that starts on a positive letter and
+    ends on a negative one, or the word itself if it has no such -|+
+    boundary (all its letters have one sign)."""
+    letters = word.letters
+    for k, letter in enumerate(letters):
+        if letter > 0 > letters[k - 1]:
+            return word if k == 0 else _braid.BraidWord(
+                word.n, letters[k:] + letters[:k])
+    return word
 
 
 def _phi_homogeneous(word, stats, order, cap, stabilize):
@@ -615,8 +679,11 @@ def _phi_homogeneous(word, stats, order, cap, stabilize):
     top = cap + 2 if stabilize else cap
     bound = _label_bound(2 * order + 1, top)
     _require_work((bound + 1) ** (word.n - 1), "bottoms", word, order)
+    # at cap >= order the one run is the whole truncated trace (proof in
+    # phi_homogeneous), the same on every rotation of the word
+    run = _cut(word) if cap >= order else word
     try:
-        phi = _phi_homogeneous_run(word, order, cap, col_sign)
+        phi = _phi_homogeneous_run(run, order, cap, col_sign)
         unstable = (stabilize and cap < order
                     and _phi_homogeneous_run(word, order, cap + 2,
                                              col_sign) != phi)

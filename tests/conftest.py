@@ -249,6 +249,29 @@ def column_signs(word):
     return tuple(1 if s == "+" else -1 for s in analyze(word).column_sign)
 
 
+def oracle_letter_budgets(letters, col_sign, bottom, trunc):
+    """trunc - h_j(b) for each letter j, added up per bottom by the rule of
+    zhat._letter_budgets: walking the letters backward, a positive column
+    adds b_i and a negative column with no neighbor crossing after its
+    last own crossing adds 2 b_i from the letter before that crossing on."""
+    out = []
+    h = 0
+    seen = set()  # columns whose last own crossing is already behind us
+    crowded = set()  # columns with a neighbor crossing after the letter
+    for i in reversed(letters):
+        out.append(trunc - h)
+        if i not in seen:
+            seen.add(i)
+            if col_sign[i - 1] > 0:
+                h += bottom[i - 1]
+            elif i not in crowded:
+                h += 2 * bottom[i - 1]
+        crowded.add(i - 1)
+        crowded.add(i + 1)
+    out.reverse()
+    return out
+
+
 def tuple_closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
     """zhat._closed_amplitude with the label vector as a tuple padded by a
     boundary label 0 at both ends, splicing each move's three labels in."""
@@ -256,7 +279,7 @@ def tuple_closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
     kinds = (0,) + col_sign + (0,)
 
     letters = [abs(letter) for letter in word.letters]
-    budgets = zmod._letter_budgets(letters, col_sign, bottom, trunc)
+    budgets = oracle_letter_budgets(letters, col_sign, bottom, trunc)
 
     layers = []
     reach = {start: 0}

@@ -36,6 +36,7 @@ from conftest import (
     benchmark_batch,
     closed_moves,
     column_signs,
+    oracle_letter_budgets,
     row_norm,
     tuple_closed_amplitude,
     xs,
@@ -703,8 +704,11 @@ def check_bottom_bounds(word, order, cap):
     * the cheapest closed path from a bottom b costs >= 2 W(b), and a bottom
       that the window bound drops (2 W(b) > trunc) has a zero unpruned
       amplitude;
+    * the run's memo of bottoms (_open_bottoms) is the per-bottom window
+      filter 2 W(b) <= trunc of the bottoms within the label bound;
     * from every reached state after letter j the cheapest way back to b
-      costs >= h_j(b) = trunc - (letter j's budget);
+      costs >= h_j(b) = trunc - (letter j's budget), and the per-run
+      linear form of _letter_budgets adds up to the per-bottom rule;
     * _closed_amplitude keeps the same moves and amplitudes with and
       without the letter budgets: the moves the test-local closed_moves
       keeps of the layers that _closed_amplitude hands to walks.sum_paths.
@@ -717,6 +721,10 @@ def check_bottom_bounds(word, order, cap):
     live = zmod._live_edges(letters, col_sign)
     trunc = 2 * order + 1
     limit = zmod._label_bound(trunc, cap)
+    assert zmod._open_bottoms(word.n, cap, limit, live, trunc) == tuple(
+        b for b in oracle_bottoms(word.n, cap, limit)
+        if 2 * zmod._window_bound(b, live) <= trunc)
+    form = zmod._letter_budgets(letters, col_sign)
     real = zmod._walks.sum_paths
     runs = []
 
@@ -725,8 +733,8 @@ def check_bottom_bounds(word, order, cap):
                      closed_moves(start, layers, trunc)))
         return real(start, layers, trunc)
 
-    def unbudgeted(letters, col_sign, bottom, trunc):
-        return [trunc] * len(letters)
+    def unbudgeted(letters, col_sign):
+        return [(0,) * len(col_sign)] * len(letters)
 
     oracle_cache = {}
     dropped = excluded = spared = 0
@@ -740,7 +748,9 @@ def check_bottom_bounds(word, order, cap):
             dropped += 1
             assert oracle_amplitude(word, col_sign, bottom, trunc, cap,
                                     oracle_cache, False).is_zero
-        budgets = zmod._letter_budgets(letters, col_sign, bottom, trunc)
+        budgets = oracle_letter_budgets(letters, col_sign, bottom, trunc)
+        assert [trunc - sum(a * b for a, b in zip(row, bottom))
+                for row in form] == budgets, bottom
         for budget, ahead, behind in zip(budgets, fwd[1:], back[1:]):
             for state, cost in ahead.items():
                 if state in behind:
@@ -786,23 +796,46 @@ def test_one_run_guard_matches_two_runs(text, order):
 
 
 def test_guard_reruns_only_below_the_order(monkeypatch):
+    # fig8 given from its -|+ boundary's far side: at cap >= order its one
+    # run takes the cut, below the order both runs take the given word
     real = zmod._phi_homogeneous_run
     caps = []
 
     def spy(word, order, cap, col_sign):
-        caps.append(cap)
+        caps.append((render_word(word), cap))
         return real(word, order, cap, col_sign)
 
     monkeypatch.setattr(zmod, "_phi_homogeneous_run", spy)
-    word = parse_braid("1 -2 1 -2")
+    given, cut = "n=3; -2 1 -2 1", "n=3; 1 -2 1 -2"
+    word = parse_braid(given)
     order = 4
-    for cap, stabilize, runs in ((None, True, [4]), (4, True, [4]),
-                                 (5, True, [5]), (9, True, [9]),
-                                 (3, True, [3, 5]), (2, True, [2, 4]),
-                                 (3, False, [3]), (6, False, [6])):
+    for cap, stabilize, runs in ((None, True, [(cut, 4)]),
+                                 (4, True, [(cut, 4)]),
+                                 (5, True, [(cut, 5)]),
+                                 (9, True, [(cut, 9)]),
+                                 (3, True, [(given, 3), (given, 5)]),
+                                 (2, True, [(given, 2), (given, 4)]),
+                                 (3, False, [(given, 3)]),
+                                 (6, False, [(cut, 6)])):
         caps.clear()
         outcome(phi_homogeneous, word, order, cap, stabilize)
         assert caps == runs, (cap, stabilize)
+    caps.clear()
+    zhat(word, order)
+    assert caps == [(cut, order)]
+
+
+def test_cut_is_the_first_minus_plus_boundary():
+    for given, cut in (("n=4; -3 1 1 -3 2", "n=4; 1 1 -3 2 -3"),
+                       ("-2 1 -2 1", "n=3; 1 -2 1 -2"),
+                       ("n=3; -2 -2 -2 1 1 1", "n=3; 1 1 1 -2 -2 -2"),
+                       ("n=5; -3 2 -3 -3 -4 1", "n=5; 2 -3 -3 -4 1 -3")):
+        assert render_word(zmod._cut(parse_braid(given))) == cut, given
+    # no -|+ boundary, or the word starts at one already: it runs as given
+    for text in ("-1 -1 -1", "n=3; -2 -1 -2 -1", "1 1 1", "1 2 1 2",
+                 *CORPUS, *EXTRA_KNOTS):
+        word = parse_braid(text)
+        assert zmod._cut(word) is word, text
 
 
 def assert_high_bottoms_cost_past_trunc(word, order):
@@ -864,12 +897,15 @@ EXACT_CASES = [(text, 5 if text.startswith("n=4") else 6)
 
 @pytest.fixture
 def fresh_column_tables():
-    """Empty the process-wide column tables of the transfer DP before and
-    after a test that swaps its move rule, so that no table built by one
-    rule serves the other, in this test or a later one."""
+    """Empty the process-wide column tables and bottom filters of the
+    transfer DP before and after a test that swaps its move rule or its
+    bounds, so that no memo built by one rule serves the other, in this
+    test or a later one."""
     zmod._column_table.cache_clear()
+    zmod._open_bottoms.cache_clear()
     yield
     zmod._column_table.cache_clear()
+    zmod._open_bottoms.cache_clear()
 
 
 @pytest.mark.parametrize("reading", ("standard", "reversed"))
@@ -879,20 +915,27 @@ def test_in_place_dp_matches_series_walk(text, order, reading, monkeypatch):
     # the reversed case feeds the DP a second move rule, the test-local
     # reversed_transitions, with the bounds proven for the one reading
     # (_label_bound, _window_bound, _letter_budgets) switched off: the
-    # in-place sums must not depend on the moves they are given
+    # in-place sums must not depend on the moves they are given.  The
+    # fixture empties the memo of bottoms, so the run's filter reads the
+    # switched-off window bound
     word = parse_braid(text)
     col_sign = column_signs(word)
+    letters = [abs(v) for v in word.letters]
     trunc = 2 * order + 1
     if reading == "reversed":
         monkeypatch.setattr(zmod, "_transitions", reversed_transitions)
         monkeypatch.setattr(zmod, "_label_bound", lambda trunc, cap: cap)
         monkeypatch.setattr(zmod, "_window_bound", lambda bottom, live: 0)
         monkeypatch.setattr(zmod, "_letter_budgets",
-                            lambda letters, col_sign, bottom, trunc:
-                            [trunc] * len(letters))
+                            lambda letters, col_sign:
+                            [(0,) * len(col_sign)] * len(letters))
     for cap in range(order - 2, order + 3):
         limit = zmod._label_bound(trunc, cap)
         bottoms = oracle_bottoms(word.n, cap)
+        if reading == "reversed":
+            assert zmod._open_bottoms(
+                word.n, cap, limit, zmod._live_edges(letters, col_sign),
+                trunc) == tuple(bottoms), cap
         tables = [dp_amplitude(word, col_sign, bottom, trunc, limit)
                   for bottom in bottoms]
         phi = zmod._phi_homogeneous_run(word, order, cap, col_sign)
@@ -1120,11 +1163,16 @@ def conjugates(word):
 
 
 def assert_conjugation_invariant(word, order):
+    # zhat runs the DP from its own cut, so the DP run below it is also
+    # held to Phi on every conjugate as given
     want = zhat(word, order)
     for other in conjugates(word):
         got = zhat(other, order)
         assert (got.phi, got.zhat) == (want.phi, want.zhat), \
             render_word(other)
+        assert zmod._phi_homogeneous_run(other, order, order,
+                                         column_signs(other)) \
+            == want.phi, render_word(other)
 
 
 def benchmark_zhat_items(seed):
@@ -1256,14 +1304,26 @@ def test_finalize_phi_names_word_order_and_cap():
 
 @pytest.mark.usefixtures("fresh_column_tables")
 def test_dp_error_names_word_order_and_cap(monkeypatch):
+    # fig8 as given and from the far side of its -|+ boundary: the second
+    # runs from its cut at cap >= order, and both errors still name the
+    # word as given
+    for text in ("n=3; 1 -2 1 -2", "n=3; -2 1 -2 1"):
+        word = parse_braid(text)
+        with pytest.raises(VerificationError,
+                           match=rf"^label cap not stable: raising it to cap "
+                                 rf"\+ 2 changes phi_homogeneous of {text} at "
+                                 rf"order 3, cap 1$"):
+            phi_homogeneous(word, 3, cap=1)
+
     def leaking(key, cache):
         raise VerificationError("charge leak in transfer move")
 
     monkeypatch.setattr(zmod, "_transitions", leaking)
-    with pytest.raises(VerificationError,
-                       match=r"charge leak .* in n=3; 1 -2 1 -2 at order 2, "
-                             r"cap 3$"):
-        phi_homogeneous(parse_braid("1 -2 1 -2"), 2, cap=3)
+    for text in ("n=3; 1 -2 1 -2", "n=3; -2 1 -2 1"):
+        with pytest.raises(VerificationError,
+                           match=rf"charge leak .* in {text} at order 2, "
+                                 rf"cap 3$"):
+            phi_homogeneous(parse_braid(text), 2, cap=3)
 
 
 def test_trace_error_names_word_order_and_m_cut(monkeypatch):
