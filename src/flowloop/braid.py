@@ -379,14 +379,13 @@ def _q1_moves(n, v):
     list of (dst, x_half - low, coeff) per source position, with low the
     table's lowest half-exponent, and the table's largest row norm (the
     sum of |coeff| over one source's moves).  The table comes from
-    lawrence._letter_moves, so a negative letter passes the mirror check
-    first."""
+    lawrence._letter_moves, shifted by low already, so a negative letter
+    passes the mirror check first."""
     from . import lawrence  # deferred: lawrence imports this module
 
-    table = lawrence._letter_moves(n, 1, v, lawrence.HALF)
-    low = min(moves[0][1] for moves in table)  # cheapest first
-    q1 = [[(dst, xh - low, w.at_q1()) for dst, xh, w in moves]
-          for moves in table]
+    rows, low = lawrence._letter_moves(n, 1, v, lawrence.HALF)
+    q1 = [[(src + delta, xh, w.at_q1()) for delta, xh, w in moves]
+          for src, (moves, _) in enumerate(rows)]
     return q1, low, max(sum(abs(c) for _, _, c in moves) for moves in q1)
 
 

@@ -34,13 +34,13 @@ the braid-relation checks and the tests' oracle.
 
 The walks and the mirror check name a state by its position in
 weight_states(n, m), not by its tuple.  Each generator has one cached move
-table (_generator_moves): a list indexed by source position whose moves
-name their ends by position, so every dict keyed by state in the forward
-pass and in walks.sum_paths hashes a small int.  Each table's largest row
-norm is cached beside it (_generator_norm): walks.sum_paths proves the
-width of its Kronecker-packed coefficients from those norms.
-_generator_mirror maps the positions back to tuples for GradedMatrix, so
-matrices and dumps read as before.
+table (_generator_moves), in the row form of walks.closed_sum: a list
+indexed by source position, each row its moves, which step by a position
+offset at a cost shifted by the table's cheapest one, and its row norm,
+from which walks.sum_paths proves the width of its Kronecker-packed
+coefficients.  Every dict keyed by state in the two passes hashes a small
+int.  _generator_mirror maps the positions back to tuples and the costs
+back to x-powers for GradedMatrix, so matrices and dumps read as before.
 
 Weights are m >= 0: generator_matrix, rep_matrix, graded_trace and
 truncated_trace_table refuse a negative one with InputError.
@@ -189,18 +189,21 @@ def _negative_weight(A, b, c, convention):
 
 @functools.cache
 def _generator_moves(n, m, i, sign, convention):
-    """Generator i (sign +1/-1) on weight_states(n, m) as moves, one list
-    per source state indexed by its position in weight_states(n, m): each
-    move (dst, x_half, weight) names its end by position too, cheapest
-    first.  The walks key their dicts by these small ints, which hash far
-    faster than the state tuples; _generator_mirror maps them back."""
+    """Generator i (sign +1/-1) on weight_states(n, m) as the rows of a
+    walks.closed_sum letter, read by position (mask -1), and the table's
+    cheapest x-half cost low: (rows, low).  Row src is (moves, norm) for
+    the state at position src: each move (dst - src, x_half - low,
+    weight) lands on position dst, cheapest first, and norm is the sum of
+    ||weight||_1 over them.  The walks key their dicts by these small
+    ints, which hash far faster than the state tuples; _generator_mirror
+    maps them back to tuples and adds low back."""
     # distinct sheds (b, c) land on distinct states, and every weight is a
     # nonzero Gaussian trinomial, so each move is one matrix entry of its own
     weight = _positive_weight if sign > 0 else _negative_weight
     states = weight_states(n, m)
     position = {s: k for k, s in enumerate(states)}
     table = []
-    for s in states:
+    for src, s in enumerate(states):
         p = (0,) + s + (0,)  # columns 0 and n hold 0 and shed nothing
         L, A, R = p[i - 1:i + 2]
         moves = []
@@ -208,29 +211,23 @@ def _generator_moves(n, m, i, sign, convention):
             for c in range(R + 1):
                 t = p[:i - 1] + (L - b, A + b + c, R - c) + p[i + 2:]
                 coeff, xh = weight(A, b, c, convention)
-                moves.append((position[t[1:-1]], xh, coeff))
+                moves.append((position[t[1:-1]] - src, xh, coeff))
         moves.sort(key=itemgetter(1))
         table.append(moves)
-    return table
-
-
-@functools.cache
-def _generator_norm(n, m, i, sign, convention):
-    """The largest row norm of the _generator_moves table: the sum of
-    ||weight||_1 over one source state's moves, maximized over the states.
-    walks.sum_paths takes it as the letter's bound."""
-    return max(sum(ql_norm(w.terms) for _, _, w in moves)
-               for moves in _generator_moves(n, m, i, sign, convention))
+    low = min(moves[0][1] for moves in table)
+    return [(tuple((delta, xh - low, w) for delta, xh, w in moves),
+             sum(ql_norm(w.terms) for _, _, w in moves))
+            for moves in table], low
 
 
 @functools.cache
 def _generator_mirror(n, m, i, sign, convention):
     states = weight_states(n, m)
+    rows, low = _generator_moves(n, m, i, sign, convention)
     return GradedMatrix(n, m, {
-        states[src]: {states[dst]: XSeries.monomial(w, xh)
-                      for dst, xh, w in moves}
-        for src, moves in enumerate(
-            _generator_moves(n, m, i, sign, convention))
+        states[src]: {states[src + delta]: XSeries.monomial(w, xh + low)
+                      for delta, xh, w in moves}
+        for src, (moves, _) in enumerate(rows)
     })
 
 
@@ -289,18 +286,22 @@ def _mirror_validated(convention):
 
     It reads the cached move tables of both signs and sums, per source,
     every positive move followed by every negative move out of its end as
-    raw {q_half: coeff} tables keyed by (end position, x_half); the
-    identity leaves exactly coefficient 1 at (source, x^0 q^0)."""
+    raw {q_half: coeff} tables keyed by (end position, x_half), the two
+    tables' cheapest costs added back; the identity leaves exactly
+    coefficient 1 at (source, x^0 q^0)."""
     for n in range(2, 5):
         for m in range(0, 5):
             for i in range(1, n):
-                pos = _generator_moves(n, m, i, +1, convention)
-                neg = _generator_moves(n, m, i, -1, convention)
-                for src, moves in enumerate(pos):
+                pos, low = _generator_moves(n, m, i, +1, convention)
+                neg, low_neg = _generator_moves(n, m, i, -1, convention)
+                low += low_neg
+                for src, (moves, _) in enumerate(pos):
                     acc = {}
-                    for mid, xh, w in moves:
-                        for dst, xh2, w2 in neg[mid]:
-                            cell = acc.setdefault((dst, xh + xh2), {})
+                    for delta, xh, w in moves:
+                        mid = src + delta
+                        for delta2, xh2, w2 in neg[mid][0]:
+                            cell = acc.setdefault(
+                                (mid + delta2, xh + xh2 + low), {})
                             ql_addmul_into(cell, w.terms, w2.terms)
                     acc = {k: v for k, v in acc.items() if v}
                     if acc != {(src, 0): {0: 1}}:
@@ -309,9 +310,9 @@ def _mirror_validated(convention):
 
 
 def _letter_moves(n, m, v, convention):
-    """The cached move table of letter v: generator |v| with the sign of v.
-    A negative letter's table is read only after its convention passes
-    the mirror check."""
+    """The cached (rows, low) of letter v (_generator_moves): generator |v|
+    with the sign of v.  A negative letter's table is read only after its
+    convention passes the mirror check."""
     if v < 0 and not _mirror_validated(convention):
         raise VerificationError(
             f"mirrored weights of convention {convention!r} do not invert "
@@ -356,64 +357,31 @@ def graded_trace(word, m_max, convention=HALF):
             for m in range(m_max + 1)]
 
 
-def _forward_layers(walk, start, trunc):
-    """The forward min-plus pass of the walks from start: one (reach,
-    moves, norm) triple per letter for walks.sum_paths, or None if no walk
-    returns to start within trunc.  walk holds one (table, norm) pair per
-    letter: a _generator_moves table, whose states are positions in
-    weight_states, and its _generator_norm, which bounds the row norm of
-    every state, so the pass does no per-state work for it.
-
-    The pass carries the cheapest cost from start to each state letter by
-    letter, and takes from each state only the moves that end within
-    trunc; a state it cannot leave within trunc is dropped."""
-    layers = []
-    reach = {start: 0}
-    for gen, norm in walk:
-        moves = []
-        nxt = {}
-        for src, cost in reach.items():
-            for dst, xh, weight in gen[src]:
-                to = cost + xh
-                if to > trunc:
-                    break  # the moves come sorted by cost
-                moves.append((src, dst, xh, weight))
-                if to < nxt.get(dst, trunc + 1):
-                    nxt[dst] = to
-        if not nxt:
-            return None
-        layers.append((reach, moves, norm))
-        reach = nxt
-    if start not in reach:
-        return None
-    return layers
-
-
 def truncated_trace_table(word, m, trunc=None, convention=HALF):
     """Tr rep_matrix(word, m, convention) for any word, truncated at x-half
     trunc (exact for trunc None), as a sum of closed walks, returned as an
     {x_half: {q_half: coeff}} table.
 
     Every generator entry is one x-monomial, so each move has an integer
-    x-half cost.  Each letter's costs are shifted by its cheapest move's,
-    so every shifted cost is >= 0, and every closed walk's cost shifts by
-    the same S, the sum of the letters' shifts.  The walks then run at
-    bound trunc - S, and their sum is shifted back by S.  For trunc None
-    the bound is the sum of each letter's dearest shifted move, which no
-    walk passes, so the trace is exact.  A negative letter's table is
-    read only after the mirror check of its convention.
+    x-half cost.  Each letter's table holds its costs shifted by its
+    cheapest move's (_generator_moves), so every shifted cost is >= 0, and
+    every closed walk's cost shifts by the same S, the sum of the letters'
+    shifts.  The walks then run at bound trunc - S, and their sum is
+    shifted back by S.  For trunc None the bound is the sum of each
+    letter's dearest shifted move, which no walk passes, so the trace is
+    exact.  A negative letter's table is read only after the mirror check
+    of its convention.
 
-    Per start state s, a forward min-plus pass over the shifted costs
-    finds the cheapest cost from s to each state, and walks.sum_paths
-    sums the closed walks s -> s backward in place, each state's table
+    Per start state s, walks.closed_sum runs a forward min-plus pass over
+    the shifted costs, which finds the cheapest cost from s to each state,
+    and sums the closed walks s -> s backward in place, each state's table
     truncated at the bound minus that cost.  This is exact: every walk
     reaches the state at that cost or more, so each term dropped there
     lies above the bound in every closed walk and the truncation drops it
     anyway.  A start state that no walk returns to within the bound does
     no series work at all.  The sum runs on Kronecker-packed coefficients
-    (see the walks module), at a width proven from each letter's cached
-    largest row norm (_generator_norm), and is decoded once per start
-    state.
+    (see the walks module), at a width proven from the row norms of the
+    states each letter leaves, and is decoded once per start state.
 
     For an all-positive `half` word with a letter on every column
     1..n-1, a closed walk of a weight-m start state s costs at least 2m,
@@ -442,28 +410,20 @@ def truncated_trace_table(word, m, trunc=None, convention=HALF):
     _check_convention(convention)
     require_nonnegative(m=m)
     n = word.n
-    lows, tables = {}, {}
-    for v in dict.fromkeys(word.letters):
-        table = _letter_moves(n, m, v, convention)
-        low = lows[v] = min(moves[0][1] for moves in table)  # cheapest first
-        if low:
-            table = [[(dst, xh - low, w) for dst, xh, w in moves]
-                     for moves in table]
-        tables[v] = table, _generator_norm(n, m, abs(v), 1 if v > 0 else -1,
-                                           convention)
-    walk = [tables[v] for v in word.letters]
-    shift = sum(lows[v] for v in word.letters)
+    tables = {v: _letter_moves(n, m, v, convention)
+              for v in dict.fromkeys(word.letters)}
+    shift = sum(tables[v][1] for v in word.letters)
     if trunc is None:
-        bound = sum(max(moves[-1][1] for moves in table)
-                    for table, _ in walk)
+        bound = sum(max(moves[-1][1] for moves, _ in tables[v][0])
+                    for v in word.letters)
     else:
         bound = trunc - shift
+    letters = [(tables[v][0], -1) for v in word.letters]
+    budgets = [bound] * len(letters)
     tr = {}
     for s in range(dim(n, m)):
-        layers = _forward_layers(walk, s, bound)
-        if layers is not None:
-            xs_addmul_term_into(tr, _walks.sum_paths(s, layers, bound),
-                                {0: 1}, shift, trunc)
+        xs_addmul_term_into(tr, _walks.closed_sum(s, letters, budgets, bound),
+                            {0: 1}, shift, trunc)
     if any(x % 2 for x in tr) and \
             _braid.analyze(word).closure_components == 1:
         raise VerificationError(

@@ -1,36 +1,39 @@
-"""Closed-walk sums over per-letter move lists, truncated by min-plus costs.
+"""Closed-walk sums over per-letter move tables, truncated by min-plus costs.
 
 Both Phi engines sum closed walks: the transfer DP over column-label
 states (zhat) and the truncated trace over weight states (lawrence).  Each
-builds its own states and moves, so the two routes stay independent; this
-module holds only what they do alike once the moves are known.
+builds its own states and move tables, so the two routes stay
+independent; this module runs the whole search once the tables are known:
+one forward min-plus pass and one backward series pass (closed_sum).
 
-A move is a tuple (src, dst, x_half, weight): one step from state src to
-state dst that costs x^(x_half/2) and carries the q-weight `weight`, a
-nonzero QLaurent.  States are opaque hashable keys here; both engines make
-them small ints, since every dict lookup of the two passes hashes one: the
-trace walk names a weight state by its position in
-lawrence.weight_states, and the transfer DP packs a label vector,
-padded with a zero boundary field at each end, into one int, one bit
-field per column (zhat._pack).  A walk takes one move per letter, and its
-weight is the product of its moves' weights times x to the sum of their
-costs.
+States are ints, since every dict lookup of the two passes hashes one: the
+trace walk names a weight state by its position in lawrence.weight_states,
+and the transfer DP packs a label vector, padded with a zero boundary
+field at each end, into one int, one bit field per column (zhat._pack).
+A letter is a pair (rows, mask): rows[state & mask] is the state's row
+(moves, norm).  Each move (delta, x_half, weight) is one step to
+state + delta that costs x^(x_half/2) and carries the q-weight `weight`, a
+nonzero QLaurent; a row's moves come cheapest first, and its norm is the
+sum of ||weight||_1 over them.  The trace walk reads a list of rows by
+position (mask -1); the DP reads the dict of a column, keyed by the three
+label fields of a crossing in place.  A walk takes one move per letter,
+and its weight is the product of its moves' weights times x to the sum of
+their costs.
 
 Every cost is an integer >= 0, so a walk's cost never falls, and a walk
-of cost above trunc adds only terms that the truncated sum drops.  An
-engine's forward pass records, letter by letter, the cheapest cost from
-the start to each state and every move that ends within its letter's
-budget: trunc, or less where the engine has a lower bound on what the
-rest of a closed walk costs (the transfer DP's _letter_budgets), so that
-a move above it lies on no closed walk of cost <= trunc.  It also records
-per letter a row norm N: an upper bound, over the states the letter
-leaves, on the sum of ||weight||_1 over a state's moves.  sum_paths then
-sums backward from the start, truncating each state's table at trunc
-minus the cheapest cost of reaching it, so a term that no closed walk
-keeps is never formed; the result is the truncated sum over all walks,
-term for term.  Each q-coefficient of the sum is one integer, packed by
-the Kronecker codec of ring (kronecker_pack) at a K that the row norms
-prove (sum_paths).
+of cost above trunc adds only terms that the truncated sum drops.  The
+forward pass records, letter by letter, the cheapest cost from the start
+to each state and every move that ends within its letter's budget: trunc,
+or less where the engine has a lower bound on what the rest of a closed
+walk costs (the transfer DP's _letter_budgets), so that a move above it
+lies on no closed walk of cost <= trunc.  It also records per letter the
+largest row norm N of the states the letter leaves.  sum_paths then sums
+backward from the start, truncating each state's table at trunc minus the
+cheapest cost of reaching it, so a term that no closed walk keeps is
+never formed; the result is the truncated sum over all walks, term for
+term.  Each q-coefficient of the sum is one integer, packed by the
+Kronecker codec of ring (kronecker_pack) at a K that the row norms prove
+(sum_paths).
 """
 
 import functools
@@ -47,22 +50,59 @@ def _packed_weights(K):
     return {}
 
 
+def closed_sum(start, letters, budgets, trunc):
+    """Sum over the walks start -> start through the letters, one (rows,
+    mask) pair each, of the product of their weights, truncated at trunc,
+    as an {x_half: {q_half: coeff}} table, or {} if no walk closes.
+
+    budgets holds one budget per letter, <= trunc, and may be lazy: a
+    letter's budget is read only when the pass reaches it.  The forward
+    pass keeps a move only if it ends within its letter's budget, and the
+    layers it records go to sum_paths."""
+    layers = []
+    reach = {start: 0}
+    for (rows, mask), budget in zip(letters, budgets):
+        moves = []
+        nxt = {}
+        top = 0
+        for src, cost in reach.items():
+            out, norm = rows[src & mask]
+            if norm > top:
+                top = norm
+            for delta, xh, weight in out:
+                to = cost + xh
+                if to > budget:
+                    break  # the moves come sorted by cost
+                dst = src + delta
+                moves.append((src, dst, xh, weight))
+                if to < nxt.get(dst, budget + 1):
+                    nxt[dst] = to
+        if not nxt:
+            return {}
+        layers.append((reach, moves, top))
+        reach = nxt
+    if start not in reach:
+        return {}
+    return sum_paths(start, layers, trunc)
+
+
 def sum_paths(start, layers, trunc):
     """Sum over the walks start -> start through the per-letter move lists
     of the product of their weights, truncated at trunc, as an
     {x_half: {q_half: coeff}} table.
 
     layers holds one (reach, moves, norm) triple per letter from the
-    forward pass: reach maps each state the letter starts from to the
-    cheapest cost of getting there from start, moves are the letter's
-    moves out of those states, and norm bounds the sum of ||weight||_1 over
-    the moves of any one of those states.  Going from the last letter to
-    the first, back[s] sums the walks from s home to start through the
-    later letters: every move adds its end's table times its weight into
-    its source's table in place, and a table that cancels to empty is
-    skipped.  Every walk reaches src at a cost >= reach[src], so a term of
-    src's table above trunc - reach[src] lies above trunc in every closed
-    walk and is dropped there: the sum is exact.
+    forward pass of closed_sum: reach maps each state the letter starts
+    from to the cheapest cost of getting there from start, moves are the
+    letter's moves (src, dst, x_half, weight) out of those states, and norm
+    bounds the sum of ||weight||_1 over the moves of any one of those
+    states.  Going from the last letter to the first, back[s] sums the
+    walks from s home to start through the later letters: every move adds
+    its end's table times its weight into its source's table in place, and
+    a table that cancels to empty is skipped.  Every walk reaches src at a
+    cost >= reach[src], so a term of src's table above trunc - reach[src]
+    lies above trunc in every closed walk and is dropped there: the sum is
+    exact.
 
     Each x-term of a table is a pair (P, e): e is at most its lowest
     q-half exponent, and P its q-polynomial times q^(-e/2) at

@@ -10,18 +10,18 @@ computed two ways:
   truncated at x^order (lawrence.truncated_trace_table), each state named
   by its position in lawrence.weight_states.  Every positive
   move costs a nonnegative x-power, so the same forward min-plus pass and
-  backward series pass as in the DP below form no term above x^order,
-  and a start state with no closed walk within it does no series work.  A
-  closed walk of a weight-m state costs at least x^m (proved in
-  lawrence.truncated_trace_table), so a weight above the order has an
-  empty trace and the weight loop stops at the order.  Each weight's part
-  goes into a raw Phi table in place, two ring.xs_addmul_term_into calls
-  per weight.  A part does not depend on the cutoff m_cut, so the
-  stabilization check adds the parts of weights m_cut + 1 and m_cut + 2
-  into a raw Delta table and raises iff Delta is nonzero, instead of
-  recomputing Phi at m_cut + 2.  At the default m_cut = order those two
-  weights lie above the order.  Phi becomes an XSeries once, with its
-  small monomial coefficients shared.
+  backward series pass as in the DP below (walks.closed_sum) form no term
+  above x^order, and a start state with no closed walk within it does no
+  series work.  A closed walk of a weight-m state costs at least x^m
+  (proved in lawrence.truncated_trace_table), so a weight above the order
+  has an empty trace and the weight loop stops at the order.  Each
+  weight's part goes into a raw Phi table in place, two
+  ring.xs_addmul_term_into calls per weight.  A part does not depend on
+  the cutoff m_cut, so the stabilization check adds the parts of weights
+  m_cut + 1 and m_cut + 2 into a raw Delta table and raises iff Delta is
+  nonzero, instead of recomputing Phi at m_cut + 2.  At the default
+  m_cut = order those two weights lie above the order.  Phi becomes an
+  XSeries once, with its small monomial coefficients shared.
 * phi_homogeneous: for any homogeneous word, by a column-label transfer
   DP.  Each column carries a nonnegative label (for negative columns the
   label is the "hat" of the true label, lambda = -1 - hat).  Reading the
@@ -81,15 +81,15 @@ computed two ways:
   shed nothing, so one rule serves every crossing (_transitions).  No move
   lands on a label above limit, so no field overflows.  A crossing of any
   column i reads columns i - 1..i + 1 as the 3 B bits from (i - 1) B up,
-  and one table per process, column, kinds of columns i - 1..i + 1 and
-  limit (_column_table) maps them to the crossing's moves as
-  (delta, x_half, coeff), one tuple per (delta, x_half): a move lands on
-  state + delta.  The table is filled on first use and shared by every
-  word and run with that key.
-  Each field of a column table also holds its row norm, the sum of
-  ||coeff||_1 over its moves, and the forward pass keeps the largest one
-  a letter reads.  The series work runs backward (walks.sum_paths): each
-  move adds its end's sum home times its weight into its source in place,
+  masked in place, and one table per process, column, kinds of columns
+  i - 1..i + 1 and limit (_column_table) maps them to the crossing's row:
+  its moves as (delta, x_half, coeff), one tuple per (delta, x_half), a
+  move landing on state + delta, and its row norm, the sum of ||coeff||_1
+  over them.  A row is built on its first read and shared by every word
+  and run with that key.  The engine only builds these tables and the
+  budgets: walks.closed_sum runs the forward pass, which keeps per letter
+  the largest row norm it reads, and the backward series pass: each move
+  adds its end's sum home times its weight into its source in place,
   truncated at trunc minus the cheapest cost to the source, on
   Kronecker-packed q-coefficients whose width those norms prove.  Each
   bottom's decoded {x_half: {q_half: coeff}} table goes into Phi once per
@@ -202,6 +202,8 @@ def phi_positive(word, order, m_cut=None, stabilize=True):
     raises InputError."""
     if _braid.require_homogeneous_knot(word).cr_minus:
         raise InputError("phi_positive needs an all-positive word")
+    if m_cut is not None:
+        require_nonnegative(order=order, m_cut=m_cut)
     return _phi_positive(word, order, m_cut, stabilize)
 
 
@@ -445,129 +447,96 @@ def _pack(labels, width):
     return state
 
 
+class _ColumnTable(dict):
+    """The rows of the crossings of column i at label bound limit, whose
+    columns i - 1..i + 1 have kinds kinds (0 for the boundary), in the row
+    form of walks.closed_sum: the key is a packed state masked to those
+    columns' 3 fields in place, the 3 B bits from (i - 1) B up,
+    B = _field_width(limit), and the row is (moves, norm), one move
+    (delta, x_half, coeff) per move of _transitions at cap = limit,
+    cheapest first, landing on state + delta, and norm the sum of
+    ||coeff||_1 over them.  A row is built on its first read
+    (__missing__).
+
+    A boundary neighbor has kind 0 and label 0, so it sheds nothing, and
+    every label a move lands on is <= limit < 2^B, so no field overflows
+    into its neighbor.  The table interns one tuple per (delta, x_half),
+    shared by all its rows: the kinds are fixed, so each field of delta
+    has a fixed sign and a magnitude below 2^B, and delta gives the sheds
+    b and c; x_half = 2 low + b + c then gives low, and b, c and low fix
+    the weight."""
+
+    def __init__(self, kinds, i, limit):
+        super().__init__()
+        self.kinds, self.i, self.limit = kinds, i, limit
+        self.interned = {}
+
+    def __missing__(self, field):
+        kindL, mid_sign, kindR = self.kinds
+        width = _field_width(self.limit)
+        low = (1 << width) - 1
+        shift = (self.i - 1) * width
+        here = field >> shift
+        lL, lM, lR = here & low, (here >> width) & low, here >> 2 * width
+        key = (mid_sign, kindL, kindR, lL, lM, lR, self.limit)
+        out = []
+        norm = 0
+        # the table is this crossing's cache: a throwaway dict keeps
+        # _transitions from holding every move list a second time
+        for nL, nM, nR, xh, coeff in _transitions(key, {}):
+            delta = ((nL - lL) + ((nM - lM) << width)
+                     + ((nR - lR) << 2 * width)) << shift
+            out.append(self.interned.setdefault((delta, xh),
+                                                (delta, xh, coeff)))
+            norm += ql_norm(coeff.terms)
+        row = self[field] = tuple(out), norm
+        return row
+
+
 @functools.cache
 def _column_table(kinds, i, limit):
-    """The memo of the crossings of column i at label bound limit, whose
-    columns i - 1..i + 1 have kinds kinds (0 for the boundary): a dict,
-    filled on first use, that maps the 3 fields a crossing reads to its
-    moves and their row norm (_field_moves), and the dict that interns
-    those moves.
-
-    A field's moves depend on nothing else: not on the word, the order,
-    the cap or the bottom, so one table serves every run in the process
-    that has a crossing of column i with these kinds at this limit."""
-    return {}, {}
-
-
-def _field_moves(col_sign, i, field, limit, interned):
-    """The moves of a crossing of column i out of every state whose
-    columns i - 1..i + 1 read `field` (the 3 B bits from (i - 1) B up,
-    B = _field_width(limit)), as a tuple of (delta, x_half, coeff) sorted
-    by x_half, and their row norm, the sum of ||coeff||_1 over them: the
-    move lands on state + delta.  They are the moves of
-    _transitions at cap = limit; a boundary neighbor has kind 0 and label
-    0, so it sheds nothing, and every label they land on is <= limit <
-    2^B, so no field overflows into its neighbor.
-
-    `interned` keeps one tuple per (delta, x_half), shared by every field
-    of the column's table.  Within the table the kinds are fixed, so each
-    field of delta has a fixed sign and a magnitude below 2^B, and delta
-    gives the sheds b and c; x_half = 2 low + b + c then gives low, and
-    b, c and low fix the weight."""
-    width = _field_width(limit)
-    low = (1 << width) - 1
-    kinds = (0,) + col_sign + (0,)
-    lL, lM, lR = field & low, (field >> width) & low, field >> 2 * width
-    key = (kinds[i], kinds[i - 1], kinds[i + 1], lL, lM, lR, limit)
-    shift = (i - 1) * width
-    out = []
-    norm = 0
-    # the column table is this crossing's cache: a throwaway dict keeps
-    # _transitions from holding every move list a second time
-    for nL, nM, nR, xh, coeff in _transitions(key, {}):
-        delta = ((nL - lL) + ((nM - lM) << width)
-                 + ((nR - lR) << 2 * width)) << shift
-        out.append(interned.setdefault((delta, xh), (delta, xh, coeff)))
-        norm += ql_norm(coeff.terms)
-    return tuple(out), norm
+    """The _ColumnTable of column i at label bound limit whose columns
+    i - 1..i + 1 have kinds kinds.  A row depends on nothing else: not on
+    the word, the order, the cap or the bottom, so one table serves every
+    run in the process that has a crossing of column i with these kinds at
+    this limit."""
+    return _ColumnTable(kinds, i, limit)
 
 
 def _letter_tables(letters, col_sign, limit):
-    """Per letter j, the (shift, table, interned, row) the forward pass
-    reads at label bound limit: its column's field offset (i - 1) B, its
-    _column_table and row j of the _letter_budgets form."""
+    """Per letter, the (rows, mask) pair of walks.closed_sum at label bound
+    limit: its column's _column_table and the mask of the 3 fields from
+    (i - 1) B up that the table is keyed by."""
     width = _field_width(limit)
     kinds = (0,) + col_sign + (0,)
-    return [((i - 1) * width,) + _column_table(kinds[i - 1:i + 2], i, limit)
-            + (row,)
-            for i, row in zip(letters, _letter_budgets(letters, col_sign))]
+    return [(_column_table(kinds[i - 1:i + 2], i, limit),
+             ((1 << 3 * width) - 1) << (i - 1) * width)
+            for i in letters]
 
 
-def _closed_amplitude(letters, tables, col_sign, bottom, trunc, limit):
+def _closed_amplitude(tables, form, bottom, trunc, limit):
     """The closed label paths bottom -> bottom with every label <= limit,
     weighted by the product of their crossing weights and truncated at
     x-half-degree trunc, as one {x_half: {q_half: coeff}} table.
 
-    letters are the word's columns (|letter|) and tables their
-    _letter_tables at limit.  A state is one int, the padded label tuple
-    packed by _pack in fields of _field_width(limit) bits, and each
-    letter's column table maps the 3 fields a crossing touches to its
-    moves and their row norm (_field_moves): a move is one shift, one
-    mask, one dict lookup and one add.
-
-    The forward min-plus pass records each letter's moves, the cheapest
-    cost to each state and the largest row norm of the states the letter
-    leaves, one compare per state, and walks.sum_paths sums the moves
-    backward, truncated by those costs, on Kronecker-packed coefficients
-    whose width the norms prove (see the walks module).  The forward pass
-    keeps a move of letter j only if it ends within the letter's budget
-    trunc - h_j(b) (_letter_budgets); every move it drops lies on no
-    closed path within trunc, so the sum is the one with trunc as every
-    budget.  A bottom with a label above limit closes no path: in a knot
-    word every column has an own crossing, which lands its label within
-    limit, and after its last one a positive label only drops and a
-    negative hat rises to at most limit."""
+    tables are the word's _letter_tables at limit and form its
+    _letter_budgets.  A state is one int, the padded label tuple packed by
+    _pack in fields of _field_width(limit) bits, and walks.closed_sum runs
+    the forward min-plus pass and the backward series pass over the
+    column tables: a state costs one mask and one dict lookup, a move one
+    add.  The forward pass keeps a move of letter j only if it ends within
+    the letter's budget trunc - h_j(b), read lazily, since most bottoms die
+    after a few letters; every move it drops lies on no closed path within
+    trunc, so the sum is the one with trunc as every budget.  A bottom with
+    a label above limit closes no path: in a knot word every column has an
+    own crossing, which lands its label within limit, and after its last
+    one a positive label only drops and a negative hat rises to at most
+    limit."""
     if max(bottom) > limit:
         return {}
-    width = _field_width(limit)
-    start = _pack(bottom, width)
-
-    # forward: cheapest cost from bottom to each state, and every move
-    # that reaches its end within its letter's budget
-    mask = (1 << 3 * width) - 1
-    layers = []
-    reach = {start: 0}
-    for i, (shift, table, interned, row) in zip(letters, tables):
-        budget = trunc - sum(map(mul, row, bottom))
-        moves = []
-        nxt = {}
-        top = 0
-        for src, cost in reach.items():
-            field = (src >> shift) & mask
-            hit = table.get(field)
-            if hit is None:
-                hit = table[field] = _field_moves(col_sign, i, field, limit,
-                                                  interned)
-            out, norm = hit
-            if norm > top:
-                top = norm
-            for delta, xh, coeff in out:
-                to = cost + xh
-                if to > budget:
-                    break  # the moves come sorted by cost
-                dst = src + delta
-                moves.append((src, dst, xh, coeff))
-                if to < nxt.get(dst, budget + 1):
-                    nxt[dst] = to
-        if not nxt:
-            return {}
-        layers.append((reach, moves, top))
-        reach = nxt
-    if start not in reach:
-        return {}
-
-    # backward: the series sum home to bottom, truncated by reach
-    return _walks.sum_paths(start, layers, trunc)
+    budgets = (trunc - sum(map(mul, row, bottom)) for row in form)
+    return _walks.closed_sum(_pack(bottom, _field_width(limit)), tables,
+                             budgets, trunc)
 
 
 def _phi_homogeneous_run(word, order, cap, col_sign):
@@ -587,11 +556,11 @@ def _phi_homogeneous_run(word, order, cap, col_sign):
     limit = _label_bound(trunc, cap)
     letters = [abs(letter) for letter in word.letters]
     tables = _letter_tables(letters, col_sign, limit)
+    form = _letter_budgets(letters, col_sign)
     phi = {}
     for bottom in _open_bottoms(n, cap, limit,
                                 _live_edges(letters, col_sign), trunc):
-        amp = _closed_amplitude(letters, tables, col_sign, bottom, trunc,
-                                limit)
+        amp = _closed_amplitude(tables, form, bottom, trunc, limit)
         if not amp:
             continue
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))

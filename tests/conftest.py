@@ -192,15 +192,19 @@ def tuple_generator_moves(n, m, i, sign, convention):
 
 
 def tuple_forward_layers(walk, start, trunc):
-    """lawrence._forward_layers over tuple-keyed move tables: walk holds one
-    (table, norm) pair per letter."""
+    """The forward min-plus pass of walks.closed_sum over tuple-keyed move
+    tables, or None if no walk returns to start within trunc: walk holds
+    one (table, low) pair per letter, a move costs its x_half less low,
+    and a letter's norm is the largest row norm of the states it leaves."""
     layers = []
     reach = {start: 0}
-    for gen, norm in walk:
+    for gen, low in walk:
         moves = []
         nxt = {}
+        norm = max(row_norm(gen[src]) for src in reach)
         for src, cost in reach.items():
             for dst, xh, weight in gen[src]:
+                xh -= low
                 to = cost + xh
                 if to > trunc:
                     break  # the moves come sorted by cost
@@ -224,23 +228,27 @@ def row_norm(moves):
 
 def tuple_walk(word, m):
     """The word's positive `half` generators as tuple-keyed move tables,
-    one (table, largest row norm) pair per letter."""
+    one (table, cheapest x_half of the table) pair per letter."""
     tables = {}
     for v in set(word.letters):
         table = tuple_generator_moves(word.n, m, v, 1, lawrence.HALF)
-        tables[v] = table, max(map(row_norm, table.values()))
+        tables[v] = table, min(xh for moves in table.values()
+                               for _, xh, _ in moves)
     return [tables[v] for v in word.letters]
 
 
 def tuple_truncated_trace_table(word, m, trunc):
-    """lawrence.truncated_trace_table summed over tuple states."""
+    """lawrence.truncated_trace_table summed over tuple states: the walks
+    run at trunc less the sum S of the letters' cheapest costs, and their
+    sum is shifted back by S."""
     walk = tuple_walk(word, m)
+    shift = sum(low for _, low in walk)
     tr = {}
     for s in lawrence.weight_states(word.n, m):
-        layers = tuple_forward_layers(walk, s, trunc)
+        layers = tuple_forward_layers(walk, s, trunc - shift)
         if layers is not None:
-            xs_addmul_term_into(tr, walks.sum_paths(s, layers, trunc),
-                                {0: 1}, 0, trunc)
+            xs_addmul_term_into(tr, walks.sum_paths(s, layers, trunc - shift),
+                                {0: 1}, shift, trunc)
     return tr
 
 

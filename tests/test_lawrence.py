@@ -37,6 +37,7 @@ from conftest import (
     EXTRA_KNOTS,
     POSITIVE_KNOTS,
     assert_packed_sum,
+    row_norm,
     tuple_forward_layers,
     tuple_truncated_trace_table,
     tuple_walk,
@@ -156,12 +157,14 @@ def plain_moves(table):
 
 
 def state_moves(table, n, m):
-    """A position-indexed move table of weight_states(n, m) as {src:
-    [(dst, x_half, weight), ...]} over the state tuples."""
+    """A _generator_moves table (rows, low) of weight_states(n, m) as {src:
+    [(dst, x_half, weight), ...]} over the state tuples, each move's end
+    and x_half made absolute again."""
     states = weight_states(n, m)
-    return {states[src]: [(states[dst], xh, weight)
-                          for dst, xh, weight in moves]
-            for src, moves in enumerate(table)}
+    rows, low = table
+    return {states[src]: [(states[src + delta], xh + low, weight)
+                          for delta, xh, weight in moves]
+            for src, (moves, _) in enumerate(rows)}
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -178,11 +181,16 @@ def test_move_table_matches_oracle(n):
                         == {s: set(row) for s, row in want.cols.items()}, \
                         case
                     # the walk's table, move for move and in the same order,
-                    # through the position -> state map
+                    # through the position -> state map; low is its
+                    # cheapest cost, and each row carries its own norm
                     table = lawrence._generator_moves(n, m, i, sign, conv)
-                    assert len(table) == len(weight_states(n, m)), case
+                    rows, low = table
+                    assert len(rows) == len(weight_states(n, m)), case
                     assert plain_moves(state_moves(table, n, m)) \
                         == plain_moves(oracle_moves(want)), case
+                    assert min(moves[0][1] for moves, _ in rows) == 0, case
+                    assert [norm for _, norm in rows] \
+                        == [row_norm(moves) for moves, _ in rows], case
 
 
 def test_failed_mirror_check_raises(monkeypatch):
@@ -209,12 +217,11 @@ def oracle_mirror_validated(convention):
 
 @pytest.fixture
 def cold_mirror():
-    """Empty move-table, generator, row-norm, q = 1 table and mirror-check
-    caches before and after the test, so a planted weight is read afresh
-    and leaves nothing behind."""
+    """Empty move-table, generator, q = 1 table and mirror-check caches
+    before and after the test, so a planted weight is read afresh and
+    leaves nothing behind."""
     caches = (lawrence._generator_moves, lawrence._generator_mirror,
-              lawrence._generator_norm, lawrence._mirror_validated,
-              braid._q1_moves)
+              lawrence._mirror_validated, braid._q1_moves)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -316,7 +323,8 @@ def test_random_truncated_traces(word, order):
 def test_truncated_trace_checks_integrality(monkeypatch):
     word = parse_braid("1")
     truncated_trace(word, 1, 5)  # caches the real generator's moves first
-    half_power = [[(0, 1, QLaurent.one())]]  # the one state (1,)
+    # the one state (1,): one loop of cost x^(1/2), row norm 1, low 0
+    half_power = [(((0, 1, QLaurent.one()),), 1)], 0
     monkeypatch.setattr(lawrence, "_generator_moves",
                         lambda n, m, i, sign, convention: half_power)
     with pytest.raises(VerificationError,
@@ -328,7 +336,7 @@ def test_graded_trace_integrality_error_names_the_word(monkeypatch):
     # every generator move planted as a loop of cost x^(1/2): the knot's
     # traces then keep half x-powers
     def half_power(n, m, i, sign, convention):
-        return [[(s, 1, QLaurent.one())] for s in range(lawrence.dim(n, m))]
+        return [(((0, 1, QLaurent.one()),), 1)] * lawrence.dim(n, m), 0
 
     monkeypatch.setattr(lawrence, "_generator_moves", half_power)
     with pytest.raises(VerificationError, match=(
@@ -462,33 +470,48 @@ WALK_CASES = [(text, order) for text in POSITIVE_KNOTS
                             else (3, 6, 8, 9, 18))]
 
 
+def traced_walks(word, m, trunc, summed=walks.sum_paths):
+    """truncated_trace_table(word, m, trunc), and per start position that
+    closes the (layers, bound, sum) that walks.closed_sum handed to
+    walks.sum_paths, summed here by `summed`.  The walks run at bound =
+    trunc - S, S the sum of the letters' cheapest costs."""
+    runs = {}
+
+    def spy(start, layers, bound):
+        got = summed(start, layers, bound)
+        runs[start] = layers, bound, got
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walks, "sum_paths", spy)
+        table = truncated_trace_table(word, m, trunc)
+    return table, runs
+
+
 @pytest.mark.parametrize("text,order", WALK_CASES)
 def test_pruned_walks_match_mul_term_walk(text, order):
     word = parse_braid(text)
-    n = word.n
     trunc = 2 * order + 1
     for m in range(order + 3):
         closed = mul_term_walk(word, m, trunc)
-        tables = {v: (lawrence._generator_moves(n, m, v, 1, HALF),
-                      lawrence._generator_norm(n, m, v, 1, HALF))
-                  for v in set(word.letters)}
-        walk = [tables[v] for v in word.letters]
+        # raw dicts, against the two passes it replaced and the dict-kernel
+        # sum it packs, within the bound proven from the per-row norms
+        table, runs = traced_walks(word, m, trunc, assert_packed_sum)
         # closed runs over weight_states(n, m) in order, so s sits at k
         for k, (s, want) in enumerate(closed.items()):
-            layers = lawrence._forward_layers(walk, k, trunc)
-            if layers is None:
+            if k not in runs:
                 # a start state the forward pass drops had nothing to add
                 assert want.is_zero, (m, s)
-            else:
-                # a weight-m closed walk costs at least x^m, so the two
-                # stabilization weights above the order keep no start state
-                assert m <= order, (m, s)
-                # raw dicts, against the two passes it replaced and the
-                # dict-kernel sum it packs, within its proven bound
-                got = assert_packed_sum(k, layers, trunc)
-                assert XSeries._adopt(got, trunc) == want, (m, s)
+                continue
+            # a weight-m closed walk costs at least x^m, so the two
+            # stabilization weights above the order keep no start state
+            assert m <= order, (m, s)
+            _, bound, got = runs[k]
+            assert XSeries._adopt({x + trunc - bound: q
+                                   for x, q in got.items()}, trunc) \
+                == want, (m, s)
         oracle = sum(closed.values(), XSeries.zero(trunc))
-        assert truncated_trace(word, m, trunc) == oracle, m
+        assert XSeries._adopt(table, trunc) == oracle, m
 
 
 def state_layers(layers, states):
@@ -503,30 +526,28 @@ def state_layers(layers, states):
 @pytest.mark.parametrize("text,order", WALK_CASES)
 def test_position_walk_matches_tuple_walk(text, order):
     # per start state, the forward pass over positions keeps the same
-    # reach and the same moves in the same order as the tuple-state pass,
-    # and sums to the same raw table; so does the whole trace
+    # reach, the same moves in the same order and the same row norms as
+    # the tuple-state pass, and sums to the same raw table; so does the
+    # whole trace
     word = parse_braid(text)
-    n = word.n
     trunc = 2 * order + 1
     closing = 0
     for m in range(order + 3):
-        states = weight_states(n, m)
-        walk = [(lawrence._generator_moves(n, m, v, 1, HALF),
-                 lawrence._generator_norm(n, m, v, 1, HALF))
-                for v in word.letters]
+        states = weight_states(word.n, m)
         oracle_walk = tuple_walk(word, m)
+        bound = trunc - sum(low for _, low in oracle_walk)
+        table, runs = traced_walks(word, m, trunc)
         for k, s in enumerate(states):
-            layers = lawrence._forward_layers(walk, k, trunc)
-            want = tuple_forward_layers(oracle_walk, s, trunc)
-            if layers is None:
+            want = tuple_forward_layers(oracle_walk, s, bound)
+            if k not in runs:
                 assert want is None, (m, s)
                 continue
             closing += 1
+            layers, at, got = runs[k]
+            assert at == bound, (m, s)
             assert state_layers(layers, states) == want, (m, s)
-            assert walks.sum_paths(k, layers, trunc) \
-                == walks.sum_paths(s, want, trunc), (m, s)
-        assert truncated_trace_table(word, m, trunc) \
-            == tuple_truncated_trace_table(word, m, trunc), m
+            assert got == walks.sum_paths(s, want, bound), (m, s)
+        assert table == tuple_truncated_trace_table(word, m, trunc), m
     assert closing
 
 

@@ -32,18 +32,20 @@ letters = st.lists(
     min_size=STATES, max_size=STATES)
 
 
-def forward_layers(states, walk, start, budgets):
+def forward_layers(states, walk, start, budgets, norms=None):
     """The (reach, moves, norm) layers of a forward min-plus pass over
     `walk` from start, on states 0..states - 1 (a move's end taken mod
     states), each letter keeping the moves that end within its budget, as
-    both engines' forward passes do, and bounding the row norm by the
-    largest sum of ||weight||_1 over all the moves of a state it leaves."""
+    walks.closed_sum does, and bounding the row norm by the largest sum of
+    ||weight||_1 over all the moves of a state it leaves, or by the
+    largest norms[j][src] of those states if norms are given."""
     layers = []
     reach = {start: 0}
-    for letter, budget in zip(walk, budgets):
+    for j, (letter, budget) in enumerate(zip(walk, budgets)):
         moves = []
         nxt = {}
-        norm = max((row_norm(letter[src]) for src in reach), default=0)
+        norm = max((row_norm(letter[src]) if norms is None else norms[j][src]
+                    for src in reach), default=0)
         for src, cost in reach.items():
             for dst, xh, weight in letter[src]:
                 to = cost + xh
@@ -117,6 +119,58 @@ def test_packed_sum_cancels_to_empty():
     walk[0] = [[(0, 1, w)], [], [], []]
     layers = forward_layers(2, walk, 0, [4] * len(walk))
     assert assert_packed_sum(0, layers, 4) == {2: {-3: big, 5: -big}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, STATES), st.lists(letters, min_size=1, max_size=5),
+       st.integers(0, 12), st.data())
+def test_closed_sum_matches_forward_layers_on_random_rows(states, walk,
+                                                          trunc, data):
+    # the letters as closed_sum reads them: one row (moves, norm) per
+    # state, each move a delta to its end, and each row's norm its sum of
+    # ||weight||_1 or more, as a looser bound still bounds
+    start = data.draw(st.integers(0, states - 1))
+    budgets = [trunc - cut for cut in data.draw(st.lists(
+        st.integers(0, 2), min_size=len(walk), max_size=len(walk)))]
+    norms = [[row_norm(row) + data.draw(st.integers(0, 3)) for row in letter]
+             for letter in walk]
+    # a high part above the mask, which no delta touches, or none at all
+    # and the rows read whole (mask -1), as the trace walk reads them
+    high = data.draw(st.sampled_from((0, 1 << 4, 5 << 4)))
+    mask = 15 if high else -1
+    rows = [[(tuple((dst % states - src, xh, weight)
+                    for dst, xh, weight in row), norm)
+             for src, (row, norm) in enumerate(zip(letter, letter_norms))]
+            for letter, letter_norms in zip(walk, norms)]
+    want = forward_layers(states, walk, start, budgets, norms)
+    # the pass stops at the first letter that leaves no state, and sums
+    # only if it returns to start
+    read = next((j + 1 for j, (_, moves, _) in enumerate(want) if not moves),
+                len(want))
+    closes = read == len(want) and any(
+        dst == start for _, dst, _, _ in want[-1][1])
+    runs = []
+
+    def spy(start, layers, trunc):
+        runs.append(layers)
+        return assert_packed_sum(start, layers, trunc)
+
+    lazy = iter(budgets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walks, "sum_paths", spy)
+        got = walks.closed_sum(high | start, [(letter, mask)
+                                              for letter in rows],
+                               lazy, trunc)
+    assert len(list(lazy)) == len(walk) - read
+    assert got == walks.sum_paths(start, want, trunc)
+    if not closes:
+        assert not runs and got == {}
+        return
+    lifted = [({high | s: cost for s, cost in reach.items()},
+               [(high | src, high | dst, xh, weight)
+                for src, dst, xh, weight in moves], norm)
+              for reach, moves, norm in want]
+    assert runs == [lifted]
 
 
 def test_forward_layers_reach_the_state_a_move_ends_on():

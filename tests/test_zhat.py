@@ -129,6 +129,20 @@ def test_phi_positive_rejects_mixed_words():
         phi_positive(parse_braid("1 -2 1 -2"), 3)
 
 
+def test_negative_cutoff_is_refused_by_its_own_name():
+    # phi_positive takes a weight cutoff m_cut, zhat a label cap: each
+    # entry names the parameter its caller set, though zhat hands its cap
+    # to the positive route as the cutoff
+    word = parse_braid("1 1 1")
+    with pytest.raises(InputError, match="^m_cut must be >= 0, got -1$"):
+        phi_positive(word, 6, m_cut=-1)
+    with pytest.raises(InputError, match="^order must be >= 0, got -1$"):
+        phi_positive(word, -1, m_cut=-1)
+    for text in ("1 1 1", "1 -2 1 -2"):
+        with pytest.raises(InputError, match="^cap must be >= 0, got -1$"):
+            zhat(parse_braid(text), 6, cap=-1)
+
+
 def test_phi_rejects_links_and_inhomogeneous():
     # one gate, braid.require_homogeneous_knot, serves every route
     for text, message in (
@@ -578,11 +592,11 @@ def oracle_phi(word, order, cap, prune=False, rule=None):
 
 def dp_amplitude(word, col_sign, bottom, trunc, limit):
     """zhat._closed_amplitude of one bottom at label bound limit, through
-    the letter tables that _phi_homogeneous_run hands it."""
+    the letter tables and budget form that _phi_homogeneous_run hands it."""
     letters = [abs(v) for v in word.letters]
     return zmod._closed_amplitude(
-        letters, zmod._letter_tables(letters, col_sign, limit), col_sign,
-        bottom, trunc, limit)
+        zmod._letter_tables(letters, col_sign, limit),
+        zmod._letter_budgets(letters, col_sign), bottom, trunc, limit)
 
 
 def closed_amplitude(word, col_sign, bottom, trunc, cap):
@@ -1036,11 +1050,13 @@ def test_packed_dp_matches_tuple_dp(text, order, monkeypatch):
 
 def assert_moves_splice(col_sign, src_labels, limit):
     """_pack is the bit image of the label tuple padded with a boundary 0
-    at each end: the field read at (i - 1) B is the padded triple of
-    columns i - 1..i + 1 for every column i, 1 and n - 1 included, and
-    every move of the crossing, added as a delta, lands on the packed
-    state of the spliced padded tuple, with bits [0, B) and everything
-    from bit n B up still zero."""
+    at each end: the field that column i's letter table masks in place at
+    (i - 1) B is the padded triple of columns i - 1..i + 1 for every
+    column i, 1 and n - 1 included; its row holds the moves of
+    _transitions in order and their row norm; and every move of the
+    crossing, added as a delta, lands on the packed state of the spliced
+    padded tuple, with bits [0, B) and everything from bit n B up still
+    zero."""
     n = len(src_labels) + 1
     width = zmod._field_width(limit)
     low = (1 << width) - 1
@@ -1050,10 +1066,12 @@ def assert_moves_splice(col_sign, src_labels, limit):
     assert src & low == 0 and src >> n * width == 0
     assert unpack(src, width, n) == padded
     for i in range(1, n):
-        field = (src >> (i - 1) * width) & ((1 << 3 * width) - 1)
-        assert field == (padded[i - 1] | padded[i] << width
-                         | padded[i + 1] << 2 * width), i
-        moves, norm = zmod._field_moves(col_sign, i, field, limit, {})
+        ((table, mask),) = zmod._letter_tables([i], col_sign, limit)
+        field = (padded[i - 1] | padded[i] << width
+                 | padded[i + 1] << 2 * width) << (i - 1) * width
+        assert src & mask == field, i
+        assert table is zmod._column_table(kinds[i - 1:i + 2], i, limit)
+        moves, norm = table[field]
         key = (kinds[i], kinds[i - 1], kinds[i + 1],
                padded[i - 1], padded[i], padded[i + 1], limit)
         want = zmod._transitions(key, {})
@@ -1332,8 +1350,9 @@ def test_trace_error_names_word_order_and_m_cut(monkeypatch):
     real = zmod._lawrence._generator_moves
 
     def half_shifted(n, m, i, sign, convention):
-        return [[(dst, xh + 1, weight) for dst, xh, weight in moves]
-                for moves in real(n, m, i, sign, convention)]
+        rows, low = real(n, m, i, sign, convention)
+        return [(tuple((delta, xh + 1, weight) for delta, xh, weight in moves),
+                 norm) for moves, norm in rows], low
 
     phi_positive(parse_braid("1 1 1"), 4, m_cut=3)  # caches the real moves
     monkeypatch.setattr(zmod._lawrence, "_generator_moves", half_shifted)
