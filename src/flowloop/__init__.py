@@ -16,8 +16,8 @@ Everything is pure Python with integer coefficients; no environment
 variable changes what is computed or how.  Malformed or out-of-range
 input raises `ParseError` or `InputError`; a failed internal cross-check
 raises `VerificationError`, which signals a bug, unless it is a
-stabilization guard firing at a cutoff (`cap`, `m_cut`) the caller set
-below the default.
+stabilization guard firing at a cutoff `cap` the caller set below the
+default.
 
 `template`, `verify` and `verma` load on first use: their public names
 resolve through the module `__getattr__` below, so `import flowloop` and

@@ -196,14 +196,12 @@ def require_homogeneous_knot(word):
     return stats
 
 
-def _where(word, order, cap=None, m_cut=None):
-    """The word, order and cutoff (cap on the DP route, m_cut on the trace
-    route) an error is about."""
+def _where(word, order, cap=None):
+    """The word, order and cutoff cap (a label cap on the DP route, a
+    weight cutoff on the trace route) an error is about."""
     at = f"{render_word(word)} at order {order}"
     if cap is not None:
         at += f", cap {cap}"
-    if m_cut is not None:
-        at += f", m_cut {m_cut}"
     return at
 
 

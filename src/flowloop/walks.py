@@ -96,10 +96,12 @@ def sum_paths(start, layers, trunc):
     from to the cheapest cost of getting there from start, moves are the
     letter's moves (src, dst, x_half, weight) out of those states, and norm
     bounds the sum of ||weight||_1 over the moves of any one of those
-    states.  Going from the last letter to the first, back[s] sums the
-    walks from s home to start through the later letters: every move adds
-    its end's table times its weight into its source's table in place, and
-    a table that cancels to empty is skipped.  Every walk reaches src at a
+    states (a weight is nonzero, so a letter of norm 0 has no move, and
+    the pass below returns {} for it).  Going from the last letter to the
+    first, back[s] sums the walks from s home to start through the later
+    letters: every move adds its end's table times its weight into its
+    source's table in place, and a table that cancels to empty is
+    skipped.  Every walk reaches src at a
     cost >= reach[src], so a term of src's table above trunc - reach[src]
     lies above trunc in every closed walk and is dropped there: the sum is
     exact.
@@ -125,8 +127,6 @@ def sum_paths(start, layers, trunc):
     bound = 1
     for _, _, norm in layers:
         bound *= norm
-    if not bound:
-        return {}  # a letter with no move: no walk closes
     K = (bound.bit_length() + 9) // 8 * 8
     packed = _packed_weights(K)
     back = {start: {0: (1, 0)}}

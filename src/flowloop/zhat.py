@@ -14,14 +14,13 @@ computed two ways:
   above x^order, and a start state with no closed walk within it does no
   series work.  A closed walk of a weight-m state costs at least x^m
   (proved in lawrence.truncated_trace_table), so a weight above the order
-  has an empty trace and the weight loop stops at the order.  Each
-  weight's part goes into a raw Phi table in place, two
-  ring.xs_addmul_term_into calls per weight.  A part does not depend on
-  the cutoff m_cut, so the stabilization check adds the parts of weights
-  m_cut + 1 and m_cut + 2 into a raw Delta table and raises iff Delta is
-  nonzero, instead of recomputing Phi at m_cut + 2.  At the default
-  m_cut = order those two weights lie above the order.  Phi becomes an
-  XSeries once, with its small monomial coefficients shared.
+  has an empty trace and the weight loop stops at the order.  The weight
+  m is the DP's conserved charge m~ on an all-positive word, so the traces
+  are the closed-walk tables by charge that _assemble turns into Phi.  A
+  trace does not depend on the cutoff cap, so the stabilization check
+  assembles the traces of weights cap + 1 and cap + 2 on their own and
+  raises iff that is nonzero, instead of recomputing Phi at cap + 2.  At
+  the default cap = order those two weights lie above the order.
 * phi_homogeneous: for any homogeneous word, by a column-label transfer
   DP.  Each column carries a nonnegative label (for negative columns the
   label is the "hat" of the true label, lambda = -1 - hat).  Reading the
@@ -44,10 +43,11 @@ computed two ways:
   q^{(2 eps - 1) m~ + eps (col+ - col-)} (-x^n)^eps over eps in {0, 1},
   where m~ = sum_+ labels - sum_- hats is conserved by every transition
   (asserted; this conservation is exactly the telescoping of the
-  q^{(hat_above - hat_below)/2} factors around closed columns).  In half
-  units the two factors are the literal pairs ({-2 m~: 1}, x^0) and
-  ({2 (m~ + col+ - col-): -1}, x^{2n}) of _phi_homogeneous_run.  A loop
-  starts from a bottom, n - 1 labels with sum <= 2 cap (_bottoms).
+  q^{(hat_above - hat_below)/2} factors around closed columns).  So a run
+  sums its closed loops into one table per charge m~ (_charge_tables), and
+  _assemble applies the two sectors to each table, as it does to the
+  positive route's traces.  A loop starts from a bottom, n - 1 labels with
+  sum <= 2 cap (_bottoms).
 
   The DP forms no term of x-half-degree above trunc = 2 order + 1.  This
   is exact: labels are nonnegative, so every crossing cost (u+v)/2 is
@@ -92,9 +92,9 @@ computed two ways:
   adds its end's sum home times its weight into its source in place,
   truncated at trunc minus the cheapest cost to the source, on
   Kronecker-packed q-coefficients whose width those norms prove.  Each
-  bottom's decoded {x_half: {q_half: coeff}} table goes into Phi once per
-  axis sector through ring.xs_addmul_term_into; only the final sums
-  become XSeries.
+  bottom's decoded {x_half: {q_half: coeff}} table becomes its charge's
+  table or goes into it through one ring.xs_addmul_term_into; only Phi
+  becomes an XSeries.
 
   The label cap is checked only where it can bind: below the order a
   second run at cap + 2 must give the same Phi; at cap >= order the two
@@ -160,82 +160,92 @@ def _require_work(starts, kind, word, order):
         )
 
 
-def _finalize_phi(phi, label, word, order, cap=None, m_cut=None):
+def _finalize_phi(phi, label, word, order, cap=None):
     if phi.coeff(0) != QLaurent.one():
         raise VerificationError(
-            f"{label} of {_braid._where(word, order, cap, m_cut)} does not "
+            f"{label} of {_braid._where(word, order, cap)} does not "
             f"start with 1: {phi}")
     if not phi.x_integral or not phi.q_integral:
         raise VerificationError(
-            f"{label} of {_braid._where(word, order, cap, m_cut)} kept "
+            f"{label} of {_braid._where(word, order, cap)} kept "
             f"half-integer exponents: {phi}")
     return phi
+
+
+def _assemble(parts, spin, n, trunc):
+    """Phi from its closed-walk tables by conserved charge, truncated at
+    x-half trunc: the sum over the tables T of parts = {m~: T} of
+
+        (q^{-m~} - q^{m~ + spin} x^n) T,
+
+    the axis sectors eps = 0, 1 of the module docstring, with spin =
+    col+ - col-, the positive columns less the negative ones.  Both
+    engines hand their tables to this one assembly: the DP's by charge
+    (_charge_tables), the positive route's graded traces by weight, whose
+    word has n - 1 positive columns.  The raw table is built in place, two
+    ring.xs_addmul_term_into calls per charge, and becomes an XSeries once."""
+    phi = {}
+    for m, table in parts.items():
+        xs_addmul_term_into(phi, table, {-2 * m: 1}, 0, trunc)
+        xs_addmul_term_into(phi, table, {2 * (m + spin): -1}, 2 * n, trunc)
+    return XSeries._adopt(phi, trunc)
 
 
 # ---------------------------------------------------------------------------
 # positive words: assemble from truncated closed-walk traces
 
-def phi_positive(word, order, m_cut=None, stabilize=True):
+def phi_positive(word, order, cap=None, stabilize=True):
     """Phi for an all-positive homogeneous knot word, truncated at x^order.
 
-    Phi(m_cut) is the sum of the weight parts
-    (1 - q^{2m+n-1} x^n) q^{-m} Tr V_{n,m} for m = 0..m_cut, each trace a
-    sum of closed walks truncated while walking
-    (lawrence.truncated_trace_table).  The weight cutoff defaults to the
-    x-order: a knot word has a letter on every column, so every closed
+    Phi(cap) is the _assemble of the graded traces Tr V_{n,m} for
+    m = 0..cap, the weight parts (1 - q^{2m+n-1} x^n) q^{-m} Tr V_{n,m},
+    each trace a sum of closed walks truncated while walking
+    (lawrence.truncated_trace_table).  The weight cutoff cap defaults to
+    the x-order: a knot word has a letter on every column, so every closed
     walk of a weight-m state costs at least x^m (proof in
     lawrence.truncated_trace_table), and a weight above the order has an
-    empty trace, so the loop stops at the order.  Each part goes into a
-    raw Phi table in place, two ring.xs_addmul_term_into calls per weight,
-    and Phi becomes an XSeries once at the end.
+    empty trace, so the loop stops at the order.
 
-    stabilize insists that raising the cutoff to m_cut + 2 changes
-    nothing, in one run: a weight part depends on m and the x-order only,
-    never on m_cut, and truncated series add exactly, so
-    Phi(m_cut + 2) = Phi(m_cut) + Delta with Delta = part(m_cut + 1) +
-    part(m_cut + 2).  Those two parts go into a raw Delta table, and since
-    Phi + Delta != Phi iff Delta != 0, the guard raises iff Delta is
-    nonempty, that is iff Phi(m_cut + 2) != Phi(m_cut).  For m_cut >= order
-    both weights lie above the order, so their traces are empty and the
-    guard passes; for m_cut < order the ones up to the order are computed.
-    An order or m_cut whose start states times letters pass PHI_WORK_LIMIT
+    stabilize insists that raising the cutoff to cap + 2 changes nothing,
+    in one run: a trace depends on m and the x-order only, never on cap,
+    and truncated series add exactly, so Phi(cap + 2) = Phi(cap) + Delta
+    with Delta the _assemble of the traces of weights cap + 1 and cap + 2.
+    Since Phi + Delta != Phi iff Delta != 0, the guard raises iff Delta is
+    nonzero, that is iff Phi(cap + 2) != Phi(cap).  For cap >= order both
+    weights lie above the order, so their traces are empty and the guard
+    passes; for cap < order the ones up to the order are computed.  An
+    order or cap whose start states times letters pass PHI_WORK_LIMIT
     raises InputError."""
     if _braid.require_homogeneous_knot(word).cr_minus:
         raise InputError("phi_positive needs an all-positive word")
-    if m_cut is not None:
-        require_nonnegative(order=order, m_cut=m_cut)
-    return _phi_positive(word, order, m_cut, stabilize)
+    return _phi_positive(word, order, cap, stabilize)
 
 
-def _phi_positive(word, order, m_cut, stabilize):
+def _phi_positive(word, order, cap, stabilize):
     """phi_positive past its gate: word is an all-positive knot word."""
-    if m_cut is None:
-        m_cut = order
-    # m_cut is this route's cap: zhat and the CLI pass their cap as m_cut
-    require_nonnegative(order=order, cap=m_cut)
+    if cap is None:
+        cap = order
+    require_nonnegative(order=order, cap=cap)
     n = word.n
-    top = min(m_cut + 2 if stabilize else m_cut, order)
+    top = min(cap + 2 if stabilize else cap, order)
     _require_work(comb(top + n - 1, n - 1), "start states", word, order)
     trunc = 2 * order + 1
-    phi = {}
-    delta = {}
     try:
-        for m in range(top + 1):
-            tr = _lawrence.truncated_trace_table(word, m, trunc)
-            acc = phi if m <= m_cut else delta
-            xs_addmul_term_into(acc, tr, {-2 * m: 1}, 0, trunc)
-            xs_addmul_term_into(acc, tr, {2 * (m + n - 1): -1}, 2 * n, trunc)
+        parts = {m: _lawrence.truncated_trace_table(word, m, trunc)
+                 for m in range(top + 1)}
     except VerificationError as exc:
         # truncated_trace_table names the word and the weight, not the order
         raise VerificationError(
-            f"{exc} in {_braid._where(word, order, m_cut=m_cut)}") from exc
-    if delta:
+            f"{exc} in {_braid._where(word, order, cap)}") from exc
+    if _assemble({m: t for m, t in parts.items() if m > cap}, n - 1, n,
+                 trunc):
         raise VerificationError(
-            f"weight cutoff not stable: raising it to m_cut + 2 changes "
-            f"phi_positive of {_braid._where(word, order, m_cut=m_cut)}"
+            f"weight cutoff not stable: raising it to cap + 2 changes "
+            f"phi_positive of {_braid._where(word, order, cap)}"
         )
-    return _finalize_phi(XSeries._adopt(phi, trunc), "phi_positive", word,
-                         order, m_cut=m_cut)
+    phi = _assemble({m: t for m, t in parts.items() if m <= cap}, n - 1, n,
+                    trunc)
+    return _finalize_phi(phi, "phi_positive", word, order, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -539,37 +549,44 @@ def _closed_amplitude(tables, form, bottom, trunc, limit):
                              budgets, trunc)
 
 
-def _phi_homogeneous_run(word, order, cap, col_sign):
-    """Phi at cap from one DP run over the word as it is cut here,
-    accumulated in place as a raw table over the bottoms and the two axis
-    sectors, and wrapped in an XSeries once at the end.  col_sign is +1 or
-    -1 for each of the word's n - 1 columns.
-
-    At cap >= order every rotation of the word gives the same Phi, and
-    phi_homogeneous hands it the rotation at the word's first -|+
-    boundary (_cut); below the order the bottoms' sum filter makes Phi
-    depend on the cut, so it hands it the word as given."""
-    n = word.n
-    col_plus = sum(1 for s in col_sign if s > 0)
-    col_minus = n - 1 - col_plus
+def _charge_tables(word, order, cap, col_sign):
+    """The closed label paths of one DP run at cap over the word as it is
+    cut here, one {x_half: {q_half: coeff}} table per conserved charge
+    m~ = sum_+ labels - sum_- hats of their bottom, truncated at
+    x-half 2 order + 1; a charge whose table cancels to empty is left out.
+    col_sign is +1 or -1 for each of the word's n - 1 columns.  The first
+    bottom of a charge hands over its closed-path table, and each later
+    one adds its table in through one ring.xs_addmul_term_into."""
     trunc = 2 * order + 1
     limit = _label_bound(trunc, cap)
     letters = [abs(letter) for letter in word.letters]
     tables = _letter_tables(letters, col_sign, limit)
     form = _letter_budgets(letters, col_sign)
-    phi = {}
-    for bottom in _open_bottoms(n, cap, limit,
+    parts = {}
+    for bottom in _open_bottoms(word.n, cap, limit,
                                 _live_edges(letters, col_sign), trunc):
         amp = _closed_amplitude(tables, form, bottom, trunc, limit)
         if not amp:
             continue
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
-        # the axis sectors eps = 0, 1 of the module docstring
-        xs_addmul_term_into(phi, amp, {-2 * m_tilde: 1}, 0, trunc)
-        xs_addmul_term_into(phi, amp,
-                            {2 * (m_tilde + col_plus - col_minus): -1},
-                            2 * n, trunc)
-    return XSeries._adopt(phi, trunc)
+        table = parts.get(m_tilde)
+        if table is None:
+            parts[m_tilde] = amp  # a fresh table: walks.closed_sum built it
+        else:
+            xs_addmul_term_into(table, amp, {0: 1}, 0, trunc)
+    return {m: table for m, table in parts.items() if table}
+
+
+def _phi_homogeneous_run(word, order, cap, col_sign):
+    """Phi at cap from one DP run over the word as it is cut here: the
+    _assemble of its _charge_tables, spin = sum(col_sign).
+
+    At cap >= order every rotation of the word gives the same Phi, and
+    phi_homogeneous hands it the rotation at the word's first -|+
+    boundary (_cut); below the order the bottoms' sum filter makes Phi
+    depend on the cut, so it hands it the word as given."""
+    return _assemble(_charge_tables(word, order, cap, col_sign),
+                     sum(col_sign), word.n, 2 * order + 1)
 
 
 def phi_homogeneous(word, order, cap=None, stabilize=True):
@@ -702,8 +719,11 @@ def zhat(word, order, cap=None):
     shifted.
 
     This is the one place that picks a Phi route: phi_positive for an
-    all-positive word, phi_homogeneous otherwise.  The latter keeps its
-    column tables for the rest of the process (see phi_homogeneous)."""
+    all-positive word, phi_homogeneous otherwise.  cap goes to the route
+    it picks under the same name, a weight cutoff on the first and a label
+    cap on the second; both default to the order and both assemble Phi in
+    _assemble.  The latter keeps its column tables for the rest of the
+    process (see phi_homogeneous)."""
     stats = _braid.require_homogeneous_knot(word)
     n, w = stats.n, stats.writhe
     crm, colm = stats.cr_minus, stats.col_minus

@@ -195,8 +195,8 @@ def test_criterion_10_cutoff_insensitivity(announce):
         for text in CORPUS:
             w = parse_braid(text)
             if analyze(w).cr_minus == 0:
-                base = phi_positive(w, 8, m_cut=8, stabilize=False)
-                high = phi_positive(w, 8, m_cut=10, stabilize=False)
+                base = phi_positive(w, 8, cap=8, stabilize=False)
+                high = phi_positive(w, 8, cap=10, stabilize=False)
             else:
                 base = phi_homogeneous(w, 8, cap=8, stabilize=False)
                 high = phi_homogeneous(w, 8, cap=10, stabilize=False)

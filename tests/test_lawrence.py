@@ -617,14 +617,14 @@ def test_phi_positive_reads_no_weight_above_the_order(monkeypatch):
 
     want = phi_positive(word, order)
     monkeypatch.setattr(lawrence, "truncated_trace_table", spy)
-    for m_cut, stabilize, top in ((None, True, order), (40, True, order),
-                                  (40, False, order), (2, True, order),
-                                  (1, False, 1)):
+    for cap, stabilize, top in ((None, True, order), (40, True, order),
+                                (40, False, order), (2, True, order),
+                                (1, False, 1)):
         asked.clear()
-        got = phi_positive(word, order, m_cut, stabilize)
-        assert asked == list(range(top + 1)), (m_cut, stabilize)
-        if m_cut != 1:
-            assert got == want, (m_cut, stabilize)
+        got = phi_positive(word, order, cap, stabilize)
+        assert asked == list(range(top + 1)), (cap, stabilize)
+        if cap != 1:
+            assert got == want, (cap, stabilize)
 
 
 def test_weights_past_the_truncation_need_every_column():

@@ -26,7 +26,11 @@ from flowloop import (
 )
 from flowloop import ring
 from flowloop.braid import alexander_classical, render_word
-from flowloop.lawrence import rep_matrix, weight_states
+from flowloop.lawrence import (
+    rep_matrix,
+    truncated_trace_table,
+    weight_states,
+)
 
 from conftest import (
     CORPUS,
@@ -121,7 +125,7 @@ def test_stabilization_insensitive_to_cutoffs():
     assert phi_homogeneous(w, 4, cap=6) == base
     assert phi_homogeneous(w, 4, cap=8) == base
     t = parse_braid("1 1 1")
-    assert phi_positive(t, 6, m_cut=8) == phi_positive(t, 6)
+    assert phi_positive(t, 6, cap=8) == phi_positive(t, 6)
 
 
 def test_phi_positive_rejects_mixed_words():
@@ -130,14 +134,13 @@ def test_phi_positive_rejects_mixed_words():
 
 
 def test_negative_cutoff_is_refused_by_its_own_name():
-    # phi_positive takes a weight cutoff m_cut, zhat a label cap: each
-    # entry names the parameter its caller set, though zhat hands its cap
-    # to the positive route as the cutoff
+    # both Phi routes and zhat name their cutoff cap, the name the caller
+    # set: a weight cutoff on the positive route, a label cap on the DP
     word = parse_braid("1 1 1")
-    with pytest.raises(InputError, match="^m_cut must be >= 0, got -1$"):
-        phi_positive(word, 6, m_cut=-1)
+    with pytest.raises(InputError, match="^cap must be >= 0, got -1$"):
+        phi_positive(word, 6, cap=-1)
     with pytest.raises(InputError, match="^order must be >= 0, got -1$"):
-        phi_positive(word, -1, m_cut=-1)
+        phi_positive(word, -1, cap=-1)
     for text in ("1 1 1", "1 -2 1 -2"):
         with pytest.raises(InputError, match="^cap must be >= 0, got -1$"):
             zhat(parse_braid(text), 6, cap=-1)
@@ -291,17 +294,50 @@ def test_random_positive_knots(letters):
 
 
 # ---------------------------------------------------------------------------
+# the two engines meet charge by charge: on an all-positive word the DP's
+# closed-walk table of conserved charge m~ is the truncated graded trace at
+# weight m = m~, before either route assembles Phi from its tables
+
+
+def assert_tables_by_charge_are_traces(word, order):
+    trunc = 2 * order + 1
+    traces = {m: truncated_trace_table(word, m, trunc)
+              for m in range(order + 1)}
+    assert zmod._charge_tables(word, order, order, column_signs(word)) \
+        == {m: table for m, table in traces.items() if table}, \
+        (render_word(word), order)
+
+
+@pytest.mark.parametrize("text", POSITIVE_KNOTS + ("1 2 1 2", "1 1 1 2 2 2"))
+def test_dp_tables_by_charge_are_the_graded_traces(text):
+    word = parse_braid(text)
+    assert analyze(word).closure_components == 1
+    for order in range(7):
+        assert_tables_by_charge_are_traces(word, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_knot_words(negative=False), st.integers(0, 6))
+def test_random_dp_tables_by_charge_are_the_graded_traces(word, order):
+    # every letter made positive: the closure's permutation is unchanged
+    word = parse_braid(f"n={word.n}; "
+                       + " ".join(str(abs(v)) for v in word.letters))
+    assume(analyze(word).closure_components == 1)
+    assert_tables_by_charge_are_traces(word, order)
+
+
+# ---------------------------------------------------------------------------
 # closed-walk Phi and its one-run guard against the graded-trace assembly
 
 
-def graded_trace_phi(word, order, m_cut):
+def graded_trace_phi(word, order, cap):
     """Phi from exact graded traces, truncated after the fact.  The traces
     are matrix products (rep_matrix), not the closed walks phi_positive
     sums, so the oracle stays independent of it."""
     n = word.n
     trunc = 2 * order + 1
     phi = XSeries.zero(trunc)
-    for m in range(m_cut + 1):
+    for m in range(cap + 1):
         tr = rep_matrix(word, m).trace()
         phi = phi + tr * XSeries.monomial(
             QLaurent.monomial(1, -2 * m), 0, trunc)
@@ -317,25 +353,25 @@ POSITIVE_CASES = [(text, order) for text in POSITIVE_KNOTS
 @pytest.mark.parametrize("text,order", POSITIVE_CASES)
 def test_walk_phi_and_guard_match_graded_traces(text, order):
     word = parse_braid(text)
-    for m_cut in range(order + 1):
-        old = graded_trace_phi(word, order, m_cut)
-        assert phi_positive(word, order, m_cut, stabilize=False) == old
-        old_unstable = old != graded_trace_phi(word, order, m_cut + 2)
+    for cap in range(order + 1):
+        old = graded_trace_phi(word, order, cap)
+        assert phi_positive(word, order, cap, stabilize=False) == old
+        old_unstable = old != graded_trace_phi(word, order, cap + 2)
         try:
-            phi_positive(word, order, m_cut)
+            phi_positive(word, order, cap)
             unstable = False
         except VerificationError as exc:
             unstable = "not stable" in str(exc)
-        assert unstable == old_unstable, m_cut
-    assert not unstable  # the default cutoff, m_cut = order, is stable
+        assert unstable == old_unstable, cap
+    assert not unstable  # the default cutoff, cap = order, is stable
 
 
 def test_trefoil_guard_raises_below_cutoff_two():
     w = parse_braid("1 1 1")
-    for m_cut in (0, 1):
+    for cap in (0, 1):
         with pytest.raises(VerificationError,
-                           match=rf"n=2; 1 1 1 at order 6, m_cut {m_cut}$"):
-            phi_positive(w, 6, m_cut)
+                           match=rf"n=2; 1 1 1 at order 6, cap {cap}$"):
+            phi_positive(w, 6, cap)
     assert phi_positive(w, 6, 2) == phi_positive(w, 6)
 
 
@@ -1182,8 +1218,11 @@ def conjugates(word):
 
 def assert_conjugation_invariant(word, order):
     # zhat runs the DP from its own cut, so the DP run below it is also
-    # held to Phi on every conjugate as given
+    # held to Phi on every conjugate as given, and so is each of its
+    # tables by charge: at cap = order each is a truncated trace of the
+    # transfer product on one charge sector
     want = zhat(word, order)
+    parts = zmod._charge_tables(word, order, order, column_signs(word))
     for other in conjugates(word):
         got = zhat(other, order)
         assert (got.phi, got.zhat) == (want.phi, want.zhat), \
@@ -1191,6 +1230,9 @@ def assert_conjugation_invariant(word, order):
         assert zmod._phi_homogeneous_run(other, order, order,
                                          column_signs(other)) \
             == want.phi, render_word(other)
+        assert zmod._charge_tables(other, order, order,
+                                   column_signs(other)) \
+            == parts, render_word(other)
 
 
 def benchmark_zhat_items(seed):
@@ -1344,7 +1386,7 @@ def test_dp_error_names_word_order_and_cap(monkeypatch):
             phi_homogeneous(parse_braid(text), 2, cap=3)
 
 
-def test_trace_error_names_word_order_and_m_cut(monkeypatch):
+def test_trace_error_names_word_order_and_cap(monkeypatch):
     # every generator move times x^(1/2): the trefoil's closed walks then
     # keep half x-powers, which truncated_trace refuses
     real = zmod._lawrence._generator_moves
@@ -1354,13 +1396,13 @@ def test_trace_error_names_word_order_and_m_cut(monkeypatch):
         return [(tuple((delta, xh + 1, weight) for delta, xh, weight in moves),
                  norm) for moves, norm in rows], low
 
-    phi_positive(parse_braid("1 1 1"), 4, m_cut=3)  # caches the real moves
+    phi_positive(parse_braid("1 1 1"), 4, cap=3)  # caches the real moves
     monkeypatch.setattr(zmod._lawrence, "_generator_moves", half_shifted)
     with pytest.raises(VerificationError,
                        match=r"^trace of n=2; 1 1 1 at weight 0 kept half "
                              r"x-powers: .* in n=2; 1 1 1 at order 4, "
-                             r"m_cut 3$"):
-        phi_positive(parse_braid("1 1 1"), 4, m_cut=3)
+                             r"cap 3$"):
+        phi_positive(parse_braid("1 1 1"), 4, cap=3)
 
 
 # ---------------------------------------------------------------------------
