@@ -16,7 +16,12 @@ computed two ways:
   (proved in lawrence.truncated_trace_table), so a weight above the order
   has an empty trace and the weight loop stops at the order.  The weight
   m is the DP's conserved charge m~ on an all-positive word, so the traces
-  are the closed-walk tables by charge that _assemble turns into Phi.  A
+  are the closed-walk tables by charge that _assemble turns into Phi.
+  Every weight runs on the word's cut (_cut), at every cap: rotating the
+  word by k letters maps its closed walks one-to-one onto those of the
+  rotation (start each walk k letters later), with the same weight and
+  the same total cost, so every truncated trace is the same term for
+  term, whatever the order or cap.  A
   trace does not depend on the cutoff cap, so the stabilization check
   assembles the traces of weights cap + 1 and cap + 2 on their own and
   raises iff that is nonzero, instead of recomputing Phi at cap + 2.  At
@@ -103,13 +108,14 @@ computed two ways:
   Where the word is cut decides which bottoms the two bounds keep.  At
   cap >= order the one run is the whole truncated trace of the transfer
   product, and every cyclic rotation of the word closes to the same knot
-  and has the same trace, so the run takes the word's first rotation that
-  starts on a positive letter and ends on a negative one (_cut).  The cut
-  then sits between a negative column's own crossing and a positive
-  column's own crossing, both columns have empty windows, and the two
-  bounds usually prune more than at the given cut.  Below the order the
-  bottoms' sum filter makes the run depend on the cut, so there the given
-  word runs, and so does its cap + 2 guard.
+  and has the same trace, so the run takes the word's cut (_cut): its
+  first rotation that starts on a positive letter and ends on a negative
+  one, or, for a one-sign word, which has no such boundary, its rotation
+  with the longest windows.  A -|+ cut sits between a negative column's
+  own crossing and a positive column's own crossing, both columns have
+  empty windows, and the two bounds usually prune more than at the given
+  cut.  Below the order the bottoms' sum filter makes the run depend on
+  the cut, so there the given word runs, and so does its cap + 2 guard.
 
 Both engines refuse an order or cap whose start states times letters pass
 PHI_WORK_LIMIT, before they build any state.
@@ -206,6 +212,17 @@ def phi_positive(word, order, cap=None, stabilize=True):
     lawrence.truncated_trace_table), and a weight above the order has an
     empty trace, so the loop stops at the order.
 
+    Every weight, at every cap and in the guard below, runs on the word's
+    cut (_cut), its rotation with the longest windows.  This is exact:
+    rotating the word by k letters maps its closed walks one-to-one onto
+    those of the rotation (start each walk k letters later), with the same
+    weight and the same total cost, so each truncated trace is the same
+    term for term.  Every rotation closes to the same knot (Markov's
+    theorem; Birman, Braids, Links, and Mapping Class Groups).  The rule
+    only decides how much the walks prune.  The result and every message
+    keep the given word; lawrence.truncated_trace_table runs the word it
+    is given.
+
     stabilize insists that raising the cutoff to cap + 2 changes nothing,
     in one run: a trace depends on m and the x-order only, never on cap,
     and truncated series add exactly, so Phi(cap + 2) = Phi(cap) + Delta
@@ -230,8 +247,11 @@ def _phi_positive(word, order, cap, stabilize):
     top = min(cap + 2 if stabilize else cap, order)
     _require_work(comb(top + n - 1, n - 1), "start states", word, order)
     trunc = 2 * order + 1
+    # every rotation has the same truncated traces, term for term (proof
+    # in phi_positive), so each weight runs on the word's cut
+    run = _cut(word)
     try:
-        parts = {m: _lawrence.truncated_trace_table(word, m, trunc)
+        parts = {m: _lawrence.truncated_trace_table(run, m, trunc)
                  for m in range(top + 1)}
     except VerificationError as exc:
         # truncated_trace_table names the word and the weight, not the order
@@ -352,20 +372,47 @@ def _label_bound(trunc, cap):
     return min(cap, trunc // 2)
 
 
-def _live_edges(letters, col_sign):
-    """For each edge (i, i + 1), i = 0..n - 2, whether it is live: each of
-    its columns has a crossing of the other inside its own window; the
-    boundary column 0 has none.  letters are the word's columns (|letter|).
+def _window_lengths(letters, column, sign):
+    """The length of the column's window in each rotation letters[k:] +
+    letters[:k] of the word, k = 0..L - 1, in one sweep; letters are the
+    word's columns (|letter|) and the column has an own crossing.
 
     A column's window is the part of the word in which it can shed label
     before the cut at the bottom is reached: for a positive column the
     letters before its first own crossing, for a negative column the
-    letters after its last own crossing (see _window_bound)."""
+    letters after its last own crossing (see _window_bound).  So in
+    rotation k a positive window runs from letter k to the column's next
+    own crossing at or after it, and a negative one from its last own
+    crossing before letter k (cyclically) to letter k - 1."""
+    size = len(letters)
+    own = [j for j, c in enumerate(letters) if c == column]
+    out = [0] * size
+    if sign > 0:
+        nxt = own[0] + size
+        for k in range(size - 1, -1, -1):
+            if letters[k] == column:
+                nxt = k
+            out[k] = nxt - k
+    else:
+        last = own[-1] - size
+        for k in range(size):
+            out[k] = k - 1 - last
+            if letters[k] == column:
+                last = k
+    return out
+
+
+def _live_edges(letters, col_sign):
+    """For each edge (i, i + 1), i = 0..n - 2, whether it is live: each of
+    its columns has a crossing of the other inside its own window
+    (_window_lengths of the word as given); the boundary column 0 has
+    none.  letters are the word's columns (|letter|)."""
+    size = len(letters)
     windows = []
     for i, sign in enumerate(col_sign, start=1):
-        own = [j for j, c in enumerate(letters) if c == i]
-        windows.append(set(letters[:own[0]] if sign > 0
-                           else letters[own[-1] + 1:]))
+        length = _window_lengths(letters, i, sign)[0]
+        windows.append(set(letters[:length] if sign > 0
+                           else letters[size - length:]))
     return (False,) + tuple(i + 1 in windows[i - 1] and i in windows[i]
                             for i in range(1, len(col_sign)))
 
@@ -582,9 +629,9 @@ def _phi_homogeneous_run(word, order, cap, col_sign):
     _assemble of its _charge_tables, spin = sum(col_sign).
 
     At cap >= order every rotation of the word gives the same Phi, and
-    phi_homogeneous hands it the rotation at the word's first -|+
-    boundary (_cut); below the order the bottoms' sum filter makes Phi
-    depend on the cut, so it hands it the word as given."""
+    phi_homogeneous hands it the word's cut (_cut); below the order the
+    bottoms' sum filter makes Phi depend on the cut, so it hands it the
+    word as given."""
     return _assemble(_charge_tables(word, order, cap, col_sign),
                      sum(col_sign), word.n, 2 * order + 1)
 
@@ -609,22 +656,24 @@ def phi_homogeneous(word, order, cap=None, stabilize=True):
 
     At cap >= order that one run starts from the word's cut: its first
     rotation that starts on a positive letter and ends on a negative one,
-    or the word itself if it has no such -|+ boundary (_cut).  This is
-    exact.  By the same argument a bottom with sum b >= 2 order + 1 closes
-    no path within trunc, so the filter sum b <= 2 cap drops none, and by
-    _label_bound neither does the label bound: the run is the sum of the
-    closed paths within trunc over every bottom and every label, the
-    truncated trace of the transfer product times the axis-sector factor,
-    which depends only on the conserved m~.  A trace
-    does not change under cyclic rotation, and each rotation closes to the
-    same knot (Markov's theorem; Birman, Braids, Links, and Mapping Class
-    Groups).  At the cut the first letter's column and the last letter's
-    column have empty windows (_live_edges), so _window_bound and
-    _letter_budgets usually prune more.  Below the order the bottoms' filter
-    sum b <= 2 cap does depend on the cut (n=5; -3 -4 1 -3 2 -3 at order
-    3, cap 1 gives another Phi than its cut), so both runs there take the
-    word as given.  The prefactor, every message and every result keep the
-    given word.
+    or, for a one-sign (all-negative) word, which has no such -|+
+    boundary, its first rotation with the largest total window length
+    (_cut).  This is exact.  By the same argument a bottom with
+    sum b >= 2 order + 1 closes no path within trunc, so the filter
+    sum b <= 2 cap drops none, and by _label_bound neither does the label
+    bound: the run is the sum of the closed paths within trunc over every
+    bottom and every label, the truncated trace of the transfer product
+    times the axis-sector factor, which depends only on the conserved m~.
+    A trace does not change under cyclic rotation, and each rotation
+    closes to the same knot (Markov's theorem; Birman, Braids, Links, and
+    Mapping Class Groups).  At a -|+ cut the first letter's column and the
+    last letter's column have empty windows (_live_edges), so
+    _window_bound and _letter_budgets usually prune more; a one-sign
+    word's cut, with the longest windows, is measured to run faster than
+    the word as given.  Below the order the bottoms' filter sum b <= 2 cap
+    does depend on the cut (n=5; -3 -4 1 -3 2 -3 at order 3, cap 1 gives
+    another Phi than its cut), so both runs there take the word as given.
+    The prefactor, every message and every result keep the given word.
 
     The DP is pruned to the moves on closed label paths whose summed
     crossing costs x^{(u+v)/2} stay within x^order.  Every cost is >= 0
@@ -644,15 +693,30 @@ def phi_homogeneous(word, order, cap=None, stabilize=True):
 
 
 def _cut(word):
-    """The first rotation of the word that starts on a positive letter and
-    ends on a negative one, or the word itself if it has no such -|+
-    boundary (all its letters have one sign)."""
+    """The rotation of a knot word that the Phi engines run: phi_positive
+    at every cap, phi_homogeneous at cap >= order.
+
+    A word with a -|+ boundary is cut at its first rotation that starts on
+    a positive letter and ends on a negative one.  A one-sign word has no
+    such boundary; it is cut at its rotation with the largest total window
+    length over its columns (_window_lengths), the first one on ties, so
+    the word itself if it is one.  The scores of all L rotations take one
+    sweep per column, O(L (n - 1)), and no rotation is built but the cut.
+    Every rotation closes to the same knot and has the same truncated
+    traces, so the rule only decides how much the engines prune; it is
+    measured, not proven."""
     letters = word.letters
     for k, letter in enumerate(letters):
         if letter > 0 > letters[k - 1]:
-            return word if k == 0 else _braid.BraidWord(
-                word.n, letters[k:] + letters[:k])
-    return word
+            break
+    else:
+        columns = [abs(letter) for letter in letters]
+        sign = 1 if letters[0] > 0 else -1
+        scores = list(map(sum, zip(*(_window_lengths(columns, i, sign)
+                                     for i in range(1, word.n)))))
+        k = scores.index(max(scores))
+    return word if k == 0 else _braid.BraidWord(
+        word.n, letters[k:] + letters[:k])
 
 
 def _phi_homogeneous(word, stats, order, cap, stabilize):

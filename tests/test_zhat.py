@@ -875,17 +875,101 @@ def test_guard_reruns_only_below_the_order(monkeypatch):
     assert caps == [(cut, order)]
 
 
+def test_positive_route_runs_the_cut_at_every_cap(monkeypatch):
+    # at every cap, the guard's weights included, phi_positive hands the
+    # trace engine the word's cut, and its results and messages keep the
+    # given word
+    given, cut = "n=4; 2 3 3 3 1 3 1 1 3", "n=4; 3 3 3 1 3 1 1 3 2"
+    word = parse_braid(given)
+    order = 4
+    real = zmod._lawrence.truncated_trace_table
+    asked = []
+
+    def spy(word, m, trunc):
+        asked.append((render_word(word), m))
+        return real(word, m, trunc)
+
+    monkeypatch.setattr(zmod._lawrence, "truncated_trace_table", spy)
+    for cap in range(order + 2):
+        asked.clear()
+        if cap < order:
+            with pytest.raises(VerificationError) as exc:
+                phi_positive(word, order, cap)
+            assert str(exc.value) == (
+                f"weight cutoff not stable: raising it to cap + 2 changes "
+                f"phi_positive of {given} at order {order}, cap {cap}")
+        else:
+            phi_positive(word, order, cap)
+        top = min(cap + 2, order)
+        assert asked == [(cut, m) for m in range(top + 1)], cap
+
+
 def test_cut_is_the_first_minus_plus_boundary():
     for given, cut in (("n=4; -3 1 1 -3 2", "n=4; 1 1 -3 2 -3"),
                        ("-2 1 -2 1", "n=3; 1 -2 1 -2"),
                        ("n=3; -2 -2 -2 1 1 1", "n=3; 1 1 1 -2 -2 -2"),
-                       ("n=5; -3 2 -3 -3 -4 1", "n=5; 2 -3 -3 -4 1 -3")):
+                       ("n=5; -3 2 -3 -3 -4 1", "n=5; 2 -3 -3 -4 1 -3"),
+                       # one sign: the rotation with the longest windows,
+                       # 3 + 8 + 0 letters against 4 + 0 + 1 as given, and
+                       # 1 + 1 + 3 against 2 + 0 + 0 (negative windows end
+                       # the word)
+                       ("n=4; 2 3 3 3 1 3 1 1 3", "n=4; 3 3 3 1 3 1 1 3 2"),
+                       ("n=4; -1 -1 -2 -1 -3", "n=4; -2 -1 -3 -1 -1")):
         assert render_word(zmod._cut(parse_braid(given))) == cut, given
-    # no -|+ boundary, or the word starts at one already: it runs as given
+    # the word starts at its first -|+ boundary already, or it has one
+    # sign and no rotation has longer windows: it runs as given
     for text in ("-1 -1 -1", "n=3; -2 -1 -2 -1", "1 1 1", "1 2 1 2",
                  *CORPUS, *EXTRA_KNOTS):
         word = parse_braid(text)
         assert zmod._cut(word) is word, text
+
+
+@st.composite
+def one_sign_knot_words(draw):
+    """One-sign words on <= 5 strands and <= 10 letters, built as
+    mixed_knot_words builds them: every column once, plus pairs of one
+    column at any two places."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    sign = draw(st.sampled_from((1, -1)))
+    cols = list(draw(st.permutations(range(1, n))))
+    for _ in range(draw(st.integers(0, (10 - (n - 1)) // 2))):
+        c = draw(st.integers(min_value=1, max_value=n - 1))
+        for _ in range(2):
+            cols.insert(draw(st.integers(0, len(cols))), c)
+    return parse_braid(f"n={n}; " + " ".join(str(sign * c) for c in cols))
+
+
+def oracle_cut(word):
+    """_cut by brute force: the first -|+ boundary if the word has one,
+    else the first rotation, built in full, whose windows are longest in
+    total, each window read off the rotation as _live_edges reads it: the
+    letters before a positive column's first own crossing, the letters
+    after a negative column's last own crossing."""
+    letters = list(word.letters)
+    rotations = [letters[k:] + letters[:k] for k in range(len(letters))]
+    for rot in rotations:
+        if rot[0] > 0 > rot[-1]:
+            return rot
+    best, best_score = None, -1
+    for rot in rotations:
+        cols = [abs(v) for v in rot]
+        score = 0
+        for i in range(1, word.n):
+            own = [j for j, c in enumerate(cols) if c == i]
+            score += own[0] if rot[0] > 0 else len(rot) - 1 - own[-1]
+        if score > best_score:
+            best, best_score = rot, score
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(one_sign_knot_words(), mixed_knot_words()))
+def test_cut_matches_brute_force_over_rotations(word):
+    assume(analyze(word).closure_components == 1)
+    cut = zmod._cut(word)
+    assert list(cut.letters) == oracle_cut(word), render_word(word)
+    if cut.letters == word.letters:
+        assert cut is word
 
 
 def assert_high_bottoms_cost_past_trunc(word, order):
@@ -1217,13 +1301,22 @@ def conjugates(word):
 
 
 def assert_conjugation_invariant(word, order):
-    # zhat runs the DP from its own cut, so the DP run below it is also
-    # held to Phi on every conjugate as given, and so is each of its
+    # zhat runs both engines from the word's cut, so the DP run below it is
+    # also held to Phi on every conjugate as given, and so is each of its
     # tables by charge: at cap = order each is a truncated trace of the
-    # transfer product on one charge sector
+    # transfer product on one charge sector.  On an all-positive word the
+    # literal trace engine is held to the same traces on every conjugate
     want = zhat(word, order)
     parts = zmod._charge_tables(word, order, order, column_signs(word))
+    positive = min(word.letters) > 0
+    trunc = 2 * order + 1
+    if positive:
+        traces = {m: truncated_trace_table(word, m, trunc)
+                  for m in range(order + 1)}
     for other in conjugates(word):
+        if positive:
+            assert {m: truncated_trace_table(other, m, trunc)
+                    for m in range(order + 1)} == traces, render_word(other)
         got = zhat(other, order)
         assert (got.phi, got.zhat) == (want.phi, want.zhat), \
             render_word(other)
