@@ -418,11 +418,10 @@ def truncated_trace_table(word, m, trunc=None, convention=HALF):
                     for v in word.letters)
     else:
         bound = trunc - shift
-    letters = [(tables[v][0], -1) for v in word.letters]
-    budgets = [bound] * len(letters)
+    runs = [([(tables[v][0], -1) for v in word.letters], bound)]
     tr = {}
     for s in range(dim(n, m)):
-        xs_addmul_term_into(tr, _walks.closed_sum(s, letters, budgets, bound),
+        xs_addmul_term_into(tr, _walks.closed_sum(s, runs, bound),
                             {0: 1}, shift, trunc)
     if any(x % 2 for x in tr) and \
             _braid.analyze(word).closure_components == 1:

@@ -26,8 +26,11 @@ forward pass records, letter by letter, the cheapest cost from the start
 to each state and every move that ends within its letter's budget: trunc,
 or less where the engine has a lower bound on what the rest of a closed
 walk costs (the transfer DP's _letter_budgets), so that a move above it
-lies on no closed walk of cost <= trunc.  It also records per letter the
-largest row norm N of the states the letter leaves.  sum_paths then sums
+lies on no closed walk of cost <= trunc.  The letters come in runs that
+share one budget, handed over once per run, not per letter: the DP's
+bound changes at no more than n - 1 letters, and the trace walk reads all
+its letters at one bound.  The pass also records per letter the largest
+row norm N of the states the letter leaves.  sum_paths then sums
 backward from the start, truncating each state's table at trunc minus the
 cheapest cost of reaching it, so a term that no closed walk keeps is
 never formed; the result is the truncated sum over all walks, term for
@@ -50,37 +53,39 @@ def _packed_weights(K):
     return {}
 
 
-def closed_sum(start, letters, budgets, trunc):
-    """Sum over the walks start -> start through the letters, one (rows,
-    mask) pair each, of the product of their weights, truncated at trunc,
-    as an {x_half: {q_half: coeff}} table, or {} if no walk closes.
+def closed_sum(start, runs, trunc):
+    """Sum over the walks start -> start through the letters of the runs of
+    the product of their weights, truncated at trunc, as an
+    {x_half: {q_half: coeff}} table, or {} if no walk closes.
 
-    budgets holds one budget per letter, <= trunc, and may be lazy: a
-    letter's budget is read only when the pass reaches it.  The forward
-    pass keeps a move only if it ends within its letter's budget, and the
-    layers it records go to sum_paths."""
+    runs holds the walk's letters in order, grouped into runs (letters,
+    budget): letters a list of (rows, mask) pairs, all read at one budget
+    <= trunc.  The forward pass keeps a move only if it ends within its
+    run's budget, and the layers it records, one per letter, go to
+    sum_paths."""
     layers = []
     reach = {start: 0}
-    for (rows, mask), budget in zip(letters, budgets):
-        moves = []
-        nxt = {}
-        top = 0
-        for src, cost in reach.items():
-            out, norm = rows[src & mask]
-            if norm > top:
-                top = norm
-            for delta, xh, weight in out:
-                to = cost + xh
-                if to > budget:
-                    break  # the moves come sorted by cost
-                dst = src + delta
-                moves.append((src, dst, xh, weight))
-                if to < nxt.get(dst, budget + 1):
-                    nxt[dst] = to
-        if not nxt:
-            return {}
-        layers.append((reach, moves, top))
-        reach = nxt
+    for letters, budget in runs:
+        for rows, mask in letters:
+            moves = []
+            nxt = {}
+            top = 0
+            for src, cost in reach.items():
+                out, norm = rows[src & mask]
+                if norm > top:
+                    top = norm
+                for delta, xh, weight in out:
+                    to = cost + xh
+                    if to > budget:
+                        break  # the moves come sorted by cost
+                    dst = src + delta
+                    moves.append((src, dst, xh, weight))
+                    if to < nxt.get(dst, budget + 1):
+                        nxt[dst] = to
+            if not nxt:
+                return {}
+            layers.append((reach, moves, top))
+            reach = nxt
     if start not in reach:
         return {}
     return sum_paths(start, layers, trunc)

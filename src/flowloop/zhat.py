@@ -75,10 +75,12 @@ computed two ways:
   them.  Both are taken once per run, not per bottom: the window filter
   reads the word only through its live edges, so the filtered bottoms are
   kept per (n, cap, label bound, live edges, trunc) (_open_bottoms), and
-  h_j(b) is one linear form sum_i a_{j,i} b_i, so a bottom pays one dot
-  product per letter.  The q-weight of a crossing depends only on the
-  middle column's sign, low and the two sheds, and is shared by every move
-  that has them.
+  h_j(b) is one linear form sum_i a_{j,i} b_i whose rows change only at a
+  column's last own crossing, so the letters fall into at most n runs of
+  one budget (_letter_runs) and a bottom pays one dot product per run,
+  at most n, not one per letter.  The q-weight of a crossing depends only
+  on the middle column's sign, low and the two sheds, and is shared by
+  every move that has them.
   A state is one int, the label tuple padded with a boundary 0 at each
   end: column i's label (its hat, for a negative column) sits in bits
   [i B, (i + 1) B), B = _field_width(limit) bits for the run's label bound
@@ -91,11 +93,11 @@ computed two ways:
   its moves as (delta, x_half, coeff), one tuple per (delta, x_half), a
   move landing on state + delta, and its row norm, the sum of ||coeff||_1
   over them.  A row is built on its first read and shared by every word
-  and run with that key.  The engine only builds these tables and the
-  budgets: walks.closed_sum runs the forward pass, which keeps per letter
-  the largest row norm it reads, and the backward series pass: each move
-  adds its end's sum home times its weight into its source in place,
-  truncated at trunc minus the cheapest cost to the source, on
+  and run with that key.  The engine only builds these tables and their
+  runs of one budget: walks.closed_sum runs the forward pass, which keeps
+  per letter the largest row norm it reads, and the backward series pass:
+  each move adds its end's sum home times its weight into its source in
+  place, truncated at trunc minus the cheapest cost to the source, on
   Kronecker-packed q-coefficients whose width those norms prove.  Each
   bottom's decoded {x_half: {q_half: coeff}} table becomes its charge's
   table or goes into it through one ring.xs_addmul_term_into; only Phi
@@ -128,7 +130,7 @@ form (-1)^{1+lam} q^{g-lam} x^{g-1/2} term for term.
 
 import functools
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from math import comb
 from operator import itemgetter, mul
 
@@ -325,7 +327,13 @@ def _transitions(key, cache):
 
 def _bottoms(n, cap, bound):
     """Every starting label vector: n - 1 labels in [0, bound] with sum
-    <= 2 cap, in lexicographic order."""
+    <= 2 cap, in lexicographic order.
+
+    At bound = the run's label bound limit this leaves out no bottom that
+    closes a path: a bottom with a label above limit closes no path, since
+    in a knot word every column has an own crossing, which lands its label
+    within limit, and after its last one a positive label only drops and a
+    negative hat rises to at most limit."""
     return [b for b in product(range(bound + 1), repeat=n - 1)
             if sum(b) <= 2 * cap]
 
@@ -469,8 +477,13 @@ def _letter_budgets(letters, col_sign):
     and 0 otherwise.  Distinct columns count distinct crossings, and every
     crossing costs >= 0, so the sum is a lower bound.  A move of letter j
     that ends above trunc - h_j(b) lies on no closed path within trunc.
-    The form depends on the word only, so a run takes it once and each
-    bottom pays one dot product per letter."""
+
+    Column i's coefficient is set once, at its last own crossing: it is
+    a_{j,i} before that letter and 0 from it on.  So the rows change at no
+    more than n - 1 letters and fall into at most n runs of equal rows,
+    and every budget in a run is the same.  The form depends on the word
+    only, so a run of the DP takes it once, grouped into those runs
+    (_letter_runs), and each bottom pays one dot product per run."""
     rows = []
     row = [0] * len(col_sign)
     seen = set()  # columns whose last own crossing is already behind us
@@ -571,29 +584,16 @@ def _letter_tables(letters, col_sign, limit):
             for i in letters]
 
 
-def _closed_amplitude(tables, form, bottom, trunc, limit):
-    """The closed label paths bottom -> bottom with every label <= limit,
-    weighted by the product of their crossing weights and truncated at
-    x-half-degree trunc, as one {x_half: {q_half: coeff}} table.
-
-    tables are the word's _letter_tables at limit and form its
-    _letter_budgets.  A state is one int, the padded label tuple packed by
-    _pack in fields of _field_width(limit) bits, and walks.closed_sum runs
-    the forward min-plus pass and the backward series pass over the
-    column tables: a state costs one mask and one dict lookup, a move one
-    add.  The forward pass keeps a move of letter j only if it ends within
-    the letter's budget trunc - h_j(b), read lazily, since most bottoms die
-    after a few letters; every move it drops lies on no closed path within
-    trunc, so the sum is the one with trunc as every budget.  A bottom with
-    a label above limit closes no path: in a knot word every column has an
-    own crossing, which lands its label within limit, and after its last
-    one a positive label only drops and a negative hat rises to at most
-    limit."""
-    if max(bottom) > limit:
-        return {}
-    budgets = (trunc - sum(map(mul, row, bottom)) for row in form)
-    return _walks.closed_sum(_pack(bottom, _field_width(limit)), tables,
-                             budgets, trunc)
+def _letter_runs(letters, col_sign, limit):
+    """The word's _letter_tables at limit grouped into the runs of equal
+    rows of _letter_budgets, in order: one (tables, row) pair per run, at
+    most n of them, the row giving the run's one budget trunc - h(b) for
+    each bottom b."""
+    return [([table for _, table in run], row)
+            for row, run in groupby(zip(_letter_budgets(letters, col_sign),
+                                        _letter_tables(letters, col_sign,
+                                                       limit)),
+                                    key=itemgetter(0))]
 
 
 def _charge_tables(word, order, cap, col_sign):
@@ -603,16 +603,29 @@ def _charge_tables(word, order, cap, col_sign):
     x-half 2 order + 1; a charge whose table cancels to empty is left out.
     col_sign is +1 or -1 for each of the word's n - 1 columns.  The first
     bottom of a charge hands over its closed-path table, and each later
-    one adds its table in through one ring.xs_addmul_term_into."""
+    one adds its table in through one ring.xs_addmul_term_into.
+
+    A state is one int, the padded label tuple packed by _pack in fields
+    of _field_width(limit) bits, and walks.closed_sum runs the forward
+    min-plus pass and the backward series pass over the column tables: a
+    state costs one mask and one dict lookup, a move one add.  The letters
+    are grouped into runs of one budget once per call (_letter_runs), so a
+    bottom b pays one dot product per run, at most n, for its budgets
+    trunc - h_j(b), and the forward pass keeps a move of letter j only if
+    it ends within its budget.  Every move it drops lies on no closed path
+    within trunc, so the sum is the one with trunc as every budget."""
     trunc = 2 * order + 1
     limit = _label_bound(trunc, cap)
+    width = _field_width(limit)
     letters = [abs(letter) for letter in word.letters]
-    tables = _letter_tables(letters, col_sign, limit)
-    form = _letter_budgets(letters, col_sign)
+    runs = _letter_runs(letters, col_sign, limit)
     parts = {}
     for bottom in _open_bottoms(word.n, cap, limit,
                                 _live_edges(letters, col_sign), trunc):
-        amp = _closed_amplitude(tables, form, bottom, trunc, limit)
+        amp = _walks.closed_sum(
+            _pack(bottom, width),
+            [(run, trunc - sum(map(mul, row, bottom))) for run, row in runs],
+            trunc)
         if not amp:
             continue
         m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))

@@ -281,8 +281,13 @@ def oracle_letter_budgets(letters, col_sign, bottom, trunc):
 
 
 def tuple_closed_amplitude(word, col_sign, bottom, trunc, limit, cache):
-    """zhat._closed_amplitude with the label vector as a tuple padded by a
-    boundary label 0 at both ends, splicing each move's three labels in."""
+    """The closed label paths of one bottom at label bound limit, as
+    zhat._charge_tables sums them, with the label vector as a tuple padded
+    by a boundary label 0 at both ends, splicing each move's three labels
+    in, and one budget per letter.  A bottom with a label above limit
+    closes no path (proof in zhat._bottoms), so it gets {}."""
+    if max(bottom, default=0) > limit:
+        return {}
     start = (0,) + bottom + (0,)
     kinds = (0,) + col_sign + (0,)
 

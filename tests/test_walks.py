@@ -130,8 +130,6 @@ def test_closed_sum_matches_forward_layers_on_random_rows(states, walk,
     # state, each move a delta to its end, and each row's norm its sum of
     # ||weight||_1 or more, as a looser bound still bounds
     start = data.draw(st.integers(0, states - 1))
-    budgets = [trunc - cut for cut in data.draw(st.lists(
-        st.integers(0, 2), min_size=len(walk), max_size=len(walk)))]
     norms = [[row_norm(row) + data.draw(st.integers(0, 3)) for row in letter]
              for letter in walk]
     # a high part above the mask, which no delta touches, or none at all
@@ -142,6 +140,21 @@ def test_closed_sum_matches_forward_layers_on_random_rows(states, walk,
                     for dst, xh, weight in row), norm)
              for src, (row, norm) in enumerate(zip(letter, letter_norms))]
             for letter, letter_norms in zip(walk, norms)]
+    # the walk cut into runs of one or more letters that cover it, each
+    # read at one budget <= trunc, the engine's lower bound on the rest of
+    # a closed walk; the oracle reads each run's budget once per letter of
+    # the run
+    breaks = data.draw(st.lists(st.booleans(), min_size=len(walk) - 1,
+                                max_size=len(walk) - 1))
+    ends = [j + 1 for j, cut in enumerate(breaks) if cut] + [len(walk)]
+    runs = []
+    budgets = []
+    begin = 0
+    for end in ends:
+        budget = data.draw(st.integers(0, trunc))
+        runs.append(([(letter, mask) for letter in rows[begin:end]], budget))
+        budgets += [budget] * (end - begin)
+        begin = end
     want = forward_layers(states, walk, start, budgets, norms)
     # the pass stops at the first letter that leaves no state, and sums
     # only if it returns to start
@@ -149,28 +162,24 @@ def test_closed_sum_matches_forward_layers_on_random_rows(states, walk,
                 len(want))
     closes = read == len(want) and any(
         dst == start for _, dst, _, _ in want[-1][1])
-    runs = []
+    sums = []
 
     def spy(start, layers, trunc):
-        runs.append(layers)
+        sums.append(layers)
         return assert_packed_sum(start, layers, trunc)
 
-    lazy = iter(budgets)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(walks, "sum_paths", spy)
-        got = walks.closed_sum(high | start, [(letter, mask)
-                                              for letter in rows],
-                               lazy, trunc)
-    assert len(list(lazy)) == len(walk) - read
+        got = walks.closed_sum(high | start, runs, trunc)
     assert got == walks.sum_paths(start, want, trunc)
     if not closes:
-        assert not runs and got == {}
+        assert not sums and got == {}
         return
     lifted = [({high | s: cost for s, cost in reach.items()},
                [(high | src, high | dst, xh, weight)
                 for src, dst, xh, weight in moves], norm)
               for reach, moves, norm in want]
-    assert runs == [lifted]
+    assert sums == [lifted]
 
 
 def test_forward_layers_reach_the_state_a_move_ends_on():

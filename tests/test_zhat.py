@@ -1,7 +1,7 @@
 """Loop-counting series, reference models, prefactor, and normalization."""
 
 import importlib
-from itertools import product
+from itertools import groupby, product
 from operator import itemgetter
 
 import pytest
@@ -168,18 +168,18 @@ def test_phi_rejects_links_and_inhomogeneous():
 
 
 @st.composite
-def mixed_knot_words(draw, negative=True):
-    """Homogeneous words on <= 4 strands and <= 7 letters, with a negative
-    column unless negative is False.  Every column appears once (so the
-    closure is a knot), plus pairs of one column at any two places (most of
-    those keep it a knot)."""
-    n = draw(st.integers(min_value=2, max_value=4))
+def mixed_knot_words(draw, negative=True, strands=4, size=7):
+    """Homogeneous words on <= strands strands and <= size letters, with a
+    negative column unless negative is False.  Every column appears once (so
+    the closure is a knot), plus pairs of one column at any two places (most
+    of those keep it a knot)."""
+    n = draw(st.integers(min_value=2, max_value=strands))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n - 1,
                           max_size=n - 1))
     if negative:
         signs[draw(st.integers(min_value=0, max_value=n - 2))] = -1
     cols = list(draw(st.permutations(range(1, n))))
-    for _ in range(draw(st.integers(0, (7 - (n - 1)) // 2))):
+    for _ in range(draw(st.integers(0, (size - (n - 1)) // 2))):
         c = draw(st.integers(min_value=1, max_value=n - 1))
         for _ in range(2):
             cols.insert(draw(st.integers(0, len(cols))), c)
@@ -627,16 +627,24 @@ def oracle_phi(word, order, cap, prune=False, rule=None):
 
 
 def dp_amplitude(word, col_sign, bottom, trunc, limit):
-    """zhat._closed_amplitude of one bottom at label bound limit, through
-    the letter tables and budget form that _phi_homogeneous_run hands it."""
+    """The closed label paths of one bottom at label bound limit, as
+    _charge_tables sums them: walks.closed_sum from the packed bottom over
+    the word's _letter_runs, each run at the bottom's budget trunc - h(b).
+    A bottom with a label above limit closes no path (proof in
+    zhat._bottoms), and _charge_tables never starts from one, so it gets
+    {} here."""
+    if max(bottom, default=0) > limit:
+        return {}
     letters = [abs(v) for v in word.letters]
-    return zmod._closed_amplitude(
-        zmod._letter_tables(letters, col_sign, limit),
-        zmod._letter_budgets(letters, col_sign), bottom, trunc, limit)
+    return zmod._walks.closed_sum(
+        zmod._pack(bottom, zmod._field_width(limit)),
+        [(run, trunc - sum(a * b for a, b in zip(row, bottom)))
+         for run, row in zmod._letter_runs(letters, col_sign, limit)],
+        trunc)
 
 
 def closed_amplitude(word, col_sign, bottom, trunc, cap):
-    """_closed_amplitude at cap, through the label bound, as an XSeries."""
+    """dp_amplitude at cap, through the label bound, as an XSeries."""
     return XSeries._adopt(dp_amplitude(
         word, col_sign, bottom, trunc, zmod._label_bound(trunc, cap)), trunc)
 
@@ -759,9 +767,9 @@ def check_bottom_bounds(word, order, cap):
     * from every reached state after letter j the cheapest way back to b
       costs >= h_j(b) = trunc - (letter j's budget), and the per-run
       linear form of _letter_budgets adds up to the per-bottom rule;
-    * _closed_amplitude keeps the same moves and amplitudes with and
-      without the letter budgets: the moves the test-local closed_moves
-      keeps of the layers that _closed_amplitude hands to walks.sum_paths.
+    * dp_amplitude keeps the same moves and amplitudes with and without
+      the letter budgets: the moves the test-local closed_moves keeps of
+      the layers that walks.closed_sum hands to walks.sum_paths.
 
     Returns how many bottoms the window bound dropped, how many reached
     states the budgets exclude although they are within trunc, and how
@@ -833,6 +841,92 @@ def test_window_bound_and_letter_budgets(text, order):
         # each bound removed something, so no check above is vacuous
         assert dropped and excluded and spared, (cap, dropped, excluded,
                                                  spared)
+
+
+def per_letter_charge_tables(word, order, col_sign):
+    """_charge_tables at cap = order with its runs expanded back into one
+    budget per letter, trunc - sum_i a_{j,i} b_i from the rows of
+    _letter_budgets, and the bottoms summed as the DP summed them before
+    its runs: each bottom's walks.closed_sum over one-letter runs, its
+    table added into its charge's."""
+    trunc = 2 * order + 1
+    limit = zmod._label_bound(trunc, order)
+    letters = [abs(v) for v in word.letters]
+    tables = zmod._letter_tables(letters, col_sign, limit)
+    form = zmod._letter_budgets(letters, col_sign)
+    parts = {}
+    for bottom in zmod._open_bottoms(word.n, order, limit,
+                                     zmod._live_edges(letters, col_sign),
+                                     trunc):
+        budgets = [trunc - sum(a * b for a, b in zip(row, bottom))
+                   for row in form]
+        amp = zmod._walks.closed_sum(
+            zmod._pack(bottom, zmod._field_width(limit)),
+            [([table], budget) for table, budget in zip(tables, budgets)],
+            trunc)
+        m_tilde = sum(l if s > 0 else -l for l, s in zip(bottom, col_sign))
+        ring.xs_addmul_term_into(parts.setdefault(m_tilde, {}), amp, {0: 1},
+                                 0, trunc)
+    return {m: table for m, table in parts.items() if table}
+
+
+def assert_budget_runs(letters, col_sign):
+    """_letter_budgets changes column i's coefficient only at its last own
+    crossing, to 0, so its rows fall into at most n runs of equal rows;
+    _letter_runs groups the letter tables into exactly those runs, in
+    order."""
+    form = zmod._letter_budgets(letters, col_sign)
+    last = {i: j for j, i in enumerate(letters)}
+    for i in range(1, len(col_sign) + 1):
+        changes = [j for j in range(1, len(form))
+                   if form[j][i - 1] != form[j - 1][i - 1]]
+        assert changes in ([], [last[i]]), (i, form)
+        assert form[last[i]][i - 1] == 0, (i, form)
+    rows = [row for row, _ in groupby(form)]
+    assert len(rows) <= len(col_sign) + 1, form
+    limit = 2
+    runs = zmod._letter_runs(letters, col_sign, limit)
+    assert [row for _, row in runs] == rows
+    assert [table for run, _ in runs for table in run] \
+        == zmod._letter_tables(letters, col_sign, limit)
+
+
+def assert_runs_match_per_letter_budgets(word, order):
+    # the same tables, and bottom by bottom the same layers handed to
+    # walks.sum_paths: a looser budget would keep the sums but not the
+    # moves
+    col_sign = column_signs(word)
+    assert_budget_runs([abs(v) for v in word.letters], col_sign)
+    real = zmod._walks.sum_paths
+    sums = []
+
+    def spy(start, layers, trunc):
+        sums[-1].append((start, layers))
+        return real(start, layers, trunc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zmod._walks, "sum_paths", spy)
+        sums.append([])
+        got = zmod._charge_tables(word, order, order, col_sign)
+        sums.append([])
+        want = per_letter_charge_tables(word, order, col_sign)
+    # raw dict equality: no empty x-term, no zero coefficient
+    assert got == want, (render_word(word), order)
+    assert sums[0] == sums[1], (render_word(word), order)
+
+
+@pytest.mark.parametrize("text", CORPUS + EXTRA_KNOTS)
+def test_dp_runs_match_per_letter_budgets(text):
+    word = parse_braid(text)
+    for order in range(7):
+        assert_runs_match_per_letter_budgets(word, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_knot_words(strands=5, size=8), st.integers(0, 6))
+def test_dp_runs_match_per_letter_budgets_on_random_words(word, order):
+    assume(analyze(word).closure_components == 1)
+    assert_runs_match_per_letter_budgets(word, order)
 
 
 @pytest.mark.parametrize("text,order", DP_CASES)
