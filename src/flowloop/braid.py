@@ -205,6 +205,37 @@ def _where(word, order, cap=None):
     return at
 
 
+def _destabilize(word):
+    """The homogeneous knot word with every Markov stabilization at an end
+    removed: while n >= 3 and sigma_(n-1) or sigma_1 appears exactly once
+    (sigma_(n-1) tried first), rotate the word so that letter comes last,
+    drop it and go down to n - 1 strands, renumbering sigma_i as
+    sigma_(i-1) after dropping sigma_1.  The word itself if nothing moves.
+
+    Each step keeps the closure knot.  Rotated, the word is v sigma^(+-1)
+    with v on n - 1 strands, conjugate to the given one, and the closures
+    of v sigma_(n-1)^(+-1) and v are the same knot (Markov's theorem;
+    Birman, Braids, Links, and Mapping Class Groups).  For sigma_1,
+    conjugation by the half twist maps sigma_i to sigma_(n-i), so the
+    letter becomes sigma_(n-1); after it is dropped, the half twist of
+    n - 1 strands maps sigma_(n-i) back to sigma_(i-1).  The result is
+    again homogeneous: every column keeps its letters and its sign.  An
+    interior generator that appears once makes a connected sum, not a
+    stabilization, and stays."""
+    n, letters = word.n, word.letters
+    while n >= 3:
+        columns = [abs(v) for v in letters]
+        end = next((i for i in (n - 1, 1) if columns.count(i) == 1), None)
+        if end is None:
+            break
+        j = columns.index(end)
+        letters = letters[j + 1:] + letters[:j]
+        if end == 1:
+            letters = tuple(v - 1 if v > 0 else v + 1 for v in letters)
+        n -= 1
+    return word if n == word.n else BraidWord(n, letters)
+
+
 # ---------------------------------------------------------------------------
 # Alexander polynomial, two ways.  Every x-polynomial below is a raw
 # {x_half: int} table (the layout of QLaurent.terms, exponents counting

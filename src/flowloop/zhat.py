@@ -126,6 +126,17 @@ zhat() multiplies Phi by the closure prefactor
 (-1)^{1+cr-+col-} q^{(w-(n-1))/2 + col-} x^{(w-n)/2 + cr-}.  With
 g = (c - n + 1)/2, w = c - 2 cr- and lam = cr- - col-, it is the genus
 form (-1)^{1+lam} q^{g-lam} x^{g-1/2} term for term.
+
+On an all-positive word at cap >= order, zhat() runs phi_positive on the
+word's Markov destabilization (braid._destabilize): while sigma_1 or
+sigma_(n-1) appears once, it is rotated to the end and dropped.  The
+closure stays the same knot (Markov's theorem; the half-twist conjugation
+sigma_i <-> sigma_(n-i) covers the sigma_1 end), the move keeps g and lam,
+and by the paper's theorem Phi times the prefactor is the knot invariant
+Zhat, so Phi is the same.  At cap >= order Phi is the whole truncated
+series; below the order the weight cutoff on n strands is not one on
+n - 1, so the given word runs there.  phi_positive, phi_homogeneous and
+words with a negative letter run the word they are given.
 """
 
 import functools
@@ -800,7 +811,26 @@ def zhat(word, order, cap=None):
     it picks under the same name, a weight cutoff on the first and a label
     cap on the second; both default to the order and both assemble Phi in
     _assemble.  The latter keeps its column tables for the rest of the
-    process (see phi_homogeneous)."""
+    process (see phi_homogeneous).
+
+    An all-positive word at cap >= order (cap None included) runs on its
+    Markov destabilization (braid._destabilize): the word left, on fewer
+    strands, once every end generator that appears once is removed.  This
+    is exact.  The destabilized word closes to the same knot (Markov's
+    theorem, with the half-twist conjugation sigma_i <-> sigma_(n-i) for
+    the sigma_1 end; Birman, Braids, Links, and Mapping Class Groups).  By
+    the paper's theorem Phi times the prefactor is the knot's Zhat, a knot
+    invariant, and the prefactor depends only on g = (c - n + 1)/2 and
+    lam = cr- - col-, which the move keeps: it drops one letter and one
+    strand, and on a positive word cr- = col- = 0.  So both words have
+    the same Phi.  At cap >= order Phi(cap) is that whole truncated
+    series, since every weight above the order has an empty trace.  Below
+    the order Phi(cap) sums only the weights up to cap, and a weight on n
+    strands is not one on n - 1, so the given word runs there, guard
+    included.  The work estimate is taken on the word that runs.
+    phi_positive, phi_homogeneous and every word with a negative letter
+    run the word they are given.  The result, its prefactor and every
+    message keep the given word."""
     stats = _braid.require_homogeneous_knot(word)
     n, w = stats.n, stats.writhe
     crm, colm = stats.cr_minus, stats.col_minus
@@ -808,10 +838,19 @@ def zhat(word, order, cap=None):
     q_half = (w - (n - 1)) + 2 * colm
     x_half = (w - n) + 2 * crm
     # the engines past their gate: this one analyzed the word already
-    if crm == 0:
-        phi = _phi_positive(word, order, cap, stabilize=True)
-    else:
+    if crm:
         phi = _phi_homogeneous(word, stats, order, cap, stabilize=True)
+    else:
+        run = (word if cap is not None and cap < order
+               else _braid._destabilize(word))
+        try:
+            phi = _phi_positive(run, order, cap, stabilize=True)
+        except VerificationError as exc:
+            if run is word:
+                raise
+            raise VerificationError(
+                f"zhat of {_braid._where(word, order, cap)} failed on its "
+                f"destabilization: {exc}") from exc
     pinned = (word.n, tuple(word.letters)) in _REFERENCE_WORDS
     return ZhatResult(
         word=word,

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowloop import (
+    BraidWord,
     InputError,
     QLaurent,
     REFERENCE_MODELS,
@@ -239,13 +240,155 @@ def test_prefactor_matches_genus_form(word):
     assert x_half == 2 * s.genus - 1
 
 
-def test_markov_stabilization_invariance():
-    # sigma_n-stabilized word has the same closure; prefactor and series
-    # must both survive the move
-    a = zhat(parse_braid("1 1 1"), 5)
-    b = zhat(parse_braid("1 1 1 2"), 5)
-    assert a.prefactor == b.prefactor
-    assert a.zhat == b.zhat
+def stabilize(word, end, sign):
+    """The Markov stabilization of word at one end: word sigma_n^sign on
+    n + 1 strands (end > 0), or, at the sigma_1 end, the word with every
+    sigma_i renumbered sigma_(i+1), then sigma_1^sign."""
+    if end > 0:
+        return BraidWord(word.n + 1, word.letters + (sign * word.n,))
+    return BraidWord(word.n + 1, tuple(v + 1 if v > 0 else v - 1
+                                       for v in word.letters) + (sign,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(mixed_knot_words(), mixed_knot_words(negative=False)),
+       st.booleans(), st.data())
+def test_markov_stabilization_invariance(word, positive, data):
+    # a word stabilized at random ends with random signs (all positive on
+    # half the draws), then conjugated, closes to the same knot: the
+    # literal engine on it must give the Phi that zhat gives on both
+    # words, with the same prefactor and Zhat.  zhat runs a stabilized
+    # all-positive word on its destabilization, so the literal engine is
+    # the independent side, and on a stabilized mixed word it holds the DP
+    # on more strands to the smaller word
+    assume(analyze(word).closure_components == 1)
+    if positive:
+        word = BraidWord(word.n, tuple(map(abs, word.letters)))
+    signs = st.just(1) if positive else st.sampled_from((1, -1))
+    big = word
+    for _ in range(data.draw(st.integers(1, 5 - word.n))):
+        big = stabilize(big, data.draw(st.sampled_from((1, -1))),
+                        data.draw(signs))
+    k = data.draw(st.integers(0, len(big.letters) - 1))
+    big = BraidWord(big.n, big.letters[k:] + big.letters[:k])
+    literal = phi_positive if min(big.letters) > 0 else phi_homogeneous
+    order = data.draw(st.integers(0, 5 if literal is phi_positive else 3))
+    small, large = zhat(word, order), zhat(big, order)
+    assert literal(big, order) == large.phi == small.phi, render_word(big)
+    assert large.prefactor == small.prefactor
+    assert large.zhat == small.zhat
+
+
+def oracle_destabilize(word):
+    """braid._destabilize by brute force over the rotations: while n >= 3
+    and sigma_(n-1), else sigma_1, appears once, build every rotation,
+    take the one that ends on that letter, drop the letter and, for
+    sigma_1, renumber the rest down by one."""
+    n, letters = word.n, list(word.letters)
+    while n >= 3:
+        ends = [i for i in (n - 1, 1)
+                if [abs(v) for v in letters].count(i) == 1]
+        if not ends:
+            break
+        rotations = [letters[k:] + letters[:k] for k in range(len(letters))]
+        rot = next(r for r in rotations if abs(r[-1]) == ends[0])[:-1]
+        letters = rot if ends[0] > 1 else [v - (v > 0) + (v < 0)
+                                           for v in rot]
+        n -= 1
+    return n, letters
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(mixed_knot_words(strands=5, size=8),
+                 mixed_knot_words(negative=False, strands=5, size=8)),
+       st.data())
+def test_destabilize_matches_brute_force_over_rotations(word, data):
+    assume(analyze(word).closure_components == 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        word = stabilize(word, data.draw(st.sampled_from((1, -1))),
+                         data.draw(st.sampled_from((1, -1))))
+        k = data.draw(st.integers(0, len(word.letters) - 1))
+        word = BraidWord(word.n, word.letters[k:] + word.letters[:k])
+    got = zmod._braid._destabilize(word)
+    assert (got.n, list(got.letters)) == oracle_destabilize(word), \
+        render_word(word)
+    if got.n == word.n:
+        assert got is word
+    # idempotent, and again a homogeneous knot word whose columns keep
+    # their signs and whose closure has the same Alexander polynomial
+    assert zmod._braid._destabilize(got) is got
+    stats, small = analyze(word), analyze(got)
+    assert small.is_homogeneous and small.closure_components == 1
+    assert "".join(small.column_sign) in "".join(stats.column_sign)
+    assert alexander_classical(got, 4) == alexander_classical(word, 4)
+
+
+def test_destabilize_leaves_two_strands_and_interior_letters():
+    # n = 2 has no strand to spare, even where sigma_1 appears once; an
+    # interior generator that appears once is a connected sum (here of two
+    # trefoils), not a stabilization
+    for text in ("n=2; 1", "1 1 1", "-1 -1 -1", "1 -2 1 -2", "1 2 1 2",
+                 "n=4; 1 1 1 2 3 3 3", "n=5; 1 1 1 -2 3 3 3 -4 -4 -4"):
+        word = parse_braid(text)
+        assert zmod._braid._destabilize(word) is word, text
+    for given_, small in (("n=3; 1 2", "n=2; 1"),
+                          ("n=4; 1 1 1 2 3", "n=2; 1 1 1"),
+                          ("n=4; 1 2 3 2 3", "n=3; 1 2 1 2"),
+                          ("n=4; 3 1 2 2 2 3 3", "n=3; 1 1 1 2 2 2"),
+                          ("n=4; 1 -2 1 -3 -2", "n=3; -2 1 -2 1")):
+        assert render_word(zmod._braid._destabilize(parse_braid(given_))) \
+            == small, given_
+
+
+def test_zhat_destabilizes_positive_words_at_cap_at_least_order(monkeypatch):
+    # the word _phi_positive runs: the destabilization at cap >= order, the
+    # given word below the order and through phi_positive; a word with a
+    # negative letter never reaches the step
+    real_run, real_step = zmod._phi_positive, zmod._braid._destabilize
+    ran, stepped = [], []
+
+    def run(word, order, cap, stabilize):
+        ran.append(render_word(word))
+        return real_run(word, order, cap, stabilize)
+
+    def step(word):
+        stepped.append(render_word(word))
+        return real_step(word)
+
+    monkeypatch.setattr(zmod, "_phi_positive", run)
+    monkeypatch.setattr(zmod._braid, "_destabilize", step)
+    stab, interior = "n=4; 1 1 1 2 3", "n=4; 1 1 1 2 3 3 3"
+    for text, order, cap, want in ((stab, 4, None, "n=2; 1 1 1"),
+                                   (stab, 4, 4, "n=2; 1 1 1"),
+                                   (stab, 4, 7, "n=2; 1 1 1"),
+                                   (stab, 4, 3, stab),
+                                   (stab, 4, 0, stab),
+                                   (interior, 4, None, interior),
+                                   ("n=2; 1", 3, None, "n=2; 1")):
+        ran.clear()
+        outcome(zhat, parse_braid(text), order, cap)
+        assert ran == [want], (text, order, cap)
+    ran.clear()
+    phi_positive(parse_braid(stab), 4)
+    assert ran == [stab]
+    stepped.clear()
+    for text in ("n=4; -1 -1 -1 2 3", "n=4; 1 1 1 -2 3", "-1 -1 -1"):
+        zhat(parse_braid(text), 3)
+        phi_homogeneous(parse_braid(text), 3)
+    assert stepped == []
+
+
+def test_destabilized_result_keeps_the_given_word():
+    # the stabilized trefoil runs as n=2; 1 1 1, a pinned reference word,
+    # but its result, prefactor, stats and notes are those of the word
+    # as given
+    word = parse_braid("n=4; 1 2 3 1 1")
+    res, small = zhat(word, 6), zhat(parse_braid("1 1 1"), 6)
+    assert res.word == word and res.stats == analyze(word)
+    assert (res.phi, res.prefactor, res.zhat) \
+        == (small.phi, small.prefactor, small.zhat)
+    assert small.sign_pinned and not res.sign_pinned
+    assert res.notes == zmod._NOTES_UNPINNED
 
 
 @pytest.mark.parametrize("text", CORPUS + EXTRA_KNOTS)
@@ -1590,6 +1733,13 @@ def test_trace_error_names_word_order_and_cap(monkeypatch):
                              r"x-powers: .* in n=2; 1 1 1 at order 4, "
                              r"cap 3$"):
         phi_positive(parse_braid("1 1 1"), 4, cap=3)
+    # zhat runs the stabilized trefoil as n=2; 1 1 1, and its message
+    # still leads with the word, order and cap as given
+    for cap, where in ((None, "order 4"), (5, "order 4, cap 5")):
+        with pytest.raises(VerificationError,
+                           match=rf"^zhat of n=3; 1 1 1 2 at {where} failed "
+                                 rf"on its destabilization: trace of "):
+            zhat(parse_braid("1 1 1 2"), 4, cap)
 
 
 # ---------------------------------------------------------------------------
