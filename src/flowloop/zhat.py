@@ -128,10 +128,14 @@ g = (c - n + 1)/2, w = c - 2 cr- and lam = cr- - col-, it is the genus
 form (-1)^{1+lam} q^{g-lam} x^{g-1/2} term for term.
 
 On an all-positive word at cap >= order, zhat() runs phi_positive on the
-word's Markov destabilization (braid._destabilize): while sigma_1 or
-sigma_(n-1) appears once, it is rotated to the end and dropped.  The
-closure stays the same knot (Markov's theorem; the half-twist conjugation
-sigma_i <-> sigma_(n-i) covers the sigma_1 end), the move keeps g and lam,
+word with its end columns thinned and destabilized (braid._thin_ends):
+braid moves that keep the word positive, far commutation and
+sigma_e sigma_f sigma_e = sigma_f sigma_e sigma_f, bring an end column
+sigma_1 or sigma_(n-1) down to one letter where they can, and Markov
+destabilization (braid._destabilize) then rotates that letter to the end
+and drops it.  The closure stays the same knot (the moves keep the braid
+up to conjugation; Markov's theorem, with the half-twist conjugation
+sigma_i <-> sigma_(n-i) for the sigma_1 end), every step keeps g and lam,
 and by the paper's theorem Phi times the prefactor is the knot invariant
 Zhat, so Phi is the same.  At cap >= order Phi is the whole truncated
 series; below the order the weight cutoff on n strands is not one on
@@ -814,20 +818,23 @@ def zhat(word, order, cap=None):
     process (see phi_homogeneous).
 
     An all-positive word at cap >= order (cap None included) runs on its
-    Markov destabilization (braid._destabilize): the word left, on fewer
-    strands, once every end generator that appears once is removed.  This
-    is exact.  The destabilized word closes to the same knot (Markov's
-    theorem, with the half-twist conjugation sigma_i <-> sigma_(n-i) for
-    the sigma_1 end; Birman, Braids, Links, and Mapping Class Groups).  By
-    the paper's theorem Phi times the prefactor is the knot's Zhat, a knot
-    invariant, and the prefactor depends only on g = (c - n + 1)/2 and
-    lam = cr- - col-, which the move keeps: it drops one letter and one
-    strand, and on a positive word cr- = col- = 0.  So both words have
-    the same Phi.  At cap >= order Phi(cap) is that whole truncated
-    series, since every weight above the order has an empty trace.  Below
-    the order Phi(cap) sums only the weights up to cap, and a weight on n
-    strands is not one on n - 1, so the given word runs there, guard
-    included.  The work estimate is taken on the word that runs.
+    thinned Markov destabilization (braid._thin_ends): the word left, on
+    fewer strands, once every end column that far commutations and braid
+    relations bring down to one letter is removed.  This is exact.  Each
+    braid move keeps the braid up to conjugation (proof in
+    braid._thin_ends), so the closure; it keeps n, c, cr- and col-.  The
+    destabilized word closes to the same knot (Markov's theorem, with the
+    half-twist conjugation sigma_i <-> sigma_(n-i) for the sigma_1 end;
+    Birman, Braids, Links, and Mapping Class Groups), and a
+    destabilization drops one letter and one strand, with
+    cr- = col- = 0 on a positive word.  By the paper's theorem Phi times
+    the prefactor is the knot's Zhat, a knot invariant, and the prefactor
+    depends only on g = (c - n + 1)/2 and lam = cr- - col-, which every
+    step keeps.  So both words have the same Phi.  At cap >= order
+    Phi(cap) is that whole truncated series, since every weight above the
+    order has an empty trace.  Below the order Phi(cap) sums only the
+    weights up to cap, and a weight on n strands is not one on n - 1, so
+    the given word runs there, guard included.  The work estimate is taken on the word that runs.
     phi_positive, phi_homogeneous and every word with a negative letter
     run the word they are given.  The result, its prefactor and every
     message keep the given word."""
@@ -842,7 +849,7 @@ def zhat(word, order, cap=None):
         phi = _phi_homogeneous(word, stats, order, cap, stabilize=True)
     else:
         run = (word if cap is not None and cap < order
-               else _braid._destabilize(word))
+               else _braid._thin_ends(word))
         try:
             phi = _phi_positive(run, order, cap, stabilize=True)
         except VerificationError as exc:

@@ -11,6 +11,7 @@ import pytest
 
 from flowloop.braid import Q1_WORK_LIMIT
 from flowloop.cli import main
+from flowloop.lawrence import TRACE_WORK_LIMIT
 from flowloop.template import ORBIT_COUNT_LIMIT, ORBIT_DEPTH_LIMIT
 from flowloop.verify import run_suite
 from flowloop.zhat import PHI_WORK_LIMIT
@@ -262,6 +263,31 @@ def test_zhat_refuses_an_order_past_the_work_limit(capsys, braid, order,
     assert capsys.readouterr().err == (
         f"error: order {order} needs {work} forward steps ({starts} "
         f"letters), past PHI_WORK_LIMIT = {PHI_WORK_LIMIT}\n"
+    )
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("braid,mmax,work", [
+    (" ".join(map(str, range(1, 30))), "3", 713013952),
+    ("1 1 1", "1000000000000", 3000000000003),
+], ids=["strands", "weight"])
+def test_trace_refuses_work_past_the_limit(capsys, braid, mmax, work):
+    # the unknot on 30 strands took 24.5 s at weights up to 3
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["trace", "--braid", braid, "--mmax", mmax])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert code == 1
+    n = 1 + max(map(int, braid.split()))
+    assert capsys.readouterr().err == (
+        f"error: trace of n={n}; {braid} up to weight {mmax} needs at least "
+        f"{work} moves (start states x moves per letter), past "
+        f"TRACE_WORK_LIMIT = {TRACE_WORK_LIMIT}\n"
     )
     assert elapsed < 1.0
 

@@ -1,6 +1,7 @@
 """Weight-graded braid representation: dimensions, relations, traces."""
 
 import math
+from itertools import product
 from operator import itemgetter
 
 import pytest
@@ -653,6 +654,29 @@ def test_negative_weights_are_refused():
         lawrence.truncated_trace_table(word, -1, -5)
     with pytest.raises(InputError, match="^m_max must be >= 0, got -1$"):
         graded_trace(word, -1)
+
+
+def test_trace_work_counts_the_moves_of_every_table(monkeypatch):
+    # letter i moves C(m + n - 2 + k, n - 2 + k) times over the weight-m
+    # states, k its neighbour columns: the count graded_trace refuses by
+    for n, m in product(range(2, 6), range(5)):
+        for i, sign, convention in product(range(1, n), (1, -1),
+                                           (lawrence.HALF, lawrence.UNDER)):
+            rows, _ = lawrence._generator_moves(n, m, i, sign, convention)
+            k = (i > 1) + (i < n - 1)
+            assert sum(len(moves) for moves, _ in rows) \
+                == math.comb(m + n - 2 + k, n - 2 + k), (n, m, i)
+    word = parse_braid("n=4; 1 -2 1 -3 -2")
+    work = sum(lawrence.dim(4, m) * sum(
+        len(moves) for v in word.letters
+        for moves, _ in lawrence._letter_moves(4, m, v, lawrence.HALF)[0])
+        for m in range(6))
+    monkeypatch.setattr(lawrence, "TRACE_WORK_LIMIT", work - 1)
+    with pytest.raises(InputError, match=rf" needs at least {work} moves "):
+        graded_trace(word, 5)
+    monkeypatch.setattr(lawrence, "TRACE_WORK_LIMIT", work)
+    assert graded_trace(word, 5) == [
+        XSeries(rep_matrix(word, m).trace().terms, None) for m in range(6)]
 
 
 def table_negative_weight(A, b, c, convention):
