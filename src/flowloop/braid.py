@@ -93,7 +93,8 @@ def parse_braid(text):
                 f"token {pos}: index {v} out of range for n={n_explicit}"
             )
         letters.append(v)
-    n = n_explicit if n_explicit is not None else 1 + max(abs(v) for v in letters)
+    n = (n_explicit if n_explicit is not None
+         else 1 + max(abs(v) for v in letters))
     return BraidWord(n, tuple(letters))
 
 

@@ -36,9 +36,10 @@ engines (walks.sum_paths).
 qbinom / qtrinom are the Gaussian binomial/trinomial with the generalized
 negative-top convention.  qbinom builds nonnegative tops from q-Pascal rows
 in one cache and reflects a negative top onto a nonnegative one; qtrinom is
-a product of two cached binomials, memoized by functools.cache.  The two bifurcation identity builders
-at the bottom return the series whose collapse to 1 (resp. pairwise
-equality) encodes the saddle-node and period-doubling cancellations.
+a product of two cached binomials, memoized by functools.cache.  The two
+functions at the bottom that build the bifurcation identities return the
+series whose collapse to 1 (resp. pairwise equality) encodes the
+saddle-node and period-doubling cancellations.
 """
 
 from dataclasses import dataclass

@@ -17,15 +17,8 @@ computed two ways:
   has an empty trace and the weight loop stops at the order.  The weight
   m is the DP's conserved charge m~ on an all-positive word, so the traces
   are the closed-walk tables by charge that _assemble turns into Phi.
-  Every weight runs on the word's cut (_cut), at every cap: rotating the
-  word by k letters maps its closed walks one-to-one onto those of the
-  rotation (start each walk k letters later), with the same weight and
-  the same total cost, so every truncated trace is the same term for
-  term, whatever the order or cap.  A
-  trace does not depend on the cutoff cap, so the stabilization check
-  assembles the traces of weights cap + 1 and cap + 2 on their own and
-  raises iff that is nonzero, instead of recomputing Phi at cap + 2.  At
-  the default cap = order those two weights lie above the order.
+  Every weight runs on the word's cut (_cut), at every cap, and each
+  trace is taken once per call (proofs in phi_positive).
 * phi_homogeneous: for any homogeneous word, by a column-label transfer
   DP.  Each column carries a nonnegative label (for negative columns the
   label is the "hat" of the true label, lambda = -1 - hat).  Reading the
@@ -103,44 +96,27 @@ computed two ways:
   table or goes into it through one ring.xs_addmul_term_into; only Phi
   becomes an XSeries.
 
-  The label cap is checked only where it can bind: below the order a
-  second run at cap + 2 must give the same Phi; at cap >= order the two
-  runs provably agree (proof in phi_homogeneous), so Phi takes one run.
+  At cap >= order the one run takes the word's cut (_cut), where the
+  two bounds usually prune more; below the order the given word runs,
+  its cap + 2 guard included (proofs in phi_homogeneous).
 
-  Where the word is cut decides which bottoms the two bounds keep.  At
-  cap >= order the one run is the whole truncated trace of the transfer
-  product, and every cyclic rotation of the word closes to the same knot
-  and has the same trace, so the run takes the word's cut (_cut): its
-  first rotation that starts on a positive letter and ends on a negative
-  one, or, for a one-sign word, which has no such boundary, its rotation
-  with the longest windows.  A -|+ cut sits between a negative column's
-  own crossing and a positive column's own crossing, both columns have
-  empty windows, and the two bounds usually prune more than at the given
-  cut.  Below the order the bottoms' sum filter makes the run depend on
-  the cut, so there the given word runs, and so does its cap + 2 guard.
-
-Both engines refuse an order or cap whose start states times letters pass
-PHI_WORK_LIMIT, before they build any state.
+Both engines run through one runner, _phi: it takes the cutoff default,
+refuses a negative order or cap and an order or cap whose start states
+times letters pass PHI_WORK_LIMIT before any table is built, assembles
+Phi(cap), and below the order only checks it against Phi(cap + 2) (proof
+in _phi).  An engine's route supplies only its names, its start-state
+estimate, its spin and its tables by charge at a cutoff.
 
 zhat() multiplies Phi by the closure prefactor
 (-1)^{1+cr-+col-} q^{(w-(n-1))/2 + col-} x^{(w-n)/2 + cr-}.  With
 g = (c - n + 1)/2, w = c - 2 cr- and lam = cr- - col-, it is the genus
 form (-1)^{1+lam} q^{g-lam} x^{g-1/2} term for term.
 
-On an all-positive word at cap >= order, zhat() runs phi_positive on the
-word with its end columns thinned and destabilized (braid._thin_ends):
-braid moves that keep the word positive, far commutation and
-sigma_e sigma_f sigma_e = sigma_f sigma_e sigma_f, bring an end column
-sigma_1 or sigma_(n-1) down to one letter where they can, and Markov
-destabilization (braid._destabilize) then rotates that letter to the end
-and drops it.  The closure stays the same knot (the moves keep the braid
-up to conjugation; Markov's theorem, with the half-twist conjugation
-sigma_i <-> sigma_(n-i) for the sigma_1 end), every step keeps g and lam,
-and by the paper's theorem Phi times the prefactor is the knot invariant
-Zhat, so Phi is the same.  At cap >= order Phi is the whole truncated
-series; below the order the weight cutoff on n strands is not one on
-n - 1, so the given word runs there.  phi_positive, phi_homogeneous and
-words with a negative letter run the word they are given.
+On an all-positive word at cap >= order, zhat() runs the trace route on
+the word with its end columns thinned and destabilized (braid._thin_ends),
+fewer strands with the same Phi (proof in zhat).  phi_positive,
+phi_homogeneous and words with a negative letter run the word they are
+given.
 """
 
 import functools
@@ -215,6 +191,54 @@ def _assemble(parts, spin, n, trunc):
 
 
 # ---------------------------------------------------------------------------
+# the one Phi runner
+
+def _phi(word, order, cap, stabilize, route):
+    """Phi(cap) of a homogeneous knot word on one route, truncated at
+    x^order: the runner of phi_positive, phi_homogeneous and zhat.
+
+    route = (name, cutoff, starts, spin, tables) is all a route supplies:
+    its name and what its cap bounds, for the messages; starts(top), its
+    start states at cutoff top and their kind, for PHI_WORK_LIMIT; the
+    spin of _assemble; and tables(cutoff, whole), its closed-walk tables
+    by conserved charge at that cutoff, with whole true for the one run
+    at cap >= order.  cap defaults to the order, and a negative order or
+    cap raises InputError, as does an order or cap whose start states
+    times letters pass PHI_WORK_LIMIT, before any table is built.
+    Phi(cap) is the _assemble of the tables at cap.
+
+    stabilize insists that raising the cap to cap + 2 changes nothing.
+    Below the order that is Phi(cap + 2) from the tables at cap + 2, which
+    must equal Phi(cap).  At cap >= order the two provably agree, on the
+    trace route since every weight above the order has an empty trace
+    (phi_positive), on the DP since no bottom that cap + 2 adds closes a
+    path within the truncation (phi_homogeneous), so Phi takes one set of
+    tables.  Both are exact truncated series, so the guard raises iff
+    Phi(cap + 2) != Phi(cap) term for term.  The result and every message
+    keep the word given here."""
+    if cap is None:
+        cap = order
+    require_nonnegative(order=order, cap=cap)
+    name, cutoff, starts, spin, tables = route
+    _require_work(*starts(min(cap + 2 if stabilize else cap, order)),
+                  word, order)
+    trunc = 2 * order + 1
+    try:
+        phi = _assemble(tables(cap, cap >= order), spin, word.n, trunc)
+        unstable = stabilize and cap < order and _assemble(
+            tables(cap + 2, False), spin, word.n, trunc) != phi
+    except VerificationError as exc:
+        # the tables name the word they ran, not the order or the cap
+        raise VerificationError(
+            f"{exc} in {_braid._where(word, order, cap)}") from exc
+    if unstable:
+        raise VerificationError(
+            f"{cutoff} not stable: raising it to cap + 2 changes "
+            f"{name} of {_braid._where(word, order, cap)}")
+    return _finalize_phi(phi, name, word, order, cap)
+
+
+# ---------------------------------------------------------------------------
 # positive words: assemble from truncated closed-walk traces
 
 def phi_positive(word, order, cap=None, stabilize=True):
@@ -223,14 +247,19 @@ def phi_positive(word, order, cap=None, stabilize=True):
     Phi(cap) is the _assemble of the graded traces Tr V_{n,m} for
     m = 0..cap, the weight parts (1 - q^{2m+n-1} x^n) q^{-m} Tr V_{n,m},
     each trace a sum of closed walks truncated while walking
-    (lawrence.truncated_trace_table).  The weight cutoff cap defaults to
-    the x-order: a knot word has a letter on every column, so every closed
-    walk of a weight-m state costs at least x^m (proof in
+    (lawrence.truncated_trace_table).  The weight m is the DP's conserved
+    charge m~ on an all-positive word, whose n - 1 columns are positive,
+    so the traces are the tables by charge of _phi.  The weight cutoff cap
+    defaults to the x-order: a knot word has a letter on every column, so
+    every closed walk of a weight-m state costs at least x^m (proof in
     lawrence.truncated_trace_table), and a weight above the order has an
-    empty trace, so the loop stops at the order.
+    empty trace, so no weight above the order is read and at cap >= order
+    the guard of _phi passes.  Below the order the guard's Phi(cap + 2)
+    reuses the traces of weights up to cap: a trace depends on m and the
+    x-order only, never on cap, so each is taken once per call.
 
-    Every weight, at every cap and in the guard below, runs on the word's
-    cut (_cut), its rotation with the longest windows.  This is exact:
+    Every weight, at every cap and in the guard, runs on the word's cut
+    (_cut), its rotation with the longest windows.  This is exact:
     rotating the word by k letters maps its closed walks one-to-one onto
     those of the rotation (start each walk k letters later), with the same
     weight and the same total cost, so each truncated trace is the same
@@ -238,51 +267,28 @@ def phi_positive(word, order, cap=None, stabilize=True):
     theorem; Birman, Braids, Links, and Mapping Class Groups).  The rule
     only decides how much the walks prune.  The result and every message
     keep the given word; lawrence.truncated_trace_table runs the word it
-    is given.
-
-    stabilize insists that raising the cutoff to cap + 2 changes nothing,
-    in one run: a trace depends on m and the x-order only, never on cap,
-    and truncated series add exactly, so Phi(cap + 2) = Phi(cap) + Delta
-    with Delta the _assemble of the traces of weights cap + 1 and cap + 2.
-    Since Phi + Delta != Phi iff Delta != 0, the guard raises iff Delta is
-    nonzero, that is iff Phi(cap + 2) != Phi(cap).  For cap >= order both
-    weights lie above the order, so their traces are empty and the guard
-    passes; for cap < order the ones up to the order are computed.  An
-    order or cap whose start states times letters pass PHI_WORK_LIMIT
-    raises InputError."""
+    is given.  An order or cap whose start states times letters pass
+    PHI_WORK_LIMIT raises InputError."""
     if _braid.require_homogeneous_knot(word).cr_minus:
         raise InputError("phi_positive needs an all-positive word")
-    return _phi_positive(word, order, cap, stabilize)
+    return _phi(word, order, cap, stabilize, _trace_route(word, order))
 
 
-def _phi_positive(word, order, cap, stabilize):
-    """phi_positive past its gate: word is an all-positive knot word."""
-    if cap is None:
-        cap = order
-    require_nonnegative(order=order, cap=cap)
-    n = word.n
-    top = min(cap + 2 if stabilize else cap, order)
-    _require_work(comb(top + n - 1, n - 1), "start states", word, order)
-    trunc = 2 * order + 1
-    # every rotation has the same truncated traces, term for term (proof
-    # in phi_positive), so each weight runs on the word's cut
-    run = _cut(word)
-    try:
-        parts = {m: _lawrence.truncated_trace_table(run, m, trunc)
-                 for m in range(top + 1)}
-    except VerificationError as exc:
-        # truncated_trace_table names the word and the weight, not the order
-        raise VerificationError(
-            f"{exc} in {_braid._where(word, order, cap)}") from exc
-    if _assemble({m: t for m, t in parts.items() if m > cap}, n - 1, n,
-                 trunc):
-        raise VerificationError(
-            f"weight cutoff not stable: raising it to cap + 2 changes "
-            f"phi_positive of {_braid._where(word, order, cap)}"
-        )
-    phi = _assemble({m: t for m, t in parts.items() if m <= cap}, n - 1, n,
-                    trunc)
-    return _finalize_phi(phi, "phi_positive", word, order, cap)
+def _trace_route(word, order):
+    """phi_positive's route for _phi: the traces of weights 0..cutoff, at
+    most the order, on the word's cut.  Every cutoff reads the weights
+    from 0 up, so the traces grow as one list and each is taken once."""
+    n, run, traces = word.n, _cut(word), []
+
+    def tables(cutoff, whole):
+        top = min(cutoff, order)
+        for m in range(len(traces), top + 1):
+            traces.append(_lawrence.truncated_trace_table(run, m,
+                                                          2 * order + 1))
+        return dict(enumerate(traces[:top + 1]))
+    return ("phi_positive", "weight cutoff",
+            lambda top: (comb(top + n - 1, n - 1), "start states"), n - 1,
+            tables)
 
 
 # ---------------------------------------------------------------------------
@@ -652,32 +658,20 @@ def _charge_tables(word, order, cap, col_sign):
     return {m: table for m, table in parts.items() if table}
 
 
-def _phi_homogeneous_run(word, order, cap, col_sign):
-    """Phi at cap from one DP run over the word as it is cut here: the
-    _assemble of its _charge_tables, spin = sum(col_sign).
-
-    At cap >= order every rotation of the word gives the same Phi, and
-    phi_homogeneous hands it the word's cut (_cut); below the order the
-    bottoms' sum filter makes Phi depend on the cut, so it hands it the
-    word as given."""
-    return _assemble(_charge_tables(word, order, cap, col_sign),
-                     sum(col_sign), word.n, 2 * order + 1)
-
-
 def phi_homogeneous(word, order, cap=None, stabilize=True):
     """Phi for any homogeneous knot word, truncated at x^order.
 
     cap bounds every column label (default = order; by the label bound of
     _label_bound, no label above order reaches the truncated series).
-    stabilize insists that raising the cap to cap + 2 changes nothing.
-    Below the order that is a second DP run at cap + 2, which must equal
-    the first.  At cap >= order the second run could not differ, so it is
-    not made.  Proof.  Both runs admit labels up to min(cap, order) =
-    min(cap + 2, order) = order, so they share every move and every
-    bottom's amplitude; they differ only in the bottoms b with
-    2 cap < sum b <= 2 cap + 4, so sum b >= 2 order + 1.  The odd columns
-    hold no edge of the column path, nor do the even ones, so one of the
-    two sets has label sum >= sum b / 2 and W(b) >= order + 1
+    stabilize insists that raising the cap to cap + 2 changes nothing
+    (the guard of _phi).  Below the order that is a second DP run at
+    cap + 2, which must equal the first.  At cap >= order the second run
+    could not differ, so it is not made.  Proof.  Both runs admit labels
+    up to min(cap, order) = min(cap + 2, order) = order, so they share
+    every move and every bottom's amplitude; they differ only in the
+    bottoms b with 2 cap < sum b <= 2 cap + 4, so sum b >= 2 order + 1.
+    The odd columns hold no edge of the column path, nor do the even ones,
+    so one of the two sets has label sum >= sum b / 2 and W(b) >= order + 1
     (_window_bound).  Every closed path from such a bottom costs at least
     2 W(b) >= 2 order + 2 > trunc, so it adds nothing to the truncated
     series: Phi(cap + 2) = Phi(cap) term for term.
@@ -716,8 +710,21 @@ def phi_homogeneous(word, order, cap=None, stabilize=True):
     (bound + 1)^3 (n=4; 1 -2 1 -3 -2 at order 16 leaves 1.7 MB).
     _column_table.cache_clear() frees them, and _open_bottoms.cache_clear()
     the filtered bottoms."""
-    return _phi_homogeneous(word, _braid.require_homogeneous_knot(word),
-                            order, cap, stabilize)
+    return _phi(word, order, cap, stabilize, _dp_route(
+        word, order, _braid.require_homogeneous_knot(word).column_sign))
+
+
+def _dp_route(word, order, column_sign):
+    """phi_homogeneous's route for _phi, column_sign the word's "+"/"-"
+    per column: one DP run at the cutoff, on the word's cut for the one
+    run at cap >= order and on the word as given below the order, the
+    guard's run at cap + 2 included (proof in phi_homogeneous)."""
+    col_sign = tuple(1 if s == "+" else -1 for s in column_sign)
+    return ("phi_homogeneous", "label cap",
+            lambda top: ((top + 1) ** (word.n - 1), "bottoms"),
+            sum(col_sign),
+            lambda cutoff, whole: _charge_tables(
+                _cut(word) if whole else word, order, cutoff, col_sign))
 
 
 def _cut(word):
@@ -745,35 +752,6 @@ def _cut(word):
         k = scores.index(max(scores))
     return word if k == 0 else _braid.BraidWord(
         word.n, letters[k:] + letters[:k])
-
-
-def _phi_homogeneous(word, stats, order, cap, stabilize):
-    """phi_homogeneous past its gate: stats is the word's BraidStats from
-    braid.require_homogeneous_knot."""
-    col_sign = tuple(1 if s == "+" else -1 for s in stats.column_sign)
-    if cap is None:
-        cap = order
-    require_nonnegative(order=order, cap=cap)
-    top = cap + 2 if stabilize else cap
-    bound = _label_bound(2 * order + 1, top)
-    _require_work((bound + 1) ** (word.n - 1), "bottoms", word, order)
-    # at cap >= order the one run is the whole truncated trace (proof in
-    # phi_homogeneous), the same on every rotation of the word
-    run = _cut(word) if cap >= order else word
-    try:
-        phi = _phi_homogeneous_run(run, order, cap, col_sign)
-        unstable = (stabilize and cap < order
-                    and _phi_homogeneous_run(word, order, cap + 2,
-                                             col_sign) != phi)
-    except VerificationError as exc:
-        raise VerificationError(
-            f"{exc} in {_braid._where(word, order, cap)}") from exc
-    if unstable:
-        raise VerificationError(
-            f"label cap not stable: raising it to cap + 2 changes "
-            f"phi_homogeneous of {_braid._where(word, order, cap)}"
-        )
-    return _finalize_phi(phi, "phi_homogeneous", word, order, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -810,11 +788,12 @@ def zhat(word, order, cap=None):
     """Phi and the BPS series of the closure knot, truncated prefactor-
     shifted.
 
-    This is the one place that picks a Phi route: phi_positive for an
-    all-positive word, phi_homogeneous otherwise.  cap goes to the route
-    it picks under the same name, a weight cutoff on the first and a label
-    cap on the second; both default to the order and both assemble Phi in
-    _assemble.  The latter keeps its column tables for the rest of the
+    This is the one place that picks a Phi route: the trace route of
+    phi_positive for an all-positive word, the DP of phi_homogeneous
+    otherwise, each through the one runner _phi with its guard (proofs in
+    those three).  cap goes to the route it picks under the same name, a
+    weight cutoff on the first and a label cap on the second; both default
+    to the order.  The DP keeps its column tables for the rest of the
     process (see phi_homogeneous).
 
     An all-positive word at cap >= order (cap None included) runs on its
@@ -834,30 +813,31 @@ def zhat(word, order, cap=None):
     Phi(cap) is that whole truncated series, since every weight above the
     order has an empty trace.  Below the order Phi(cap) sums only the
     weights up to cap, and a weight on n strands is not one on n - 1, so
-    the given word runs there, guard included.  The work estimate is taken on the word that runs.
-    phi_positive, phi_homogeneous and every word with a negative letter
-    run the word they are given.  The result, its prefactor and every
-    message keep the given word."""
+    the given word runs there, guard included.  The work estimate is taken
+    on the word that runs.  phi_positive, phi_homogeneous and every word
+    with a negative letter run the word they are given.  The result, its
+    prefactor and every message keep the given word; an error on the
+    destabilized word is re-raised naming the given one."""
     stats = _braid.require_homogeneous_knot(word)
     n, w = stats.n, stats.writhe
     crm, colm = stats.cr_minus, stats.col_minus
     sign = -1 if (1 + crm + colm) % 2 else 1
     q_half = (w - (n - 1)) + 2 * colm
     x_half = (w - n) + 2 * crm
-    # the engines past their gate: this one analyzed the word already
     if crm:
-        phi = _phi_homogeneous(word, stats, order, cap, stabilize=True)
+        run, route = word, _dp_route(word, order, stats.column_sign)
     else:
         run = (word if cap is not None and cap < order
                else _braid._thin_ends(word))
-        try:
-            phi = _phi_positive(run, order, cap, stabilize=True)
-        except VerificationError as exc:
-            if run is word:
-                raise
-            raise VerificationError(
-                f"zhat of {_braid._where(word, order, cap)} failed on its "
-                f"destabilization: {exc}") from exc
+        route = _trace_route(run, order)
+    try:
+        phi = _phi(run, order, cap, True, route)
+    except VerificationError as exc:
+        if run is word:
+            raise
+        raise VerificationError(
+            f"zhat of {_braid._where(word, order, cap)} failed on its "
+            f"destabilization: {exc}") from exc
     pinned = (word.n, tuple(word.letters)) in _REFERENCE_WORDS
     return ZhatResult(
         word=word,

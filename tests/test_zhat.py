@@ -342,21 +342,22 @@ def test_destabilize_leaves_two_strands_and_interior_letters():
 
 
 def test_zhat_destabilizes_positive_words_at_cap_at_least_order(monkeypatch):
-    # the word _phi_positive runs: the thinned destabilization at
-    # cap >= order, the given word below the order and through
+    # the word _phi runs on the trace route: the thinned destabilization
+    # at cap >= order, the given word below the order and through
     # phi_positive; a word with a negative letter never reaches the step
-    real_run, real_step = zmod._phi_positive, zmod._braid._thin_ends
+    real_run, real_step = zmod._phi, zmod._braid._thin_ends
     ran, stepped = [], []
 
-    def run(word, order, cap, stabilize):
-        ran.append(render_word(word))
-        return real_run(word, order, cap, stabilize)
+    def run(word, order, cap, stabilize, route):
+        if route[0] == "phi_positive":
+            ran.append(render_word(word))
+        return real_run(word, order, cap, stabilize, route)
 
     def step(word):
         stepped.append(render_word(word))
         return real_step(word)
 
-    monkeypatch.setattr(zmod, "_phi_positive", run)
+    monkeypatch.setattr(zmod, "_phi", run)
     monkeypatch.setattr(zmod._braid, "_thin_ends", step)
     stab, interior = "n=4; 1 1 1 2 3", "n=4; 1 1 1 2 3 3 3"
     torus = "n=3; 1 2 1 2 1 2 1 2"
@@ -953,12 +954,45 @@ def closed_amplitude(word, col_sign, bottom, trunc, cap):
         word, col_sign, bottom, trunc, zmod._label_bound(trunc, cap)), trunc)
 
 
-def two_run_phi_homogeneous(word, order, cap):
-    """The guard as two DP runs: Phi at cap must equal Phi at cap + 2."""
+def dp_run(word, order, cap):
+    """Phi at cap from one DP run over the word as given: the _assemble
+    of the DP route's tables with whole false, as _phi takes them below
+    the order."""
+    *_, spin, tables = zmod._dp_route(word, order, analyze(word).column_sign)
+    return zmod._assemble(tables(cap, False), spin, word.n, 2 * order + 1)
+
+
+def two_run_phi_homogeneous(word, order, cap, stabilize=True):
+    """The guard as two DP runs: Phi at cap must equal Phi at cap + 2,
+    with phi_homogeneous's message."""
     phi = oracle_phi(word, order, cap, prune=True)
-    if phi != oracle_phi(word, order, cap + 2, prune=True):
-        raise VerificationError(f"label cap {cap} not stable")
+    if stabilize and phi != oracle_phi(word, order, cap + 2, prune=True):
+        raise VerificationError(
+            f"label cap not stable: raising it to cap + 2 changes "
+            f"phi_homogeneous of {render_word(word)} at order {order}, "
+            f"cap {cap}")
     return zmod._finalize_phi(phi, "phi_homogeneous", word, order, cap)
+
+
+def delta_guard_phi_positive(word, order, cap, stabilize=True):
+    """The trace route's guard as one run, on the word as given: the
+    traces of weights 0..top, top the least of the order and cap (cap + 2
+    under the guard), Phi from those up to cap, and a raise iff Delta, the
+    _assemble of those above cap, is nonzero, since truncated series add
+    exactly."""
+    n, trunc = word.n, 2 * order + 1
+    top = min(cap + 2 if stabilize else cap, order)
+    parts = {m: truncated_trace_table(word, m, trunc)
+             for m in range(top + 1)}
+    if zmod._assemble({m: t for m, t in parts.items() if m > cap}, n - 1,
+                      n, trunc):
+        raise VerificationError(
+            f"weight cutoff not stable: raising it to cap + 2 changes "
+            f"phi_positive of {render_word(word)} at order {order}, "
+            f"cap {cap}")
+    phi = zmod._assemble({m: t for m, t in parts.items() if m <= cap},
+                         n - 1, n, trunc)
+    return zmod._finalize_phi(phi, "phi_positive", word, order, cap)
 
 
 def outcome(fn, *args):
@@ -1246,14 +1280,14 @@ def test_one_run_guard_matches_two_runs(text, order):
 def test_guard_reruns_only_below_the_order(monkeypatch):
     # fig8 given from its -|+ boundary's far side: at cap >= order its one
     # run takes the cut, below the order both runs take the given word
-    real = zmod._phi_homogeneous_run
+    real = zmod._charge_tables
     caps = []
 
     def spy(word, order, cap, col_sign):
         caps.append((render_word(word), cap))
         return real(word, order, cap, col_sign)
 
-    monkeypatch.setattr(zmod, "_phi_homogeneous_run", spy)
+    monkeypatch.setattr(zmod, "_charge_tables", spy)
     given, cut = "n=3; -2 1 -2 1", "n=3; 1 -2 1 -2"
     word = parse_braid(given)
     order = 4
@@ -1470,7 +1504,7 @@ def test_in_place_dp_matches_series_walk(text, order, reading, monkeypatch):
                 trunc) == tuple(bottoms), cap
         tables = [dp_amplitude(word, col_sign, bottom, trunc, limit)
                   for bottom in bottoms]
-        phi = zmod._phi_homogeneous_run(word, order, cap, col_sign)
+        phi = dp_run(word, order, cap)
         with monkeypatch.context() as patch:
             patch.setattr(zmod._walks, "sum_paths", series_walk)
             for bottom, got in zip(bottoms, tables):
@@ -1684,6 +1718,37 @@ def test_random_mixed_knots(word):
     assert_high_bottoms_cost_past_trunc(word, 3)
 
 
+def exact_outcome(fn, *args):
+    """Phi, or the type and text of the VerificationError fn raises."""
+    try:
+        return fn(*args)
+    except VerificationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(mixed_knot_words(), mixed_knot_words(negative=False)),
+       st.integers(0, 4))
+@example(parse_braid("n=3; 1 2"), 3)
+@example(parse_braid("n=4; 1 2 3"), 4)
+def test_shared_guard_matches_each_routes_own_guard(word, order):
+    # _phi's one guard on both routes, at every cap from 0 to order + 1,
+    # with stabilize on and off: the DP against two oracle runs at cap and
+    # cap + 2, on every word, and on an all-positive word the trace route
+    # against its one-run Delta guard; Phi, or the error's type and text.
+    # On the two unknots below the order, weight cap + 1 has an empty
+    # trace and cap + 2 does not, so a guard at cap + 1 passes there
+    assume(analyze(word).closure_components == 1)
+    positive = min(word.letters) > 0
+    for cap, stabilize in product(range(order + 2), (True, False)):
+        args = (word, order, cap, stabilize)
+        assert exact_outcome(phi_homogeneous, *args) \
+            == exact_outcome(two_run_phi_homogeneous, *args), args
+        if positive:
+            assert exact_outcome(phi_positive, *args) \
+                == exact_outcome(delta_guard_phi_positive, *args), args
+
+
 # ---------------------------------------------------------------------------
 # Phi and Zhat are invariants of the closure: equal on every conjugate
 # (Markov's theorem; Birman, Braids, Links, and Mapping Class Groups)
@@ -1718,9 +1783,7 @@ def assert_conjugation_invariant(word, order):
         got = zhat(other, order)
         assert (got.phi, got.zhat) == (want.phi, want.zhat), \
             render_word(other)
-        assert zmod._phi_homogeneous_run(other, order, order,
-                                         column_signs(other)) \
-            == want.phi, render_word(other)
+        assert dp_run(other, order, order) == want.phi, render_word(other)
         assert zmod._charge_tables(other, order, order,
                                    column_signs(other)) \
             == parts, render_word(other)
@@ -1835,6 +1898,35 @@ def test_phi_work_limit_is_the_work_estimate(monkeypatch, route, text, order,
     route(word, 3 * order, order, stabilize=False)
     with pytest.raises(InputError, match=f"^order {3 * order} needs "):
         route(word, 3 * order, order + 1, stabilize=False)
+
+
+def test_work_limit_refuses_before_any_table(monkeypatch):
+    # with the limit below every estimate, both routes, and zhat on each,
+    # refuse at cap >= order and below it, with the guard and without,
+    # before the trace engine, the DP's tables or the walk search is called
+    called = []
+    for module, name in ((zmod._lawrence, "truncated_trace_table"),
+                         (zmod, "_charge_tables"), (zmod._walks,
+                                                    "closed_sum")):
+        def spy(*args, name=name, real=getattr(module, name)):
+            called.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(zmod, "PHI_WORK_LIMIT", 0)
+    refused = r" forward steps \(.*\), past PHI_WORK_LIMIT = 0$"
+    for text in ("1 1 1 2", "n=4; 2 3 3 3 1 3 1 1 3", "n=4; 1 1 1 2 3",
+                 "1 -2 1 -2", "n=4; 1 -2 1 -3 -2"):
+        word = parse_braid(text)
+        routes = [phi_homogeneous]
+        if min(word.letters) > 0:
+            routes.append(phi_positive)
+        for cap in (None, 0, 3, 4, 6):
+            for route, stabilize in product(routes, (True, False)):
+                with pytest.raises(InputError, match=refused):
+                    route(word, 4, cap, stabilize)
+            with pytest.raises(InputError, match=refused):
+                zhat(word, 4, cap)
+    assert called == []
 
 
 # ---------------------------------------------------------------------------
